@@ -476,21 +476,33 @@ def _bivar_zero(name, N, K, terms, clearing=ONE, window=None) -> dict:
         raise LopError(f"{name}: empty determined window")
     zero = SparseMat.zeros(N, N)
     points = 0
+    # bi-modes (alpha, beta) and (alpha + 1, beta + 1) share most products
+    products = {}
     for alpha in range(alo, ahi + 1):
         for beta in range(blo, bhi + 1):
             acc = zero
-            for poly, U, V, order in expanded:
+            for t, (poly, U, V, order) in enumerate(expanded):
                 for (i, j), c in poly.items():
                     if c.is_zero():
                         continue
-                    a = U.mat(alpha - i)
-                    if a.is_zero():
+                    key = (t, alpha - i, beta - j)
+                    prod = products.get(key)
+                    if prod is None:
+                        a = U.mat(alpha - i)
+                        b = V.mat(beta - j)
+                        if a.is_zero() or b.is_zero():
+                            prod = zero
+                        else:
+                            prod = a * b if order == "uv" else b * a
+                        products[key] = prod
+                    if prod.is_zero():
                         continue
-                    b = V.mat(beta - j)
-                    if b.is_zero():
-                        continue
-                    prod = a * b if order == "uv" else b * a
-                    acc = acc + prod.scale(c)
+                    if c == ONE:
+                        acc = acc + prod
+                    elif c == _MONE:
+                        acc = acc - prod
+                    else:
+                        acc = acc + prod.scale(c)
             points += 1
             if not acc.is_zero():
                 r, col, val = acc.first_nonzero()
@@ -1464,13 +1476,20 @@ def check_psi_consistency(alg: AlgebraData, m: int, K: int = 10) -> list:
     N = alg.N
     out = []
     hi = N - m  # last index of the central block, 1-based
+    block = range(m + 1, hi + 1)
+    # each image is a quasideterminant; both loops below reuse them
+    images = {
+        (s, i, j): psi_image(gs.g(s), m, i, j)
+        for s in _SIGNS
+        for i in block
+        for j in block
+    }
     for s in _SIGNS:
-        g = gs.g(s)
         ok = True
         witness = None
-        for i in range(m + 1, hi + 1):
-            for j in range(m + 1, hi + 1):
-                _, _, agree = psi_image(g, m, i, j)
+        for i in block:
+            for j in block:
+                _, _, agree = images[s, i, j]
                 if not agree:
                     ok = False
                     witness = {"row": i, "col": j}
@@ -1487,15 +1506,14 @@ def check_psi_consistency(alg: AlgebraData, m: int, K: int = 10) -> list:
     # commutation of the eliminated corner with the images
     for s, t in _PAIRS:
         ga = lops.lp if s > 0 else lops.lm
-        g = gs.g(t)
         ok = True
         witness = None
         for a in range(1, m + 1):
             for b in range(1, m + 1):
                 A = ModeSeries.from_trunc(ga[a - 1][b - 1], N)
-                for i in range(m + 1, hi + 1):
-                    for j in range(m + 1, hi + 1):
-                        val, _, _ = psi_image(g, m, i, j)
+                for i in block:
+                    for j in block:
+                        val, _, _ = images[t, i, j]
                         B = ModeSeries.from_trunc(val, N)
                         rep = _bivar_zero(
                             f"[l[{a},{b}]{_sig(s)}(u), psi_{m}(l[{i},{j}]{_sig(t)}(v))]",

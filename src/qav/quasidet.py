@@ -235,6 +235,9 @@ def psi_image(g: GaussFactors, m, i, j):
     rows = list(range(m)) + [i - 1]
     cols = list(range(m)) + [j - 1]
     value = quasideterminant(_bordered(g.L, rows, cols), m, m, g.one)
-    reduced = g.reduced_product(m)[i - 1 - m][j - 1 - m]
+    # entry (i, j) of g.reduced_product(m), without forming the whole product
+    reduced = mat_mul(
+        [g.F[i - 1][m:]], [[g.H[k] * g.E[k][j - 1]] for k in range(m, g.n)]
+    )[0][0]
     ok = (value - reduced).is_zero()
     return value, reduced, ok

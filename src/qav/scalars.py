@@ -9,11 +9,23 @@ therefore structural.
 
 The monomial order is graded lexicographic with s < u < v < w; it fixes
 which term is "leading" for the sign normalization and the printing order.
+
+Products and sums take one of two paths, which produce the same canonical
+form.  Almost all of the work of the checks lives in Z[s, 1/s, u, v][w],
+where denominators are c*s^k with a positive integer c.  For such operands
+(and not both w-linear, which would need w-reduction) the Laurent path
+multiplies or aligns the numerators and adds the s-exponents; the gcd of a
+numerator P with c*s^k is gcd(c, content(P)) * s^min(k, ord_s P), so
+cancellation is an exponent shift and an integer division, with no
+polynomial gcd.  Every other operation takes the general path, which
+cancels with polynomial gcds.  Whether the numerator has w and the shape of
+the denominator are worked out once per Scalar (Scalar._facts).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from sympy import ZZ
 from sympy.polys.rings import ring as _mkring
@@ -22,6 +34,7 @@ from sympy.polys.rings import ring as _mkring
 _RING, _W, _V, _U, _S = _mkring("w,v,u,s", ZZ, "grlex")
 _ZERO = _RING.zero
 _ONE = _RING.one
+_POLY = _RING.dtype  # builds a ring element from a {monomial: coeff} dict
 _S2P1 = _S**2 + 1  # s*(s + 1/s) = s^2 + 1
 
 
@@ -35,13 +48,11 @@ def _has_w(p):
 
 def _mono_gcd(p, q):
     """gcd when at least one of p, q is a single term."""
-    from math import gcd as _igcd
-
     c = 0
     mins = None
     for poly in (p, q):
         for mon, coef in poly.iterterms():
-            c = _igcd(c, int(coef))
+            c = gcd(c, int(coef))
             mins = mon if mins is None else tuple(map(min, mins, mon))
     if c == 1 and not any(mins):
         return _ONE
@@ -113,10 +124,45 @@ def _w_split(p):
     return a, b
 
 
+def _den_shape(den):
+    """(k, c) when den == c*s^k, else (-1, 0)."""
+    if len(den) == 1:
+        ((mon, c),) = den.items()
+        if not (mon[1] or mon[2]):
+            return mon[3], c
+    return -1, 0
+
+
+def _s_shift(p, e):
+    """p * s^e for an integer e (the result must stay a polynomial)."""
+    return _POLY({(ew, ev, eu, es + e): c for (ew, ev, eu, es), c in p.items()})
+
+
+def _laurent(num, k, c, has_w):
+    """The canonical Scalar num / (c*s^k), for num != 0 w-reduced, c > 0.
+
+    has_w is whether num has w, or None when not known."""
+    if k:
+        e = min(k, min(mon[3] for mon in num))
+        if e:
+            num = _s_shift(num, -e)
+            k -= e
+    if c != 1:
+        g = gcd(c, *num.values())
+        if g != 1:
+            num = _POLY({mon: x // g for mon, x in num.items()})
+            c //= g
+    den = _POLY({(0, 0, 0, k): c}) if k or c != 1 else _ONE
+    out = Scalar(num, den, _normal=True)
+    if has_w is not None:
+        out._f = (has_w, k, c)
+    return out
+
+
 class Scalar:
     """An element of Q(s, u, v)[w]/(w^2 - s - 1/s) in canonical form."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "_f")
 
     def __init__(self, num, den=_ONE, _normal=False):
         if not _normal:
@@ -124,6 +170,14 @@ class Scalar:
         self.num = num
         self.den = den
         self._hash = None
+        self._f = None
+
+    def _facts(self):
+        """(has_w, k, c): whether the numerator has w, and den == c*s^k
+        (k = -1 when the denominator has another shape).  Computed once;
+        read as `x._f or x._facts()`."""
+        self._f = (_has_w(self.num),) + _den_shape(self.den)
+        return self._f
 
     # -- constructors -----------------------------------------------------
 
@@ -201,13 +255,33 @@ class Scalar:
         return NotImplemented
 
     def __add__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other.num:
             return self
         if not self.num:
             return other
+        w1, k1, c1 = self._f or self._facts()
+        w2, k2, c2 = other._f or other._facts()
+        if k1 >= 0 and k2 >= 0:
+            # Laurent path: bring both numerators over (lcm c)*s^(max k)
+            k = max(k1, k2)
+            c = lcm(c1, c2)
+            n1, n2 = self.num, other.num
+            if k1 != k:
+                n1 = _s_shift(n1, k - k1)
+            if k2 != k:
+                n2 = _s_shift(n2, k - k2)
+            if c != c1:
+                n1 = n1 * (c // c1)
+            if c != c2:
+                n2 = n2 * (c // c2)
+            num = n1 + n2
+            if not num:
+                return ZERO
+            return _laurent(num, k, c, None if w1 or w2 else False)
         d1, d2 = self.den, other.den
         if d1 == d2:
             num = self.num + other.num
@@ -246,17 +320,26 @@ class Scalar:
         return Scalar._coerce(other) - self
 
     def __neg__(self):
-        return Scalar(-self.num, self.den, _normal=True)
+        out = Scalar(-self.num, self.den, _normal=True)
+        out._f = self._f
+        return out
 
     def __mul__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not self.num or not other.num:
             return ZERO
-        if _has_w(self.num) and _has_w(other.num):
+        w1, k1, c1 = self._f or self._facts()
+        w2, k2, c2 = other._f or other._facts()
+        if w1 and w2:
             # the product needs w-reduction; take the generic path
             return Scalar(self.num * other.num, self.den * other.den)
+        if k1 >= 0 and k2 >= 0:
+            # Laurent path: the product of two nonzero numerators is nonzero
+            # and has w exactly when one of them has
+            return _laurent(self.num * other.num, k1 + k2, c1 * c2, w1 or w2)
         # cross-cancellation keeps the result reduced with small gcds
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den

@@ -369,6 +369,51 @@ def alpha_series(alg, c: int, order: int) -> TruncSeries:
     return series_log(ratio)
 
 
+def fu_product(alg, R: int, order_u: int) -> TruncSeries:
+    """The infinite product for f(u), cut after r = R, as a series at u = 0:
+
+        prod_r (1-u xi^2r)(1-u q^-2 xi^2r+1)(1-u q^2 xi^2r+1)(1-u xi^2r+2)
+             / ((1-u xi^2r-1)(1-u xi^2r+1)(1-u q^2 xi^2r)(1-u q^-2 xi^2r)).
+
+    Each numerator factor is the series 1 - a u and each denominator factor
+    the geometric series sum_k b^k u^k, so every coefficient stays a Laurent
+    polynomial in q^(1/2) and no rational function is ever formed.
+    """
+    q2 = Scalar.q_pow(2)
+    q2i = Scalar.q_pow(-2)
+    xi = alg.xi
+
+    def xipow(k):
+        return xi**k if k >= 0 else xi.inverse() ** (-k)
+
+    def linear(a):
+        return TruncSeries(AT_ZERO, order_u, {0: ONE, 1: -a})
+
+    def geometric(b):
+        coeffs = {0: ONE}
+        for k in range(1, order_u + 1):
+            coeffs[k] = coeffs[k - 1] * b
+        return TruncSeries(AT_ZERO, order_u, coeffs)
+
+    out = TruncSeries.one(AT_ZERO, order_u)
+    for r in range(R + 1):
+        for a in (
+            xipow(2 * r),
+            q2i * xipow(2 * r + 1),
+            q2 * xipow(2 * r + 1),
+            xipow(2 * r + 2),
+        ):
+            out = out * linear(a)
+        for b in (
+            xipow(2 * r - 1),
+            xipow(2 * r + 1),
+            q2 * xipow(2 * r),
+            q2i * xipow(2 * r),
+        ):
+            out = out * geometric(b)
+    return out
+
+
 def verify_fu_product(alg, order_u: int, order_qadic: int) -> dict:
     """Compare the functional-equation solution f(u) against the truncated
     infinite product, coefficient by coefficient, in the q^(-1)-adic
@@ -383,32 +428,8 @@ def verify_fu_product(alg, order_u: int, order_qadic: int) -> dict:
     R = 1
     while Nm2 * (2 * R + 1 - order_u) <= order_qadic:
         R += 1
-    u = Scalar.u_pow(1)
-    q2 = Scalar.q_pow(2)
-    q2i = Scalar.q_pow(-2)
-    xi = alg.xi
-
-    def xipow(k):
-        return xi**k if k >= 0 else xi.inverse() ** (-k)
-
-    prod = ONE
-    nfactors = 0
-    for r in range(R + 1):
-        num = (
-            (ONE - u * xipow(2 * r))
-            * (ONE - u * q2i * xipow(2 * r + 1))
-            * (ONE - u * q2 * xipow(2 * r + 1))
-            * (ONE - u * xipow(2 * r + 2))
-        )
-        den = (
-            (ONE - u * xipow(2 * r - 1))
-            * (ONE - u * xipow(2 * r + 1))
-            * (ONE - u * q2 * xipow(2 * r))
-            * (ONE - u * q2i * xipow(2 * r))
-        )
-        prod = prod * (num / den)
-        nfactors += 8
-    product_side = expand_scalar(prod, AT_ZERO, order_u)
+    nfactors = 8 * (R + 1)
+    product_side = fu_product(alg, R, order_u)
     solver_side = f_series(alg, order_u)
 
     checks = []

@@ -1,6 +1,10 @@
 """The qav command-line interface: exit codes, formats, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +61,29 @@ def test_json_runs_are_byte_identical(capsys):
     cli.run(args)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_json_is_byte_identical_across_hash_seeds():
+    """Fresh processes under two hash seeds print the same bytes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    invocations = [
+        ["unitarity", "--type", "B", "--rank", "1"],
+        ["ybe", "--type", "B", "--rank", "1"],
+        ["psi", "--type", "D", "--rank", "2", "--order", "4"],
+    ]
+    outputs = {}
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outputs[seed] = [
+            subprocess.run(
+                [sys.executable, "-m", "qav.cli", "check", *args,
+                 "--format", "json"],
+                env=env, capture_output=True, check=True, timeout=300,
+            ).stdout
+            for args in invocations
+        ]
+    assert outputs["1"] == outputs["2"]
+    assert all(b'"status": "pass"' in out for out in outputs["1"])
 
 
 def test_skip_statuses(capsys):

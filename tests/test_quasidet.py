@@ -145,6 +145,7 @@ def test_psi_image_two_paths_agree():
             for j in range(m + 1, 5):
                 value, reduced, ok = psi_image(g, m, i, j)
                 assert ok, (m, i, j)
+                assert reduced == g.reduced_product(m)[i - 1 - m][j - 1 - m]
     with pytest.raises(QuasidetError):
         psi_image(g, 2, 2, 3)
 

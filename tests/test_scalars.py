@@ -202,3 +202,55 @@ def test_pow_matches_repeated_product(a, k):
     for _ in range(k):
         acc = acc * a
     assert a**k == acc
+
+
+# -- Laurent path against the general path -----------------------------------
+
+_den_inverses = st.one_of(
+    st.just(ONE),
+    st.integers(min_value=1, max_value=3).map(lambda k: Scalar.s_pow(-k)),
+    st.builds(
+        lambda c, k: Scalar.fraction(1, c) * Scalar.s_pow(-k),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=3),
+    ),
+    st.sampled_from(
+        [
+            (ONE + Scalar.s_pow(2)).inverse(),
+            (Scalar.s_pow(1) - Scalar.u_pow(1)).inverse(),
+        ]
+    ),
+)
+
+
+@st.composite
+def laurent_operands(draw):
+    """num / den with den 1, s^k, c*s^k or a true polynomial, and num an
+    integer polynomial in s, u, v with or without w."""
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-6, max_value=6),
+                st.integers(min_value=0, max_value=3),
+                st.integers(min_value=0, max_value=1),
+                st.integers(min_value=0, max_value=1),
+                st.integers(min_value=0, max_value=1),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    num = ZERO
+    for c, es, eu, ev, ew in terms:
+        mono = Scalar.s_pow(es) * Scalar.u_pow(eu) * Scalar.v_pow(ev)
+        num = num + Scalar.from_int(c) * mono * (Scalar.w() if ew else ONE)
+    return num * draw(_den_inverses)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_operands(), laurent_operands())
+def test_laurent_path_matches_general_path(a, b):
+    prod = Scalar(a.num * b.num, a.den * b.den)
+    total = Scalar(a.num * b.den + b.num * a.den, a.den * b.den)
+    assert ((a * b).num, (a * b).den) == (prod.num, prod.den)
+    assert ((a + b).num, (a + b).den) == (total.num, total.den)

@@ -1,8 +1,11 @@
 """Truncated Laurent series arithmetic and the normalizing-series solvers."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qav import cli, series
 from qav.scalars import Scalar, ONE, ZERO, qint
 from qav.series import (
     AT_INFINITY,
@@ -11,10 +14,12 @@ from qav.series import (
     TruncSeries,
     expand_scalar,
     f_series,
+    fu_product,
     g_series,
     series_exp,
     series_log,
     solve_sqrt_scaled,
+    verify_fu_product,
 )
 from qav.liedata import AlgebraData
 
@@ -156,3 +161,71 @@ def test_coefficient_out_of_range_returns_default():
     assert f.get(-1) is None
     assert f.coefficient(7) == ZERO
     assert f.coefficient(1) == ONE
+
+
+# -- the infinite product for f(u) ----------------------------------------------
+
+
+def _rational_fu_product(alg, R, order_u):
+    """Oracle: the cut product built as one rational function in u, then
+    expanded at u = 0."""
+    u = Scalar.u_pow(1)
+    q2, q2i, xi = Scalar.q_pow(2), Scalar.q_pow(-2), alg.xi
+
+    def xipow(k):
+        return xi**k if k >= 0 else xi.inverse() ** (-k)
+
+    prod = ONE
+    for r in range(R + 1):
+        num = (
+            (ONE - u * xipow(2 * r))
+            * (ONE - u * q2i * xipow(2 * r + 1))
+            * (ONE - u * q2 * xipow(2 * r + 1))
+            * (ONE - u * xipow(2 * r + 2))
+        )
+        den = (
+            (ONE - u * xipow(2 * r - 1))
+            * (ONE - u * xipow(2 * r + 1))
+            * (ONE - u * q2 * xipow(2 * r))
+            * (ONE - u * q2i * xipow(2 * r))
+        )
+        prod = prod * (num / den)
+    return expand_scalar(prod, AT_ZERO, order_u)
+
+
+@pytest.mark.parametrize("type_, rank", [("B", 1), ("B", 2), ("D", 2)])
+def test_fu_product_matches_rational_oracle(type_, rank):
+    alg = AlgebraData(type_, rank)
+    order = 6
+    R = verify_fu_product(alg, order, order)["product_depth"]
+    fast = fu_product(alg, R, order)
+    oracle = _rational_fu_product(alg, R, order)
+    for k in range(order + 1):
+        assert fast.coefficient(k) == oracle.coefficient(k)
+
+
+def test_f_series_check_fails_on_a_perturbed_solver(monkeypatch, capsys):
+    """Negative control: f_1 bumped by q^-4 must fail exactly at q^-4."""
+    order = 6
+    real = series.f_series
+
+    def bumped(alg, order_u):
+        f = real(alg, order_u)
+        coeffs = dict(f.coeffs)
+        coeffs[1] = f.coefficient(1) + Scalar.q_pow(-4)
+        return TruncSeries(f.direction, f.order, coeffs)
+
+    monkeypatch.setattr(series, "f_series", bumped)
+    checks = verify_fu_product(AlgebraData("D", 2), order, order)["checks"]
+    failed = [c for c in checks if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["f_1 q-adic match"]
+    assert failed[0]["witness"]["q_exponent"] == -4
+
+    rc = cli.run(
+        ["check", "f-series", "--type", "D", "--rank", "2", "--order",
+         str(order), "--format", "json"]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    statuses = [c["status"] for c in payload["reports"][0]["checks"]]
+    assert statuses.count("fail") == 1
