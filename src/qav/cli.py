@@ -11,27 +11,12 @@ import argparse
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import lop, rmatrix, vecrep
 from .liedata import AlgebraData, check_cartan
 from .rmatrix import ResourceBoundError
 from .series import verify_fu_product
-
-SUITES = (
-    "cartan",
-    "crossing",
-    "drinfeld-rep",
-    "eiprei",
-    "f-series",
-    "gauss",
-    "lowrank",
-    "main-structure",
-    "psi",
-    "relrbar",
-    "unitarity",
-    "ybe",
-    "zseries",
-)
 
 _HEADER_NOTE = (
     "checks are run in the vector representation (central charge 0); "
@@ -39,54 +24,70 @@ _HEADER_NOTE = (
 )
 
 
-def _skip(name, reason):
-    return [{"name": name, "status": "skipped", "reason": reason}]
+class _Suite(NamedTuple):
+    """One row of the suite table.  run(alg, K, W) returns the check dicts;
+    needs_lops adds the L-operator conventions to the report; skip, when
+    set, is (applies(alg), check name, reason)."""
+
+    run: Callable
+    needs_lops: bool = False
+    skip: tuple | None = None
+
+
+def _psi(alg, K, W):
+    return [c for m in range(1, alg.n) for c in lop.check_psi_consistency(alg, m, K)]
+
+
+# Module functions are looked up when a suite runs, not when the table is
+# built, so that rebinding them (tests, tracing) takes effect.
+_TABLE = {
+    "cartan": _Suite(lambda alg, K, W: check_cartan(alg)),
+    "crossing": _Suite(lambda alg, K, W: rmatrix.check_crossing(alg, order=K)),
+    "drinfeld-rep": _Suite(
+        lambda alg, K, W: vecrep.check_drinfeld_window(alg, window=W)
+    ),
+    "eiprei": _Suite(
+        lambda alg, K, W: lop.check_eiprei(alg, K),
+        needs_lops=True,
+        skip=(lambda alg: alg.n < 2, "mirror identities", "needs rank at least 2"),
+    ),
+    "f-series": _Suite(lambda alg, K, W: verify_fu_product(alg, K, K)["checks"]),
+    "gauss": _Suite(lambda alg, K, W: lop.check_gauss(alg, K), needs_lops=True),
+    "lowrank": _Suite(
+        lambda alg, K, W: lop.check_lowrank(alg, K),
+        needs_lops=True,
+        skip=(
+            lambda alg: (alg.type, alg.n) not in (("B", 1), ("D", 2)),
+            "low-rank battery",
+            "defined for type B rank 1 and type D rank 2 only",
+        ),
+    ),
+    "main-structure": _Suite(
+        lambda alg, K, W: lop.check_main_theorem_structure(alg, K), needs_lops=True
+    ),
+    "psi": _Suite(
+        _psi,
+        needs_lops=True,
+        skip=(lambda alg: alg.n < 2, "reduction consistency", "needs rank at least 2"),
+    ),
+    "relrbar": _Suite(lambda alg, K, W: lop.check_relrbar(alg, K, W), needs_lops=True),
+    "unitarity": _Suite(lambda alg, K, W: rmatrix.check_unitarity(alg)),
+    "ybe": _Suite(lambda alg, K, W: rmatrix.check_ybe(alg)),
+    "zseries": _Suite(lambda alg, K, W: lop.z_series(alg, K)[2], needs_lops=True),
+}
+
+SUITES = tuple(sorted(_TABLE))
 
 
 def _run_suite(suite, alg, K, W):
-    if suite == "ybe":
-        return rmatrix.check_ybe(alg)
-    if suite == "unitarity":
-        return rmatrix.check_unitarity(alg)
-    if suite == "crossing":
-        return rmatrix.check_crossing(alg, order=K)
-    if suite == "cartan":
-        return check_cartan(alg)
-    if suite == "f-series":
-        return verify_fu_product(alg, K, K)["checks"]
-    if suite == "drinfeld-rep":
-        return vecrep.check_drinfeld_window(alg, window=W)
-    if suite == "gauss":
-        return lop.check_gauss(alg, K)
-    if suite == "lowrank":
-        if (alg.type, alg.n) not in (("B", 1), ("D", 2)):
-            return _skip(
-                f"low-rank battery, {alg}",
-                "defined for type B rank 1 and type D rank 2 only",
-            )
-        return lop.check_lowrank(alg, K)
-    if suite == "relrbar":
-        return lop.check_relrbar(alg, K, W)
-    if suite == "eiprei":
-        if alg.n < 2:
-            return _skip(
-                f"mirror identities, {alg}", "needs rank at least 2"
-            )
-        return lop.check_eiprei(alg, K)
-    if suite == "zseries":
-        return lop.z_series(alg, K)[2]
-    if suite == "psi":
-        if alg.n < 2:
-            return _skip(
-                f"reduction consistency, {alg}", "needs rank at least 2"
-            )
-        out = []
-        for m in range(1, alg.n):
-            out.extend(lop.check_psi_consistency(alg, m, K))
-        return out
-    if suite == "main-structure":
-        return lop.check_main_theorem_structure(alg, K)
-    raise ValueError(f"unknown suite: {suite}")
+    entry = _TABLE.get(suite)
+    if entry is None:
+        raise ValueError(f"unknown suite: {suite}")
+    if entry.skip is not None:
+        applies, name, reason = entry.skip
+        if applies(alg):
+            return [{"name": f"{name}, {alg}", "status": "skipped", "reason": reason}]
+    return entry.run(alg, K, W)
 
 
 def _suite_report(suite, alg, K, W):
@@ -101,11 +102,19 @@ def _suite_report(suite, alg, K, W):
         "note": _HEADER_NOTE,
         "checks": checks,
     }
-    if suite in ("gauss", "lowrank", "relrbar", "eiprei", "zseries", "psi",
-                 "main-structure"):
-        wiring = lop.build_lops(alg, K).wiring
-        report["conventions"] = wiring
+    if _TABLE[suite].needs_lops:
+        report["conventions"] = lop.build_lops(alg, K).wiring
     return report, elapsed_ms
+
+
+def _at_least_1(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _emit_text(report, elapsed_ms, out):
@@ -131,8 +140,8 @@ def run(argv) -> int:
     chk.add_argument("suite", choices=SUITES + ("all",))
     chk.add_argument("--type", dest="type_", choices=("B", "D"), default="B")
     chk.add_argument("--rank", type=int, default=1)
-    chk.add_argument("--order", type=int, default=10)
-    chk.add_argument("--window", type=int, default=3)
+    chk.add_argument("--order", type=_at_least_1, default=10)
+    chk.add_argument("--window", type=_at_least_1, default=3)
     chk.add_argument("--format", dest="fmt", choices=("text", "json"),
                      default="text")
     chk.add_argument("--dump", default=None)

@@ -1,15 +1,16 @@
 """Lie-theoretic constants for the orthogonal series B_n and D_n.
 
-All data is exact: half-integer weights are Fractions, matrices over the
-rationals are Fraction-valued, and the q-deformed Gram matrix B(q) and its
-inverse live over the Scalar field.
+All data is exact: half-integer weights are Fractions, the Cartan and Gram
+matrices are Fraction-valued, and the inverses B~ of B and of the q-deformed
+Gram matrix B(q) are Scalar matrices computed by quasidet.ring_inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, ScalarError, qint, ONE, ZERO
+from .quasidet import ring_inverse
+from .scalars import Scalar, ScalarError, qint, ONE
 
 
 class LieDataError(ValueError):
@@ -59,7 +60,11 @@ class AlgebraData:
         ]
         # B = C A with C = diag(r_i); equivalently B_ij = (alpha_i, alpha_j)
         self.Bmat = [[_dot(roots[i], roots[j]) for j in range(n)] for i in range(n)]
-        self.Btilde = _fraction_inverse(self.Bmat)
+        self.Btilde = ring_inverse(
+            [[Scalar.fraction(b.numerator, b.denominator) for b in row]
+             for row in self.Bmat],
+            ONE,
+        )
 
         if type_ == "B":
             bars = [n - i - Fraction(1, 2) for i in range(n)]
@@ -92,25 +97,6 @@ class AlgebraData:
 
 def algebra(type_: str, rank: int) -> AlgebraData:
     return AlgebraData(type_, rank)
-
-
-def _fraction_inverse(m):
-    """Exact inverse of a square Fraction matrix by Gauss-Jordan."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise LieDataError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 def bq_matrix(alg: AlgebraData):
@@ -163,7 +149,7 @@ def btilde_q_closed_form(alg: AlgebraData):
 def btilde_q(alg: AlgebraData):
     """Exact inverse of B(q), checked entrywise against the closed forms."""
     bq = bq_matrix(alg)
-    inv = _scalar_inverse(bq)
+    inv = ring_inverse(bq, ONE)
     closed = btilde_q_closed_form(alg)
     for i in range(alg.n):
         for j in range(alg.n):
@@ -173,27 +159,6 @@ def btilde_q(alg: AlgebraData):
                     f"inverse={inv[i][j]} closed={closed[i][j]}"
                 )
     return inv
-
-
-def _scalar_inverse(m):
-    """Exact inverse of a square Scalar matrix by Gauss-Jordan."""
-    n = len(m)
-    a = [
-        [x for x in row] + [ONE if i == j else ZERO for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            raise LieDataError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        pinv = a[col][col].inverse()
-        a[col] = [x * pinv for x in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 def check_cartan(alg: AlgebraData) -> list:

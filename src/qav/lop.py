@@ -17,7 +17,13 @@ from fractions import Fraction
 
 from .liedata import AlgebraData
 from .quasidet import GaussFactors, gauss_decompose, mat_mul, psi_image
-from .rmatrix import _report, build_catalog, crossing_scalar, guard_cubic
+from .rmatrix import (
+    _mat_subs_u,
+    _report,
+    build_catalog,
+    crossing_scalar,
+    guard_cubic,
+)
 from .scalars import ONE, Scalar, qbinom
 from .series import AT_INFINITY, AT_ZERO, TruncSeries, expand_scalar
 from .tensor import SparseMat, embed_leg
@@ -55,13 +61,6 @@ def gauge_dvals(alg: AlgebraData):
     if alg.type == "B":
         return [ONE] * (alg.n + 1) + [Scalar.q_pow(Fraction(-1, 2))] * alg.n
     return [ONE] * alg.N
-
-
-def _conj_gauge(mat: SparseMat, dvals) -> SparseMat:
-    out = []
-    for a, b, val in mat.entries():
-        out.append((a, b, dvals[a] * val * dvals[b].inverse()))
-    return SparseMat.from_entries(mat.nrows, mat.ncols, out)
 
 
 def _q_exponent(x: Scalar, bound: int):
@@ -201,38 +200,25 @@ def _check_diagonal_constants(alg, lp, lm) -> bool:
     return True
 
 
-_RLL_CACHE = {}
-
-
 def _check_rll(alg, base_name: str) -> bool:
     """Exact rational cubic relation: the R-matrix exchange identity for the
     candidate operator matrix, checked with denominator-cleared entries."""
-    key = (alg.type, alg.n, base_name)
-    if key in _RLL_CACHE:
-        return _RLL_CACHE[key]
     cat = build_catalog(alg)
     N = alg.N
     rpoly = cat.rbar_poly
     mpoly = cat.P * rpoly * cat.P if base_name == "swapped" else rpoly
-    r12 = embed_leg(_subs_u_mat(mpoly, _U * Scalar.v_pow(-1)), (1, 2), N)
+    r12 = embed_leg(_mat_subs_u(mpoly, _U * Scalar.v_pow(-1)), (1, 2), N)
     m13 = embed_leg(mpoly, (1, 3), N)
-    m23 = embed_leg(_subs_u_mat(mpoly, _V), (2, 3), N)
+    m23 = embed_leg(_mat_subs_u(mpoly, _V), (2, 3), N)
     lhs = r12 * m13 * m23
     rhs = m23 * m13 * r12
-    ok = (lhs - rhs).is_zero()
-    _RLL_CACHE[key] = ok
-    return ok
-
-
-def _subs_u_mat(m: SparseMat, t: Scalar) -> SparseMat:
-    return SparseMat.from_entries(
-        m.nrows, m.ncols, ((i, j, v.subs_u(t)) for i, j, v in m.entries())
-    )
+    return (lhs - rhs).is_zero()
 
 
 class LOperators:
     """The pair of evaluated operator matrices together with the convention
-    record and the per-candidate validation trace."""
+    record and the per-candidate validation trace; `gauss` holds the
+    GaussianSeries of these operators once gaussian_generators built it."""
 
     def __init__(self, alg, K, lp, lm, wiring, candidates):
         self.alg = alg
@@ -242,6 +228,7 @@ class LOperators:
         self.lm = lm  # N x N of TruncSeries at infinity
         self.wiring = wiring
         self.candidates = candidates
+        self.gauss = None
 
 
 _LOPS_CACHE = {}
@@ -338,15 +325,12 @@ class GaussianSeries:
         return self.g(sign).f(j, i)
 
 
-_GAUSS_CACHE = {}
-
-
 def gaussian_generators(lops: LOperators) -> GaussianSeries:
     """Gauss-decompose both operator matrices (with the independent
-    quasideterminant cross-check) and verify the reassembly."""
-    key = (lops.alg.type, lops.alg.n, lops.K)
-    if key in _GAUSS_CACHE:
-        return _GAUSS_CACHE[key]
+    quasideterminant cross-check) and verify the reassembly; memoised on
+    lops."""
+    if lops.gauss is not None:
+        return lops.gauss
     N, K = lops.N, lops.K
     ident = SparseMat.identity(N)
     gp = gauss_decompose(
@@ -363,9 +347,8 @@ def gaussian_generators(lops: LOperators) -> GaussianSeries:
                     raise LopError(
                         f"Gauss reassembly failed at entry ({i + 1}, {j + 1})"
                     )
-    out = GaussianSeries(lops, gp, gm)
-    _GAUSS_CACHE[key] = out
-    return out
+    lops.gauss = GaussianSeries(lops, gp, gm)
+    return lops.gauss
 
 
 def check_gauss(alg: AlgebraData, K: int = 10) -> list:

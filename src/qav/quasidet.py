@@ -17,6 +17,12 @@ class QuasidetError(ArithmeticError):
     pass
 
 
+class SingularPivotError(QuasidetError):
+    def __init__(self, col):
+        super().__init__(f"singular block: no invertible pivot in column {col}")
+        self.col = col
+
+
 def _dims(A):
     n = len(A)
     if any(len(row) != n for row in A):
@@ -25,12 +31,14 @@ def _dims(A):
 
 
 def ring_inverse(A, one):
-    """Dense Gauss-Jordan inverse over a noncommutative ring.
+    """Dense Gauss-Jordan inverse over a noncommutative ring; the one
+    eliminator of the package (SparseMat.inverse and the inverse Gram
+    matrices of liedata go through it).
 
-    Pivots are taken in order; a pivot entry that is not invertible (or zero)
-    raises QuasidetError naming the offending row.  All eliminations multiply
-    on the left, so the result is a genuine two-sided inverse whenever the
-    input is invertible.
+    Entries may be None, read as zero.  Pivots are taken in order; when no
+    entry of a column is invertible, SingularPivotError names the column.
+    All eliminations multiply on the left, so the result is a genuine
+    two-sided inverse whenever the input is invertible.
     """
     n = _dims(A)
     a = [list(row) for row in A]
@@ -55,7 +63,7 @@ def ring_inverse(A, one):
             piv = r
             break
         if piv is None:
-            raise QuasidetError(f"singular block: no invertible pivot in column {col}")
+            raise SingularPivotError(col)
         a[col], a[piv] = a[piv], a[col]
         b[col], b[piv] = b[piv], b[col]
         for j in range(n):

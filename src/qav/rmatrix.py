@@ -161,9 +161,8 @@ def _a_entry(alg, i, j, u, q2i, xi):
 class RCatalog:
     """All R-matrix data for one algebra, cross-checked at build time."""
 
-    def __init__(self, alg, order=10):
+    def __init__(self, alg):
         self.alg = alg
-        self.order = order
         self.P = p_matrix(alg)
         self.Q = q_matrix(alg)
         self.R = r_matrix(alg)
@@ -180,13 +179,6 @@ class RCatalog:
         u = Scalar.u_pow(1)
         self.denpoly = (Scalar.q_pow(1) * u - Scalar.q_pow(-1)) * (u - alg.xi)
         self.rbar_poly = self.rbar.scale(self.denpoly)
-        self._rseries = None
-
-    @property
-    def rseries(self) -> SparseMat:
-        if self._rseries is None:
-            self._rseries = self._build_rseries(self.order)
-        return self._rseries
 
     def rpoly(self) -> SparseMat:
         """The polynomial matrix A(u) with R(u) = f(u) A(u):
@@ -200,29 +192,13 @@ class RCatalog:
         c_q = q2i1 * (u - 1) * xi
         return self.R.scale(c_r) + self.P.scale(c_p) + self.Q.scale(c_q)
 
-    def _build_rseries(self, order) -> SparseMat:
-        """R(u) = f(u) A(u) with truncated-series entries."""
-        f = f_series(self.alg, order)
-        out = mat_to_series(self.rpoly(), order)
-        return SparseMat(
-            out.nrows,
-            out.ncols,
-            {
-                i: {j: f * x for j, x in row.items()}
-                for i, row in out.rows.items()
-            },
-        )
-
-    def rbar_subs(self, t: Scalar) -> SparseMat:
-        """Rbar with the spectral variable replaced by the Scalar t."""
-        return _mat_subs_u(self.rbar, t)
-
     def rbar_poly_subs(self, t: Scalar) -> SparseMat:
         """The denominator-cleared Rbar at spectral parameter t."""
         return _mat_subs_u(self.rbar_poly, t)
 
 
 def _mat_subs_u(m: SparseMat, t: Scalar) -> SparseMat:
+    """m with the spectral variable u of every entry replaced by t."""
     return SparseMat(
         m.nrows,
         m.ncols,
@@ -233,25 +209,13 @@ def _mat_subs_u(m: SparseMat, t: Scalar) -> SparseMat:
     )
 
 
-def mat_to_series(m: SparseMat, order, direction=AT_ZERO) -> SparseMat:
-    """Expand every (rational Scalar) entry of m as a TruncSeries."""
-    return SparseMat(
-        m.nrows,
-        m.ncols,
-        {
-            i: {j: expand_scalar(x, direction, order) for j, x in row.items()}
-            for i, row in m.rows.items()
-        },
-    )
-
-
 _CATALOGS = {}
 
 
-def build_catalog(alg, order=10) -> RCatalog:
-    key = (alg.type, alg.n, order)
+def build_catalog(alg) -> RCatalog:
+    key = (alg.type, alg.n)
     if key not in _CATALOGS:
-        _CATALOGS[key] = RCatalog(alg, order)
+        _CATALOGS[key] = RCatalog(alg)
     return _CATALOGS[key]
 
 
@@ -261,6 +225,15 @@ def _report(name, ok, witness=None, **extra):
         item["witness"] = witness
     item.update(extra)
     return item
+
+
+def _report_zero(name, diff: SparseMat, **extra):
+    """Pass when diff is the zero matrix, else fail with its first nonzero
+    entry as the witness."""
+    if diff.is_zero():
+        return _report(name, True, **extra)
+    i, j, v = diff.first_nonzero()
+    return _report(name, False, {"row": i, "col": j, "value": str(v)}, **extra)
 
 
 def check_ybe(alg) -> list:
@@ -284,15 +257,9 @@ def check_ybe(alg) -> list:
     a23 = embed_leg(r_y, (2, 3), N)
     lhs = a12 * a13 * a23
     rhs = a23 * a13 * a12
-    diff = lhs - rhs
-    ok = diff.is_zero()
-    witness = None
-    if not ok:
-        i, j, v = diff.first_nonzero()
-        witness = {"row": i, "col": j, "value": str(v)}
     return [
-        _report(
-            f"Yang-Baxter identity for Rbar, {alg} ({N**3}x{N**3})", ok, witness,
+        _report_zero(
+            f"Yang-Baxter identity for Rbar, {alg} ({N**3}x{N**3})", lhs - rhs,
             note="checked exactly for Rbar; the g-prefactors of R cancel",
         )
     ]
@@ -306,13 +273,7 @@ def check_unitarity(alg) -> list:
     prod = cat.rbar_poly * r21_inv_arg
     scale = cat.denpoly * cat.denpoly.subs_u(uinv)
     ident = SparseMat.identity(alg.N**2, scale)
-    diff = prod - ident
-    ok = diff.is_zero()
-    witness = None
-    if not ok:
-        i, j, v = diff.first_nonzero()
-        witness = {"row": i, "col": j, "value": str(v)}
-    return [_report(f"unitarity of Rbar, {alg}", ok, witness)]
+    return [_report_zero(f"unitarity of Rbar, {alg}", prod - ident)]
 
 
 def crossing_scalar(alg) -> Scalar:
@@ -326,7 +287,7 @@ def crossing_scalar(alg) -> Scalar:
 def check_crossing(alg, order=10) -> list:
     """Both crossing identities: the exact rational one for Rbar and the
     truncated-series one for R(u), whose scalar is xi^2 q^-2."""
-    cat = build_catalog(alg, order)
+    cat = build_catalog(alg)
     N = alg.N
     d1 = dmat(alg).kron(SparseMat.identity(N))
     d1i = dmat_inverse(alg).kron(SparseMat.identity(N))
@@ -337,13 +298,7 @@ def check_crossing(alg, order=10) -> list:
     lhs = cat.rbar_poly * d1 * transpose_t1(cat.rbar_poly_subs(uxi), alg) * d1i
     scale = cat.denpoly * cat.denpoly.subs_u(uxi) * crossing_scalar(alg)
     target = SparseMat.identity(N * N).scale(scale)
-    diff = lhs - target
-    ok = diff.is_zero()
-    witness = None
-    if not ok:
-        i, j, v = diff.first_nonzero()
-        witness = {"row": i, "col": j, "value": str(v)}
-    out.append(_report(f"crossing symmetry for Rbar (exact), {alg}", ok, witness))
+    out.append(_report_zero(f"crossing symmetry for Rbar (exact), {alg}", lhs - target))
 
     # series crossing for R(u) = f(u) A(u): the matrix part of the product
     # is exact rational, so only the f-factors need series arithmetic
@@ -385,10 +340,5 @@ def check_crossing(alg, order=10) -> list:
     # exact rational identity A(u) = (u - q^-2)(u - xi) Rbar(u)
     u = Scalar.u_pow(1)
     diff = rp - cat.rbar.scale((u - Scalar.q_pow(-2)) * (u - alg.xi))
-    ok = diff.is_zero()
-    witness = None
-    if not ok:
-        i, j, v = diff.first_nonzero()
-        witness = {"row": i, "col": j, "value": str(v)}
-    out.append(_report(f"R(u) = g(u) Rbar(u) (exact matrix part), {alg}", ok, witness))
+    out.append(_report_zero(f"R(u) = g(u) Rbar(u) (exact matrix part), {alg}", diff))
     return out

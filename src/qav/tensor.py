@@ -9,6 +9,7 @@ pair (i, a) of 1-based indices maps to row (i-1)*N + (a-1) (0-based).
 
 from __future__ import annotations
 
+from .quasidet import SingularPivotError, ring_inverse
 from .scalars import Scalar, ONE, ZERO
 
 
@@ -179,63 +180,18 @@ class SparseMat:
         )
 
     def inverse(self, one=ONE) -> "SparseMat":
-        """Exact inverse by Gauss-Jordan elimination.
-
-        Entries must support inverse(); pivots are chosen as the first row
-        whose candidate entry is invertible, so this works over the Scalar
-        field and over rings where invertibility can fail (series rings),
-        raising SingularMatrixError when no pivot works.
-        """
+        """Exact inverse by quasidet.ring_inverse, so it works over the
+        Scalar field and over rings where invertibility can fail (series
+        rings); raises SingularMatrixError when no pivot works."""
         if self.nrows != self.ncols:
             raise MatrixError("inverse of a non-square matrix")
         n = self.nrows
-        a = [[self.rows.get(i, {}).get(j) for j in range(n)] for i in range(n)]
-        b = [[one if i == j else None for j in range(n)] for i in range(n)]
-
-        def rowsub(target, factor, source):
-            # target -= factor * source
-            for j in range(n):
-                for mat in (a, b):
-                    x = mat[source][j]
-                    if x is None:
-                        continue
-                    t = mat[target][j]
-                    prod = factor * x
-                    mat[target][j] = -prod if t is None else t - prod
-                    if mat[target][j] is not None and mat[target][j].is_zero():
-                        mat[target][j] = None
-
-        for col in range(n):
-            piv = None
-            pinv = None
-            for r in range(col, n):
-                x = a[r][col]
-                if x is None:
-                    continue
-                try:
-                    pinv = x.inverse()
-                except ArithmeticError:
-                    continue
-                piv = r
-                break
-            if piv is None:
-                raise SingularMatrixError(col)
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            for j in range(n):
-                if a[col][j] is not None:
-                    a[col][j] = pinv * a[col][j]
-                if b[col][j] is not None:
-                    b[col][j] = pinv * b[col][j]
-            for r in range(n):
-                if r != col and a[r][col] is not None:
-                    rowsub(r, a[r][col], col)
-        rows = {}
-        for i in range(n):
-            row = {j: x for j, x in enumerate(b[i]) if x is not None and not x.is_zero()}
-            if row:
-                rows[i] = row
-        return SparseMat(n, n, rows)
+        dense = [[self.rows.get(i, {}).get(j) for j in range(n)] for i in range(n)]
+        try:
+            inv = ring_inverse(dense, one)
+        except SingularPivotError as exc:
+            raise SingularMatrixError(exc.col) from None
+        return SparseMat(n, n, {i: dict(enumerate(row)) for i, row in enumerate(inv)})
 
     # -- serialization ----------------------------------------------------
 

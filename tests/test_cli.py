@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qav import cli
+from qav import cli, lop, rmatrix
 
 
 def test_suite_list_is_sorted_and_complete():
@@ -108,6 +108,38 @@ def test_usage_errors_exit_2(capsys):
     assert cli.run(["check", "no-such-suite"]) == 2
     assert cli.run(["no-such-command"]) == 2
     capsys.readouterr()
+    for args in (
+        ["unitarity", "--order", "-3"],
+        ["cartan", "--order", "-5", "--window", "-5"],
+        ["cartan", "--window", "0"],
+        ["f-series", "--order", "0"],
+    ):
+        assert cli.run(["check", *args]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and "expected an integer >= 1" in captured.err
+
+
+def test_non_default_order_builds_one_catalog(monkeypatch, capsys):
+    """The R-matrix catalog is per algebra: crossing at --order 6 shares the
+    catalog that the L-operators use."""
+    built = []
+
+    class CountingCatalog(rmatrix.RCatalog):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
+    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
+    monkeypatch.setattr(rmatrix, "RCatalog", CountingCatalog)
+    rc = cli.run(
+        ["check", "all", "--type", "B", "--rank", "1", "--order", "6",
+         "--format", "json"]
+    )
+    capsys.readouterr()
+    assert rc == 0
+    assert len(built) == 1
 
 
 def test_bad_algebra_exits_2(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from qav.liedata import AlgebraData
 from qav.lop import (
+    LOperators,
     LopError,
     build_lops,
     check_eiprei,
@@ -16,7 +17,7 @@ from qav.lop import (
     gaussian_generators,
     z_series,
 )
-from qav.series import AT_INFINITY, AT_ZERO
+from qav.series import AT_INFINITY, AT_ZERO, TruncSeries
 from qav.tensor import SparseMat
 
 from conftest import all_pass, failures
@@ -83,6 +84,26 @@ def test_gaussian_generators_accessors(d2):
             h0 = gs.h(i, sign).coefficient(0, zero=SparseMat.zeros(gs.N, gs.N))
             assert not h0.is_zero()
             h0.inverse()  # must not raise
+
+
+def test_gaussian_generators_decomposes_the_given_operators(b1):
+    """Operators that differ from the built ones get their own factors, not
+    the memoised factors of the genuine operators."""
+    good = build_lops(b1, 4)
+    N = good.N
+    lp = [row[:] for row in good.lp]
+    lp[N - 1][0] = lp[N - 1][0] + TruncSeries(
+        AT_ZERO, 4, {2: SparseMat.unit(N, 0, N - 1)}
+    )
+    bad = LOperators(b1, 4, lp, good.lm, good.wiring, good.candidates)
+    gs_good = gaussian_generators(good)
+    gs_bad = gaussian_generators(bad)
+    assert gs_bad is not gs_good
+    assert gs_bad.lops is bad and gs_good.lops is good
+    assert gaussian_generators(bad) is gs_bad
+    prod = gs_bad.gp.product()
+    assert (prod[N - 1][0] - lp[N - 1][0]).is_zero()
+    assert not (prod[N - 1][0] - good.lp[N - 1][0]).is_zero()
 
 
 def test_lowrank_b1(b1):

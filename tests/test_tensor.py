@@ -91,6 +91,13 @@ def test_inverse_roundtrip(m):
     assert inv * m == SparseMat.identity(3)
 
 
+def test_inverse_of_singular_matrix_raises():
+    m = from_dense([[ONE, ONE], [ONE, ONE]])
+    with pytest.raises(SingularMatrixError) as exc:
+        m.inverse()
+    assert exc.value.row == 1
+
+
 def test_from_entries_sums_collisions():
     m = SparseMat.from_entries(2, 2, [(0, 1, ONE), (0, 1, ONE), (1, 0, -ONE)])
     assert m.get(0, 1) == Scalar.from_int(2)
