@@ -10,7 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .quasidet import ring_inverse
+from .rmatrix import ResourceBoundError
 from .scalars import Scalar, ScalarError, qint, ONE
+
+# The largest rank check_cartan accepts.  Its cost is the exact inverse of
+# the q-Gram matrix B(q), which grows quickly with the rank: rank 21 takes
+# about 10 s on a 2-core host, rank 16 about 3.5 s.
+MAX_CARTAN_RANK = 21
 
 
 class LieDataError(ValueError):
@@ -163,6 +169,11 @@ def btilde_q(alg: AlgebraData):
 
 def check_cartan(alg: AlgebraData) -> list:
     """Structural checks on the stored Lie data; returns check dicts."""
+    if alg.n > MAX_CARTAN_RANK:
+        raise ResourceBoundError(
+            f"rank {alg.n} exceeds the cartan bound MAX_CARTAN_RANK = "
+            f"{MAX_CARTAN_RANK}"
+        )
     checks = []
     n = alg.n
 

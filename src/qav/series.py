@@ -7,8 +7,7 @@ matrices, which is how matrix-valued series are represented elsewhere.
 
 The module also hosts the coefficient-recursive solvers that replace the
 infinite products of the source formulas: the square-root-scaled functional
-equation f(u) f(u xi) = r(u), the prefactor series f(u) and g(u), and the
-log-expansion coefficients alpha_r.
+equation f(u) f(u xi) = r(u) and the prefactor series f(u) and g(u).
 """
 
 from __future__ import annotations
@@ -125,17 +124,6 @@ class TruncSeries:
                 out[m] = prod if acc is None else acc + prod
         return TruncSeries(self.direction, order, out)
 
-    def scale_coeffs(self, c) -> "TruncSeries":
-        """Multiply every coefficient by c on the left."""
-        return TruncSeries(
-            self.direction, self.order, {m: c * x for m, x in self.coeffs.items()}
-        )
-
-    def scale_coeffs_right(self, c) -> "TruncSeries":
-        return TruncSeries(
-            self.direction, self.order, {m: x * c for m, x in self.coeffs.items()}
-        )
-
     def inverse(self) -> "TruncSeries":
         c0 = self.coeffs.get(0)
         if c0 is None:
@@ -173,13 +161,6 @@ class TruncSeries:
             else:
                 out[m] = x.scale(p)
         return TruncSeries(self.direction, self.order, out)
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order >= self.order:
-            return self
-        return TruncSeries(
-            self.direction, order, {m: c for m, c in self.coeffs.items() if m <= order}
-        )
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -358,15 +339,6 @@ def g_series(alg, order: int) -> TruncSeries:
     u = Scalar.u_pow(1)
     poly = (u - Scalar.q_pow(-2)) * (u - alg.xi)
     return f_series(alg, order) * expand_scalar(poly, AT_ZERO, order)
-
-
-def alpha_series(alg, c: int, order: int) -> TruncSeries:
-    """The coefficients alpha_r defined by
-    exp sum_r alpha_r u^r = g(u q^-c) / g(u q^c); returned as a series with
-    alpha_r in the u^r slot (alpha_0 = 0)."""
-    g = g_series(alg, order)
-    ratio = g.scale_arg(Scalar.q_pow(-c)) * g.scale_arg(Scalar.q_pow(c)).inverse()
-    return series_log(ratio)
 
 
 def fu_product(alg, R: int, order_u: int) -> TruncSeries:

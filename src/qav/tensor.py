@@ -144,13 +144,6 @@ class SparseMat:
             {i: {j: c * x for j, x in r.items()} for i, r in self.rows.items()},
         )
 
-    def scale_right(self, c) -> "SparseMat":
-        return SparseMat(
-            self.nrows,
-            self.ncols,
-            {i: {j: x * c for j, x in r.items()} for i, r in self.rows.items()},
-        )
-
     def transpose(self) -> "SparseMat":
         rows = {}
         for i, r in self.rows.items():
@@ -192,15 +185,6 @@ class SparseMat:
         except SingularPivotError as exc:
             raise SingularMatrixError(exc.col) from None
         return SparseMat(n, n, {i: dict(enumerate(row)) for i, row in enumerate(inv)})
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "nrows": self.nrows,
-            "ncols": self.ncols,
-            "entries": [[i, j, str(x)] for i, j, x in self.entries()],
-        }
 
     def __str__(self):
         return "\n".join(f"[{i},{j}] = {x}" for i, j, x in self.entries())

@@ -148,9 +148,9 @@ def test_bad_algebra_exits_2(capsys):
 
 
 def test_resource_bound_exits_2(capsys):
-    rc = cli.run(["check", "ybe", "--type", "B", "--rank", "9"])
-    assert rc == 2
-    assert "resource bound" in capsys.readouterr().err
+    for args in (["ybe", "--type", "B", "--rank", "9"], ["cartan", "--rank", "40"]):
+        assert cli.run(["check", *args]) == 2, args
+        assert "resource bound" in capsys.readouterr().err
 
 
 def test_failing_check_exits_1(monkeypatch, capsys):

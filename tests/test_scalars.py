@@ -1,10 +1,15 @@
 """Field arithmetic in Q(s,u,v)[w]/(w^2 - s - 1/s) and the q-combinatorics."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from sympy.polys.rings import PolyElement
 
+import qav.scalars as qs
+from qav import series
+from qav.liedata import AlgebraData
 from qav.scalars import (
     Scalar,
     ScalarError,
@@ -254,3 +259,115 @@ def test_laurent_path_matches_general_path(a, b):
     total = Scalar(a.num * b.den + b.num * a.den, a.den * b.den)
     assert ((a * b).num, (a * b).den) == (prod.num, prod.den)
     assert ((a + b).num, (a + b).den) == (total.num, total.den)
+
+
+# -- the Z[s] gcd route against the 4-variable ring ---------------------------
+
+_S = qs._S
+_PENTA6 = prod((1 - _S**j for j in range(1, 7)), start=qs._ONE)
+# sympy's heugcd returns this pair's gcd with a negative leading coefficient,
+# in Z[s] and in Z[w, v, u, s] alike
+_NEG_PAIR = (-((_S - 1) ** 6) * (_S**2 + 1), _PENTA6)
+
+_shared_factors = st.sampled_from(
+    [1, (1 + _S**4) ** 2, (1 + _S**2) ** 3, 1 - _S**2, 1 + _S**8, _PENTA6]
+)
+
+
+@st.composite
+def s_polys(draw, step):
+    """A nonzero integer polynomial in s^step."""
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-9, max_value=9).filter(bool),
+                st.integers(min_value=0, max_value=6),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return qs._RING.from_dict({(0, 0, 0, step * e): c for c, e in terms})
+
+
+@st.composite
+def s_poly_pairs(draw):
+    """Two s-only polynomials with a shared factor; step 4 and 8 are the
+    polynomials in s^(2(N-2)) that sympy deflates before its gcd."""
+    step = draw(st.sampled_from([1, 2, 4, 8]))
+    common = draw(_shared_factors)
+    return draw(s_polys(step)) * common, draw(s_polys(step)) * common
+
+
+@settings(max_examples=300, deadline=None)
+@given(s_poly_pairs())
+@example(_NEG_PAIR)
+@example((_NEG_PAIR[1], _NEG_PAIR[0]))
+def test_s_only_gcd_route_matches_4_variable_gcd(pair):
+    p, q = pair
+    g = qs._gcd_fast(p, q)
+    ref = p.gcd(q)
+    assert g.ring is qs._RING
+    assert g == (ref if ref.LC > 0 else -ref)
+
+
+def _gcd_4var(p, q):
+    """The reference: sympy's gcd in the 4-variable ring, sign made positive."""
+    g = p.gcd(q)
+    return g if g.LC > 0 else -g
+
+
+_q_factors = st.sampled_from(
+    [1, 2, _S, 1 + _S**2, 1 + _S**4, 1 - _S**2, _S**4 + _S**2 + 1, (_S - 1) ** 6]
+)
+
+
+@st.composite
+def q_operands(draw):
+    """num/den in Q(s) with den a product of true polynomial factors."""
+    num = draw(s_polys(draw(st.sampled_from([1, 2])))) * draw(_q_factors)
+    den = qs._ONE
+    for f in draw(st.lists(_q_factors, min_size=1, max_size=3)):
+        den = den * f
+    return Scalar(num, den)
+
+
+_NEG_SUM = (Scalar(qs._ONE, _PENTA6), Scalar(_NEG_PAIR[0] - 1, _PENTA6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_operands(), q_operands())
+@example(*_NEG_SUM)
+def test_q_operands_match_the_4_variable_route(a, b):
+    ops = (lambda: a * b, lambda: a + b, lambda: a / b)
+    got = [(x.num, x.den) for x in (op() for op in ops)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qs, "_gcd_fast", _gcd_4var)
+        want = [(x.num, x.den) for x in (op() for op in ops)]
+    assert got == want
+
+
+def test_sum_over_a_true_polynomial_denominator_is_canonical():
+    # the 4-variable gcd of this sum's numerator and denominator is negative;
+    # without a sign fix the sum comes out over a negative denominator
+    a, b = _NEG_SUM
+    total = a + b
+    assert total.den.LC > 0
+    assert total == Scalar(_NEG_PAIR[0], _PENTA6)
+
+
+def test_f_series_takes_no_s_only_gcd_in_the_4_variable_ring(monkeypatch):
+    calls = []
+    real = PolyElement.gcd
+
+    def gcd(p, q):
+        if p.ring is qs._RING:
+            calls.append(qs._s_only(p) and qs._s_only(q))
+        else:
+            calls.append("Z[s]")
+        return real(p, q)
+
+    monkeypatch.setattr(PolyElement, "gcd", gcd)
+    series.f_series(AlgebraData("D", 3), 10)
+    assert True not in calls
+    assert "Z[s]" in calls
