@@ -8,6 +8,7 @@ Gram matrix B(q) are Scalar matrices computed by quasidet.ring_inverse.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .quasidet import ring_inverse
 from .rmatrix import ResourceBoundError
@@ -24,7 +25,8 @@ class LieDataError(ValueError):
 
 
 def _dot(x, y):
-    return sum(a * b for a, b in zip(x, y))
+    # root coordinates are mostly zero; skip those Fraction products
+    return sum((a * b for a, b in zip(x, y) if a and b), Fraction(0))
 
 
 class AlgebraData:
@@ -66,11 +68,8 @@ class AlgebraData:
         ]
         # B = C A with C = diag(r_i); equivalently B_ij = (alpha_i, alpha_j)
         self.Bmat = [[_dot(roots[i], roots[j]) for j in range(n)] for i in range(n)]
-        self.Btilde = ring_inverse(
-            [[Scalar.fraction(b.numerator, b.denominator) for b in row]
-             for row in self.Bmat],
-            ONE,
-        )
+        # f(u) by order, filled by series.f_series
+        self.fu_by_order = {}
 
         if type_ == "B":
             bars = [n - i - Fraction(1, 2) for i in range(n)]
@@ -82,6 +81,17 @@ class AlgebraData:
             bars += [-b for b in reversed(bars[: n - 1])]
         assert len(bars) == self.N
         self.bars = bars
+
+    @cached_property
+    def Btilde(self):
+        """The inverse of B, a matrix of constant Scalars.  Computed on first
+        use: the elimination is cubic in the rank, and a check that refuses
+        the rank under its resource bound never needs it."""
+        return ring_inverse(
+            [[Scalar.fraction(b.numerator, b.denominator) for b in row]
+             for row in self.Bmat],
+            ONE,
+        )
 
     def prime(self, i: int) -> int:
         """The index involution i' = N + 1 - i (1-based)."""

@@ -22,7 +22,6 @@ from .rmatrix import (
     _report,
     build_catalog,
     crossing_scalar,
-    guard_cubic,
 )
 from .scalars import ONE, Scalar, qbinom
 from .series import AT_INFINITY, AT_ZERO, TruncSeries, expand_scalar
@@ -244,7 +243,6 @@ def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
     key = (alg.type, alg.n, K)
     if key in _LOPS_CACHE:
         return _LOPS_CACHE[key]
-    guard_cubic(alg)
     cat = build_catalog(alg)
     N = alg.N
     bases = {

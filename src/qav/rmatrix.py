@@ -8,7 +8,7 @@ from __future__ import annotations
 import os
 
 from .scalars import Scalar, ONE, ZERO
-from .series import TruncSeries, AT_ZERO, expand_scalar, f_series
+from .series import ResourceBoundError, TruncSeries, AT_ZERO, expand_scalar, f_series
 from .tensor import (
     SparseMat,
     embed_leg,
@@ -16,10 +16,6 @@ from .tensor import (
     dmat,
     dmat_inverse,
 )
-
-
-class ResourceBoundError(RuntimeError):
-    pass
 
 
 def max_n() -> int:
@@ -213,6 +209,9 @@ _CATALOGS = {}
 
 
 def build_catalog(alg) -> RCatalog:
+    """The memoised RCatalog of alg; refuses N > QAV_MAX_N, as every check
+    that builds one runs cubic-size products."""
+    guard_cubic(alg)
     key = (alg.type, alg.n)
     if key not in _CATALOGS:
         _CATALOGS[key] = RCatalog(alg)
@@ -242,7 +241,6 @@ def check_ybe(alg) -> list:
     The check is run for Rbar; it extends to R(u) = g(u) Rbar(u) because
     the scalar prefactors g(x) g(xy) g(y) cancel between the two sides.
     """
-    guard_cubic(alg)
     cat = build_catalog(alg)
     N = alg.N
     x = Scalar.u_pow(1)

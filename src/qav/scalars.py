@@ -10,16 +10,36 @@ therefore structural.
 The monomial order is graded lexicographic with s < u < v < w; it fixes
 which term is "leading" for the sign normalization and the printing order.
 
+Representation.  A polynomial is a plain dict {packed monomial: int
+coefficient} with no zero coefficients.  The monomial w^a v^b u^c s^d of
+total degree n = a + b + c + d is the integer
+
+    n * 2^(4B) + a * 2^(3B) + b * 2^(2B) + c * 2^B + d,     B = _B bits,
+
+so adding two keys multiplies the monomials, and the integer order of the
+keys compares the total degree first and then w, v, u, s in turn: exactly
+grlex with w > v > u > s.  Leading terms, the sign normalization and the
+printed term order are therefore those of sympy's ring in that order.  No
+field can carry into the next while the total degree is at most 2^B - 1,
+because every exponent is at most the total degree; a key that reaches
+2^(5B) raises ScalarError instead of wrapping.  Multiplying by s^e adds
+e * (2^(4B) + 1) to every key, and "has w" or "is c*s^k" are bit tests.
+Scalar.num and Scalar.den build sympy PolyElements of _RING on demand, and
+Scalar(num, den) accepts them.
+
 Products and sums take one of two paths, which produce the same canonical
 form.  Almost all of the work of the checks lives in Z[s, 1/s, u, v][w],
 where denominators are c*s^k with a positive integer c.  For such operands
-(and not both w-linear, which would need w-reduction) the Laurent path
-multiplies or aligns the numerators and adds the s-exponents; the gcd of a
-numerator P with c*s^k is gcd(c, content(P)) * s^min(k, ord_s P), so
-cancellation is an exponent shift and an integer division, with no
-polynomial gcd.  Every other operation takes the general path, which
-cancels with polynomial gcds.  Whether the numerator has w and the shape of
-the denominator are worked out once per Scalar (Scalar._facts).
+the Laurent path multiplies or aligns the packed numerators and adds the
+s-exponents (a product of two w-linear numerators first rewrites its w^2
+terms, which multiplies the denominator by s); the gcd of a numerator P
+with c*s^k is gcd(c, content(P)) * s^min(k, ord_s P), so cancellation is a
+key shift and an integer division, with no polynomial gcd.  Every other
+operation, where a denominator is a true polynomial, takes the general
+path: it converts to PolyElements and cancels with polynomial gcds.  That
+path, inverse(), the constructor Scalar(num, den) and parsing are the only
+places sympy is called.  Whether the numerator has w and the shape of the
+denominator are worked out once per Scalar (Scalar._facts).
 
 The general path's gcds (_gcd_fast) take one of three routes, which return
 the same polynomial: the gcd over Z with a positive leading coefficient,
@@ -38,6 +58,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 from sympy import ZZ
 from sympy.polys.rings import ring as _mkring
@@ -50,9 +71,120 @@ _POLY = _RING.dtype  # builds a ring element from a {monomial: coeff} dict
 _S2P1 = _S**2 + 1  # s*(s + 1/s) = s^2 + 1
 _SPOLY = _mkring("s", ZZ)[0].dtype  # Z[s], for gcds of s-only polynomials
 
+# -- packed monomials (see the module docstring) ----------------------------
+
+_B = 24  # bits per exponent field
+_M = (1 << _B) - 1  # one field's mask, and the largest total degree
+_LIMIT = 1 << 5 * _B  # every key is below this
+_S1 = 1 << 4 * _B | 1  # the key of s
+_U1 = 1 << 4 * _B | 1 << _B
+_V1 = 1 << 4 * _B | 1 << 2 * _B
+_W1 = 1 << 4 * _B | 1 << 3 * _B
+_WMASK = _M << 3 * _B
+_UVMASK = (_M << 2 * _B) | (_M << _B)
+_UVWMASK = _WMASK | _UVMASK
+_D1 = {0: 1}  # the polynomial 1; stored dicts are never mutated
+
 
 class ScalarError(ArithmeticError):
     """Raised for invalid field operations (division by zero, bad expansion)."""
+
+
+def _too_wide():
+    raise ScalarError(f"total degree exceeds the packed exponent width 2^{_B} - 1")
+
+
+def _pack(mon):
+    ew, ev, eu, es = mon
+    if ew + ev + eu + es > _M:
+        _too_wide()
+    return ((((ew + ev + eu + es) << _B | ew) << _B | ev) << _B | eu) << _B | es
+
+
+def _unpack(key):
+    return (key >> 3 * _B & _M, key >> 2 * _B & _M, key >> _B & _M, key & _M)
+
+
+def _packed(p):
+    """PolyElement of _RING -> packed dict."""
+    return {_pack(m): int(c) for m, c in p.items()}
+
+
+def _poly(d):
+    """Packed dict -> PolyElement of _RING."""
+    return _POLY({_unpack(k): c for k, c in d.items()})
+
+
+def _pmul(a, b):
+    """Product of two nonzero packed polynomials (no w-reduction)."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        ((kb, cb),) = b.items()
+        if max(a) + kb >= _LIMIT:
+            _too_wide()
+        if cb == 1:
+            return {ka + kb: ca for ka, ca in a.items()}
+        return {ka + kb: ca * cb for ka, ca in a.items()}
+    if max(a) + max(b) >= _LIMIT:
+        _too_wide()
+    out = {}
+    get = out.get
+    for kb, cb in b.items():
+        for ka, ca in a.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    if all(out.values()):
+        return out
+    return {k: c for k, c in out.items() if c}
+
+
+def _padd(a, b):
+    """Sum of two packed polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    get = out.get
+    for k, c in b.items():
+        out[k] = get(k, 0) + c
+    if all(out.values()):
+        return out
+    return {k: c for k, c in out.items() if c}
+
+
+def _rescale(p, sh, m):
+    """p * m * s^e for sh = e * _S1 with e >= 0."""
+    if sh:
+        if max(p) + sh >= _LIMIT:
+            _too_wide()
+        if m == 1:
+            return {k + sh: c for k, c in p.items()}
+        return {k + sh: c * m for k, c in p.items()}
+    if m == 1:
+        return p
+    return {k: c * m for k, c in p.items()}
+
+
+def _w2_reduce(p):
+    """s * p with w^2 rewritten to (s^2 + 1)/s, for p of w-degree 2."""
+    out = {}
+    get = out.get
+    for k, c in p.items():
+        if k >> 3 * _B & _M == 2:
+            k -= 2 * _W1
+            out[k] = get(k, 0) + c
+            k += 2 * _S1
+        else:
+            k += _S1
+        out[k] = get(k, 0) + c
+    if max(out) >= _LIMIT:
+        _too_wide()
+    if all(out.values()):
+        return out
+    return {k: c for k, c in out.items() if c}
+
+
+# -- the general path's polynomial helpers (sympy PolyElements) --------------
 
 
 def _has_w(p):
@@ -149,365 +281,6 @@ def _w_split(p):
     return a, b
 
 
-def _den_shape(den):
-    """(k, c) when den == c*s^k, else (-1, 0)."""
-    if len(den) == 1:
-        ((mon, c),) = den.items()
-        if not (mon[1] or mon[2]):
-            return mon[3], c
-    return -1, 0
-
-
-def _s_shift(p, e):
-    """p * s^e for an integer e (the result must stay a polynomial)."""
-    return _POLY({(ew, ev, eu, es + e): c for (ew, ev, eu, es), c in p.items()})
-
-
-def _laurent(num, k, c, has_w):
-    """The canonical Scalar num / (c*s^k), for num != 0 w-reduced, c > 0.
-
-    has_w is whether num has w, or None when not known."""
-    if k:
-        e = min(k, min(mon[3] for mon in num))
-        if e:
-            num = _s_shift(num, -e)
-            k -= e
-    if c != 1:
-        g = gcd(c, *num.values())
-        if g != 1:
-            num = _POLY({mon: x // g for mon, x in num.items()})
-            c //= g
-    den = _POLY({(0, 0, 0, k): c}) if k or c != 1 else _ONE
-    out = Scalar(num, den, _normal=True)
-    if has_w is not None:
-        out._f = (has_w, k, c)
-    return out
-
-
-class Scalar:
-    """An element of Q(s, u, v)[w]/(w^2 - s - 1/s) in canonical form."""
-
-    __slots__ = ("num", "den", "_hash", "_f")
-
-    def __init__(self, num, den=_ONE, _normal=False):
-        if not _normal:
-            num, den = _canonicalize(num, den)
-        self.num = num
-        self.den = den
-        self._hash = None
-        self._f = None
-
-    def _facts(self):
-        """(has_w, k, c): whether the numerator has w, and den == c*s^k
-        (k = -1 when the denominator has another shape).  Computed once;
-        read as `x._f or x._facts()`."""
-        self._f = (_has_w(self.num),) + _den_shape(self.den)
-        return self._f
-
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def from_int(n: int) -> "Scalar":
-        return Scalar(_RING.ground_new(n), _ONE, _normal=True)
-
-    @staticmethod
-    def fraction(p: int, q: int) -> "Scalar":
-        if q == 0:
-            raise ScalarError("fraction: zero denominator")
-        return Scalar(_RING.ground_new(p), _RING.ground_new(q))
-
-    @staticmethod
-    def s_pow(k: int) -> "Scalar":
-        if k >= 0:
-            return Scalar(_S**k, _ONE, _normal=True)
-        return Scalar(_ONE, _S ** (-k), _normal=True)
-
-    @staticmethod
-    def u_pow(k: int) -> "Scalar":
-        if k >= 0:
-            return Scalar(_U**k, _ONE, _normal=True)
-        return Scalar(_ONE, _U ** (-k), _normal=True)
-
-    @staticmethod
-    def v_pow(k: int) -> "Scalar":
-        if k >= 0:
-            return Scalar(_V**k, _ONE, _normal=True)
-        return Scalar(_ONE, _V ** (-k), _normal=True)
-
-    @staticmethod
-    def w() -> "Scalar":
-        return Scalar(_W, _ONE, _normal=True)
-
-    @staticmethod
-    def q_pow(r) -> "Scalar":
-        """q^r for r an integer or half-integer (q = s^2)."""
-        e = Fraction(2) * Fraction(r)
-        if e.denominator != 1:
-            raise ScalarError(f"q_pow: exponent {r} is not a half-integer")
-        return Scalar.s_pow(int(e))
-
-    # -- canonical-form predicates ---------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def is_one(self) -> bool:
-        return self.num == self.den
-
-    def w_degree(self) -> int:
-        return max((m[0] for m in self.num.itermonoms()), default=0)
-
-    def is_uv_free(self) -> bool:
-        return all(
-            m[1] == 0 and m[2] == 0
-            for p in (self.num, self.den)
-            for m in p.itermonoms()
-        )
-
-    def is_w_free(self) -> bool:
-        return not _has_w(self.num)
-
-    # -- arithmetic -------------------------------------------------------
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, Scalar):
-            return x
-        if isinstance(x, int):
-            return Scalar.from_int(x)
-        if isinstance(x, Fraction):
-            return Scalar.fraction(x.numerator, x.denominator)
-        return NotImplemented
-
-    def __add__(self, other):
-        if type(other) is not Scalar:
-            other = Scalar._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        w1, k1, c1 = self._f or self._facts()
-        w2, k2, c2 = other._f or other._facts()
-        if k1 >= 0 and k2 >= 0:
-            # Laurent path: bring both numerators over (lcm c)*s^(max k)
-            k = max(k1, k2)
-            c = lcm(c1, c2)
-            n1, n2 = self.num, other.num
-            if k1 != k:
-                n1 = _s_shift(n1, k - k1)
-            if k2 != k:
-                n2 = _s_shift(n2, k - k2)
-            if c != c1:
-                n1 = n1 * (c // c1)
-            if c != c2:
-                n2 = n2 * (c // c2)
-            num = n1 + n2
-            if not num:
-                return ZERO
-            return _laurent(num, k, c, None if w1 or w2 else False)
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            num = self.num + other.num
-            if not num:
-                return ZERO
-            g = _gcd_with_wfree(num, d1)
-            if g == _ONE:
-                return Scalar(num, d1, _normal=True)
-            return Scalar(_div_fast(num, g), _div_fast(d1, g), _normal=True)
-        # Knuth's reduced addition: only gcd(t, gcd(d1, d2)) can cancel
-        g1 = _gcd_fast(d1, d2)
-        if g1 == _ONE:
-            num = self.num * d2 + other.num * d1
-            if not num:
-                return ZERO
-            return Scalar(num, d1 * d2, _normal=True)
-        d1r = _div_fast(d1, g1)
-        d2r = _div_fast(d2, g1)
-        t = self.num * d2r + other.num * d1r
-        if not t:
-            return ZERO
-        g2 = _gcd_with_wfree(t, g1)
-        if g2 == _ONE:
-            return Scalar(t, d1r * d2, _normal=True)
-        return Scalar(_div_fast(t, g2), d1r * _div_fast(d2, g2), _normal=True)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return Scalar._coerce(other) - self
-
-    def __neg__(self):
-        out = Scalar(-self.num, self.den, _normal=True)
-        out._f = self._f
-        return out
-
-    def __mul__(self, other):
-        if type(other) is not Scalar:
-            other = Scalar._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        if not self.num or not other.num:
-            return ZERO
-        w1, k1, c1 = self._f or self._facts()
-        w2, k2, c2 = other._f or other._facts()
-        if w1 and w2:
-            # the product needs w-reduction; take the generic path
-            return Scalar(self.num * other.num, self.den * other.den)
-        if k1 >= 0 and k2 >= 0:
-            # Laurent path: the product of two nonzero numerators is nonzero
-            # and has w exactly when one of them has
-            return _laurent(self.num * other.num, k1 + k2, c1 * c2, w1 or w2)
-        # cross-cancellation keeps the result reduced with small gcds
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
-        if d2 != _ONE:
-            g = _gcd_with_wfree(n1, d2)
-            if g != _ONE:
-                n1, d2 = _div_fast(n1, g), _div_fast(d2, g)
-        if d1 != _ONE:
-            g = _gcd_with_wfree(n2, d1)
-            if g != _ONE:
-                n2, d1 = _div_fast(n2, g), _div_fast(d1, g)
-        return Scalar(n1 * n2, d1 * d2, _normal=True)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Scalar":
-        if not self.num:
-            raise ScalarError("inverse: division by zero")
-        if not _has_w(self.num):
-            return Scalar(self.den, self.num)
-        a, b = _w_split(self.num)
-        conj = a - b * _W
-        # (a+bw)(a-bw) = a^2 - b^2 (s + 1/s) = (a^2 s - b^2 (s^2+1)) / s
-        newden = a * a * _S - b * b * _S2P1
-        return Scalar(self.den * conj * _S, newden)
-
-    def __truediv__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.num:
-            raise ScalarError("div: division by zero")
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return Scalar._coerce(other) / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
-
-    # -- substitution and coefficient extraction --------------------------
-
-    def subs_u(self, t: "Scalar") -> "Scalar":
-        """Substitute u by the Scalar t."""
-        return _eval_poly_at(self.num, 2, t) / _eval_poly_at(self.den, 2, t)
-
-    def uv_coeffs(self) -> dict:
-        """For a Scalar with u,v-free denominator: the map
-        (deg_u, deg_v) -> Scalar coefficient (u,v-free)."""
-        if any(m[1] or m[2] for m in self.den.itermonoms()):
-            raise ScalarError("uv_coeffs: denominator is not u,v-free")
-        parts = {}
-        for mon, c in self.num.iterterms():
-            ew, ev, eu, es = mon
-            key = (eu, ev)
-            parts[key] = parts.get(key, _ZERO) + _RING.from_dict({(ew, 0, 0, es): c})
-        return {
-            key: Scalar(p, self.den) for key, p in parts.items() if p
-        }
-
-    # -- q-adic expansion --------------------------------------------------
-
-    def qadic_laurent(self, order: int):
-        """Expansion of a u,v,w-free Scalar as a Laurent series in q^(-1).
-
-        Returns (lead, coeffs) where the series is
-        sum_j coeffs[j] * q^(lead - j), computed through q^(lead - order)
-        (i.e. len(coeffs) == order + 1).  Exponents of s must all be even.
-        """
-        for p in (self.num, self.den):
-            for m in p.itermonoms():
-                if m[0] or m[1] or m[2]:
-                    raise ScalarError("qadic expansion requires a u,v,w-free Scalar")
-                if m[3] % 2:
-                    raise ScalarError(
-                        "qadic expansion requires integer powers of q"
-                    )
-        if not self.num:
-            return 0, [Fraction(0)] * (order + 1)
-        num = {m[3] // 2: int(c) for m, c in self.num.iterterms()}
-        den = {m[3] // 2: int(c) for m, c in self.den.iterterms()}
-        emax_n, emax_d = max(num), max(den)
-        lead = emax_n - emax_d
-        # In t = 1/q: num = q^emax_n * n(t), den = q^emax_d * d(t), d(0) != 0.
-        n = [Fraction(num.get(emax_n - j, 0)) for j in range(order + 1)]
-        d = [Fraction(den.get(emax_d - j, 0)) for j in range(order + 1)]
-        out = []
-        for j in range(order + 1):
-            acc = n[j] - sum(d[i] * out[j - i] for i in range(1, j + 1))
-            out.append(acc / d[0])
-        # strip leading zeros so `lead` is meaningful
-        while out[0] == 0 and any(out[1:]):
-            out.pop(0)
-            out.append(Fraction(0))
-            lead -= 1
-        return lead, out
-
-    def qadic_expand(self, order: int):
-        """First `order`+1 coefficients of the expansion of this Scalar in
-        nonnegative powers of q^(-1): [c_0, c_1, ...] with x = sum c_j q^(-j)."""
-        lead, coeffs = self.qadic_laurent(order)
-        if self.num and lead > 0:
-            raise ScalarError(
-                f"qadic_expand: expansion has a positive power q^{lead}"
-            )
-        pad = [Fraction(0)] * (-lead)
-        return (pad + coeffs)[: order + 1]
-
-    # -- printing and parsing ---------------------------------------------
-
-    def __str__(self):
-        if self.den == _ONE:
-            return _poly_str(self.num)
-        return f"({_poly_str(self.num)})/({_poly_str(self.den)})"
-
-    def __repr__(self):
-        return f"Scalar({self})"
-
-    @staticmethod
-    def parse(text: str) -> "Scalar":
-        return _parse_scalar(text)
-
-
 def _canonicalize(num, den):
     if not den:
         raise ScalarError("zero denominator")
@@ -529,17 +302,405 @@ def _canonicalize(num, den):
     return num, den
 
 
-def _eval_poly_at(p, axis, t):
-    """Evaluate polynomial p at variable `axis` = Scalar t (Horner).
+# -- Scalars -----------------------------------------------------------------
+
+
+def _new(n, d, f=None):
+    """A Scalar from a canonical packed pair (and its facts, when known)."""
+    x = object.__new__(Scalar)
+    x._n = n
+    x._d = d
+    x._f = f
+    return x
+
+
+def _laurent(num, k, c, has_w):
+    """The canonical Scalar num / (c*s^k), for a nonzero packed numerator
+    num (w-reduced) and c > 0.
+
+    has_w is whether num has w, or None when not known."""
+    if k:
+        e = min(map(_M.__and__, num))
+        if e:
+            if e > k:
+                e = k
+            sh = e * _S1
+            num = {key - sh: x for key, x in num.items()}
+            k -= e
+    if c != 1:
+        g = gcd(c, *num.values())
+        if g != 1:
+            num = {key: x // g for key, x in num.items()}
+            c //= g
+    den = {k * _S1: c} if k or c != 1 else _D1
+    return _new(num, den, None if has_w is None else (has_w, k, c))
+
+
+def _canonical(num, den):
+    """The canonical Scalar num / den for packed polynomials num != 0
+    (w-reduced) and den (w-free, with a positive leading coefficient)."""
+    if len(den) == 1:
+        ((key, c),) = den.items()
+        if not key & _UVWMASK:
+            return _laurent(num, key & _M, c, None)
+    return Scalar(_poly(num), _poly(den))
+
+
+class _PolyView:
+    """A read-only view of one packed slot of a Scalar as a PolyElement of
+    _RING, built on each read.  A descriptor rather than a property:
+    perfbench/qavtrace.py times every property as a kernel operation, and
+    its product hook reads den on every Scalar product."""
+
+    __slots__ = ("_get",)
+
+    def __init__(self, slot):
+        self._get = attrgetter(slot)
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        d = self._get(obj)
+        return _ONE if d == _D1 else _poly(d)
+
+
+class Scalar:
+    """An element of Q(s, u, v)[w]/(w^2 - s - 1/s) in canonical form."""
+
+    __slots__ = ("_n", "_d", "_f")
+
+    def __init__(self, num, den=_ONE, _normal=False):
+        """num / den for PolyElements of _RING; _normal asserts that the
+        pair is already canonical."""
+        if not _normal:
+            num, den = _canonicalize(num, den)
+        self._n = _packed(num)
+        self._d = _packed(den)
+        self._f = None
+
+    num = _PolyView("_n")  # the numerator as a PolyElement
+    den = _PolyView("_d")  # the denominator as a PolyElement
+
+    def _facts(self):
+        """(has_w, k, c): whether the numerator has w, and den == c*s^k
+        (k = -1 when the denominator has another shape).  Computed once;
+        read as `x._f or x._facts()`."""
+        has_w = any(map(_WMASK.__and__, self._n))
+        if len(self._d) == 1:
+            ((key, c),) = self._d.items()
+            if not key & _UVWMASK:
+                self._f = (has_w, key & _M, c)
+                return self._f
+        self._f = (has_w, -1, 0)
+        return self._f
+
+    # -- constructors -----------------------------------------------------
+
+    @staticmethod
+    def from_int(n: int) -> "Scalar":
+        return _new({0: int(n)} if n else {}, _D1)
+
+    @staticmethod
+    def fraction(p: int, q: int) -> "Scalar":
+        if q == 0:
+            raise ScalarError("fraction: zero denominator")
+        if not p:
+            return ZERO
+        if q < 0:
+            p, q = -p, -q
+        return _laurent({0: int(p)}, 0, int(q), False)
+
+    @staticmethod
+    def s_pow(k: int) -> "Scalar":
+        if abs(k) > _M:
+            _too_wide()
+        if k >= 0:
+            return _new({k * _S1: 1}, _D1)
+        return _new({0: 1}, {-k * _S1: 1})
+
+    @staticmethod
+    def u_pow(k: int) -> "Scalar":
+        if abs(k) > _M:
+            _too_wide()
+        if k >= 0:
+            return _new({k * _U1: 1}, _D1)
+        return _new({0: 1}, {-k * _U1: 1})
+
+    @staticmethod
+    def v_pow(k: int) -> "Scalar":
+        if abs(k) > _M:
+            _too_wide()
+        if k >= 0:
+            return _new({k * _V1: 1}, _D1)
+        return _new({0: 1}, {-k * _V1: 1})
+
+    @staticmethod
+    def w() -> "Scalar":
+        return _new({_W1: 1}, _D1)
+
+    @staticmethod
+    def q_pow(r) -> "Scalar":
+        """q^r for r an integer or half-integer (q = s^2)."""
+        e = Fraction(2) * Fraction(r)
+        if e.denominator != 1:
+            raise ScalarError(f"q_pow: exponent {r} is not a half-integer")
+        return Scalar.s_pow(int(e))
+
+    # -- canonical-form predicates ---------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self._n
+
+    def is_one(self) -> bool:
+        return self._n == self._d
+
+    def w_degree(self) -> int:
+        return max((k >> 3 * _B & _M for k in self._n), default=0)
+
+    def is_uv_free(self) -> bool:
+        return not any(k & _UVMASK for p in (self._n, self._d) for k in p)
+
+    def is_w_free(self) -> bool:
+        return not (self._f or self._facts())[0]
+
+    # -- arithmetic -------------------------------------------------------
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, Scalar):
+            return x
+        if isinstance(x, int):
+            return Scalar.from_int(x)
+        if isinstance(x, Fraction):
+            return Scalar.fraction(x.numerator, x.denominator)
+        return NotImplemented
+
+    def __add__(self, other):
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other._n:
+            return self
+        if not self._n:
+            return other
+        w1, k1, c1 = self._f or self._facts()
+        w2, k2, c2 = other._f or other._facts()
+        if k1 >= 0 and k2 >= 0:
+            # Laurent path: bring both numerators over (lcm c)*s^(max k)
+            k = max(k1, k2)
+            c = c1 if c1 == c2 else lcm(c1, c2)
+            num = _padd(
+                _rescale(self._n, (k - k1) * _S1, c // c1),
+                _rescale(other._n, (k - k2) * _S1, c // c2),
+            )
+            if not num:
+                return ZERO
+            return _laurent(num, k, c, None if w1 or w2 else False)
+        if self._d == other._d:
+            d1 = self.den
+            num = self.num + other.num
+            if not num:
+                return ZERO
+            g = _gcd_with_wfree(num, d1)
+            if g == _ONE:
+                return Scalar(num, d1, _normal=True)
+            return Scalar(_div_fast(num, g), _div_fast(d1, g), _normal=True)
+        # Knuth's reduced addition: only gcd(t, gcd(d1, d2)) can cancel
+        n1, d1 = self.num, self.den
+        n2, d2 = other.num, other.den
+        g1 = _gcd_fast(d1, d2)
+        if g1 == _ONE:
+            num = n1 * d2 + n2 * d1
+            if not num:
+                return ZERO
+            return Scalar(num, d1 * d2, _normal=True)
+        d1r = _div_fast(d1, g1)
+        d2r = _div_fast(d2, g1)
+        t = n1 * d2r + n2 * d1r
+        if not t:
+            return ZERO
+        g2 = _gcd_with_wfree(t, g1)
+        if g2 == _ONE:
+            return Scalar(t, d1r * d2, _normal=True)
+        return Scalar(_div_fast(t, g2), d1r * _div_fast(d2, g2), _normal=True)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return Scalar._coerce(other) - self
+
+    def __neg__(self):
+        return _new({k: -c for k, c in self._n.items()}, self._d, self._f)
+
+    def __mul__(self, other):
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not self._n or not other._n:
+            return ZERO
+        w1, k1, c1 = self._f or self._facts()
+        w2, k2, c2 = other._f or other._facts()
+        if k1 >= 0 and k2 >= 0:
+            # Laurent path: the product of two nonzero numerators is nonzero
+            num = _pmul(self._n, other._n)
+            if w1 and w2:
+                return _laurent(_w2_reduce(num), k1 + k2 + 1, c1 * c2, None)
+            # and has w exactly when one of them has
+            return _laurent(num, k1 + k2, c1 * c2, w1 or w2)
+        if w1 and w2:
+            # the product needs w-reduction; take the canonicalizing path
+            return Scalar(self.num * other.num, self.den * other.den)
+        # cross-cancellation keeps the result reduced with small gcds
+        n1, d1 = self.num, self.den
+        n2, d2 = other.num, other.den
+        if d2 != _ONE:
+            g = _gcd_with_wfree(n1, d2)
+            if g != _ONE:
+                n1, d2 = _div_fast(n1, g), _div_fast(d2, g)
+        if d1 != _ONE:
+            g = _gcd_with_wfree(n2, d1)
+            if g != _ONE:
+                n2, d1 = _div_fast(n2, g), _div_fast(d1, g)
+        return Scalar(n1 * n2, d1 * d2, _normal=True)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Scalar":
+        if not self._n:
+            raise ScalarError("inverse: division by zero")
+        if not (self._f or self._facts())[0]:
+            return Scalar(self.den, self.num)
+        a, b = _w_split(self.num)
+        conj = a - b * _W
+        # (a+bw)(a-bw) = a^2 - b^2 (s + 1/s) = (a^2 s - b^2 (s^2+1)) / s
+        newden = a * a * _S - b * b * _S2P1
+        return Scalar(self.den * conj * _S, newden)
+
+    def __truediv__(self, other):
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other._n:
+            raise ScalarError("div: division by zero")
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return Scalar._coerce(other) / self
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = ONE
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __eq__(self, other):
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._n == other._n and self._d == other._d
+
+    def __hash__(self):
+        return hash((frozenset(self._n.items()), frozenset(self._d.items())))
+
+    # -- substitution and coefficient extraction --------------------------
+
+    def subs_u(self, t: "Scalar") -> "Scalar":
+        """Substitute u by the Scalar t."""
+        return _eval_at_u(self._n, t) / _eval_at_u(self._d, t)
+
+    def uv_coeffs(self) -> dict:
+        """For a Scalar with u,v-free denominator: the map
+        (deg_u, deg_v) -> Scalar coefficient (u,v-free)."""
+        if any(k & _UVMASK for k in self._d):
+            raise ScalarError("uv_coeffs: denominator is not u,v-free")
+        parts = {}
+        for key, c in self._n.items():
+            eu, ev = key >> _B & _M, key >> 2 * _B & _M
+            parts.setdefault((eu, ev), {})[key - eu * _U1 - ev * _V1] = c
+        return {uv: _canonical(p, self._d) for uv, p in parts.items()}
+
+    # -- q-adic expansion --------------------------------------------------
+
+    def qadic_laurent(self, order: int):
+        """Expansion of a u,v,w-free Scalar as a Laurent series in q^(-1).
+
+        Returns (lead, coeffs) where the series is
+        sum_j coeffs[j] * q^(lead - j), computed through q^(lead - order)
+        (i.e. len(coeffs) == order + 1).  Exponents of s must all be even.
+        """
+        keys = [*self._n, *self._d]
+        if any(k & _UVWMASK for k in keys):
+            raise ScalarError("qadic expansion requires a u,v,w-free Scalar")
+        if any(k & 1 for k in keys):
+            raise ScalarError("qadic expansion requires integer powers of q")
+        if not self._n:
+            return 0, [Fraction(0)] * (order + 1)
+        num = {(k & _M) // 2: c for k, c in self._n.items()}
+        den = {(k & _M) // 2: c for k, c in self._d.items()}
+        emax_n, emax_d = max(num), max(den)
+        lead = emax_n - emax_d
+        # In t = 1/q: num = q^emax_n * n(t), den = q^emax_d * d(t), d(0) != 0.
+        n = [Fraction(num.get(emax_n - j, 0)) for j in range(order + 1)]
+        d = [Fraction(den.get(emax_d - j, 0)) for j in range(order + 1)]
+        out = []
+        for j in range(order + 1):
+            acc = n[j] - sum(d[i] * out[j - i] for i in range(1, j + 1))
+            out.append(acc / d[0])
+        # strip leading zeros so `lead` is meaningful
+        while out[0] == 0 and any(out[1:]):
+            out.pop(0)
+            out.append(Fraction(0))
+            lead -= 1
+        return lead, out
+
+    def qadic_expand(self, order: int):
+        """First `order`+1 coefficients of the expansion of this Scalar in
+        nonnegative powers of q^(-1): [c_0, c_1, ...] with x = sum c_j q^(-j)."""
+        lead, coeffs = self.qadic_laurent(order)
+        if self._n and lead > 0:
+            raise ScalarError(
+                f"qadic_expand: expansion has a positive power q^{lead}"
+            )
+        pad = [Fraction(0)] * (-lead)
+        return (pad + coeffs)[: order + 1]
+
+    # -- printing and parsing ---------------------------------------------
+
+    def __str__(self):
+        if self._d == _D1:
+            return _poly_str(self._n)
+        return f"({_poly_str(self._n)})/({_poly_str(self._d)})"
+
+    def __repr__(self):
+        return f"Scalar({self})"
+
+    @staticmethod
+    def parse(text: str) -> "Scalar":
+        return _parse_scalar(text)
+
+
+def _eval_at_u(p, t):
+    """Evaluate the packed polynomial p at u = the Scalar t (Horner).
     Returns a Scalar."""
     slices = {}
-    for mon, c in p.iterterms():
-        e = mon[axis]
-        rest = list(mon)
-        rest[axis] = 0
-        key = tuple(rest)
-        sl = slices.setdefault(e, {})
-        sl[key] = sl.get(key, 0) + c
+    for key, c in p.items():
+        e = key >> _B & _M
+        slices.setdefault(e, {})[key - e * _U1] = c
     if not slices:
         return ZERO
     exps = sorted(slices, reverse=True)
@@ -548,7 +709,7 @@ def _eval_poly_at(p, axis, t):
     for e in exps:
         if prev is not None:
             acc = acc * t ** (prev - e)
-        acc = acc + Scalar(_RING.from_dict(slices[e]), _ONE, _normal=True)
+        acc = acc + _new(slices[e], _D1)
         prev = e
     if prev:
         acc = acc * t**prev
@@ -607,12 +768,13 @@ def _mono_str(mon, c):
 
 
 def _poly_str(p):
+    """A packed polynomial, leading term first (grlex descending)."""
     if not p:
         return "0"
     parts = []
-    for i, (mon, c) in enumerate(p.terms()):
+    for i, (key, c) in enumerate(sorted(p.items(), reverse=True)):
         sign = "-" if c < 0 else ("+" if i else "")
-        parts.append(sign + _mono_str(mon, c))
+        parts.append(sign + _mono_str(_unpack(key), c))
     return "".join(parts)
 
 

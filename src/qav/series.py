@@ -24,6 +24,17 @@ class SeriesError(ArithmeticError):
     pass
 
 
+class ResourceBoundError(RuntimeError):
+    """A check refused an input above its documented resource bound.
+    Defined in this module, the lowest one that raises it."""
+
+
+# The largest rank verify_fu_product accepts, per type, at the default
+# order 10.  Its cost grows with N and is far higher for type B: on a 2-core
+# host B6 takes about 9 s and B7 16 s; D16 about 9 s and D18 15 s.
+MAX_FSERIES_RANK = {"B": 6, "D": 16}
+
+
 def _is_zero(x) -> bool:
     return x.is_zero()
 
@@ -322,16 +333,22 @@ def solve_sqrt_scaled(r: TruncSeries, xi: Scalar, order=None) -> TruncSeries:
 
 def f_series(alg, order: int) -> TruncSeries:
     """The normalizing series f(u): the unique solution with f(0)=1 of
-    f(u) f(u xi) = 1/((1-u q^-2)(1-u q^2)(1-u xi)(1-u xi^-1))."""
-    u = Scalar.u_pow(1)
-    prod = (
-        (ONE - u * Scalar.q_pow(-2))
-        * (ONE - u * Scalar.q_pow(2))
-        * (ONE - u * alg.xi)
-        * (ONE - u * alg.xi.inverse())
-    )
-    r = expand_scalar(prod.inverse(), AT_ZERO, order)
-    return solve_sqrt_scaled(r, alg.xi, order)
+    f(u) f(u xi) = 1/((1-u q^-2)(1-u q^2)(1-u xi)(1-u xi^-1)).
+
+    Built once per order and memoised on alg (alg.fu_by_order), so the
+    returned series is shared: callers must not mutate it."""
+    f = alg.fu_by_order.get(order)
+    if f is None:
+        u = Scalar.u_pow(1)
+        prod = (
+            (ONE - u * Scalar.q_pow(-2))
+            * (ONE - u * Scalar.q_pow(2))
+            * (ONE - u * alg.xi)
+            * (ONE - u * alg.xi.inverse())
+        )
+        r = expand_scalar(prod.inverse(), AT_ZERO, order)
+        f = alg.fu_by_order[order] = solve_sqrt_scaled(r, alg.xi, order)
+    return f
 
 
 def g_series(alg, order: int) -> TruncSeries:
@@ -397,6 +414,12 @@ def verify_fu_product(alg, order_u: int, order_qadic: int) -> dict:
     Nm2 = alg.N - 2
     if Nm2 <= 0:
         raise SeriesError("verify_fu_product needs N >= 3")
+    bound = MAX_FSERIES_RANK[alg.type]
+    if alg.n > bound:
+        raise ResourceBoundError(
+            f"rank {alg.n} exceeds the f-series bound "
+            f"MAX_FSERIES_RANK[{alg.type!r}] = {bound}"
+        )
     R = 1
     while Nm2 * (2 * R + 1 - order_u) <= order_qadic:
         R += 1

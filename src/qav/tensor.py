@@ -43,6 +43,17 @@ class SparseMat:
                 if clean:
                     self.rows[i] = clean
 
+    @staticmethod
+    def _nonzero(nrows, ncols, rows) -> "SparseMat":
+        """A SparseMat from rows that hold no zero entry and no empty row,
+        without the zero filter of __init__: for results that permute or
+        negate entries, or multiply them by a unit."""
+        m = object.__new__(SparseMat)
+        m.nrows = nrows
+        m.ncols = ncols
+        m.rows = rows
+        return m
+
     # -- constructors -----------------------------------------------------
 
     @staticmethod
@@ -111,7 +122,7 @@ class SparseMat:
         return self + (-other)
 
     def __neg__(self):
-        return SparseMat(
+        return SparseMat._nonzero(
             self.nrows,
             self.ncols,
             {i: {j: -x for j, x in r.items()} for i, r in self.rows.items()},
@@ -138,7 +149,13 @@ class SparseMat:
 
     def scale(self, c) -> "SparseMat":
         """Left-multiply every entry by c."""
-        return SparseMat(
+        # a nonzero Scalar is a unit, so it maps nonzero entries to nonzero
+        make = (
+            SparseMat._nonzero
+            if type(c) is Scalar and not c.is_zero()
+            else SparseMat
+        )
+        return make(
             self.nrows,
             self.ncols,
             {i: {j: c * x for j, x in r.items()} for i, r in self.rows.items()},
@@ -149,7 +166,7 @@ class SparseMat:
         for i, r in self.rows.items():
             for j, x in r.items():
                 rows.setdefault(j, {})[i] = x
-        return SparseMat(self.ncols, self.nrows, rows)
+        return SparseMat._nonzero(self.ncols, self.nrows, rows)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMat):
@@ -215,7 +232,7 @@ def embed_leg(op: SparseMat, legs, N: int) -> SparseMat:
                 r = i * stride[a] + k * stride[b] + m * stride[c]
                 s = j * stride[a] + l * stride[b] + m * stride[c]
                 rows.setdefault(r, {})[s] = x
-    return SparseMat(N**3, N**3, rows)
+    return SparseMat._nonzero(N**3, N**3, rows)
 
 
 def transpose_t(m: SparseMat, alg) -> SparseMat:
@@ -228,7 +245,7 @@ def transpose_t(m: SparseMat, alg) -> SparseMat:
         for j, x in row.items():
             # e_ij component maps to e_{j', i'}: entry (i,j) -> (j', i')
             rows.setdefault(N - 1 - j, {})[N - 1 - i] = x
-    return SparseMat(N, N, rows)
+    return SparseMat._nonzero(N, N, rows)
 
 
 def transpose_t1(m: SparseMat, alg) -> SparseMat:
@@ -245,7 +262,7 @@ def transpose_t1(m: SparseMat, alg) -> SparseMat:
             r = (N - 1 - j) * N + a
             s = (N - 1 - i) * N + b
             rows.setdefault(r, {})[s] = x
-    return SparseMat(N * N, N * N, rows)
+    return SparseMat._nonzero(N * N, N * N, rows)
 
 
 def dmat(alg) -> SparseMat:

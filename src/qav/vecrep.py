@@ -12,8 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar, qint, qbinom, ONE
-from .series import TruncSeries, AT_ZERO, AT_INFINITY, series_exp
+from .series import ResourceBoundError, TruncSeries, AT_ZERO, AT_INFINITY, series_exp
 from .tensor import SparseMat
+
+
+# The largest rank check_drinfeld_window accepts, at the default window 3.
+# On a 2-core host B14 and D15 take about 11 s, D14 about 8 s.
+MAX_DRINFELD_RANK = 14
 
 
 class VecRepError(ValueError):
@@ -185,6 +190,11 @@ def check_drinfeld_window(alg, window=3) -> list:
     vector representation (central charge 0)."""
     if window < 1:
         raise VecRepError("window must be >= 1")
+    if alg.n > MAX_DRINFELD_RANK:
+        raise ResourceBoundError(
+            f"rank {alg.n} exceeds the drinfeld-rep bound MAX_DRINFELD_RANK = "
+            f"{MAX_DRINFELD_RANK}"
+        )
     n, N = alg.n, alg.N
     W = window
     modes = range(-W, W + 1)

@@ -148,7 +148,14 @@ def test_bad_algebra_exits_2(capsys):
 
 
 def test_resource_bound_exits_2(capsys):
-    for args in (["ybe", "--type", "B", "--rank", "9"], ["cartan", "--rank", "40"]):
+    for args in (
+        ["ybe", "--type", "B", "--rank", "9"],
+        ["cartan", "--rank", "40"],
+        *(
+            [suite, "--type", "D", "--rank", "40"]
+            for suite in ("unitarity", "crossing", "drinfeld-rep", "f-series")
+        ),
+    ):
         assert cli.run(["check", *args]) == 2, args
         assert "resource bound" in capsys.readouterr().err
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qav.liedata as liedata
 from qav.liedata import (
     AlgebraData,
     LieDataError,
@@ -118,3 +119,23 @@ def test_bq_matrix_uses_q_integers():
     assert (bq[0][0] - qint(2)).is_zero()
     assert (bq[0][1] + qint(1)).is_zero()
     assert (bq[1][1] - qint(1)).is_zero()
+
+
+def test_large_algebra_data_does_not_invert_b(monkeypatch):
+    """B~ is computed on first use, so a rank that a resource bound refuses
+    never pays the cubic elimination."""
+
+    def refuse(*args):
+        raise AssertionError("ring_inverse called")
+
+    monkeypatch.setattr(liedata, "ring_inverse", refuse)
+    alg = AlgebraData("B", 80)
+    assert alg.N == 161
+    with pytest.raises(AssertionError):
+        alg.Btilde
+
+
+def test_btilde_is_computed_once():
+    alg = AlgebraData("D", 3)
+    assert alg.Btilde is alg.Btilde
+    assert alg.Btilde[0][0] == Scalar.from_int(1)

@@ -1,5 +1,6 @@
 """Field arithmetic in Q(s,u,v)[w]/(w^2 - s - 1/s) and the q-combinatorics."""
 
+import itertools
 from fractions import Fraction
 from math import prod
 
@@ -371,3 +372,119 @@ def test_f_series_takes_no_s_only_gcd_in_the_4_variable_ring(monkeypatch):
     series.f_series(AlgebraData("D", 3), 10)
     assert True not in calls
     assert "Z[s]" in calls
+
+
+# -- the packed kernel against sympy PolyElement arithmetic -------------------
+
+_R = qs._RING
+_w, _v, _u, _s = _R.gens
+
+
+def _sympy_canonical(num, den):
+    """num/den in canonical form by sympy alone: w^2 -> (s^2+1)/s through a
+    pseudo-remainder, then PolyElement.cancel (coprime, den LC > 0)."""
+    if not num:
+        return _R.zero, _R.one
+    dw = num.degree(_w)
+    if dw >= 2:
+        num = num.prem(_s * _w**2 - _s**2 - 1, _w)
+        den = den * _s ** (dw - 1)
+    return num.cancel(den)
+
+
+def _sympy_str(num, den):
+    """The printed form, with the term order of sympy's grlex ring."""
+
+    def poly(p):
+        if not p:
+            return "0"
+        return "".join(
+            ("-" if c < 0 else ("+" if i else "")) + qs._mono_str(mon, c)
+            for i, (mon, c) in enumerate(p.terms())
+        )
+
+    return poly(num) if den == _R.one else f"({poly(num)})/({poly(den)})"
+
+
+_raw_terms = st.lists(
+    st.tuples(
+        st.integers(min_value=-6, max_value=6).filter(bool),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=4),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+_raw_dens = st.one_of(
+    st.just(_R.one),
+    st.builds(
+        lambda c, k: c * _s**k,
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=3),
+    ),
+    st.sampled_from(
+        [1 + _s**2, _s - _u, 2 * _s**2 - _v + 1, (1 + _s) ** 2 * _s, -3 * _s**2 - 3]
+    ),
+)
+
+
+@st.composite
+def field_operands(draw):
+    """num/den built from PolyElements: num with w-degree up to 2, den 1,
+    c*s^k or a true polynomial (some with a negative leading coefficient)."""
+    num = _R.zero
+    for c, ew, ev, eu, es in draw(_raw_terms):
+        num += c * _w**ew * _v**ev * _u**eu * _s**es
+    den = draw(_raw_dens)
+    x = Scalar(num, den)
+    assert (x.num, x.den) == _sympy_canonical(num, den)
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_operands(), field_operands())
+def test_packed_kernel_matches_sympy_arithmetic(a, b):
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    for got, num, den in (
+        (a * b, an * bn, ad * bd),
+        (a + b, an * bd + bn * ad, ad * bd),
+        (a - b, an * bd - bn * ad, ad * bd),
+    ):
+        p, q = _sympy_canonical(num, den)
+        assert (got.num, got.den) == (p, q)
+        assert q.LC > 0
+        assert str(got) == _sympy_str(p, q)
+        ref = Scalar(p, q, _normal=True)
+        assert got == ref and hash(got) == hash(ref)
+    assert (a == b) == ((an, ad) == (bn, bd))
+    assert hash(a * b) == hash(b * a)
+
+
+def test_packed_key_order_is_grlex():
+    # total degree first, then w > v > u > s: sympy's order of _RING
+    mons = [m for m in itertools.product(range(3), repeat=4) if sum(m) <= 3]
+    keys = [qs._pack(m) for m in mons]
+    by_key = [m for _, m in sorted(zip(keys, mons))]
+    assert by_key == sorted(mons, key=lambda m: (sum(m), m))
+    assert by_key == sorted(mons, key=_R.order)
+    assert [qs._unpack(k) for k in keys] == mons
+
+
+def test_exponent_past_the_field_width_raises():
+    top = qs._M
+    assert str(Scalar.s_pow(top - 1) * Scalar.s_pow(1)) == f"s^{top}"
+    with pytest.raises(ScalarError):
+        Scalar.s_pow(top) * Scalar.s_pow(1)
+    with pytest.raises(ScalarError):
+        Scalar.s_pow(top + 1)
+    with pytest.raises(ScalarError):
+        Scalar.u_pow(top) * Scalar.v_pow(1)
+    with pytest.raises(ScalarError):
+        (Scalar.w() * Scalar.u_pow(top - 1)) * Scalar.w()
+    with pytest.raises(ScalarError):
+        Scalar.s_pow(top) + Scalar.s_pow(-1)  # aligning over s shifts up
+    with pytest.raises(ScalarError):
+        Scalar(_s ** (top + 1))

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qav import cli, series
+from qav import cli, rmatrix, series
 from qav.scalars import Scalar, ONE, ZERO, qint
 from qav.series import (
     AT_INFINITY,
@@ -229,3 +229,25 @@ def test_f_series_check_fails_on_a_perturbed_solver(monkeypatch, capsys):
     assert rc == 1
     statuses = [c["status"] for c in payload["reports"][0]["checks"]]
     assert statuses.count("fail") == 1
+
+
+def test_f_series_is_built_once_per_algebra_and_order(monkeypatch):
+    """check all builds f(u) for crossing and for f-series; the second use
+    reads the series memoised on the AlgebraData."""
+    calls = []
+    real = series.solve_sqrt_scaled
+
+    def counted(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs.get("order"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(series, "solve_sqrt_scaled", counted)
+    alg = AlgebraData("B", 1)
+    rmatrix.check_crossing(alg, order=4)
+    verify_fu_product(alg, 4, 4)
+    assert calls == [4]
+    f = f_series(alg, 4)
+    assert f is f_series(alg, 4)
+    assert f_series(alg, 3) is not f and calls == [4, 3]
+    assert f_series(AlgebraData("B", 1), 4) is not f
+    assert calls == [4, 3, 4]

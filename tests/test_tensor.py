@@ -202,3 +202,25 @@ def test_transpose_t1_acts_on_first_factor_only():
 def test_dmat_inverse_pairs(type_, rank):
     alg = AlgebraData(type_, rank)
     assert dmat(alg) * dmat_inverse(alg) == SparseMat.identity(alg.N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_mats(n=3), st.sampled_from([ONE, -ONE, Scalar.q_pow(2), Scalar.w()]))
+def test_permuting_maps_skip_the_zero_filter_safely(m, c):
+    """Results built without the zero filter hold no zero entry and equal
+    what the filtering constructor makes of the same rows."""
+    alg = AlgebraData("B", 1)  # N = 3
+    square = m.kron(m)  # N^2 x N^2
+    results = [
+        -m,
+        m.transpose(),
+        m.scale(c),
+        transpose_t(m, alg),
+        transpose_t1(square, alg),
+        embed_leg(square, (3, 1), 3),
+    ]
+    for r in results:
+        assert all(row for row in r.rows.values())
+        assert not any(x.is_zero() for row in r.rows.values() for x in row.values())
+        assert SparseMat(r.nrows, r.ncols, r.rows).rows == r.rows
+    assert m.scale(ZERO).is_zero()
