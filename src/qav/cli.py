@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 from . import lop, rmatrix, vecrep
 from .liedata import AlgebraData, check_cartan
+from .report import skipped
 from .rmatrix import ResourceBoundError
 from .series import verify_fu_product
 
@@ -22,6 +23,14 @@ _HEADER_NOTE = (
     "checks are run in the vector representation (central charge 0); "
     "a pass verifies necessity of the identities, not the abstract algebra"
 )
+
+# The largest --order and --window any suite accepts, refused before anything
+# is built.  Measured as single processes on a 2-core host on D3 (N = 6, the
+# largest algebra the default QAV_MAX_N admits): relrbar takes 13 s at the
+# defaults, 20 s at order 16 and 13 s at order and window 8; f-series takes
+# 5 s at order 16, 11 s at order 20 and over 60 s at order 30.
+MAX_ORDER = 16
+MAX_WINDOW = 8
 
 
 class _Suite(NamedTuple):
@@ -86,8 +95,15 @@ def _run_suite(suite, alg, K, W):
     if entry.skip is not None:
         applies, name, reason = entry.skip
         if applies(alg):
-            return [{"name": f"{name}, {alg}", "status": "skipped", "reason": reason}]
+            return [skipped(f"{name}, {alg}", reason)]
     return entry.run(alg, K, W)
+
+
+def _guard_order_window(K, W):
+    if K > MAX_ORDER:
+        raise ResourceBoundError(f"order {K} exceeds MAX_ORDER = {MAX_ORDER}")
+    if W > MAX_WINDOW:
+        raise ResourceBoundError(f"window {W} exceeds MAX_WINDOW = {MAX_WINDOW}")
 
 
 def _suite_report(suite, alg, K, W):
@@ -157,6 +173,7 @@ def run(argv) -> int:
     suites = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     try:
+        _guard_order_window(args.order, args.window)
         for suite in suites:
             reports.append(_suite_report(suite, alg, args.order, args.window))
     except ResourceBoundError as exc:

@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .quasidet import ring_inverse
+from .report import check
 from .rmatrix import ResourceBoundError
 from .scalars import Scalar, ScalarError, qint, ONE
 
@@ -111,10 +112,6 @@ class AlgebraData:
     __repr__ = __str__
 
 
-def algebra(type_: str, rank: int) -> AlgebraData:
-    return AlgebraData(type_, rank)
-
-
 def bq_matrix(alg: AlgebraData):
     """The q-deformed Gram matrix B(q) with entries [B_ij]_q (Scalars)."""
     n = alg.n
@@ -187,41 +184,37 @@ def check_cartan(alg: AlgebraData) -> list:
     checks = []
     n = alg.n
 
-    def add(name, ok, witness=None):
-        item = {"name": name, "status": "pass" if ok else "fail"}
-        if not ok and witness is not None:
-            item["witness"] = witness
-        checks.append(item)
-
     ok = all(
         alg.A[i][j] == 2 * _dot(alg.roots[i], alg.roots[j]) / _dot(alg.roots[i], alg.roots[i])
         for i in range(n)
         for j in range(n)
     )
-    add("Cartan matrix reproduced from root coordinates", ok)
+    checks.append(check("Cartan matrix reproduced from root coordinates", ok))
 
     ok = all(alg.bar(i) + alg.bar(alg.prime(i)) == 0 for i in range(1, alg.N + 1))
-    add("bars antisymmetric under the index involution", ok)
+    checks.append(check("bars antisymmetric under the index involution", ok))
 
     ok = all(alg.prime(alg.prime(i)) == i for i in range(1, alg.N + 1))
-    add("index involution squares to the identity", ok)
+    checks.append(check("index involution squares to the identity", ok))
 
     prod = [
         [sum(alg.Bmat[i][k] * alg.Btilde[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
     ok = all(prod[i][j] == int(i == j) for i in range(n) for j in range(n))
-    add("B * B~ = identity over the rationals", ok)
+    checks.append(check("B * B~ = identity over the rationals", ok))
 
     ok = all(alg.Bmat[i][j] == alg.Bmat[j][i] for i in range(n) for j in range(n))
-    add("B symmetric", ok)
+    checks.append(check("B symmetric", ok))
 
+    name = "B~(q) matches closed form and is symmetric"
     try:
         tq = btilde_q(alg)
+    except LieDataError as exc:
+        checks.append(check(name, False, str(exc)))
+    else:
         ok = all(
             (tq[i][j] - tq[j][i]).is_zero() for i in range(n) for j in range(n)
         )
-        add("B~(q) matches closed form and is symmetric", ok)
-    except LieDataError as exc:
-        add("B~(q) matches closed form and is symmetric", False, str(exc))
+        checks.append(check(name, ok))
     return checks

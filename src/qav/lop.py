@@ -17,12 +17,8 @@ from fractions import Fraction
 
 from .liedata import AlgebraData
 from .quasidet import GaussFactors, gauss_decompose, mat_mul, psi_image
-from .rmatrix import (
-    _mat_subs_u,
-    _report,
-    build_catalog,
-    crossing_scalar,
-)
+from .report import check, first_failure
+from .rmatrix import _mat_subs_u, build_catalog, crossing_scalar
 from .scalars import ONE, Scalar, qbinom
 from .series import AT_INFINITY, AT_ZERO, TruncSeries, expand_scalar
 from .tensor import SparseMat, embed_leg
@@ -90,25 +86,14 @@ def _diag_sqrt(mat: SparseMat, N: int) -> SparseMat:
     return SparseMat.from_entries(N, N, out)
 
 
-def _series_equal(name: str, a: TruncSeries, b: TruncSeries) -> dict:
-    diff = a - b
-    for m in sorted(diff.coeffs):
-        c = diff.coeffs[m]
-        if not c.is_zero():
-            exp = m * diff.sign
-            wit = {"exponent": exp}
-            if isinstance(c, SparseMat):
-                i, j, val = c.first_nonzero()
-                wit.update({"row": i, "col": j, "value": str(val)})
-            else:
-                wit["value"] = str(c)
-            return _report(name, False, wit)
-    return _report(name, True)
-
-
 def _series_zero(name: str, a: TruncSeries) -> dict:
-    zero = TruncSeries(a.direction, a.order, {})
-    return _series_equal(name, a, zero)
+    return first_failure(
+        name, (({"exponent": m * a.sign}, a.coeffs[m]) for m in sorted(a.coeffs))
+    )
+
+
+def _series_equal(name: str, a: TruncSeries, b: TruncSeries) -> dict:
+    return _series_zero(name, a - b)
 
 
 # ---------------------------------------------------------------------------
@@ -116,31 +101,35 @@ def _series_zero(name: str, a: TruncSeries) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _matrix_series(entries, N: int, direction, K: int) -> TruncSeries:
+    """The series with N x N matrix coefficients whose entry (a, b) expands
+    the rational scalar x, for each (a, b, x) of entries."""
+    per_m = {}
+    for a, b, x in entries:
+        for m, c in expand_scalar(x, direction, K).coeffs.items():
+            per_m.setdefault(m, []).append((a, b, c))
+    return TruncSeries(
+        direction,
+        K,
+        {m: SparseMat.from_entries(N, N, lst) for m, lst in per_m.items()},
+    )
+
+
 def _series_matrix(M: SparseMat, N: int, direction, K: int):
     """Repackage an N^2 x N^2 matrix of rational scalars into an N x N matrix
     (auxiliary slot) of truncated series with N x N matrix coefficients."""
-    rows = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            per_m = {}
-            for a in range(N):
-                for b in range(N):
-                    x = M.get(i * N + a, j * N + b)
-                    if x.is_zero():
-                        continue
-                    for m, c in expand_scalar(x, direction, K).coeffs.items():
-                        if not c.is_zero():
-                            per_m.setdefault(m, []).append((a, b, c))
-            row.append(
-                TruncSeries(
-                    direction,
-                    K,
-                    {m: SparseMat.from_entries(N, N, lst) for m, lst in per_m.items()},
-                )
-            )
-        rows.append(row)
-    return rows
+
+    def block(i, j):
+        for a in range(N):
+            for b in range(N):
+                x = M.get(i * N + a, j * N + b)
+                if not x.is_zero():
+                    yield a, b, x
+
+    return [
+        [_matrix_series(block(i, j), N, direction, K) for j in range(N)]
+        for i in range(N)
+    ]
 
 
 def _lemma_k_diagonal(alg: AlgebraData):
@@ -331,12 +320,8 @@ def gaussian_generators(lops: LOperators) -> GaussianSeries:
         return lops.gauss
     N, K = lops.N, lops.K
     ident = SparseMat.identity(N)
-    gp = gauss_decompose(
-        lops.lp, TruncSeries.constant(ident, AT_ZERO, K), cross_check=True
-    )
-    gm = gauss_decompose(
-        lops.lm, TruncSeries.constant(ident, AT_INFINITY, K), cross_check=True
-    )
+    gp = gauss_decompose(lops.lp, TruncSeries.constant(ident, AT_ZERO, K))
+    gm = gauss_decompose(lops.lm, TruncSeries.constant(ident, AT_INFINITY, K))
     for g, L in ((gp, lops.lp), (gm, lops.lm)):
         prod = g.product()
         for i in range(N):
@@ -356,8 +341,8 @@ def check_gauss(alg: AlgebraData, K: int = 10) -> list:
     lops = build_lops(alg, K)
     gs = gaussian_generators(lops)  # raises on reassembly failure
     checks = [
-        _report(f"Gauss reassembly F H E = L, both signs, {alg}", True),
-        _report(
+        check(f"Gauss reassembly F H E = L, both signs, {alg}", True),
+        check(
             f"quasideterminant cross-path agrees with block elimination, {alg}", True
         ),
     ]
@@ -374,7 +359,7 @@ def check_gauss(alg: AlgebraData, K: int = 10) -> list:
         for j in range(N)
     )
     checks.append(
-        _report(f"single-entry perturbation of F breaks reassembly, {alg}", broken)
+        check(f"single-entry perturbation of F breaks reassembly, {alg}", broken)
     )
     return checks
 
@@ -423,9 +408,9 @@ class ModeSeries:
         return ModeSeries(self.N, table, self.lo, self.hi)
 
 
-def _bivar_zero(name, N, K, terms, clearing=ONE, window=None) -> dict:
+def _bivar_zero(name, N, K, terms, clearing=ONE) -> dict:
     """Check that a sum of bivariate terms vanishes on every determined
-    bi-mode inside the window.
+    bi-mode (alpha, beta) with |alpha|, |beta| <= K.
 
     Each term is (prefactor, u_part, v_part, order): the prefactor is a
     rational scalar in u, v; clearing is a polynomial multiple of all the
@@ -433,10 +418,9 @@ def _bivar_zero(name, N, K, terms, clearing=ONE, window=None) -> dict:
     polynomial).  order "uv" multiplies coefficients as u-part * v-part,
     "vu" the other way.  None parts act as the identity at mode zero.
     """
-    window = K if window is None else window
     expanded = []
-    alo, ahi = -window, window
-    blo, bhi = -window, window
+    alo, ahi = -K, K
+    blo, bhi = -K, K
     for pref, upart, vpart, order in terms:
         poly = (pref * clearing).uv_coeffs()
         keys = [k for k, c in poly.items() if not c.is_zero()]
@@ -456,50 +440,43 @@ def _bivar_zero(name, N, K, terms, clearing=ONE, window=None) -> dict:
     if alo > ahi or blo > bhi:
         raise LopError(f"{name}: empty determined window")
     zero = SparseMat.zeros(N, N)
-    points = 0
     # bi-modes (alpha, beta) and (alpha + 1, beta + 1) share most products
     products = {}
-    for alpha in range(alo, ahi + 1):
-        for beta in range(blo, bhi + 1):
-            acc = zero
-            for t, (poly, U, V, order) in enumerate(expanded):
-                for (i, j), c in poly.items():
-                    if c.is_zero():
-                        continue
-                    key = (t, alpha - i, beta - j)
-                    prod = products.get(key)
-                    if prod is None:
-                        a = U.mat(alpha - i)
-                        b = V.mat(beta - j)
-                        if a.is_zero() or b.is_zero():
-                            prod = zero
-                        else:
-                            prod = a * b if order == "uv" else b * a
-                        products[key] = prod
-                    if prod.is_zero():
-                        continue
-                    if c == ONE:
-                        acc = acc + prod
-                    elif c == _MONE:
-                        acc = acc - prod
+
+    def total(alpha, beta):
+        acc = zero
+        for t, (poly, U, V, order) in enumerate(expanded):
+            for (i, j), c in poly.items():
+                if c.is_zero():
+                    continue
+                key = (t, alpha - i, beta - j)
+                prod = products.get(key)
+                if prod is None:
+                    a = U.mat(alpha - i)
+                    b = V.mat(beta - j)
+                    if a.is_zero() or b.is_zero():
+                        prod = zero
                     else:
-                        acc = acc + prod.scale(c)
-            points += 1
-            if not acc.is_zero():
-                r, col, val = acc.first_nonzero()
-                return _report(
-                    name,
-                    False,
-                    {
-                        "u_mode": alpha,
-                        "v_mode": beta,
-                        "row": r,
-                        "col": col,
-                        "value": str(val),
-                    },
-                )
-    return _report(
-        name, True, modes_u=[alo, ahi], modes_v=[blo, bhi], points=points
+                        prod = a * b if order == "uv" else b * a
+                    products[key] = prod
+                if prod.is_zero():
+                    continue
+                if c == ONE:
+                    acc = acc + prod
+                elif c == _MONE:
+                    acc = acc - prod
+                else:
+                    acc = acc + prod.scale(c)
+        return acc
+
+    modes = [(a, b) for a in range(alo, ahi + 1) for b in range(blo, bhi + 1)]
+    item = first_failure(
+        name, (({"u_mode": a, "v_mode": b}, total(a, b)) for a, b in modes)
+    )
+    if item["status"] == "fail":
+        return item
+    return check(
+        name, True, modes_u=[alo, ahi], modes_v=[blo, bhi], points=len(modes)
     )
 
 
@@ -1194,7 +1171,8 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
                         ],
                     )
                 )
-    # (d) mixed-current commutator against the diagonal ratios, modewise
+    # (d) mixed-current commutator against the diagonal ratios, modewise on
+    # the bi-modes whose total alpha + beta the truncated ratios determine
     qmq = _QMQ
     for i in range(1, n + 1):
         if alg.type == "D" and i == n:
@@ -1209,32 +1187,24 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
         )
         for j in range(1, n + 1):
             Xp, Xm = currents[(i, True)], currents[(j, False)]
-            ok = True
-            witness = None
-            for alpha in range(-W, W + 1):
-                for beta in range(-W, W + 1):
-                    lhs = Xp.mat(alpha) * Xm.mat(beta) - Xm.mat(beta) * Xp.mat(alpha)
-                    if i == j:
-                        g = alpha + beta
-                        rhs = (hm.mat(g) - hp.mat(g)).scale(qmq)
-                    else:
-                        rhs = SparseMat.zeros(N, N)
-                    diff = lhs - rhs
-                    if not diff.is_zero():
-                        r, c, val = diff.first_nonzero()
-                        ok = False
-                        witness = {
-                            "u_mode": alpha,
-                            "v_mode": beta,
-                            "row": r,
-                            "col": c,
-                            "value": str(val),
-                        }
-                        break
-                if not ok:
-                    break
+
+            def mixed(alpha, beta):
+                lhs = Xp.mat(alpha) * Xm.mat(beta) - Xm.mat(beta) * Xp.mat(alpha)
+                if i != j:
+                    return lhs
+                g = alpha + beta
+                return lhs - (hm.mat(g) - hp.mat(g)).scale(qmq)
+
             out.append(
-                _report(f"(d) [X{i}+, X{j}-] modewise, window {W}", ok, witness)
+                first_failure(
+                    f"(d) [X{i}+, X{j}-] modewise, window {W}",
+                    (
+                        ({"u_mode": alpha, "v_mode": beta}, mixed(alpha, beta))
+                        for alpha in range(-W, W + 1)
+                        for beta in range(-W, W + 1)
+                        if abs(alpha + beta) <= K
+                    ),
+                )
             )
     # (e) Serre relations, modewise
     for i in range(1, n + 1):
@@ -1246,15 +1216,13 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
             for plus in (True, False):
                 Xi, Xj = currents[(i, plus)], currents[(j, plus)]
                 lbl = "+" if plus else "-"
-                ok = True
-                witness = None
                 tuples = [
                     tup
                     for tup in itertools.product(range(-W, W + 1), repeat=r + 1)
                     if sum(abs(x) for x in tup) <= W and sorted(tup[:r]) == list(tup[:r])
                 ]
-                for tup in tuples:
-                    amodes, bmode = tup[:r], tup[r]
+
+                def serre(amodes, bmode):
                     acc = SparseMat.zeros(N, N)
                     for l in range(r + 1):
                         coeff = qbinom(r, l, ri)
@@ -1267,22 +1235,18 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
                             for mmat in mats[1:]:
                                 prod = prod * mmat
                             acc = acc + prod.scale(coeff)
-                    if not acc.is_zero():
-                        rr, cc, val = acc.first_nonzero()
-                        ok = False
-                        witness = {
-                            "u_modes": list(amodes),
-                            "v_mode": bmode,
-                            "row": rr,
-                            "col": cc,
-                            "value": str(val),
-                        }
-                        break
+                    return acc
+
                 out.append(
-                    _report(
+                    first_failure(
                         f"(e) Serre X{i}{lbl}/X{j}{lbl}, degree {r + 1}, window {W}",
-                        ok,
-                        witness,
+                        (
+                            (
+                                {"u_modes": list(tup[:r]), "v_mode": tup[r]},
+                                serre(tup[:r], tup[r]),
+                            )
+                            for tup in tuples
+                        ),
                     )
                 )
     return out
@@ -1311,22 +1275,21 @@ def _extract_aux_scalar(name, prod):
     """Assert that a matrix of series is a scalar multiple of the identity in
     the auxiliary slot; return (diagonal_series, checks)."""
     Nr = len(prod)
-    checks = []
-    ok = True
-    witness = None
-    for i in range(Nr):
-        for j in range(Nr):
-            if i != j and not prod[i][j].is_zero():
-                ok = False
-                witness = {"row": i, "col": j}
-                break
-        if not ok:
-            break
-    checks.append(_report(f"{name}: off-diagonal entries vanish", ok, witness))
+    witness = next(
+        (
+            {"row": i, "col": j}
+            for i in range(Nr)
+            for j in range(Nr)
+            if i != j and not prod[i][j].is_zero()
+        ),
+        None,
+    )
     diag = prod[0][0]
-    ok = all((prod[i][i] - diag).is_zero() for i in range(1, Nr))
-    checks.append(_report(f"{name}: diagonal entries agree", ok))
-    return diag, checks
+    agree = all((prod[i][i] - diag).is_zero() for i in range(1, Nr))
+    return diag, [
+        check(f"{name}: off-diagonal entries vanish", witness is None, witness),
+        check(f"{name}: diagonal entries agree", agree),
+    ]
 
 
 def _extract_scalar_series(name, prod, N: int, K: int, direction):
@@ -1334,20 +1297,20 @@ def _extract_scalar_series(name, prod, N: int, K: int, direction):
     of the identity in both slots; return (scalar_series, checks)."""
     diag, checks = _extract_aux_scalar(name, prod)
     ident = SparseMat.identity(N)
-    coeffs = {}
-    ok = True
-    witness = None
-    for m, c in diag.coeffs.items():
-        val = c.get(0, 0)
-        if c != ident.scale(val):
-            ok = False
-            witness = {"exponent": m * diag.sign}
-            break
-        if not val.is_zero():
-            coeffs[m] = val
-    checks.append(
-        _report(f"{name}: coefficients are scalar multiples of the identity", ok, witness)
+    bad = next(
+        (m for m, c in diag.coeffs.items() if c != ident.scale(c.get(0, 0))), None
     )
+    witness = None if bad is None else {"exponent": bad * diag.sign}
+    checks.append(
+        check(
+            f"{name}: coefficients are scalar multiples of the identity",
+            bad is None,
+            witness,
+        )
+    )
+    # the scalar series stops before the first coefficient that is not scalar
+    scalar = itertools.takewhile(lambda m: m != bad, diag.coeffs)
+    coeffs = {m: diag.coeffs[m].get(0, 0) for m in scalar}
     return TruncSeries(direction, K, coeffs), checks
 
 
@@ -1466,57 +1429,48 @@ def check_psi_consistency(alg: AlgebraData, m: int, K: int = 10) -> list:
         for j in block
     }
     for s in _SIGNS:
-        ok = True
-        witness = None
-        for i in block:
-            for j in block:
-                _, _, agree = images[s, i, j]
-                if not agree:
-                    ok = False
-                    witness = {"row": i, "col": j}
-                    break
-            if not ok:
-                break
+        witness = next(
+            (
+                {"row": i, "col": j}
+                for i in block
+                for j in block
+                if not images[s, i, j][2]
+            ),
+            None,
+        )
         out.append(
-            _report(
+            check(
                 f"{alg} m={m}: reduction images match trailing blocks ({_sig(s)})",
-                ok,
+                witness is None,
                 witness,
             )
         )
+
     # commutation of the eliminated corner with the images
-    for s, t in _PAIRS:
+    def corner_failures(s, t):
         ga = lops.lp if s > 0 else lops.lm
-        ok = True
-        witness = None
         for a in range(1, m + 1):
             for b in range(1, m + 1):
                 A = ModeSeries.from_trunc(ga[a - 1][b - 1], N)
                 for i in block:
                     for j in block:
-                        val, _, _ = images[t, i, j]
-                        B = ModeSeries.from_trunc(val, N)
-                        rep = _bivar_zero(
+                        B = ModeSeries.from_trunc(images[t, i, j][0], N)
+                        item = _bivar_zero(
                             f"[l[{a},{b}]{_sig(s)}(u), psi_{m}(l[{i},{j}]{_sig(t)}(v))]",
                             N,
                             K,
                             [(ONE, A, B, "uv"), (_MONE, A, B, "vu")],
                         )
-                        if rep["status"] != "pass":
-                            ok = False
-                            witness = {"entry": [a, b, i, j], "detail": rep["witness"]}
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
+                        if item["status"] != "pass":
+                            yield {"entry": [a, b, i, j], "detail": item["witness"]}
+
+    for s, t in _PAIRS:
+        witness = next(corner_failures(s, t), None)
         out.append(
-            _report(
+            check(
                 f"{alg} m={m}: corner generators commute with reduction images "
                 f"({_sig(s)}/{_sig(t)})",
-                ok,
+                witness is None,
                 witness,
             )
         )
@@ -1569,22 +1523,15 @@ def _geom_target(alg: AlgebraData, i: int, kind: str, sign: int, K: int, dvals):
         if sign > 0
         else Scalar.q_pow(-ash) * Scalar.u_pow(-1)
     )
-    per_m = {}
+    entries = []
     for a, b, v0 in m0.entries():
         v1, v2 = m1.get(a, b), m2.get(a, b)
         rho = v1 * v0.inverse()
         if not (v2 - rho * rho * v0).is_zero():
             raise LopError(f"mode matrices are not geometric at entry ({a}, {b})")
         rational = pref * v0 * arg**kmin * (ONE - rho * arg).inverse()
-        rational = dvals[a] * rational * dvals[b].inverse()
-        for mm, c in expand_scalar(rational, direction, K).coeffs.items():
-            if not c.is_zero():
-                per_m.setdefault(mm, []).append((a, b, c))
-    return TruncSeries(
-        direction,
-        K,
-        {mm: SparseMat.from_entries(N, N, lst) for mm, lst in per_m.items()},
-    )
+        entries.append((a, b, dvals[a] * rational * dvals[b].inverse()))
+    return _matrix_series(entries, N, direction, K)
 
 
 def _red_bars(type_: str, m: int):

@@ -166,11 +166,11 @@ class GaussFactors:
         return mat_mul(F, HE)
 
 
-def gauss_decompose(L, one, cross_check=False) -> GaussFactors:
+def gauss_decompose(L, one) -> GaussFactors:
     """Gauss decomposition L = F H E by sequential block elimination.
 
-    With cross_check=True every h_i, e_ij, f_ji is recomputed independently
-    through its bordered-quasideterminant formula and compared.
+    Every h_i, e_ij, f_ji is then recomputed independently through its
+    bordered-quasideterminant formula and compared.
     """
     n = _dims(L)
     zero = one - one
@@ -198,8 +198,7 @@ def gauss_decompose(L, one, cross_check=False) -> GaussFactors:
                 if not a[k][j].is_zero():
                     a[i][j] = a[i][j] - F[i][k] * a[k][j]
     out = GaussFactors(L, F, H, E, one)
-    if cross_check:
-        _cross_check(out)
+    _cross_check(out)
     return out
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 
+from .report import check, first_failure
 from .scalars import Scalar, ONE, ZERO
 from .series import ResourceBoundError, TruncSeries, AT_ZERO, expand_scalar, f_series
 from .tensor import (
@@ -218,23 +219,6 @@ def build_catalog(alg) -> RCatalog:
     return _CATALOGS[key]
 
 
-def _report(name, ok, witness=None, **extra):
-    item = {"name": name, "status": "pass" if ok else "fail"}
-    if witness is not None:
-        item["witness"] = witness
-    item.update(extra)
-    return item
-
-
-def _report_zero(name, diff: SparseMat, **extra):
-    """Pass when diff is the zero matrix, else fail with its first nonzero
-    entry as the witness."""
-    if diff.is_zero():
-        return _report(name, True, **extra)
-    i, j, v = diff.first_nonzero()
-    return _report(name, False, {"row": i, "col": j, "value": str(v)}, **extra)
-
-
 def check_ybe(alg) -> list:
     """Exact two-variable Yang-Baxter check for Rbar.
 
@@ -256,8 +240,9 @@ def check_ybe(alg) -> list:
     lhs = a12 * a13 * a23
     rhs = a23 * a13 * a12
     return [
-        _report_zero(
-            f"Yang-Baxter identity for Rbar, {alg} ({N**3}x{N**3})", lhs - rhs,
+        first_failure(
+            f"Yang-Baxter identity for Rbar, {alg} ({N**3}x{N**3})",
+            [({}, lhs - rhs)],
             note="checked exactly for Rbar; the g-prefactors of R cancel",
         )
     ]
@@ -271,7 +256,7 @@ def check_unitarity(alg) -> list:
     prod = cat.rbar_poly * r21_inv_arg
     scale = cat.denpoly * cat.denpoly.subs_u(uinv)
     ident = SparseMat.identity(alg.N**2, scale)
-    return [_report_zero(f"unitarity of Rbar, {alg}", prod - ident)]
+    return [first_failure(f"unitarity of Rbar, {alg}", [({}, prod - ident)])]
 
 
 def crossing_scalar(alg) -> Scalar:
@@ -296,39 +281,35 @@ def check_crossing(alg, order=10) -> list:
     lhs = cat.rbar_poly * d1 * transpose_t1(cat.rbar_poly_subs(uxi), alg) * d1i
     scale = cat.denpoly * cat.denpoly.subs_u(uxi) * crossing_scalar(alg)
     target = SparseMat.identity(N * N).scale(scale)
-    out.append(_report_zero(f"crossing symmetry for Rbar (exact), {alg}", lhs - target))
+    out.append(
+        first_failure(f"crossing symmetry for Rbar (exact), {alg}", [({}, lhs - target)])
+    )
 
     # series crossing for R(u) = f(u) A(u): the matrix part of the product
     # is exact rational, so only the f-factors need series arithmetic
     rp = cat.rpoly()
     prod = rp * d1 * transpose_t1(_mat_subs_u(rp, uxi), alg) * d1i
     scal = alg.xi**2 * Scalar.q_pow(-2)
-    ok = True
-    witness = None
-    m = None
-    for i, j, x in prod.entries():
-        if i != j:
-            ok = False
-            witness = {"row": i, "col": j, "value": str(x)}
-            break
-        if m is None:
-            m = x
-        elif not (x - m).is_zero():
-            ok = False
-            witness = {"row": i, "col": j, "value": str(x)}
-            break
-    if ok:
+    # the product must be m times the identity, m its first entry
+    _, _, m = prod.first_nonzero()
+    witness = next(
+        (
+            {"row": i, "col": j, "value": str(x)}
+            for i, j, x in prod.entries()
+            if i != j or not (x - m).is_zero()
+        ),
+        None,
+    )
+    if witness is None:
         f = f_series(alg, order)
         series = expand_scalar(m, AT_ZERO, order) * f * f.scale_arg(alg.xi)
-        target = TruncSeries.constant(scal, AT_ZERO, order)
-        diff = series - target
-        ok = diff.is_zero()
-        if not ok:
+        diff = series - TruncSeries.constant(scal, AT_ZERO, order)
+        if not diff.is_zero():
             witness = {"series": str(diff)}
     out.append(
-        _report(
+        check(
             f"crossing symmetry for R (series, order {order}), {alg}",
-            ok,
+            witness is None,
             witness,
             scalar=str(scal),
         )
@@ -338,5 +319,7 @@ def check_crossing(alg, order=10) -> list:
     # exact rational identity A(u) = (u - q^-2)(u - xi) Rbar(u)
     u = Scalar.u_pow(1)
     diff = rp - cat.rbar.scale((u - Scalar.q_pow(-2)) * (u - alg.xi))
-    out.append(_report_zero(f"R(u) = g(u) Rbar(u) (exact matrix part), {alg}", diff))
+    out.append(
+        first_failure(f"R(u) = g(u) Rbar(u) (exact matrix part), {alg}", [({}, diff)])
+    )
     return out

@@ -668,17 +668,6 @@ class Scalar:
             lead -= 1
         return lead, out
 
-    def qadic_expand(self, order: int):
-        """First `order`+1 coefficients of the expansion of this Scalar in
-        nonnegative powers of q^(-1): [c_0, c_1, ...] with x = sum c_j q^(-j)."""
-        lead, coeffs = self.qadic_laurent(order)
-        if self._n and lead > 0:
-            raise ScalarError(
-                f"qadic_expand: expansion has a positive power q^{lead}"
-            )
-        pad = [Fraction(0)] * (-lead)
-        return (pad + coeffs)[: order + 1]
-
     # -- printing and parsing ---------------------------------------------
 
     def __str__(self):

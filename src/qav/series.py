@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, ScalarError, ONE, ZERO
+from .report import check
+from .scalars import Scalar, ONE, ZERO
 
 AT_ZERO = "zero"
 AT_INFINITY = "infinity"
@@ -427,6 +428,10 @@ def verify_fu_product(alg, order_u: int, order_qadic: int) -> dict:
     product_side = fu_product(alg, R, order_u)
     solver_side = f_series(alg, order_u)
 
+    def at(lead, coeffs, e):
+        """The coefficient of q^e in sum_j coeffs[j] q^(lead - j)."""
+        return coeffs[lead - e] if 0 <= lead - e <= order_qadic else Fraction(0)
+
     checks = []
     for k in range(order_u + 1):
         a = solver_side.coefficient(k)
@@ -434,22 +439,19 @@ def verify_fu_product(alg, order_u: int, order_qadic: int) -> dict:
         la, ca = a.qadic_laurent(order_qadic)
         lb, cb = b.qadic_laurent(order_qadic)
         # align the two Laurent windows and compare through q^(-order_qadic)
-        ok, witness = True, None
-        lo = -order_qadic
-        for e in range(max(la, lb), lo - 1, -1):
-            va = ca[la - e] if 0 <= la - e <= order_qadic else Fraction(0)
-            vb = cb[lb - e] if 0 <= lb - e <= order_qadic else Fraction(0)
-            if va != vb:
-                ok = False
-                witness = {"q_exponent": e, "solver": str(va), "product": str(vb)}
-                break
-        checks.append(
-            {
-                "name": f"f_{k} q-adic match",
-                "status": "pass" if ok else "fail",
-                **({"witness": witness} if witness else {}),
-            }
+        pairs = (
+            (e, at(la, ca, e), at(lb, cb, e))
+            for e in range(max(la, lb), -order_qadic - 1, -1)
         )
+        witness = next(
+            (
+                {"q_exponent": e, "solver": str(va), "product": str(vb)}
+                for e, va, vb in pairs
+                if va != vb
+            ),
+            None,
+        )
+        checks.append(check(f"f_{k} q-adic match", witness is None, witness))
     return {
         "product_depth": R,
         "factor_count": nfactors,

@@ -155,9 +155,22 @@ def test_resource_bound_exits_2(capsys):
             [suite, "--type", "D", "--rank", "40"]
             for suite in ("unitarity", "crossing", "drinfeld-rep", "f-series")
         ),
+        ["f-series", "--type", "D", "--rank", "3", "--order", "40"],
+        ["drinfeld-rep", "--window", "50"],
     ):
         assert cli.run(["check", *args]) == 2, args
         assert "resource bound" in capsys.readouterr().err
+
+
+def test_relrbar_mixed_relation_reads_only_determined_modes(capsys):
+    """At window 6 and order 10 the bi-modes (-6, -6) .. (6, 6) include
+    totals past the truncation order; (d) skips those instead of reading the
+    unknown modes of h_a^-1 h_b as 0."""
+    rc = cli.run(
+        ["check", "relrbar", "--type", "B", "--rank", "1", "--order", "10",
+         "--window", "6"]
+    )
+    assert rc == 0, capsys.readouterr().out
 
 
 def test_failing_check_exits_1(monkeypatch, capsys):

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from qav import cli, lop, rmatrix
+from qav import cli, liedata, lop, rmatrix, vecrep
 from qav.liedata import AlgebraData
 from qav.scalars import Scalar, ZERO
 from qav.series import AT_ZERO, TruncSeries
@@ -75,3 +75,306 @@ def test_lowrank_fails_on_a_bumped_gauss_mode(monkeypatch, capsys):
     rc, report = _run_json(capsys, "lowrank")
     assert rc == 1
     assert {c["name"]: c["witness"] for c in report if c["status"] == "fail"} == failed
+
+
+# ---------------------------------------------------------------------------
+# complete failing items: every item that fails, its witness with the key
+# order the text report prints, and any extra fields
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty R-matrix catalog and L-operator caches, so that a perturbation
+    reaches only this test's objects."""
+    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
+    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
+
+
+def _fail(name, witness=None, **extra):
+    item = {"name": name, "status": "fail"}
+    if witness is not None:
+        item["witness"] = witness
+    item.update(extra)
+    return item
+
+
+def _assert_fails(tmp_path, capsys, args, expected):
+    """`qav check` exits 1, its JSON report fails exactly the expected items
+    and its text report prints each witness with the expected key order."""
+    dump = tmp_path / "report.json"
+    assert cli.run(["check", *args, "--dump", str(dump)]) == 1
+    text = capsys.readouterr().out.splitlines()
+    checks = json.loads(dump.read_text())["reports"][0]["checks"]
+    assert [c for c in checks if c["status"] == "fail"] == expected
+    lines = [
+        f"  fail    {c['name']}" + (f"  witness: {c['witness']}" if "witness" in c else "")
+        for c in expected
+    ]
+    assert [line for line in text if line.startswith("  fail")] == lines
+
+
+def _gauss(alg, K):
+    return lop.gaussian_generators(lop.build_lops(alg, K))
+
+
+def _bump(ts, K, mode, mat):
+    return ts + TruncSeries(AT_ZERO, K, {mode: mat})
+
+
+def test_relrbar_fails_on_a_bumped_current_mode(fresh_caches, tmp_path, capsys):
+    """e12+ on B1 gets e_21 added at mode 1: the exchange, quadratic and
+    mixed relations of X1+ fail."""
+    alg, K = AlgebraData("B", 1), 6
+    gs = _gauss(alg, K)
+    gs.gp.E[0][1] = _bump(gs.gp.E[0][1], K, 1, SparseMat.unit(alg.N, 1, 0))
+
+    def wit(u, v, row, col, value):
+        return {"u_mode": u, "v_mode": v, "row": row, "col": col, "value": value}
+
+    _assert_fails(
+        tmp_path, capsys,
+        ["relrbar", "--type", "B", "--rank", "1", "--order", "6", "--window", "3"],
+        [
+            _fail("(b) h1+(u) X1+(v) exchange", wit(1, 2, 1, 0, "(-s^4+1)/(s^2)")),
+            _fail("(b) h1-(u) X1+(v) exchange", wit(-4, 1, 1, 0, "(-s^4+1)/(s^22)")),
+            _fail(
+                "(b) h2+(u) X1+(v) exchange",
+                wit(1, 4, 1, 0, "(-s^6+s^4+s^2-1)/(s^2)"),
+            ),
+            _fail(
+                "(b) h2-(u) X1+(v) exchange",
+                wit(
+                    -2, 1, 1, 0,
+                    "(-s^38+s^36+s^34-2*s^32+s^30+2*s^28-2*s^26+s^22-2*s^20"
+                    "+s^18+s^16-2*s^14+s^12+s^10-2*s^8+s^6-s^2+1)/(s^20)",
+                ),
+            ),
+            _fail("(c) quadratic X1+-X1+", wit(-5, 1, 2, 0, "(s^4-1)/(s)")),
+            _fail(
+                "(d) [X1+, X1-] modewise, window 3", wit(1, -3, 0, 0, "(s^4-1)/(s^2)")
+            ),
+        ],
+    )
+
+
+def test_relrbar_serre_fails_on_a_wrong_q_binomial(
+    fresh_caches, monkeypatch, tmp_path, capsys
+):
+    """On D2 every Serre relation has degree 2; a top q-binomial off by one
+    breaks exactly the four Serre items."""
+    qbinom = lop.qbinom
+    monkeypatch.setattr(
+        lop, "qbinom", lambda r, l, ri: qbinom(r, l, ri) + int(l == r)
+    )
+    value = "(s^8-2*s^4+1)/(s^4)"
+
+    def wit(row, col):
+        return {"u_modes": [-2], "v_mode": 0, "row": row, "col": col, "value": value}
+
+    _assert_fails(
+        tmp_path, capsys,
+        ["relrbar", "--type", "D", "--rank", "2", "--order", "4", "--window", "2"],
+        [
+            _fail("(e) Serre X1+/X2+, degree 2, window 2", wit(3, 0)),
+            _fail("(e) Serre X1-/X2-, degree 2, window 2", wit(0, 3)),
+            _fail("(e) Serre X2+/X1+, degree 2, window 2", wit(3, 0)),
+            _fail("(e) Serre X2-/X1-, degree 2, window 2", wit(0, 3)),
+        ],
+    )
+
+
+def test_psi_fails_only_the_image_match_on_a_bumped_gauss_entry(
+    fresh_caches, tmp_path, capsys
+):
+    alg, K = AlgebraData("D", 2), 4
+    gs = _gauss(alg, K)
+    gs.gp.E[1][2] = _bump(gs.gp.E[1][2], K, 1, SparseMat.unit(alg.N, 0, 0))
+    _assert_fails(
+        tmp_path, capsys,
+        ["psi", "--type", "D", "--rank", "2", "--order", "4"],
+        [
+            _fail(
+                "D2 m=1: reduction images match trailing blocks (+)",
+                {"row": 2, "col": 3},
+            )
+        ],
+    )
+
+
+def test_zseries_fails_on_a_bumped_lop_mode(fresh_caches, tmp_path, capsys):
+    """Mode 2 of l12+ on B1 gets e_11 added after the Gauss factors are
+    built: the central series is no longer scalar and disagrees with the
+    diagonal-series product and the crossing scalar."""
+    alg, K = AlgebraData("B", 1), 4
+    lops = lop.build_lops(alg, K)
+    lop.gaussian_generators(lops)
+    lops.lp[0][1] = _bump(lops.lp[0][1], K, 2, SparseMat.unit(alg.N, 0, 0))
+    _assert_fails(
+        tmp_path, capsys,
+        ["zseries", "--type", "B", "--rank", "1", "--order", "4"],
+        [
+            _fail("B1 z+: off-diagonal entries vanish", {"row": 0, "col": 1}),
+            _fail("B1 z+: diagonal entries agree"),
+            _fail(
+                "B1 z+: coefficients are scalar multiples of the identity",
+                {"exponent": 3},
+            ),
+            _fail(
+                "B1 z+ equals the diagonal-series product",
+                {
+                    "exponent": 3,
+                    "row": 0,
+                    "col": 0,
+                    "value": "(s^12+s^10-s^6-2*s^4+1)/(s^6)",
+                },
+            ),
+            _fail(
+                "B1 z+ matches the expanded crossing scalar (normalized)",
+                {"exponent": 3, "value": "(-s^12-s^10+s^6+2*s^4-1)/(s^6)"},
+            ),
+        ],
+    )
+
+
+def test_main_structure_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, capsys):
+    alg, K = AlgebraData("B", 1), 4
+    gs = _gauss(alg, K)
+    gs.gp.E[0][1] = _bump(gs.gp.E[0][1], K, 1, SparseMat.unit(alg.N, 1, 0))
+    _assert_fails(
+        tmp_path, capsys,
+        ["main-structure", "--type", "B", "--rank", "1", "--order", "4"],
+        [
+            _fail(
+                "B1: e[1,2]+ matches the geometric closed form",
+                {"exponent": 1, "row": 1, "col": 0, "value": "1"},
+            ),
+            _fail(
+                "B1: E+ mirror entry (2,3)",
+                {"exponent": 1, "row": 1, "col": 0, "value": "s^3"},
+            ),
+            _fail(
+                "B1 reduced rank 1 central series (+): off-diagonal entries vanish",
+                {"row": 0, "col": 1},
+            ),
+            _fail("B1 reduced rank 1 central series (+): diagonal entries agree"),
+            _fail(
+                "B1: h[1]+(u xi_red) = h[3]+(u)^-1 z_red_1(u)",
+                {"exponent": 2, "row": 1, "col": 1, "value": "(-s^4+1)/(s^2)"},
+            ),
+        ],
+    )
+
+
+def test_eiprei_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, capsys):
+    alg, K = AlgebraData("D", 2), 4
+    gs = _gauss(alg, K)
+    gs.gp.E[0][1] = _bump(gs.gp.E[0][1], K, 1, SparseMat.unit(alg.N, 1, 0))
+    _assert_fails(
+        tmp_path, capsys,
+        ["eiprei", "--type", "D", "--rank", "2", "--order", "4"],
+        [
+            _fail(
+                "D2: e[3,4]+(u) + e[1,2]+(u xi q^2) = 0",
+                {"exponent": 1, "row": 1, "col": 0, "value": "1"},
+            )
+        ],
+    )
+
+
+def test_crossing_series_fails_on_a_bumped_r_entry(fresh_caches, tmp_path, capsys):
+    """R on B1 gets u added at (_ROW, _COL): only the identities built from
+    A(u), whose matrix part comes from R, fail."""
+    cat = rmatrix.build_catalog(AlgebraData("B", 1))
+    row = cat.R.rows.setdefault(_ROW, {})
+    row[_COL] = row.get(_COL, ZERO) + Scalar.u_pow(1)
+    _assert_fails(
+        tmp_path, capsys,
+        ["crossing", "--type", "B", "--rank", "1", "--order", "4"],
+        [
+            _fail(
+                "crossing symmetry for R (series, order 4), B1",
+                {
+                    "row": 1,
+                    "col": 1,
+                    "value": "(s^12*u^2-s^8*u^4-s^10*u^2-s^10*u+s^6*u^4+s^4*u^4"
+                    "+2*s^6*u^2-2*s^4*u^3+2*s^4*u^2+s^6-2*s^2*u^3-2*s^4*u"
+                    "+s^2*u^2-s^2*u+u^2)/(s^14)",
+                },
+                scalar="(1)/(s^8)",
+            ),
+            _fail(
+                "R(u) = g(u) Rbar(u) (exact matrix part), B1",
+                {"row": 1, "col": 3, "value": "(s^2*u^3-s^2*u^2-u^2+u)/(s^4)"},
+            ),
+        ],
+    )
+
+
+def test_drinfeld_rep_fails_on_a_bumped_x_plus_mode(monkeypatch, tmp_path, capsys):
+    """x+_{1,1} on B1 gets e_11 added: every relation that reads it fails at
+    its first instance, and each item keeps its instance count."""
+    x_plus = vecrep.x_plus
+
+    def bumped(alg, i, m):
+        x = x_plus(alg, i, m)
+        return x + SparseMat.unit(alg.N, 0, 0) if (i, m) == (1, 1) else x
+
+    monkeypatch.setattr(vecrep, "x_plus", bumped)
+
+    def wit(instance, row, col, value):
+        return {"instance": instance, "row": row, "col": col, "value": value}
+
+    _assert_fails(
+        tmp_path, capsys,
+        ["drinfeld-rep", "--type", "B", "--rank", "1", "--window", "2"],
+        [
+            _fail(
+                "k_i x_{j,m} k_i^-1 = q_i^(+-A_ij) x_{j,m}, B1 (window 2)",
+                wit("i=1,j=1,m=1,sign=+1", 0, 0, "-s^2+1"),
+                instances=10,
+            ),
+            _fail(
+                "[a_{i,m}, x_{j,l}] = +-([m A_ij]_{q_i}/m) x_{j,m+l}, B1 (window 2)",
+                wit("i=1,j=1,m=-1,l=2,sign=+1", 0, 0, "(-s^2-1)/(s)"),
+                instances=40,
+            ),
+            _fail(
+                "quadratic x-x relation, B1 (window 2)",
+                wit("i=1,j=1,m=-2,l=0,sign=+1", 1, 0, "s^6*w"),
+                instances=40,
+            ),
+            _fail(
+                "[x+_{i,m}, x-_{j,l}] = delta_ij (psi - phi)/(q_i - 1/q_i), "
+                "B1 (window 2)",
+                wit("i=1,j=1,m=1,l=-2", 0, 1, "-s^4*w"),
+                instances=25,
+            ),
+            _fail(
+                "w-factor structure of the images, B1 (window 2)",
+                wit("x+_{1,1}", 0, 0, "1"),
+                instances=14,
+            ),
+        ],
+    )
+
+
+def test_cartan_fails_on_a_wrong_closed_form(monkeypatch, tmp_path, capsys):
+    closed_form = liedata.btilde_q_closed_form
+
+    def bumped(alg):
+        out = closed_form(alg)
+        out[0][0] = out[0][0] + 1
+        return out
+
+    monkeypatch.setattr(liedata, "btilde_q_closed_form", bumped)
+    _assert_fails(
+        tmp_path, capsys,
+        ["cartan", "--type", "B", "--rank", "1"],
+        [
+            _fail(
+                "B~(q) matches closed form and is symmetric",
+                "B~(q) closed form mismatch at (1,1): inverse=1 closed=2",
+            )
+        ],
+    )
