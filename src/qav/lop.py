@@ -312,56 +312,64 @@ class GaussianSeries:
         return self.g(sign).f(j, i)
 
 
+def _reassembly(name, lops, gp, gm) -> dict:
+    """The check item of F*H*E = L for both signs, with the first differing
+    coefficient as the witness."""
+
+    def diffs():
+        for sign, g, L in (("+", gp, lops.lp), ("-", gm, lops.lm)):
+            for i, row in enumerate(g.product()):
+                for j, x in enumerate(row):
+                    d = x - L[i][j]
+                    for m in sorted(d.coeffs):
+                        labels = {"sign": sign, "entry": [i + 1, j + 1]}
+                        yield {**labels, "exponent": m * d.sign}, d.coeffs[m]
+
+    return first_failure(name, diffs())
+
+
 def gaussian_generators(lops: LOperators) -> GaussianSeries:
     """Gauss-decompose both operator matrices (with the independent
     quasideterminant cross-check) and verify the reassembly; memoised on
     lops."""
     if lops.gauss is not None:
         return lops.gauss
-    N, K = lops.N, lops.K
-    ident = SparseMat.identity(N)
+    K = lops.K
+    ident = SparseMat.identity(lops.N)
     gp = gauss_decompose(lops.lp, TruncSeries.constant(ident, AT_ZERO, K))
     gm = gauss_decompose(lops.lm, TruncSeries.constant(ident, AT_INFINITY, K))
-    for g, L in ((gp, lops.lp), (gm, lops.lm)):
-        prod = g.product()
-        for i in range(N):
-            for j in range(N):
-                if not (prod[i][j] - L[i][j]).is_zero():
-                    raise LopError(
-                        f"Gauss reassembly failed at entry ({i + 1}, {j + 1})"
-                    )
+    item = _reassembly("Gauss reassembly", lops, gp, gm)
+    if item["status"] == "fail":
+        raise LopError(f"Gauss reassembly failed at {item['witness']}")
     lops.gauss = GaussianSeries(lops, gp, gm)
     return lops.gauss
 
 
 def check_gauss(alg: AlgebraData, K: int = 10) -> list:
-    """Reassembly F*H*E = L for both signs, the quasideterminant cross-path,
-    and a sensitivity probe: perturbing one Gauss-factor coefficient must
-    break the reassembly."""
+    """Reassembly F*H*E = L for both signs, compared again on the memoised
+    factors, the quasideterminant cross-path, and a sensitivity probe:
+    perturbing one Gauss-factor coefficient must break the reassembly."""
     lops = build_lops(alg, K)
     gs = gaussian_generators(lops)  # raises on reassembly failure
-    checks = [
-        check(f"Gauss reassembly F H E = L, both signs, {alg}", True),
+    name = f"Gauss reassembly F H E = L, both signs, {alg}"
+    # perturbation probe: bump one coefficient of F and re-multiply
+    N, g = lops.N, gs.gp
+    F2 = [row[:] for row in g.F]
+    F2[N - 1][0] = F2[N - 1][0] + TruncSeries(
+        AT_ZERO, K, {1: SparseMat.unit(N, N - 1, 0)}
+    )
+    probe = _reassembly(name, lops, GaussFactors(g.L, F2, g.H, g.E, g.one), gs.gm)
+    return [
+        _reassembly(name, lops, gs.gp, gs.gm),
+        # verified once, when gaussian_generators built the memoised factors
         check(
             f"quasideterminant cross-path agrees with block elimination, {alg}", True
         ),
+        check(
+            f"single-entry perturbation of F breaks reassembly, {alg}",
+            probe["status"] == "fail",
+        ),
     ]
-    # perturbation probe: bump one coefficient of F and re-multiply
-    N = lops.N
-    g = gs.gp
-    F2 = [row[:] for row in g.F]
-    bump = TruncSeries(AT_ZERO, K, {1: SparseMat.unit(N, N - 1, 0)})
-    F2[N - 1][0] = F2[N - 1][0] + bump
-    prod = GaussFactors(lops.lp, F2, g.H, g.E, g.one).product()
-    broken = any(
-        not (prod[i][j] - lops.lp[i][j]).is_zero()
-        for i in range(N)
-        for j in range(N)
-    )
-    checks.append(
-        check(f"single-entry perturbation of F breaks reassembly, {alg}", broken)
-    )
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -436,38 +444,32 @@ def _bivar_zero(name, N, K, terms, clearing=ONE) -> dict:
         ahi = min(ahi, U.hi + imin)
         blo = max(blo, V.lo + jmax)
         bhi = min(bhi, V.hi + jmin)
-        expanded.append((poly, U, V, order))
+        expanded.append(([(k, poly[k]) for k in keys], U, V, order))
     if alo > ahi or blo > bhi:
         raise LopError(f"{name}: empty determined window")
-    zero = SparseMat.zeros(N, N)
-    # bi-modes (alpha, beta) and (alpha + 1, beta + 1) share most products
+    # bi-modes (alpha, beta) and (alpha + 1, beta + 1) share most products;
+    # a zero product is memoised as None
     products = {}
 
     def total(alpha, beta):
-        acc = zero
-        for t, (poly, U, V, order) in enumerate(expanded):
-            for (i, j), c in poly.items():
-                if c.is_zero():
-                    continue
+        prods = []
+        for t, (coeffs, U, V, order) in enumerate(expanded):
+            for (i, j), c in coeffs:
                 key = (t, alpha - i, beta - j)
-                prod = products.get(key)
-                if prod is None:
+                if key in products:
+                    prod = products[key]
+                else:
                     a = U.mat(alpha - i)
                     b = V.mat(beta - j)
-                    if a.is_zero() or b.is_zero():
-                        prod = zero
-                    else:
+                    prod = None
+                    if not (a.is_zero() or b.is_zero()):
                         prod = a * b if order == "uv" else b * a
+                        if prod.is_zero():
+                            prod = None
                     products[key] = prod
-                if prod.is_zero():
-                    continue
-                if c == ONE:
-                    acc = acc + prod
-                elif c == _MONE:
-                    acc = acc - prod
-                else:
-                    acc = acc + prod.scale(c)
-        return acc
+                if prod is not None:
+                    prods.append((c, prod, None))
+        return SparseMat.sum_of_products(prods, N, N)
 
     modes = [(a, b) for a in range(alo, ahi + 1) for b in range(blo, bhi + 1)]
     item = first_failure(

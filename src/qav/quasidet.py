@@ -91,6 +91,7 @@ def quasideterminant(A, i, j, one):
 
     r is row i of A with the (i,j) entry deleted, c is column j with the
     (i,j) entry deleted, and A^ij is A with row i and column j deleted.
+    The product is formed as r ((A^ij)^-1 c), by fused dots.
     """
     n = _dims(A)
     if not (0 <= i < n and 0 <= j < n):
@@ -103,26 +104,27 @@ def quasideterminant(A, i, j, one):
     inv = ring_inverse(sub, one)
     r_vec = [A[i][c] for c in cols]
     c_vec = [A[r][j] for r in rows]
+    inv_c = [_dot(list(zip(row, c_vec))) for row in inv]
+    return A[i][j] - _dot(list(zip(r_vec, inv_c)))
+
+
+def _dot(pairs):
+    """The sum of a*b over a nonempty list of pairs: the entry type's fused
+    dot where it has one (Scalar, SparseMat, TruncSeries), else a left fold."""
+    dot = getattr(type(pairs[0][0]), "dot", None)
+    if dot is not None:
+        return dot(pairs)
     acc = None
-    for a in range(n - 1):
-        for b in range(n - 1):
-            term = r_vec[a] * inv[a][b] * c_vec[b]
-            acc = term if acc is None else acc + term
-    return A[i][j] - acc
+    for a, b in pairs:
+        acc = a * b if acc is None else acc + a * b
+    return acc
 
 
 def mat_mul(A, B):
-    n, m, p = len(A), len(B[0]), len(B)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, p):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    return [
+        [_dot([(a, b[j]) for a, b in zip(row, B)]) for j in range(len(B[0]))]
+        for row in A
+    ]
 
 
 class GaussFactors:

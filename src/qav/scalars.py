@@ -41,6 +41,18 @@ path, inverse(), the constructor Scalar(num, den) and parsing are the only
 places sympy is called.  Whether the numerator has w and the shape of the
 denominator are worked out once per Scalar (Scalar._facts).
 
+Sums of products.  The checks are vanishing sums of products, and
+Scalar.dot(pairs) forms a whole sum of x*y at once (after Monagan and
+Pearce, CASC 2007: one accumulator, one normalization).  The Laurent
+products share one denominator, lcm(c) * s^max(k); each product's terms are
+multiplied straight into one dict, shifted by the s-power and scaled by the
+integer its own denominator lacks (a product of two w-linear numerators is
+formed and w-reduced first, which raises its s-power by one).  Zero
+coefficients are dropped once and _laurent cancels once.  A product with a
+true-polynomial denominator takes the general path through * and +, and is
+added at the end.  SparseMat, TruncSeries and the quasideterminants form
+their entries through this one kernel.
+
 The general path's gcds (_gcd_fast) take one of three routes, which return
 the same polynomial: the gcd over Z with a positive leading coefficient,
 unique because the gcd is unique up to sign.  Equal arguments and monomials
@@ -137,32 +149,6 @@ def _pmul(a, b):
     if all(out.values()):
         return out
     return {k: c for k, c in out.items() if c}
-
-
-def _padd(a, b):
-    """Sum of two packed polynomials."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = dict(a)
-    get = out.get
-    for k, c in b.items():
-        out[k] = get(k, 0) + c
-    if all(out.values()):
-        return out
-    return {k: c for k, c in out.items() if c}
-
-
-def _rescale(p, sh, m):
-    """p * m * s^e for sh = e * _S1 with e >= 0."""
-    if sh:
-        if max(p) + sh >= _LIMIT:
-            _too_wide()
-        if m == 1:
-            return {k + sh: c for k, c in p.items()}
-        return {k + sh: c * m for k, c in p.items()}
-    if m == 1:
-        return p
-    return {k: c * m for k, c in p.items()}
 
 
 def _w2_reduce(p):
@@ -487,16 +473,8 @@ class Scalar:
         w1, k1, c1 = self._f or self._facts()
         w2, k2, c2 = other._f or other._facts()
         if k1 >= 0 and k2 >= 0:
-            # Laurent path: bring both numerators over (lcm c)*s^(max k)
-            k = max(k1, k2)
-            c = c1 if c1 == c2 else lcm(c1, c2)
-            num = _padd(
-                _rescale(self._n, (k - k1) * _S1, c // c1),
-                _rescale(other._n, (k - k2) * _S1, c // c2),
-            )
-            if not num:
-                return ZERO
-            return _laurent(num, k, c, None if w1 or w2 else False)
+            # Laurent path: the sum of products self*1 + other*1
+            return Scalar.dot([(self, ONE), (other, ONE)])
         if self._d == other._d:
             d1 = self.den
             num = self.num + other.num
@@ -538,6 +516,56 @@ class Scalar:
 
     def __neg__(self):
         return _new({k: -c for k, c in self._n.items()}, self._d, self._f)
+
+    @staticmethod
+    def dot(pairs) -> "Scalar":
+        """The sum of x*y over a list of Scalar pairs (x, y), in canonical
+        form: see "Sums of products" in the module docstring."""
+        if len(pairs) == 1:
+            x, y = pairs[0]
+            return x * y
+        terms = []  # (n1, n2, k, c, ww): the product n1*n2 / (c*s^k)
+        rest = None  # the sum of the products off the Laurent path
+        k, c = 0, 1  # the common denominator c*s^k
+        for x, y in pairs:
+            n1, n2 = x._n, y._n
+            if not n1 or not n2:
+                continue
+            w1, k1, c1 = x._f or x._facts()
+            w2, k2, c2 = y._f or y._facts()
+            if k1 < 0 or k2 < 0:
+                rest = x * y if rest is None else rest + x * y
+                continue
+            ww = w1 and w2  # the w^2 rewrite multiplies the denominator by s
+            kt, ct = k1 + k2 + ww, c1 * c2
+            terms.append((n1, n2, kt, ct, ww))
+            if kt > k:
+                k = kt
+            if c % ct:
+                c = lcm(c, ct)
+        num = {}
+        get = num.get
+        for n1, n2, kt, ct, ww in terms:
+            sh = (k - kt) * _S1
+            m = c // ct
+            if ww:
+                n1, n2 = _w2_reduce(_pmul(n1, n2)), _D1
+            elif len(n1) < len(n2):
+                n1, n2 = n2, n1
+            for kb, cb in n2.items():
+                kb += sh
+                cb *= m
+                for ka, ca in n1.items():
+                    key = ka + kb
+                    num[key] = get(key, 0) + ca * cb
+        # every key made above is in num, and a field that overflows makes
+        # its key reach _LIMIT (the total degree bounds every field)
+        if num and max(num) >= _LIMIT:
+            _too_wide()
+        if not all(num.values()):
+            num = {key: x for key, x in num.items() if x}
+        out = _laurent(num, k, c, None) if num else ZERO
+        return out if rest is None else out + rest
 
     def __mul__(self, other):
         if type(other) is not Scalar:

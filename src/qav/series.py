@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .quasidet import _dot
 from .report import check
 from .scalars import Scalar, ONE, ZERO
 
@@ -122,19 +123,26 @@ class TruncSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        order = self._check(other)
-        out = {}
-        for ma, ca in self.coeffs.items():
-            if ma > order:
-                continue
-            for mb, cb in other.coeffs.items():
-                m = ma + mb
-                if m > order:
+        return TruncSeries.dot([(self, other)])
+
+    @staticmethod
+    def dot(pairs) -> "TruncSeries":
+        """The sum of a*b over a nonempty list of series pairs (a, b):
+        coefficient m is one fused sum over every (ca, cb) with ma + mb = m."""
+        first = pairs[0][0]
+        order = min(min(first._check(a), a._check(b)) for a, b in pairs)
+        sums = {}  # m -> the pairs of coefficient m
+        for a, b in pairs:
+            for ma, ca in a.coeffs.items():
+                if ma > order:
                     continue
-                prod = ca * cb
-                acc = out.get(m)
-                out[m] = prod if acc is None else acc + prod
-        return TruncSeries(self.direction, order, out)
+                for mb, cb in b.coeffs.items():
+                    m = ma + mb
+                    if m <= order:
+                        sums.setdefault(m, []).append((ca, cb))
+        return TruncSeries(
+            first.direction, order, {m: _dot(p) for m, p in sums.items()}
+        )
 
     def inverse(self) -> "TruncSeries":
         c0 = self.coeffs.get(0)
@@ -143,16 +151,13 @@ class TruncSeries:
         b0 = c0.inverse()
         out = {0: b0}
         for m in range(1, self.order + 1):
-            acc = None
-            for j in range(1, m + 1):
-                cj = self.coeffs.get(j)
-                bj = out.get(m - j)
-                if cj is None or bj is None:
-                    continue
-                term = cj * bj
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                out[m] = -(b0 * acc)
+            pairs = [
+                (cj, out[m - j])
+                for j, cj in self.coeffs.items()
+                if 0 < j <= m and m - j in out
+            ]
+            if pairs:
+                out[m] = -(b0 * _dot(pairs))
         return TruncSeries(self.direction, self.order, out)
 
     def scale_arg(self, c: Scalar) -> "TruncSeries":

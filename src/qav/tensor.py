@@ -1,6 +1,7 @@
-"""Sparse exact linear algebra: matrices over Scalars, truncated series, or
-matrix-valued rings, plus the tensor-leg bookkeeping used by the R-matrix
-checks (Kronecker embedding, the weighted transposition t, the matrix D).
+"""Sparse exact linear algebra over Scalars, plus the tensor-leg bookkeeping
+used by the R-matrix checks (Kronecker embedding, the weighted transposition
+t, the matrix D).  Every matrix product and sum of products goes through
+SparseMat.sum_of_products, which forms each entry with one Scalar.dot.
 
 Index convention, fixed once for the whole package: the basis of
 C^N (x) C^N is ordered with the FIRST tensor factor most significant, so a
@@ -8,6 +9,8 @@ pair (i, a) of 1-based indices maps to row (i-1)*N + (a-1) (0-based).
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .quasidet import SingularPivotError, ring_inverse
 from .scalars import Scalar, ONE, ZERO
@@ -131,21 +134,63 @@ class SparseMat:
     def __mul__(self, other):
         if not isinstance(other, SparseMat):
             return NotImplemented
-        if self.ncols != other.nrows:
-            raise MatrixError("inner dimension mismatch")
+        return SparseMat.sum_of_products(
+            [(None, self, other)], self.nrows, other.ncols
+        )
+
+    @staticmethod
+    def dot(pairs) -> "SparseMat":
+        """The sum of A*B over a nonempty list of matrix pairs (A, B)."""
+        return SparseMat.sum_of_products(
+            [(None, a, b) for a, b in pairs], pairs[0][0].nrows, pairs[0][1].ncols
+        )
+
+    @staticmethod
+    def sum_of_products(terms, nrows, ncols) -> "SparseMat":
+        """The nrows x ncols matrix sum of c*A*B over the triples (c, A, B)
+        of terms, with c = None read as 1 and B = None as the identity.
+        Row by row, every entry collects its (x, y) pairs and is formed by
+        one Scalar.dot, so only nonzero entries are ever stored."""
+        live = []  # (c, rows of A, rows of B or None) of the nonzero terms
+        for c, a, b in terms:
+            if b is None:
+                shape = (a.nrows, a.ncols)
+            elif a.ncols != b.nrows:
+                raise MatrixError("inner dimension mismatch")
+            else:
+                shape = (a.nrows, b.ncols)
+            if shape != (nrows, ncols):
+                raise MatrixError("shape mismatch")
+            if c is None or not c.is_zero():
+                live.append((c, a.rows, None if b is None else b.rows))
         rows = {}
-        for i, arow in self.rows.items():
-            out = {}
-            for k, a in arow.items():
-                brow = other.rows.get(k)
-                if not brow:
+        dot = Scalar.dot
+        for i in dict.fromkeys(chain.from_iterable(t[1] for t in live)):
+            sums = {}  # j -> the pairs of entry (i, j)
+            for c, arows, brows in live:
+                arow = arows.get(i)
+                if not arow:
                     continue
-                for j, b in brow.items():
-                    prod = a * b
-                    out[j] = out[j] + prod if j in out else prod
+                if brows is None:
+                    for j, x in arow.items():
+                        sums.setdefault(j, []).append((x, ONE) if c is None else (c, x))
+                    continue
+                for k, x in arow.items():
+                    brow = brows.get(k)
+                    if not brow:
+                        continue
+                    if c is not None:
+                        x = c * x
+                    for j, y in brow.items():
+                        sums.setdefault(j, []).append((x, y))
+            out = {}
+            for j, pairs in sums.items():
+                x = dot(pairs)
+                if not x.is_zero():
+                    out[j] = x
             if out:
                 rows[i] = out
-        return SparseMat(self.nrows, other.ncols, rows)
+        return SparseMat._nonzero(nrows, ncols, rows)
 
     def scale(self, c) -> "SparseMat":
         """Left-multiply every entry by c."""

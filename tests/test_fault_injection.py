@@ -282,6 +282,31 @@ def test_eiprei_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, capsys):
     )
 
 
+def test_gauss_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, capsys):
+    """e12+ on B1 gets e_21 added at mode 1 after the factors are built: the
+    reassembly fails at aux entry (1, 2), and the probe still breaks it."""
+    alg, K = AlgebraData("B", 1), 4
+    gs = _gauss(alg, K)
+    gs.gp.E[0][1] = _bump(gs.gp.E[0][1], K, 1, SparseMat.unit(alg.N, 1, 0))
+    _assert_fails(
+        tmp_path, capsys,
+        ["gauss", "--type", "B", "--rank", "1", "--order", "4"],
+        [
+            _fail(
+                "Gauss reassembly F H E = L, both signs, B1",
+                {
+                    "sign": "+",
+                    "entry": [1, 2],
+                    "exponent": 1,
+                    "row": 1,
+                    "col": 0,
+                    "value": "1",
+                },
+            )
+        ],
+    )
+
+
 def test_crossing_series_fails_on_a_bumped_r_entry(fresh_caches, tmp_path, capsys):
     """R on B1 gets u added at (_ROW, _COL): only the identities built from
     A(u), whose matrix part comes from R, fail."""

@@ -3,6 +3,7 @@ low truncation order; the full order-10 runs live in test_acceptance)."""
 
 import pytest
 
+from qav import cli, lop, rmatrix
 from qav.liedata import AlgebraData
 from qav.lop import (
     LOperators,
@@ -154,3 +155,40 @@ def test_psi_consistency_d2(d2):
 def test_main_structure_b1(b1):
     checks = check_main_theorem_structure(b1, K)
     assert all_pass(checks), failures(checks)
+
+
+def test_fused_sums_add_no_matrices(monkeypatch):
+    """_bivar_zero and the products of matrix series form every entry with
+    one fused dot, so during relrbar on B1 neither adds two SparseMats."""
+    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
+    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
+    inside = [0]
+    calls = {"_bivar_zero": 0, "__mul__": 0, "inverse": 0, "add": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            inside[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(lop, "_bivar_zero")
+    counted(TruncSeries, "__mul__")
+    counted(TruncSeries, "inverse")
+    add = SparseMat.__add__
+
+    def counted_add(a, b):
+        calls["add"] += inside[0] > 0
+        return add(a, b)
+
+    monkeypatch.setattr(SparseMat, "__add__", counted_add)
+    args = ["relrbar", "--type", "B", "--rank", "1", "--order", "4"]
+    assert cli.run(["check", *args, "--format", "json"]) == 0
+    assert calls["_bivar_zero"] and calls["__mul__"] and calls["inverse"]
+    assert calls["add"] == 0

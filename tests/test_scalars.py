@@ -463,6 +463,75 @@ def test_packed_kernel_matches_sympy_arithmetic(a, b):
     assert hash(a * b) == hash(b * a)
 
 
+def _folded(pairs):
+    """The sum of products as a left fold of * and +."""
+    acc = ZERO
+    for x, y in pairs:
+        acc = acc + x * y
+    return acc
+
+
+_sw = Scalar.w()
+_half, _third = Scalar.fraction(1, 2), Scalar.fraction(1, 3)
+_DOT_CASES = [
+    [],
+    # w-linear times w-linear: the w^2 rewrite raises the s-power by one
+    [(_sw, _sw * Scalar.s_pow(1)), (_half * _sw, _sw), (Scalar.u_pow(1), _third)],
+    # distinct c: the numerators meet over lcm(2, 3, 5) * s^2
+    [
+        (_half * Scalar.s_pow(-1), Scalar.u_pow(1)),
+        (_third, Scalar.v_pow(1)),
+        (Scalar.fraction(1, 5) * Scalar.s_pow(-1), Scalar.s_pow(-1)),
+    ],
+    # a sum that cancels to ZERO
+    [
+        (Scalar.u_pow(1) * _half, Scalar.s_pow(-1)),
+        (-Scalar.u_pow(1), _half * Scalar.s_pow(-1)),
+    ],
+    # a true-polynomial denominator takes the fold beside the Laurent sum
+    [(Scalar.parse("(u)/(s^2+1)"), _sw), (_half, Scalar.s_pow(3)), (_sw, _third)],
+]
+
+
+@st.composite
+def dot_pairs(draw):
+    """Pairs of field operands; sometimes followed by the negated pairs, so
+    that the whole sum cancels."""
+    pairs = draw(st.lists(st.tuples(field_operands(), field_operands()), max_size=5))
+    if draw(st.booleans()):
+        pairs += [(-x, y) for x, y in pairs]
+    return pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(dot_pairs())
+@example(_DOT_CASES[0])
+@example(_DOT_CASES[1])
+@example(_DOT_CASES[2])
+@example(_DOT_CASES[3])
+@example(_DOT_CASES[4])
+def test_dot_matches_the_folded_sum(pairs):
+    got, want = Scalar.dot(pairs), _folded(pairs)
+    assert (got._n, got._d, str(got)) == (want._n, want._d, str(want))
+    assert all(got._n.values())
+    # and a reference by sympy alone, which shares nothing with the kernel
+    num, den = _R.zero, _R.one
+    for x, y in pairs:
+        num, den = num * x.den * y.den + x.num * y.num * den, den * x.den * y.den
+    p, q = _sympy_canonical(num, den)
+    assert (got.num, got.den) == (p, q)
+    assert str(got) == _sympy_str(p, q)
+
+
+def test_dot_cases_reach_every_path():
+    assert Scalar.dot(_DOT_CASES[0]) == ZERO
+    assert Scalar.dot(_DOT_CASES[1]) == _folded(_DOT_CASES[1]) != ZERO
+    assert str(Scalar.dot(_DOT_CASES[2])) == "(10*s^2*v+15*s*u+6)/(30*s^2)"
+    assert Scalar.dot(_DOT_CASES[3]) == ZERO
+    got = str(Scalar.dot(_DOT_CASES[4]))
+    assert got == "(3*s^5+2*s^2*w+3*s^3+6*u*w+2*w)/(6*s^2+6)"
+
+
 def test_packed_key_order_is_grlex():
     # total degree first, then w > v > u > s: sympy's order of _RING
     mons = [m for m in itertools.product(range(3), repeat=4) if sum(m) <= 3]
@@ -488,3 +557,9 @@ def test_exponent_past_the_field_width_raises():
         Scalar.s_pow(top) + Scalar.s_pow(-1)  # aligning over s shifts up
     with pytest.raises(ScalarError):
         Scalar(_s ** (top + 1))
+    # a sum of products aligns over the largest s-power, shifting up
+    assert str(Scalar.dot([(Scalar.s_pow(top - 1), ONE), (ONE, Scalar.s_pow(-1))]))
+    with pytest.raises(ScalarError):
+        Scalar.dot([(Scalar.s_pow(top), ONE), (ONE, Scalar.s_pow(-1))])
+    with pytest.raises(ScalarError):
+        Scalar.dot([(Scalar.u_pow(top), _half), (ONE, Scalar.s_pow(-1))])

@@ -22,6 +22,7 @@ from qav.series import (
     verify_fu_product,
 )
 from qav.liedata import AlgebraData
+from qav.tensor import SparseMat
 
 K = 8
 
@@ -32,10 +33,17 @@ _coef = st.one_of(
 )
 
 
+# coefficients over distinct denominators c*s^k
+_frac_coef = st.one_of(
+    _coef,
+    st.sampled_from([Scalar.fraction(1, 2), Scalar.fraction(-2, 3) * Scalar.s_pow(-1)]),
+)
+
+
 @st.composite
-def trunc_series(draw, direction=AT_ZERO, order=5, unit_constant=False):
+def trunc_series(draw, direction=AT_ZERO, order=5, unit_constant=False, coef=_coef):
     coeffs = {
-        m: draw(_coef)
+        m: draw(coef)
         for m in draw(st.lists(st.integers(0, order), max_size=4, unique=True))
     }
     if unit_constant:
@@ -154,6 +162,101 @@ def test_g_series_relates_to_f_series():
     u = Scalar.u_pow(1)
     poly = expand_scalar((u - Scalar.q_pow(-2)) * (u - alg.xi), AT_ZERO, K)
     assert g_series(alg, K) == f_series(alg, K) * poly
+
+
+# -- fused products against the folded coefficient sums ------------------------
+
+
+def _folded_dot(pairs):
+    """The sum of a*b, each coefficient a left fold of * and +."""
+    order = min(min(a.order, b.order) for a, b in pairs)
+    out = {}
+    for a, b in pairs:
+        for ma, ca in a.coeffs.items():
+            for mb, cb in b.coeffs.items():
+                m = ma + mb
+                if m <= order:
+                    out[m] = ca * cb if m not in out else out[m] + ca * cb
+    return TruncSeries(pairs[0][0].direction, order, out)
+
+
+def _folded_inverse(f):
+    b0 = f.coeffs[0].inverse()
+    out = {0: b0}
+    for m in range(1, f.order + 1):
+        acc = None
+        for j in range(1, m + 1):
+            cj, bj = f.coeffs.get(j), out.get(m - j)
+            if cj is not None and bj is not None:
+                acc = cj * bj if acc is None else acc + cj * bj
+        if acc is not None:
+            out[m] = -(b0 * acc)
+    return TruncSeries(f.direction, f.order, out)
+
+
+_mat_units = st.sampled_from(
+    [
+        SparseMat.identity(2),
+        SparseMat.from_entries(2, 2, [(0, 0, Scalar.s_pow(1)), (1, 1, -ONE)]),
+        SparseMat.from_entries(2, 2, [(0, 0, ONE), (0, 1, Scalar.w()), (1, 1, ONE)]),
+    ]
+)
+
+
+@st.composite
+def mat_series(draw, order=4, unit_constant=False):
+    """Series of 2 x 2 matrices with entries from _frac_coef."""
+    coeffs = {}
+    for m in draw(st.lists(st.integers(0, order), max_size=3, unique=True)):
+        entry = st.tuples(st.integers(0, 1), st.integers(0, 1), _frac_coef)
+        entries = draw(st.lists(entry))
+        coeffs[m] = SparseMat.from_entries(2, 2, entries)
+    if unit_constant:
+        coeffs[0] = draw(_mat_units)
+    return TruncSeries(AT_ZERO, order, coeffs)
+
+
+def _same(got, want):
+    assert got.order == want.order and got.direction == want.direction
+    assert sorted(got.coeffs) == sorted(want.coeffs)
+    for m, c in want.coeffs.items():
+        if isinstance(c, Scalar):
+            assert (got.coeffs[m]._n, got.coeffs[m]._d) == (c._n, c._d)
+        else:
+            assert got.coeffs[m].rows == c.rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            trunc_series(coef=_frac_coef), trunc_series(order=4, coef=_frac_coef)
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_dot_matches_the_folded_products(pairs):
+    _same(TruncSeries.dot(pairs), _folded_dot(pairs))
+    neg = pairs + [(-a, b) for a, b in pairs]
+    assert TruncSeries.dot(neg).is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(mat_series(), mat_series()), min_size=1, max_size=3))
+def test_matrix_dot_matches_the_folded_products(pairs):
+    _same(TruncSeries.dot(pairs), _folded_dot(pairs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        trunc_series(unit_constant=True, coef=_frac_coef),
+        mat_series(unit_constant=True),
+    )
+)
+def test_inverse_matches_the_folded_recursion(f):
+    _same(f.inverse(), _folded_inverse(f))
 
 
 def test_coefficient_out_of_range_returns_default():

@@ -224,3 +224,69 @@ def test_permuting_maps_skip_the_zero_filter_safely(m, c):
         assert not any(x.is_zero() for row in r.rows.values() for x in row.values())
         assert SparseMat(r.nrows, r.ncols, r.rows).rows == r.rows
     assert m.scale(ZERO).is_zero()
+
+
+# -- the fused sum of products -------------------------------------------------
+
+_entries = st.sampled_from(
+    [
+        ZERO,
+        ZERO,
+        ONE,
+        -ONE,
+        Scalar.fraction(1, 2),
+        Scalar.s_pow(-1),
+        Scalar.w(),
+        Scalar.fraction(-2, 3) * Scalar.u_pow(1),
+        Scalar.parse("(1)/(s^2+1)"),
+    ]
+)
+
+
+@st.composite
+def entry_mats(draw, n=3):
+    return from_dense([[draw(_entries) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def product_terms(draw):
+    """(c, A, B) triples; sometimes followed by their negations, so that
+    the whole sum cancels to the zero matrix."""
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.none(), _entries),
+                entry_mats(),
+                st.one_of(st.none(), entry_mats()),
+            ),
+            max_size=4,
+        )
+    )
+    if draw(st.booleans()):
+        terms += [(-(ONE if c is None else c), a, b) for c, a, b in terms]
+    return terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_terms())
+def test_sum_of_products_matches_the_folded_sum(terms):
+    want = [[ZERO] * 3 for _ in range(3)]
+    for c, a, b in terms:
+        p = dense(a) if b is None else dense_mul(dense(a), dense(b))
+        for i in range(3):
+            for j in range(3):
+                want[i][j] = want[i][j] + (p[i][j] if c is None else c * p[i][j])
+    got = SparseMat.sum_of_products(terms, 3, 3)
+    assert dense(got) == want
+    assert all(got.rows.values())
+    assert not any(x.is_zero() for row in got.rows.values() for x in row.values())
+
+
+def test_sum_of_products_cancels_to_the_zero_matrix():
+    a = from_dense([[ONE, Scalar.w()], [Scalar.s_pow(-1), ZERO]])
+    b = from_dense([[Scalar.fraction(1, 2), ONE], [ZERO, Scalar.u_pow(1)]])
+    got = SparseMat.sum_of_products([(None, a, b), (-ONE, a * b, None)], 2, 2)
+    assert got.is_zero() and got.rows == {}
+    assert SparseMat.dot([(a, b), (-a, b)]).is_zero()
+    with pytest.raises(MatrixError):
+        SparseMat.sum_of_products([(None, a, None)], 2, 3)
