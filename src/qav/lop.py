@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 
 from .liedata import AlgebraData
-from .quasidet import GaussFactors, gauss_decompose, mat_mul, psi_image
+from .quasidet import GaussFactors, _cross_check, gauss_decompose, mat_mul, psi_image
 from .report import check, first_failure
 from .rmatrix import _mat_subs_u, build_catalog, crossing_scalar
 from .scalars import ONE, Scalar, qbinom
@@ -312,59 +312,73 @@ class GaussianSeries:
         return self.g(sign).f(j, i)
 
 
-def _reassembly(name, lops, gp, gm) -> dict:
-    """The check item of F*H*E = L for both signs, with the first differing
-    coefficient as the witness."""
+def _coefficient_item(name, instances) -> dict:
+    """The check item of (labels, series difference) pairs: fail at the first
+    nonzero coefficient, whose signed exponent joins the labels."""
+    coefficients = (
+        ({**labels, "exponent": m * d.sign}, d.coeffs[m])
+        for labels, d in instances
+        for m in sorted(d.coeffs)
+    )
+    return first_failure(name, coefficients)
 
-    def diffs():
-        for sign, g, L in (("+", gp, lops.lp), ("-", gm, lops.lm)):
-            for i, row in enumerate(g.product()):
-                for j, x in enumerate(row):
-                    d = x - L[i][j]
-                    for m in sorted(d.coeffs):
-                        labels = {"sign": sign, "entry": [i + 1, j + 1]}
-                        yield {**labels, "exponent": m * d.sign}, d.coeffs[m]
 
-    return first_failure(name, diffs())
+def _reassembly(lops, gp, gm) -> dict:
+    """The check item of F*H*E = L for both signs."""
+    return _coefficient_item(
+        f"Gauss reassembly F H E = L, both signs, {lops.alg}",
+        (
+            ({"sign": sign, "entry": [i + 1, j + 1]}, x - L[i][j])
+            for sign, g, L in (("+", gp, lops.lp), ("-", gm, lops.lm))
+            for i, row in enumerate(g.product())
+            for j, x in enumerate(row)
+        ),
+    )
+
+
+def _cross_path(lops, gp, gm) -> dict:
+    """The check item of every h, e and f of both signs against its
+    quasideterminant formula, read from L alone (quasidet._cross_check)."""
+    return _coefficient_item(
+        f"quasideterminant cross-path agrees with block elimination, {lops.alg}",
+        (
+            ({"sign": sign, **labels}, d)
+            for sign, g in (("+", gp), ("-", gm))
+            for labels, d in _cross_check(g)
+        ),
+    )
 
 
 def gaussian_generators(lops: LOperators) -> GaussianSeries:
-    """Gauss-decompose both operator matrices (with the independent
-    quasideterminant cross-check) and verify the reassembly; memoised on
-    lops."""
+    """Gauss-decompose both operator matrices, and raise LopError unless the
+    reassembly and the quasideterminant cross path pass; memoised on lops."""
     if lops.gauss is not None:
         return lops.gauss
     K = lops.K
     ident = SparseMat.identity(lops.N)
     gp = gauss_decompose(lops.lp, TruncSeries.constant(ident, AT_ZERO, K))
     gm = gauss_decompose(lops.lm, TruncSeries.constant(ident, AT_INFINITY, K))
-    item = _reassembly("Gauss reassembly", lops, gp, gm)
-    if item["status"] == "fail":
-        raise LopError(f"Gauss reassembly failed at {item['witness']}")
+    for check_item in (_reassembly, _cross_path):
+        item = check_item(lops, gp, gm)
+        if item["status"] == "fail":
+            raise LopError(f"Gauss factors fail {item['name']!r} at {item['witness']}")
     lops.gauss = GaussianSeries(lops, gp, gm)
     return lops.gauss
 
 
 def check_gauss(alg: AlgebraData, K: int = 10) -> list:
-    """Reassembly F*H*E = L for both signs, compared again on the memoised
-    factors, the quasideterminant cross-path, and a sensitivity probe:
-    perturbing one Gauss-factor coefficient must break the reassembly."""
+    """Three items on the memoised Gauss factors: the reassembly F*H*E = L
+    for both signs, the quasideterminant cross path, and a sensitivity
+    probe (perturbing one coefficient of F must break the reassembly)."""
     lops = build_lops(alg, K)
-    gs = gaussian_generators(lops)  # raises on reassembly failure
-    name = f"Gauss reassembly F H E = L, both signs, {alg}"
-    # perturbation probe: bump one coefficient of F and re-multiply
+    gs = gaussian_generators(lops)
     N, g = lops.N, gs.gp
     F2 = [row[:] for row in g.F]
-    F2[N - 1][0] = F2[N - 1][0] + TruncSeries(
-        AT_ZERO, K, {1: SparseMat.unit(N, N - 1, 0)}
-    )
-    probe = _reassembly(name, lops, GaussFactors(g.L, F2, g.H, g.E, g.one), gs.gm)
+    F2[N - 1][0] += TruncSeries(AT_ZERO, K, {1: SparseMat.unit(N, N - 1, 0)})
+    probe = _reassembly(lops, GaussFactors(g.L, F2, g.H, g.E, g.one), gs.gm)
     return [
-        _reassembly(name, lops, gs.gp, gs.gm),
-        # verified once, when gaussian_generators built the memoised factors
-        check(
-            f"quasideterminant cross-path agrees with block elimination, {alg}", True
-        ),
+        _reassembly(lops, gs.gp, gs.gm),
+        _cross_path(lops, gs.gp, gs.gm),
         check(
             f"single-entry perturbation of F breaks reassembly, {alg}",
             probe["status"] == "fail",

@@ -2,9 +2,10 @@
 ring.
 
 Matrices here are plain dense lists-of-lists whose entries support +, -, *
-(noncommutative), .is_zero(), and .inverse() raising ArithmeticError when the
-element is not invertible.  The same code therefore serves the Scalar field,
-truncated series, and series with matrix coefficients.
+(noncommutative), the fused sum of products dot(pairs), .is_zero(), and
+.inverse() raising ArithmeticError when the element is not invertible.  The
+same code therefore serves the Scalar field, truncated series, and series
+with matrix coefficients.
 
 Entry indices of the dense matrices are 0-based; the accessors of
 GaussFactors use the 1-based labels of the generator series e_ij, f_ji, h_i.
@@ -109,15 +110,9 @@ def quasideterminant(A, i, j, one):
 
 
 def _dot(pairs):
-    """The sum of a*b over a nonempty list of pairs: the entry type's fused
-    dot where it has one (Scalar, SparseMat, TruncSeries), else a left fold."""
-    dot = getattr(type(pairs[0][0]), "dot", None)
-    if dot is not None:
-        return dot(pairs)
-    acc = None
-    for a, b in pairs:
-        acc = a * b if acc is None else acc + a * b
-    return acc
+    """The sum of a*b over a nonempty list of pairs, by the fused dot of the
+    entry type (Scalar, SparseMat and TruncSeries each have one)."""
+    return type(pairs[0][0]).dot(pairs)
 
 
 def mat_mul(A, B):
@@ -169,39 +164,40 @@ class GaussFactors:
 
 
 def gauss_decompose(L, one) -> GaussFactors:
-    """Gauss decomposition L = F H E by sequential block elimination.
+    """Gauss decomposition L = F H E in Crout order, with L only read: with
+    U = H E, each entry is one fused dot over the earlier pivots m < k,
 
-    Every h_i, e_ij, f_ji is then recomputed independently through its
-    bordered-quasideterminant formula and compared.
+        U_kj = L_kj - sum_m F_km U_mj,   H_k = U_kk,   E_kj = H_k^-1 U_kj,
+        F_ik = (L_ik - sum_m F_im U_mk) H_k^-1.
+
+    The independent quasideterminant cross path is _cross_check.
     """
     n = _dims(L)
     zero = one - one
-    a = [list(row) for row in L]
     F = [[one if i == j else zero for j in range(n)] for i in range(n)]
     E = [[one if i == j else zero for j in range(n)] for i in range(n)]
     H = [None] * n
+    U = [None] * n
+
+    def reduced(i, j, k):
+        # entry (i, j) of the Schur complement after the first k pivots
+        return L[i][j] - _dot([(F[i][m], U[m][j]) for m in range(k)]) if k else L[i][j]
+
     for k in range(n):
-        h = a[k][k]
+        U[k] = {j: reduced(k, j, k) for j in range(k, n)}
+        H[k] = U[k][k]
         try:
-            hinv = h.inverse()
+            hinv = H[k].inverse()
         except ArithmeticError as exc:
             raise QuasidetError(f"singular leading block at index {k}: {exc}")
-        H[k] = h
         for j in range(k + 1, n):
-            if not a[k][j].is_zero():
-                E[k][j] = hinv * a[k][j]
+            if not U[k][j].is_zero():
+                E[k][j] = hinv * U[k][j]
         for i in range(k + 1, n):
-            if not a[i][k].is_zero():
-                F[i][k] = a[i][k] * hinv
-        for i in range(k + 1, n):
-            if a[i][k].is_zero():
-                continue
-            for j in range(k + 1, n):
-                if not a[k][j].is_zero():
-                    a[i][j] = a[i][j] - F[i][k] * a[k][j]
-    out = GaussFactors(L, F, H, E, one)
-    _cross_check(out)
-    return out
+            x = reduced(i, k, k)
+            if not x.is_zero():
+                F[i][k] = x * hinv
+    return GaussFactors(L, F, H, E, one)
 
 
 def _bordered(L, rows, cols):
@@ -209,27 +205,35 @@ def _bordered(L, rows, cols):
 
 
 def _cross_check(g: GaussFactors):
-    """Verify every Gaussian generator against its quasideterminant formula."""
+    """Yield (labels, difference) for every Gaussian generator against its
+    quasideterminant formula, read from L and ring_inverse alone:
+
+        h_k = L_kk - r_k A^-1 c_k,   h_k e_kj = L_kj - r_k A^-1 c_j,
+        f_jk h_k = L_jk - r_j A^-1 c_k,
+
+    where A is the leading k x k block of L, r_i the first k entries of row
+    i and c_j those of column j.  Each A is inverted once, r_k A^-1 and
+    A^-1 c_k are formed once, and h_k is never inverted.  The labels are
+    {"generator": "h" | "e" | "f", "entry": the 1-based indices}.
+    """
     L, one, n = g.L, g.one, g.n
-    for i in range(n):
-        rows = list(range(i + 1))
-        sub = _bordered(L, rows, rows)
-        h = quasideterminant(sub, i, i, one)
-        if not (h - g.H[i]).is_zero():
-            raise QuasidetError(f"h_{i + 1} disagrees with its quasideterminant")
-        hinv = g.H[i].inverse()
-        for j in range(i + 1, n):
-            cols = rows[:-1] + [j]
-            e = hinv * quasideterminant(_bordered(L, rows, cols), i, i, one)
-            if not (e - g.E[i][j]).is_zero():
-                raise QuasidetError(
-                    f"e_{i + 1},{j + 1} disagrees with its quasideterminant"
-                )
-            f = quasideterminant(_bordered(L, cols, rows), i, i, one) * hinv
-            if not (f - g.F[j][i]).is_zero():
-                raise QuasidetError(
-                    f"f_{j + 1},{i + 1} disagrees with its quasideterminant"
-                )
+    for k in range(n):
+        # row k from column k on, and column k below row k, of the Schur
+        # complement of A in L
+        row, col = L[k][k:], [L[j][k] for j in range(k + 1, n)]
+        if k:
+            inv = ring_inverse(_bordered(L, range(k), range(k)), one)
+            r_inv = mat_mul([L[k][:k]], inv)
+            inv_c = mat_mul(inv, _bordered(L, range(k), [k]))
+            top = mat_mul(r_inv, _bordered(L, range(k), range(k, n)))[0]
+            left = mat_mul(_bordered(L, range(k + 1, n), range(k)), inv_c)
+            row = [x - y for x, y in zip(row, top)]
+            col = [x - y for x, (y,) in zip(col, left)]
+        h = g.H[k]
+        yield {"generator": "h", "entry": [k + 1]}, row[0] - h
+        for j, e, f in zip(range(k + 1, n), row[1:], col):
+            yield {"generator": "e", "entry": [k + 1, j + 1]}, e - h * g.E[k][j]
+            yield {"generator": "f", "entry": [j + 1, k + 1]}, f - g.F[j][k] * h
 
 
 def psi_image(g: GaussFactors, m, i, j):

@@ -24,11 +24,6 @@ class VecRepError(ValueError):
     pass
 
 
-def _unit(N, i, j, val):
-    """val * e_ij with 1-based matrix-unit indices."""
-    return SparseMat(N, N, {i - 1: {j - 1: val}})
-
-
 def _check_index(alg, i):
     if not 1 <= i <= alg.n:
         raise VecRepError(f"generator index {i} out of range for {alg}")
@@ -38,70 +33,50 @@ def _qp(e):
     return Scalar.q_pow(e)
 
 
-def x_plus(alg, i, k) -> SparseMat:
+def _mat(N, entries) -> SparseMat:
+    """The N x N matrix of the entries (i, j, value), with 1-based i, j."""
+    return SparseMat.from_entries(N, N, ((i - 1, j - 1, x) for i, j, x in entries))
+
+
+def _x_entries(alg, i, k):
+    """The entries of x+_{i,k}; x-_{i,k} has their transposes."""
     _check_index(alg, i)
-    n, N = alg.n, alg.N
+    n, N, p = alg.n, alg.N, alg.prime
     if i < n:
-        return _unit(N, i + 1, i, -_qp(-i * k)) + _unit(
-            N, alg.prime(i), alg.prime(i + 1), _qp(-(N - 2 - i) * k)
-        )
+        return (i + 1, i, -_qp(-i * k)), (p(i), p(i + 1), _qp(-(N - 2 - i) * k))
     if alg.type == "B":
         w = Scalar.w()
-        return _unit(N, n + 1, n, -w * _qp(-n * k)) + _unit(
-            N, alg.prime(n), n + 1, w * _qp(-(n - 1) * k)
-        )
+        return (n + 1, n, -w * _qp(-n * k)), (p(n), n + 1, w * _qp(-(n - 1) * k))
     c = _qp(-(n - 1) * k)
-    return _unit(N, n + 1, n - 1, -c) + _unit(N, n + 2, n, c)
+    return (n + 1, n - 1, -c), (n + 2, n, c)
+
+
+def x_plus(alg, i, k) -> SparseMat:
+    return _mat(alg.N, _x_entries(alg, i, k))
 
 
 def x_minus(alg, i, k) -> SparseMat:
-    _check_index(alg, i)
-    n, N = alg.n, alg.N
-    if i < n:
-        return _unit(N, i, i + 1, -_qp(-i * k)) + _unit(
-            N, alg.prime(i + 1), alg.prime(i), _qp(-(N - 2 - i) * k)
-        )
-    if alg.type == "B":
-        w = Scalar.w()
-        return _unit(N, n, n + 1, -w * _qp(-n * k)) + _unit(
-            N, n + 1, alg.prime(n), w * _qp(-(n - 1) * k)
-        )
-    c = _qp(-(n - 1) * k)
-    return _unit(N, n - 1, n + 1, -c) + _unit(N, n, n + 2, c)
+    return _mat(alg.N, ((j, i, x) for i, j, x in _x_entries(alg, i, k)))
 
 
 def a_gen(alg, i, k) -> SparseMat:
     _check_index(alg, i)
     if k == 0:
         raise VecRepError("a-generator needs a nonzero mode")
-    n, N = alg.n, alg.N
+    n, N, p = alg.n, alg.N, alg.prime
     if i < n:
         coef = qint(k, alg.r[i - 1]) * Scalar.fraction(1, k)
-        out = (
-            _unit(N, i + 1, i + 1, _qp(-i * k - k))
-            + _unit(N, i, i, -_qp(-i * k + k))
-            + _unit(N, alg.prime(i), alg.prime(i), _qp(-(N - 2 - i) * k - k))
-            + _unit(
-                N, alg.prime(i + 1), alg.prime(i + 1), -_qp(-(N - 2 - i) * k + k)
-            )
-        )
-        return out.scale(coef)
-    if alg.type == "B":
+        e, f = -i * k, -(N - 2 - i) * k
+        diag = [(i + 1, _qp(e - k)), (i, -_qp(e + k))]
+        diag += [(p(i), _qp(f - k)), (p(i + 1), -_qp(f + k))]
+    elif alg.type == "B":
         coef = qint(2 * k, alg.r[n - 1]) * Scalar.fraction(1, k)
-        out = (
-            _unit(N, n, n, -_qp(-(n - 1) * k))
-            + _unit(N, n + 1, n + 1, _qp(-n * k) - _qp(-(n - 1) * k))
-            + _unit(N, alg.prime(n), alg.prime(n), _qp(-n * k))
-        )
-        return out.scale(coef)
-    coef = qint(k, alg.r[n - 1]) * Scalar.fraction(1, k) * _qp(-(n - 1) * k)
-    out = (
-        _unit(N, n + 1, n + 1, _qp(-k))
-        + _unit(N, n + 2, n + 2, _qp(-k))
-        + _unit(N, n - 1, n - 1, -_qp(k))
-        + _unit(N, n, n, -_qp(k))
-    )
-    return out.scale(coef)
+        e, f = -(n - 1) * k, -n * k
+        diag = (n, -_qp(e)), (n + 1, _qp(f) - _qp(e)), (p(n), _qp(f))
+    else:
+        coef = qint(k, alg.r[n - 1]) * Scalar.fraction(1, k) * _qp(-(n - 1) * k)
+        diag = (n + 1, _qp(-k)), (n + 2, _qp(-k)), (n - 1, -_qp(k)), (n, -_qp(k))
+    return _mat(N, ((j, j, x) for j, x in diag)).scale(coef)
 
 
 def k_cartan(alg, i, inv=False) -> SparseMat:
@@ -193,6 +168,13 @@ def check_drinfeld_window(alg, window=3) -> list:
         raise ResourceBoundError(
             f"rank {alg.n} exceeds the drinfeld-rep bound MAX_DRINFELD_RANK = "
             f"{MAX_DRINFELD_RANK}"
+        )
+    # the largest relation families have n^2 (2W + 1)^2 instances (i, j and
+    # two modes each): at most their count at MAX_DRINFELD_RANK and window 3
+    if alg.n * (2 * window + 1) > MAX_DRINFELD_RANK * (2 * 3 + 1):
+        raise ResourceBoundError(
+            f"rank {alg.n} at window {window} exceeds the drinfeld-rep work "
+            f"bound, that of rank {MAX_DRINFELD_RANK} at window 3"
         )
     n, N = alg.n, alg.N
     W = window

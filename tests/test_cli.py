@@ -157,6 +157,10 @@ def test_resource_bound_exits_2(capsys):
         ),
         ["f-series", "--type", "D", "--rank", "3", "--order", "40"],
         ["drinfeld-rep", "--window", "50"],
+        *(
+            ["drinfeld-rep", "--type", t, "--rank", "14", "--window", "4"]
+            for t in ("B", "D")
+        ),
     ):
         assert cli.run(["check", *args]) == 2, args
         assert "resource bound" in capsys.readouterr().err

@@ -284,7 +284,9 @@ def test_eiprei_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, capsys):
 
 def test_gauss_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, capsys):
     """e12+ on B1 gets e_21 added at mode 1 after the factors are built: the
-    reassembly fails at aux entry (1, 2), and the probe still breaks it."""
+    reassembly and the cross path (h1 e12 = L12) both fail at aux entry
+    (1, 2), with opposite signs as h1 has constant term 1 at (1, 1), and the
+    probe still breaks the reassembly."""
     alg, K = AlgebraData("B", 1), 4
     gs = _gauss(alg, K)
     gs.gp.E[0][1] = _bump(gs.gp.E[0][1], K, 1, SparseMat.unit(alg.N, 1, 0))
@@ -302,7 +304,19 @@ def test_gauss_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, capsys):
                     "col": 0,
                     "value": "1",
                 },
-            )
+            ),
+            _fail(
+                "quasideterminant cross-path agrees with block elimination, B1",
+                {
+                    "sign": "+",
+                    "generator": "e",
+                    "entry": [1, 2],
+                    "exponent": 1,
+                    "row": 1,
+                    "col": 0,
+                    "value": "-1",
+                },
+            ),
         ],
     )
 

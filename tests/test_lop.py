@@ -3,7 +3,7 @@ low truncation order; the full order-10 runs live in test_acceptance)."""
 
 import pytest
 
-from qav import cli, lop, rmatrix
+from qav import cli, lop, quasidet, rmatrix
 from qav.liedata import AlgebraData
 from qav.lop import (
     LOperators,
@@ -105,6 +105,40 @@ def test_gaussian_generators_decomposes_the_given_operators(b1):
     prod = gs_bad.gp.product()
     assert (prod[N - 1][0] - lp[N - 1][0]).is_zero()
     assert not (prod[N - 1][0] - good.lp[N - 1][0]).is_zero()
+
+
+def test_cross_path_inverts_each_leading_block_once(monkeypatch, d2):
+    """On D2 (N = 4) the cross path of L+ inverts the leading 1x1, 2x2 and
+    3x3 blocks of L, once each; the bordered-minor path inverted 9 minors."""
+    gs = gaussian_generators(build_lops(d2, K))
+    sizes = []
+    ring_inverse = quasidet.ring_inverse
+
+    def counted(A, one):
+        sizes.append(len(A))
+        return ring_inverse(A, one)
+
+    monkeypatch.setattr(quasidet, "ring_inverse", counted)
+    assert all(d.is_zero() for _, d in quasidet._cross_check(gs.gp))
+    assert sizes == [1, 2, 3]
+
+
+def test_gaussian_generators_raises_when_the_cross_path_fails(monkeypatch, capsys):
+    """A cross path that reads a wrong inverse of a leading block disagrees
+    with the elimination, and the build refuses the factors (exit 2)."""
+    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
+    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
+    ring_inverse = quasidet.ring_inverse
+
+    def wrong(A, one):
+        inv = ring_inverse(A, one)
+        inv[0][0] = inv[0][0] + one
+        return inv
+
+    monkeypatch.setattr(quasidet, "ring_inverse", wrong)
+    assert cli.run(["check", "gauss", "--type", "B", "--rank", "1", "--order", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "Gauss factors fail 'quasideterminant cross-path agrees" in err
 
 
 def test_lowrank_b1(b1):

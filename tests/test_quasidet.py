@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qav.quasidet import (
     GaussFactors,
     QuasidetError,
+    _cross_check,
     gauss_decompose,
     mat_mul,
     psi_image,
@@ -96,6 +97,7 @@ def _generic4():
 def test_gauss_decompose_reassembles_and_cross_checks():
     L = _generic4()
     g = gauss_decompose(L, ONE)
+    assert all(d.is_zero() for _, d in _cross_check(g))
     prod = g.product()
     for i in range(4):
         for j in range(4):
@@ -107,6 +109,25 @@ def test_gauss_decompose_reassembles_and_cross_checks():
         for j in range(i + 1, 4):
             assert g.F[i][j].is_zero()
             assert g.E[j][i].is_zero()
+
+
+@pytest.mark.parametrize(
+    "factor,i,j,labels",
+    [
+        ("H", 1, 1, {"generator": "h", "entry": [2]}),
+        ("E", 1, 3, {"generator": "e", "entry": [2, 4]}),
+        ("F", 3, 1, {"generator": "f", "entry": [4, 2]}),
+    ],
+)
+def test_cross_check_labels_the_bumped_generator(factor, i, j, labels):
+    """The cross path reads only L, so one bumped h, e or f entry of the
+    factors is its first nonzero difference, labelled with that generator."""
+    g = gauss_decompose(_generic4(), ONE)
+    if factor == "H":
+        g.H[i] += ONE
+    else:
+        getattr(g, factor)[i][j] += ONE
+    assert next(lab for lab, d in _cross_check(g) if not d.is_zero()) == labels
 
 
 def test_gauss_accessors_are_one_based():
