@@ -16,8 +16,7 @@ from typing import Callable, NamedTuple
 from . import lop, rmatrix, vecrep
 from .liedata import AlgebraData, check_cartan
 from .report import skipped
-from .rmatrix import ResourceBoundError
-from .series import verify_fu_product
+from .series import ResourceBoundError, verify_fu_product
 
 _HEADER_NOTE = (
     "checks are run in the vector representation (central charge 0); "

@@ -12,8 +12,8 @@ from functools import cached_property
 
 from .quasidet import ring_inverse
 from .report import check
-from .rmatrix import ResourceBoundError
 from .scalars import Scalar, ScalarError, qint, ONE
+from .series import ResourceBoundError
 
 # The largest rank check_cartan accepts.  Its cost is the exact inverse of
 # the q-Gram matrix B(q), which grows quickly with the rank: rank 21 takes

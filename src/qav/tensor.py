@@ -21,9 +21,9 @@ class MatrixError(ArithmeticError):
 
 
 class SingularMatrixError(MatrixError):
-    def __init__(self, row):
-        super().__init__(f"singular matrix: no usable pivot for row {row}")
-        self.row = row
+    def __init__(self, col):
+        super().__init__(f"singular matrix: no usable pivot for column {col}")
+        self.col = col
 
 
 def _entry_is_zero(x) -> bool:

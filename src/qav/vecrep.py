@@ -9,6 +9,8 @@ standard basis vectors 1..N, stored 0-based in SparseMat.
 
 from __future__ import annotations
 
+from itertools import permutations, product
+
 from .report import first_failure
 from .scalars import Scalar, qint, qbinom, ONE
 from .series import ResourceBoundError, TruncSeries, AT_ZERO, AT_INFINITY, series_exp
@@ -104,23 +106,6 @@ def k_cartan(alg, i, inv=False) -> SparseMat:
     return SparseMat(N, N, rows)
 
 
-def pi_v(alg, kind, i=None, k=None) -> SparseMat:
-    """Dispatcher over generator kinds: xplus, xminus, a, k, kinv, qc."""
-    if kind == "qc":
-        return SparseMat.identity(alg.N)
-    if kind == "xplus":
-        return x_plus(alg, i, k)
-    if kind == "xminus":
-        return x_minus(alg, i, k)
-    if kind == "a":
-        return a_gen(alg, i, k)
-    if kind == "k":
-        return k_cartan(alg, i)
-    if kind == "kinv":
-        return k_cartan(alg, i, inv=True)
-    raise VecRepError(f"unknown generator kind {kind!r}")
-
-
 def psi_phi_modes(alg, i, maxmode):
     """The modewise images of psi_i and phi_i.
 
@@ -156,6 +141,21 @@ def psi_phi_modes(alg, i, maxmode):
 
 def _comm(a, b):
     return a * b - b * a
+
+
+def serre_sum(xs, y, coefs) -> SparseMat:
+    """The Serre sum: coefs[l] times the sum, over the orderings of the
+    matrices xs, of the product with y inserted after the first l of them,
+    summed over l = 0..len(xs) as one fused sum of products."""
+    terms = []
+    for l, c in enumerate(coefs):
+        for perm in permutations(xs):
+            mats = [*perm[:l], y, *perm[l:]]
+            head = mats[0]
+            for x in mats[1:-1]:
+                head = head * x
+            terms.append((c, head, mats[-1]))
+    return SparseMat.sum_of_products(terms, y.nrows, y.ncols)
 
 
 def check_drinfeld_window(alg, window=3) -> list:
@@ -303,36 +303,19 @@ def check_drinfeld_window(alg, window=3) -> list:
     run("[x+_{i,m}, x-_{j,l}] = delta_ij (psi - phi)/(q_i - 1/q_i)", x_mixed())
 
     def serre():
-        from itertools import permutations, product
-
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i == j:
                     continue
                 r = 1 - int(alg.A[i - 1][j - 1])
-                binoms = [qbinom(r, l, alg.r[i - 1]) for l in range(r + 1)]
+                coefs = [(-1) ** l * qbinom(r, l, alg.r[i - 1]) for l in range(r + 1)]
                 for shape in product(range(-W, W + 1), repeat=r + 1):
                     if sum(abs(s) for s in shape) > W:
                         continue
                     s, m = shape[:r], shape[r]
-                    xi = [x_plus(alg, i, sk) for sk in s]
-                    xj = x_plus(alg, j, m)
-                    xim = [x_minus(alg, i, sk) for sk in s]
-                    xjm = x_minus(alg, j, m)
-                    for sign, xs, xo in ((1, xi, xj), (-1, xim, xjm)):
-                        acc = None
-                        for perm in permutations(range(r)):
-                            for l in range(r + 1):
-                                term = None
-                                for p in perm[:l]:
-                                    term = xs[p] if term is None else term * xs[p]
-                                term = xo if term is None else term * xo
-                                for p in perm[l:]:
-                                    term = term * xs[p]
-                                term = term.scale(
-                                    -binoms[l] if l % 2 else binoms[l]
-                                )
-                                acc = term if acc is None else acc + term
+                    for sign, xf in ((1, x_plus), (-1, x_minus)):
+                        xs = [xf(alg, i, sk) for sk in s]
+                        acc = serre_sum(xs, xf(alg, j, m), coefs)
                         yield f"i={i},j={j},s={s},m={m},sign={sign:+d}", acc
 
     run("Serre relations", serre())

@@ -417,3 +417,28 @@ def test_cartan_fails_on_a_wrong_closed_form(monkeypatch, tmp_path, capsys):
             )
         ],
     )
+
+
+def test_drinfeld_rep_serre_fails_on_a_wrong_q_binomial(monkeypatch, tmp_path, capsys):
+    """On D2 every Serre relation has degree 2; a top q-binomial off by one
+    breaks only the Serre item, at its first instance."""
+    qbinom = vecrep.qbinom
+    monkeypatch.setattr(
+        vecrep, "qbinom", lambda r, l, ri: qbinom(r, l, ri) + int(l == r)
+    )
+    _assert_fails(
+        tmp_path, capsys,
+        ["drinfeld-rep", "--type", "D", "--rank", "2", "--window", "2"],
+        [
+            _fail(
+                "Serre relations, D2 (window 2)",
+                {
+                    "instance": "i=1,j=2,s=(-2,),m=0,sign=+1",
+                    "row": 3,
+                    "col": 0,
+                    "value": "s^4",
+                },
+                instances=52,
+            )
+        ],
+    )

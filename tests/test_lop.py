@@ -3,7 +3,7 @@ low truncation order; the full order-10 runs live in test_acceptance)."""
 
 import pytest
 
-from qav import cli, lop, quasidet, rmatrix
+from qav import cli, lop, quasidet, rmatrix, vecrep
 from qav.liedata import AlgebraData
 from qav.lop import (
     LOperators,
@@ -191,13 +191,35 @@ def test_main_structure_b1(b1):
     assert all_pass(checks), failures(checks)
 
 
+def test_bivar_zero_reads_trunc_series_parts(b1):
+    """A TruncSeries part gives the same item as its ModeSeries, on a
+    relation that holds and on one broken by a mode-2 bump."""
+    gs = gaussian_generators(build_lops(b1, K))
+    N = gs.N
+    h2 = gs.h(2, 1)
+    bump = TruncSeries(AT_ZERO, K, {2: SparseMat.unit(N, 0, 1)})
+    modes = lop.ModeSeries.from_trunc
+
+    def item(a, b):
+        terms = [(lop.ONE, a, b, "uv"), (lop._MONE, a, b, "vu")]
+        return lop._bivar_zero("[h1+(u), h2+(v)] = 0", N, K, terms)
+
+    items = []
+    for h1 in (gs.h(1, 1), gs.h(1, 1) + bump):
+        items.append(item(h1, h2))
+        assert items[-1] == item(modes(h1, N), modes(h2, N))
+    assert items[0]["status"] == "pass"
+    assert items[1]["status"] == "fail" and items[1]["witness"]["u_mode"] == 2
+
+
 def test_fused_sums_add_no_matrices(monkeypatch):
-    """_bivar_zero and the products of matrix series form every entry with
-    one fused dot, so during relrbar on B1 neither adds two SparseMats."""
+    """_bivar_zero, the products of matrix series and the Serre sum form
+    every entry with one fused dot, so during relrbar on B1 and D2 none of
+    them adds two SparseMats."""
     monkeypatch.setattr(rmatrix, "_CATALOGS", {})
     monkeypatch.setattr(lop, "_LOPS_CACHE", {})
     inside = [0]
-    calls = {"_bivar_zero": 0, "__mul__": 0, "inverse": 0, "add": 0}
+    calls = {"_bivar_zero": 0, "serre_sum": 0, "__mul__": 0, "inverse": 0, "add": 0}
 
     def counted(owner, name):
         real = getattr(owner, name)
@@ -213,6 +235,7 @@ def test_fused_sums_add_no_matrices(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(lop, "_bivar_zero")
+    counted(vecrep, "serre_sum")
     counted(TruncSeries, "__mul__")
     counted(TruncSeries, "inverse")
     add = SparseMat.__add__
@@ -222,7 +245,11 @@ def test_fused_sums_add_no_matrices(monkeypatch):
         return add(a, b)
 
     monkeypatch.setattr(SparseMat, "__add__", counted_add)
-    args = ["relrbar", "--type", "B", "--rank", "1", "--order", "4"]
-    assert cli.run(["check", *args, "--format", "json"]) == 0
-    assert calls["_bivar_zero"] and calls["__mul__"] and calls["inverse"]
+    for args in (
+        ["--type", "B", "--rank", "1", "--order", "4"],
+        ["--type", "D", "--rank", "2", "--order", "4", "--window", "2"],
+    ):
+        assert cli.run(["check", "relrbar", *args, "--format", "json"]) == 0
+    assert all(calls[name] for name in ("_bivar_zero", "serre_sum", "__mul__"))
+    assert calls["inverse"]
     assert calls["add"] == 0

@@ -95,7 +95,7 @@ def test_inverse_of_singular_matrix_raises():
     m = from_dense([[ONE, ONE], [ONE, ONE]])
     with pytest.raises(SingularMatrixError) as exc:
         m.inverse()
-    assert exc.value.row == 1
+    assert exc.value.col == 1
 
 
 def test_from_entries_sums_collisions():

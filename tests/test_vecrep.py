@@ -1,6 +1,9 @@
 """The vector representation of the Drinfeld generators."""
 
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qav.liedata import AlgebraData
 from qav.scalars import Scalar
@@ -10,8 +13,8 @@ from qav.vecrep import (
     a_gen,
     check_drinfeld_window,
     k_cartan,
-    pi_v,
     psi_phi_modes,
+    serre_sum,
     x_minus,
     x_plus,
 )
@@ -67,17 +70,43 @@ def test_index_validation():
         x_minus(alg, 3, 1)
     with pytest.raises(VecRepError):
         a_gen(alg, 1, 0)
-    with pytest.raises(VecRepError):
-        pi_v(alg, "bogus")
 
 
-def test_pi_v_dispatch():
-    alg = AlgebraData("B", 1)
-    assert pi_v(alg, "qc") == SparseMat.identity(alg.N)
-    assert pi_v(alg, "xplus", 1, 2) == x_plus(alg, 1, 2)
-    assert pi_v(alg, "k", 1) == k_cartan(alg, 1)
-    assert pi_v(alg, "kinv", 1) == k_cartan(alg, 1, inv=True)
-    assert pi_v(alg, "a", 1, 3) == a_gen(alg, 1, 3)
+# entries a * q^e with small integers a and e, zero included
+_entries = st.builds(
+    lambda a, e: Scalar.from_int(a) * Scalar.q_pow(e),
+    st.integers(-2, 2),
+    st.integers(-1, 1),
+)
+
+
+@st.composite
+def _square_mats(draw, dim):
+    return SparseMat.from_entries(
+        dim, dim, [(i, j, draw(_entries)) for i in range(dim) for j in range(dim)]
+    )
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_serre_sum_is_the_folded_sum(r, data):
+    """serre_sum equals the left fold over the orderings of xs and the
+    insertion positions of y."""
+    dim = data.draw(st.integers(1, 3))
+    xs = [data.draw(_square_mats(dim)) for _ in range(r)]
+    y = data.draw(_square_mats(dim))
+    coefs = [data.draw(_entries) for _ in range(r + 1)]
+    acc = SparseMat.zeros(dim, dim)
+    for perm in permutations(range(r)):
+        for l in range(r + 1):
+            mats = [xs[p] for p in perm]
+            mats.insert(l, y)
+            prod = mats[0]
+            for m in mats[1:]:
+                prod = prod * m
+            acc = acc + prod.scale(coefs[l])
+    assert serre_sum(xs, y, coefs) == acc
 
 
 def test_psi_phi_zero_modes_are_cartan():
