@@ -32,59 +32,79 @@ def _dims(A):
 
 
 def ring_inverse(A, one):
-    """Dense Gauss-Jordan inverse over a noncommutative ring; the one
-    eliminator of the package (SparseMat.inverse and the inverse Gram
-    matrices of liedata go through it).
+    """Dense inverse over a noncommutative ring; the one eliminator of the
+    package (SparseMat.inverse and the inverse Gram matrices of liedata go
+    through it).
 
-    Entries may be None, read as zero.  Pivots are taken in order; when no
-    entry of a column is invertible, SingularPivotError names the column.
-    All eliminations multiply on the left, so the result is a genuine
-    two-sided inverse whenever the input is invertible.
+    Entries may be None, read as zero.  Crout elimination factors the
+    row-permuted matrix as F U, with F lower triangular and U upper
+    triangular with unit diagonal, F's entry always the left factor.
+    Pivots are taken in order; when no entry of a column of the Schur
+    complement is invertible, SingularPivotError names the column.  Then
+    G = F^-1 by forward and X = U^-1 G by back substitution, so A X = 1: a
+    right inverse, hence the two-sided inverse whenever the input is
+    invertible.  Every entry of F, U, G and X is one fused dot, whose
+    subtracted products are those of F and -U.
     """
     n = _dims(A)
-    a = [list(row) for row in A]
-    b = [[one if i == j else None for j in range(n)] for i in range(n)]
-
-    def combine(t, prod):
-        if t is None:
-            return -prod
-        return t - prod
-
-    for col in range(n):
-        piv = None
-        pinv = None
-        for r in range(col, n):
-            x = a[r][col]
-            if x is None or x.is_zero():
+    rows = [list(row) for row in A]  # the rows of A, in pivot order
+    perm = list(range(n))  # rows[i] is row perm[i] of A
+    F = [[None] * n for _ in range(n)]
+    NU = [[None] * n for _ in range(n)]  # -U above the diagonal
+    hinv = [None] * n  # the inverses of the pivots F_kk
+    for k in range(n):
+        for i in range(k, n):
+            F[i][k] = _entry(rows[i][k], [(F[i][m], NU[m][k]) for m in range(k)], one)
+        for piv in range(k, n):
+            x = F[piv][k]
+            if x is None:
                 continue
             try:
-                pinv = x.inverse()
+                hinv[k] = x.inverse()
             except ArithmeticError:
                 continue
-            piv = r
             break
-        if piv is None:
-            raise SingularPivotError(col)
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        for j in range(n):
-            if a[col][j] is not None:
-                a[col][j] = pinv * a[col][j]
-            if b[col][j] is not None:
-                b[col][j] = pinv * b[col][j]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if f is None or f.is_zero():
-                continue
-            for j in range(n):
-                if a[col][j] is not None:
-                    a[r][j] = combine(a[r][j], f * a[col][j])
-                if b[col][j] is not None:
-                    b[r][j] = combine(b[r][j], f * b[col][j])
-    zero = one - one
-    return [[x if x is not None else zero for x in row] for row in b]
+        else:
+            raise SingularPivotError(k)
+        for t in (rows, F, perm):
+            t[k], t[piv] = t[piv], t[k]
+        nh = -hinv[k]
+        for j in range(k + 1, n):
+            x = _entry(rows[k][j], [(F[k][m], NU[m][j]) for m in range(k)], one)
+            if x is not None:
+                NU[k][j] = nh * x
+    G = [[None] * n for _ in range(n)]  # F^-1, lower triangular
+    for i in range(n):
+        G[i][i] = hinv[i]
+        nh = -hinv[i]
+        for k in range(i):
+            x = _entry(None, [(F[i][m], G[m][k]) for m in range(k, i)], one)
+            if x is not None:
+                G[i][k] = nh * x
+    X = [None] * n
+    for i in reversed(range(n)):
+        X[i] = [
+            _entry(G[i][j], [(NU[i][m], X[m][j]) for m in range(i + 1, n)], one)
+            for j in range(n)
+        ]
+    zero = _dot([(one, one), (-one, one)])  # 1 - 1, with no addition
+    out = [[None] * n for _ in range(n)]
+    for i, row in enumerate(X):
+        for k, x in enumerate(row):
+            out[i][perm[k]] = zero if x is None else x
+    return out
+
+
+def _entry(a, pairs, one):
+    """a + the sum of x*y over the pairs with no None (a None is read as
+    zero), by one fused dot; None when it is zero."""
+    pairs = [(x, y) for x, y in pairs if x is not None and y is not None]
+    if not pairs:
+        return None if a is None or a.is_zero() else a
+    if a is not None:
+        pairs.append((a, one))
+    x = _dot(pairs)
+    return None if x.is_zero() else x
 
 
 def quasideterminant(A, i, j, one):

@@ -19,13 +19,15 @@ total degree n = a + b + c + d is the integer
 so adding two keys multiplies the monomials, and the integer order of the
 keys compares the total degree first and then w, v, u, s in turn: exactly
 grlex with w > v > u > s.  Leading terms, the sign normalization and the
-printed term order are therefore those of sympy's ring in that order.  No
-field can carry into the next while the total degree is at most 2^B - 1,
-because every exponent is at most the total degree; a key that reaches
-2^(5B) raises ScalarError instead of wrapping.  Multiplying by s^e adds
-e * (2^(4B) + 1) to every key, and "has w" or "is c*s^k" are bit tests.
-Scalar.num and Scalar.den build sympy PolyElements of _RING on demand, and
-Scalar(num, den) accepts them.
+printed term order are therefore those of sympy's ring Z[w, v, u, s] in
+that order.  No field can carry into the next while the total degree is at
+most 2^B - 1, because every exponent is at most the total degree; a key that
+reaches 2^(5B) raises ScalarError instead of wrapping.  Multiplying by s^e
+adds e * (2^(4B) + 1) to every key, and "has w" or "is c*s^k" are bit tests.
+No arithmetic calls sympy, and importing the module does not import it.
+Scalar.num and Scalar.den build sympy PolyElements on demand (importing
+sympy on the first read), for tests that compare the kernel with sympy,
+and Scalar(num, den) accepts PolyElements as well as packed dicts.
 
 Products and sums take one of two paths, which produce the same canonical
 form.  Almost all of the work of the checks lives in Z[s, 1/s, u, v][w],
@@ -36,10 +38,11 @@ terms, which multiplies the denominator by s); the gcd of a numerator P
 with c*s^k is gcd(c, content(P)) * s^min(k, ord_s P), so cancellation is a
 key shift and an integer division, with no polynomial gcd.  Every other
 operation, where a denominator is a true polynomial, takes the general
-path: it converts to PolyElements and cancels with polynomial gcds.  That
-path, inverse(), the constructor Scalar(num, den) and parsing are the only
-places sympy is called.  Whether the numerator has w and the shape of the
-denominator are worked out once per Scalar (Scalar._facts).
+path: it forms the packed products and sums and cancels them with
+polynomial gcds and exact divisions on the same dicts (an inverse of a
+w-free Scalar swaps its coprime pair and takes no gcd).  Whether the
+numerator has w and the shape of the denominator are worked out once per
+Scalar (Scalar._facts).
 
 Sums of products.  The checks are vanishing sums of products, and
 Scalar.dot(pairs) forms a whole sum of x*y at once (after Monagan and
@@ -53,35 +56,28 @@ true-polynomial denominator takes the general path through * and +, and is
 added at the end.  SparseMat, TruncSeries and the quasideterminants form
 their entries through this one kernel.
 
-The general path's gcds (_gcd_fast) take one of three routes, which return
+The general path's gcds (_gcd_fast) take one of two routes, which return
 the same polynomial: the gcd over Z with a positive leading coefficient,
-unique because the gcd is unique up to sign.  Equal arguments and monomials
-take the monomial route, with no sympy call.  Two s-only arguments, the
-Q(q) coefficients of f(u) and of the inverse q-Gram matrix, take the Q(q)
-route: the gcd is taken in the univariate ring Z[s], six to seven times faster
-than sympy's heugcd in Z[w, v, u, s], which evaluates the three absent
-variables one level at a time.  Everything else is a gcd in Z[w, v, u, s].
-heugcd's sign depends on which of its interpolations succeeds, so
-_gcd_fast fixes it; the general paths of __add__ and __mul__ rely on that,
-as they divide canonical denominators by gcds and never fix the sign.
+unique because the gcd is unique up to sign, so any exact gcd gives the same
+canonical form.  Equal arguments and monomials take the monomial route.
+Everything else takes the heuristic gcd of Char, Geddes and Gonnet (1989),
+ported from sympy's heugcd to packed keys: the same deflation, evaluation
+points, symmetric interpolation and verifying exact divisions, but only the
+variables present are evaluated, so the Q(q) coefficients of f(u) and of
+the inverse q-Gram matrix cost one evaluation level, not four.  A gcd it
+does not find within _HEU_GCD_MAX evaluation points per variable raises
+ScalarError.  The heuristic's sign depends on which of its interpolations
+succeeds, so _gcd_fast fixes it; the general paths of __add__ and __mul__
+rely on that, as they divide canonical denominators by gcds and never fix
+the sign.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from operator import attrgetter
-
-from sympy import ZZ
-from sympy.polys.rings import ring as _mkring
-
-# Generators are declared largest-first, so under grlex: w > v > u > s.
-_RING, _W, _V, _U, _S = _mkring("w,v,u,s", ZZ, "grlex")
-_ZERO = _RING.zero
-_ONE = _RING.one
-_POLY = _RING.dtype  # builds a ring element from a {monomial: coeff} dict
-_S2P1 = _S**2 + 1  # s*(s + 1/s) = s^2 + 1
-_SPOLY = _mkring("s", ZZ)[0].dtype  # Z[s], for gcds of s-only polynomials
+from functools import cache
+from math import gcd, isqrt, lcm
+from operator import attrgetter, floordiv, mul
 
 # -- packed monomials (see the module docstring) ----------------------------
 
@@ -117,14 +113,25 @@ def _unpack(key):
     return (key >> 3 * _B & _M, key >> 2 * _B & _M, key >> _B & _M, key & _M)
 
 
+@cache
+def _ring():
+    """sympy's ring Z[w, v, u, s] under grlex, imported on first use: only
+    the PolyElement views Scalar.num and Scalar.den need it.  Generators are
+    declared largest-first, so under grlex: w > v > u > s."""
+    from sympy import ZZ
+    from sympy.polys.rings import ring
+
+    return ring("w,v,u,s", ZZ, "grlex")[0]
+
+
 def _packed(p):
-    """PolyElement of _RING -> packed dict."""
+    """PolyElement of _ring() -> packed dict."""
     return {_pack(m): int(c) for m, c in p.items()}
 
 
 def _poly(d):
-    """Packed dict -> PolyElement of _RING."""
-    return _POLY({_unpack(k): c for k, c in d.items()})
+    """Packed dict -> PolyElement of _ring()."""
+    return _ring().dtype({_unpack(k): c for k, c in d.items()})
 
 
 def _pmul(a, b):
@@ -170,45 +177,209 @@ def _w2_reduce(p):
     return {k: c for k, c in out.items() if c}
 
 
-# -- the general path's polynomial helpers (sympy PolyElements) --------------
+# -- the general path: packed polynomial arithmetic, gcd and exact division --
+
+# the lowest bit of each field above s: a borrow into one of them, when one
+# key is subtracted from another, means an exponent went negative
+_BORROW = 1 << _B | 1 << 2 * _B | 1 << 3 * _B | 1 << 4 * _B
+# (field shift, key of the variable) for w, v, u, s: the order in which the
+# heuristic gcd evaluates them
+_VARS = ((3 * _B, _W1), (2 * _B, _V1), (_B, _U1), (0, _S1))
+_S2P1 = {2 * _S1: 1, 0: 1}  # s*(s + 1/s) = s^2 + 1
+_HEU_GCD_MAX = 6  # evaluation points per variable before the gcd gives up
+
+
+def _padd(a, b):
+    """Sum of two packed polynomials."""
+    out = dict(a)
+    get = out.get
+    for k, c in b.items():
+        x = get(k, 0) + c
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    return out
+
+
+def _pneg(p):
+    return {k: -c for k, c in p.items()}
+
+
+def _lc(p):
+    """The leading coefficient (the coefficient of the largest key)."""
+    return p[max(p)]
 
 
 def _has_w(p):
-    return any(m[0] for m in p.itermonoms())
+    return any(map(_WMASK.__and__, p))
 
 
 def _mono_gcd(p, q):
     """gcd when at least one of p, q is a single term."""
-    c = 0
-    mins = None
-    for poly in (p, q):
-        for mon, coef in poly.iterterms():
-            c = gcd(c, int(coef))
-            mins = mon if mins is None else tuple(map(min, mins, mon))
-    if c == 1 and not any(mins):
-        return _ONE
-    return _RING.from_dict({mins: c})
+    mins = [min(col) for col in zip(*map(_unpack, [*p, *q]))]
+    return {_pack(mins): gcd(*p.values(), *q.values())}
 
 
-def _s_only(p):
-    return not any(m[0] or m[1] or m[2] for m in p.itermonoms())
+def _exquo(p, h):
+    """p / h when h divides p exactly in Z[w, v, u, s], else None: the
+    division algorithm, which fails on the first leading term of the
+    remainder that the leading term of h does not divide."""
+    kh = max(h)
+    ch = h[kh]
+    tail = [(k, c) for k, c in h.items() if k != kh]
+    r = dict(p)
+    get = r.get
+    q = {}
+    while r:
+        kp = max(r)
+        d = kp - kh
+        if d < 0 or (kp ^ kh ^ d) & _BORROW:
+            return None
+        c, m = divmod(r.pop(kp), ch)
+        if m:
+            return None
+        q[d] = c
+        for k, x in tail:
+            k += d
+            y = get(k, 0) - c * x
+            if y:
+                r[k] = y
+            else:
+                del r[k]
+    return q
+
+
+def _evaluate(p, shift, x1, x):
+    """p at X = x, for the variable X of field shift and key x1."""
+    out = {}
+    get = out.get
+    pw = [1]
+    for k, c in p.items():
+        e = k >> shift & _M
+        if e:
+            while len(pw) <= e:
+                pw.append(pw[-1] * x)
+            k -= e * x1
+            c *= pw[e]
+        out[k] = get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _interpolate(h, x, x1):
+    """The polynomial whose coefficients of X^i (X the variable of key x1)
+    are the base-x digits of h's coefficients, taken in the symmetric range
+    (-x/2, x/2], with a positive leading coefficient."""
+    f = {}
+    half = x // 2
+    sh = 0  # i * x1 for the digit i
+    while h:
+        nh = {}
+        for k, c in h.items():
+            g = c % x
+            if g > half:
+                g -= x
+            if g:
+                f[k + sh] = g
+            c = (c - g) // x
+            if c:
+                nh[k] = c
+        h = nh
+        sh += x1
+    return f if _lc(f) > 0 else _pneg(f)
+
+
+def _primitive(p):
+    c = gcd(*p.values())
+    return {k: v // c for k, v in p.items()} if c != 1 else p
+
+
+def _scale(p, c):
+    return {k: v * c for k, v in p.items()} if c != 1 else p
+
+
+def _heugcd(f, g):
+    """(h, f/h, g/h) for h a gcd of two nonzero packed polynomials: the
+    heuristic gcd of the module docstring, which evaluates only the
+    variables present.
+
+    The content is taken out, the first present variable X is evaluated at
+    an integer x, and the gcd of the two images (recursively, down to
+    integers) is interpolated back at X; a candidate is the gcd when it
+    divides both arguments, which is checked by exact division."""
+    c = gcd(gcd(*f.values()), *g.values())
+    if c != 1:
+        f = {k: v // c for k, v in f.items()}
+        g = {k: v // c for k, v in g.items()}
+    keys = [*f, *g]
+    for shift, x1 in _VARS:
+        if any(k >> shift & _M for k in keys):
+            break
+    else:  # two integers
+        a, b = f[0], g[0]
+        h = gcd(a, b)
+        return {0: h * c}, {0: a // h}, {0: b // h}
+    fn = max(map(abs, f.values()))
+    gn = max(map(abs, g.values()))
+    bound = 2 * min(fn, gn) + 29
+    x = max(
+        min(bound, 99 * isqrt(bound)),
+        2 * min(fn // abs(_lc(f)), gn // abs(_lc(g))) + 4,
+    )
+    for _ in range(_HEU_GCD_MAX):
+        ff = _evaluate(f, shift, x1, x)
+        gg = _evaluate(g, shift, x1, x)
+        if ff and gg:
+            h, cff, cfg = _heugcd(ff, gg)
+            h = _primitive(_interpolate(h, x, x1))
+            qf = _exquo(f, h)
+            if qf is not None:
+                qg = _exquo(g, h)
+                if qg is not None:
+                    return _scale(h, c), qf, qg
+            cff = _interpolate(cff, x, x1)
+            h = _exquo(f, cff)
+            if h is not None:
+                qg = _exquo(g, h)
+                if qg is not None:
+                    return _scale(h, c), cff, qg
+            cfg = _interpolate(cfg, x, x1)
+            h = _exquo(g, cfg)
+            if h is not None:
+                qf = _exquo(f, h)
+                if qf is not None:
+                    return _scale(h, c), qf, cfg
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    raise ScalarError(f"heuristic gcd failed after {_HEU_GCD_MAX} evaluation points")
+
+
+def _deflation(keys):
+    """The gcd of each variable's exponents over keys, with 1 for an absent
+    variable; None when all are 1."""
+    j = tuple(gcd(*col) or 1 for col in zip(*map(_unpack, keys)))
+    return None if j == (1, 1, 1, 1) else j
+
+
+def _rescale(p, j, op):
+    """p with every exponent e of each variable replaced by op(e, j) for
+    that variable's entry of j."""
+    return {_pack(map(op, _unpack(k), j)): c for k, c in p.items()}
 
 
 def _gcd_fast(p, q):
-    """The gcd with a positive leading coefficient, by one of the three
-    routes of the module docstring."""
+    """The gcd with a positive leading coefficient, by one of the two routes
+    of the module docstring."""
     if p == q:
-        return p if p.LC > 0 else -p
+        return p if _lc(p) > 0 else _pneg(p)
     if len(p) == 1 or len(q) == 1:
         return _mono_gcd(p, q)
-    if _s_only(p) and _s_only(q):
-        g = _SPOLY({(m[3],): c for m, c in p.items()}).gcd(
-            _SPOLY({(m[3],): c for m, c in q.items()})
-        )
-        g = _POLY({(0, 0, 0, e): c for (e,), c in g.items()})
-    else:
-        g = p.gcd(q)
-    return g if g.LC > 0 else -g
+    j = _deflation([*p, *q])
+    if j is None:
+        h = _heugcd(p, q)[0]
+    else:  # polynomials in s^j etc. are deflated first
+        h = _heugcd(_rescale(p, j, floordiv), _rescale(q, j, floordiv))[0]
+        h = _rescale(h, j, mul)
+    return h if _lc(h) > 0 else _pneg(h)
 
 
 def _gcd_with_wfree(num, den):
@@ -217,74 +388,71 @@ def _gcd_with_wfree(num, den):
         return _gcd_fast(num, den)
     a, b = _w_split(num)
     g = _gcd_fast(b, den)
-    if a and g != _ONE:
+    if a and g != _D1:
         g = _gcd_fast(a, g)
     return g
 
 
 def _div_fast(p, g):
     """Exact division with a cheap path for monomial divisors."""
-    if g == _ONE:
+    if g == _D1:
         return p
     if len(g) == 1:
-        ((gm, gc),) = g.iterterms()
-        gc = int(gc)
-        return _RING.from_dict(
-            {
-                tuple(e - ge for e, ge in zip(m, gm)): c // gc
-                for m, c in p.iterterms()
-            }
-        )
-    return p.exquo(g)
+        ((kg, cg),) = g.items()
+        return {k - kg: c // cg for k, c in p.items()}
+    q = _exquo(p, g)
+    if q is None:
+        raise ScalarError("inexact polynomial division")
+    return q
 
 
 def _w_reduce(p):
     """Rewrite w^2 -> (s^2+1)/s.  Returns (p2, k) with p == p2 / s^k."""
-    kmax = max((m[0] // 2 for m in p.itermonoms()), default=0)
+    kmax = max(map(_M.__and__, (k >> 3 * _B for k in p)), default=0) // 2
     if kmax == 0:
         return p, 0
-    out = _ZERO
-    for mon, c in p.iterterms():
-        ew, ev, eu, es = mon
-        k, r = divmod(ew, 2)
-        term = _RING.from_dict({(r, ev, eu, es + kmax - k): c})
-        if k:
-            term = term * _S2P1**k
-        out += term
+    out = {}
+    for key, c in p.items():
+        k = (key >> 3 * _B & _M) // 2
+        term = {key - 2 * k * _W1 + (kmax - k) * _S1: c}
+        for _ in range(k):
+            term = _pmul(term, _S2P1)
+        out = _padd(out, term)
+    if out and max(out) >= _LIMIT:
+        _too_wide()
     return out, kmax
 
 
 def _w_split(p):
     """Split p (with w-degree <= 1) into (a, b) with p = a + b*w."""
-    a, b = _ZERO, _ZERO
-    for mon, c in p.iterterms():
-        ew, ev, eu, es = mon
-        t = _RING.from_dict({(0, ev, eu, es): c})
-        if ew:
-            b += t
+    a, b = {}, {}
+    for k, c in p.items():
+        if k & _WMASK:
+            b[k - _W1] = c
         else:
-            a += t
+            a[k] = c
     return a, b
 
 
 def _canonicalize(num, den):
+    """The canonical pair of num / den for packed polynomials."""
     if not den:
         raise ScalarError("zero denominator")
     if _has_w(den):
         raise ScalarError("denominator must be w-free")
-    if not num:
-        return _ZERO, _ONE
     num, k = _w_reduce(num)
+    if not num:
+        return {}, _D1
     if k:
-        den = den * _S**k
+        den = _pmul(den, {k * _S1: 1})
     # cancel the gcd; any common divisor of num and den is w-free,
     # so it divides both the w-free and the w-linear part of num
     g = _gcd_with_wfree(num, den)
-    if g != _ONE:
+    if g != _D1:
         num = _div_fast(num, g)
         den = _div_fast(den, g)
-    if den.LC < 0:
-        num, den = -num, -den
+    if _lc(den) < 0:
+        num, den = _pneg(num), _pneg(den)
     return num, den
 
 
@@ -329,12 +497,12 @@ def _canonical(num, den):
         ((key, c),) = den.items()
         if not key & _UVWMASK:
             return _laurent(num, key & _M, c, None)
-    return Scalar(_poly(num), _poly(den))
+    return Scalar(num, den)
 
 
 class _PolyView:
     """A read-only view of one packed slot of a Scalar as a PolyElement of
-    _RING, built on each read.  A descriptor rather than a property:
+    _ring(), built on each read.  A descriptor rather than a property:
     perfbench/qavtrace.py times every property as a kernel operation, and
     its product hook reads den on every Scalar product."""
 
@@ -347,7 +515,7 @@ class _PolyView:
         if obj is None:
             return self
         d = self._get(obj)
-        return _ONE if d == _D1 else _poly(d)
+        return _ring().one if d == _D1 else _poly(d)
 
 
 class Scalar:
@@ -355,17 +523,21 @@ class Scalar:
 
     __slots__ = ("_n", "_d", "_f")
 
-    def __init__(self, num, den=_ONE, _normal=False):
-        """num / den for PolyElements of _RING; _normal asserts that the
-        pair is already canonical."""
+    def __init__(self, num, den=_D1, _normal=False):
+        """num / den for packed dicts or PolyElements of _ring(); _normal
+        asserts that the pair is already canonical."""
+        if type(num) is not dict:
+            num = _packed(num)
+        if type(den) is not dict:
+            den = _packed(den)
         if not _normal:
             num, den = _canonicalize(num, den)
-        self._n = _packed(num)
-        self._d = _packed(den)
+        self._n = num
+        self._d = den
         self._f = None
 
-    num = _PolyView("_n")  # the numerator as a PolyElement
-    den = _PolyView("_d")  # the denominator as a PolyElement
+    num = _PolyView("_n")  # the numerator as a PolyElement (imports sympy)
+    den = _PolyView("_d")  # the denominator as a PolyElement (imports sympy)
 
     def _facts(self):
         """(has_w, k, c): whether the numerator has w, and den == c*s^k
@@ -475,33 +647,32 @@ class Scalar:
         if k1 >= 0 and k2 >= 0:
             # Laurent path: the sum of products self*1 + other*1
             return Scalar.dot([(self, ONE), (other, ONE)])
-        if self._d == other._d:
-            d1 = self.den
-            num = self.num + other.num
+        n1, d1 = self._n, self._d
+        n2, d2 = other._n, other._d
+        if d1 == d2:
+            num = _padd(n1, n2)
             if not num:
                 return ZERO
             g = _gcd_with_wfree(num, d1)
-            if g == _ONE:
-                return Scalar(num, d1, _normal=True)
-            return Scalar(_div_fast(num, g), _div_fast(d1, g), _normal=True)
+            if g == _D1:
+                return _new(num, d1)
+            return _new(_div_fast(num, g), _div_fast(d1, g))
         # Knuth's reduced addition: only gcd(t, gcd(d1, d2)) can cancel
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
         g1 = _gcd_fast(d1, d2)
-        if g1 == _ONE:
-            num = n1 * d2 + n2 * d1
+        if g1 == _D1:
+            num = _padd(_pmul(n1, d2), _pmul(n2, d1))
             if not num:
                 return ZERO
-            return Scalar(num, d1 * d2, _normal=True)
+            return _new(num, _pmul(d1, d2))
         d1r = _div_fast(d1, g1)
         d2r = _div_fast(d2, g1)
-        t = n1 * d2r + n2 * d1r
+        t = _padd(_pmul(n1, d2r), _pmul(n2, d1r))
         if not t:
             return ZERO
         g2 = _gcd_with_wfree(t, g1)
-        if g2 == _ONE:
-            return Scalar(t, d1r * d2, _normal=True)
-        return Scalar(_div_fast(t, g2), d1r * _div_fast(d2, g2), _normal=True)
+        if g2 == _D1:
+            return _new(t, _pmul(d1r, d2))
+        return _new(_div_fast(t, g2), _pmul(d1r, _div_fast(d2, g2)))
 
     __radd__ = __add__
 
@@ -583,21 +754,21 @@ class Scalar:
                 return _laurent(_w2_reduce(num), k1 + k2 + 1, c1 * c2, None)
             # and has w exactly when one of them has
             return _laurent(num, k1 + k2, c1 * c2, w1 or w2)
+        n1, d1 = self._n, self._d
+        n2, d2 = other._n, other._d
         if w1 and w2:
             # the product needs w-reduction; take the canonicalizing path
-            return Scalar(self.num * other.num, self.den * other.den)
+            return Scalar(_pmul(n1, n2), _pmul(d1, d2))
         # cross-cancellation keeps the result reduced with small gcds
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
-        if d2 != _ONE:
+        if d2 != _D1:
             g = _gcd_with_wfree(n1, d2)
-            if g != _ONE:
+            if g != _D1:
                 n1, d2 = _div_fast(n1, g), _div_fast(d2, g)
-        if d1 != _ONE:
+        if d1 != _D1:
             g = _gcd_with_wfree(n2, d1)
-            if g != _ONE:
+            if g != _D1:
                 n2, d1 = _div_fast(n2, g), _div_fast(d1, g)
-        return Scalar(n1 * n2, d1 * d2, _normal=True)
+        return _new(_pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -605,12 +776,17 @@ class Scalar:
         if not self._n:
             raise ScalarError("inverse: division by zero")
         if not (self._f or self._facts())[0]:
-            return Scalar(self.den, self.num)
-        a, b = _w_split(self.num)
-        conj = a - b * _W
+            # the pair is already coprime: only the sign needs fixing
+            if _lc(self._n) < 0:
+                return _new(_pneg(self._d), _pneg(self._n))
+            return _new(self._d, self._n)
+        a, b = _w_split(self._n)
+        conj = _padd(a, {k + _W1: -c for k, c in b.items()})  # a - b*w
         # (a+bw)(a-bw) = a^2 - b^2 (s + 1/s) = (a^2 s - b^2 (s^2+1)) / s
-        newden = a * a * _S - b * b * _S2P1
-        return Scalar(self.den * conj * _S, newden)
+        newden = _pneg(_pmul(_pmul(b, b), _S2P1))
+        if a:
+            newden = _padd(newden, _pmul(_pmul(a, a), {_S1: 1}))
+        return Scalar(_pmul(_pmul(self._d, conj), {_S1: 1}), newden)
 
     def __truediv__(self, other):
         other = Scalar._coerce(other)
@@ -650,6 +826,14 @@ class Scalar:
     def subs_u(self, t: "Scalar") -> "Scalar":
         """Substitute u by the Scalar t."""
         return _eval_at_u(self._n, t) / _eval_at_u(self._d, t)
+
+    def u_slices(self):
+        """(num, den): the numerator and the denominator split by u-degree,
+        each a map deg_u -> u-free polynomial Scalar (dividing by nothing)."""
+        return (
+            {e: _new(p, _D1) for e, p in _u_split(self._n).items()},
+            {e: _new(p, _D1) for e, p in _u_split(self._d).items()},
+        )
 
     def uv_coeffs(self) -> dict:
         """For a Scalar with u,v-free denominator: the map
@@ -711,13 +895,19 @@ class Scalar:
         return _parse_scalar(text)
 
 
-def _eval_at_u(p, t):
-    """Evaluate the packed polynomial p at u = the Scalar t (Horner).
-    Returns a Scalar."""
+def _u_split(p):
+    """The packed polynomial p split by u-degree: {deg_u: u-free part}."""
     slices = {}
     for key, c in p.items():
         e = key >> _B & _M
         slices.setdefault(e, {})[key - e * _U1] = c
+    return slices
+
+
+def _eval_at_u(p, t):
+    """Evaluate the packed polynomial p at u = the Scalar t (Horner).
+    Returns a Scalar."""
+    slices = _u_split(p)
     if not slices:
         return ZERO
     exps = sorted(slices, reverse=True)
@@ -811,13 +1001,15 @@ def _parse_scalar(text: str) -> Scalar:
                     num = _parse_poly(text[1:i])
                     den = _parse_poly(text[i + 3 : -1])
                     return Scalar(num, den)
-    return Scalar(_parse_poly(text), _ONE)
+    return Scalar(_parse_poly(text))
 
 
 def _parse_poly(text: str):
+    """A packed polynomial from its printed form."""
     if not text:
         raise ScalarError("parse: empty polynomial")
-    out = _ZERO
+    out = {}
+    get = out.get
     i, n = 0, len(text)
     while i < n:
         sign = 1
@@ -828,12 +1020,14 @@ def _parse_poly(text: str):
         j = i
         while j < n and text[j] not in "+-":
             j += 1
-        out += sign * _parse_mono(text[i:j])
+        key, c = _parse_mono(text[i:j])
+        out[key] = get(key, 0) + sign * c
         i = j
-    return out
+    return {k: c for k, c in out.items() if c}
 
 
 def _parse_mono(term: str):
+    """(key, coefficient) of one printed term."""
     coeff = 1
     mon = [0, 0, 0, 0]
     for factor in term.split("*"):
@@ -846,7 +1040,7 @@ def _parse_mono(term: str):
         if name not in _VAR_NAMES:
             raise ScalarError(f"parse: unknown variable {name!r}")
         mon[_VAR_NAMES.index(name)] += int(exp) if exp else 1
-    return _RING.from_dict({tuple(mon): coeff})
+    return _pack(mon), coeff
 
 
 ZERO = Scalar.from_int(0)

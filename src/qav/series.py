@@ -214,8 +214,7 @@ def expand_scalar(x: Scalar, direction, order) -> TruncSeries:
     AT_ZERO requires the denominator not to vanish at u = 0; AT_INFINITY
     requires deg_u(num) <= deg_u(den) plus an invertible leading u-block.
     """
-    num = _u_slices(x.num, x.den)
-    den = _u_slices(x.den, x.den)
+    num, den = x.u_slices()
     if direction == AT_ZERO:
         if 0 not in den:
             raise SeriesError("expand_scalar: denominator vanishes at u=0")
@@ -243,24 +242,6 @@ def expand_scalar(x: Scalar, direction, order) -> TruncSeries:
         if not c.is_zero():
             out[m] = c
     return TruncSeries(direction, order, out)
-
-
-def _u_slices(p, den):
-    """Split polynomial p by u-degree into u-free Scalars p_e (dividing by
-    nothing; coefficients are raw polynomial Scalars)."""
-    from .scalars import _RING  # noqa: internal ring access
-
-    slices = {}
-    for mon, c in p.iterterms():
-        ew, ev, eu, es = mon
-        sl = slices.setdefault(eu, {})
-        key = (ew, ev, 0, es)
-        sl[key] = sl.get(key, 0) + c
-    return {
-        e: Scalar(_RING.from_dict(sl))
-        for e, sl in slices.items()
-        if any(sl.values())
-    }
 
 
 def series_log(f: TruncSeries, one=ONE) -> TruncSeries:

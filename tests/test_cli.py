@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import qav.scalars as qs
 from qav import cli, lop, rmatrix
 
 
@@ -164,6 +165,38 @@ def test_resource_bound_exits_2(capsys):
     ):
         assert cli.run(["check", *args]) == 2, args
         assert "resource bound" in capsys.readouterr().err
+
+
+def test_a_gcd_the_heuristic_cannot_find_exits_2(monkeypatch, capsys):
+    """A gcd that the heuristic gcd does not find within its evaluation
+    points is a resource failure (exit 2), not a failed check (exit 1)."""
+    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
+    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
+    monkeypatch.setattr(qs, "_HEU_GCD_MAX", 0)
+    rc = cli.run(["check", "unitarity", "--type", "B", "--rank", "1", "--order", "4"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error: heuristic gcd" in captured.err
+
+
+def test_runtime_imports_no_sympy():
+    """A qav process runs a whole check without importing sympy."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, sys\n"
+        "import qav.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = qav.cli.run(['check', 'all', '--type', 'B', '--rank', '1',"
+        " '--order', '4', '--format', 'json'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, check=True, text=True, timeout=300,
+    )
+    assert proc.stdout.split() == ["0", "[]"]
 
 
 def test_relrbar_mixed_relation_reads_only_determined_modes(capsys):

@@ -262,17 +262,24 @@ def test_laurent_path_matches_general_path(a, b):
     assert ((a + b).num, (a + b).den) == (total.num, total.den)
 
 
-# -- the Z[s] gcd route against the 4-variable ring ---------------------------
+# -- the packed gcd and exact division against sympy's ------------------------
 
-_S = qs._S
-_PENTA6 = prod((1 - _S**j for j in range(1, 7)), start=qs._ONE)
+_R = qs._ring()
+_w, _v, _u, _s = _R.gens
+_PENTA6 = prod((1 - _s**j for j in range(1, 7)), start=_R.one)
 # sympy's heugcd returns this pair's gcd with a negative leading coefficient,
 # in Z[s] and in Z[w, v, u, s] alike
-_NEG_PAIR = (-((_S - 1) ** 6) * (_S**2 + 1), _PENTA6)
+_NEG_PAIR = (-((_s - 1) ** 6) * (_s**2 + 1), _PENTA6)
 
 _shared_factors = st.sampled_from(
-    [1, (1 + _S**4) ** 2, (1 + _S**2) ** 3, 1 - _S**2, 1 + _S**8, _PENTA6]
+    [1, (1 + _s**4) ** 2, (1 + _s**2) ** 3, 1 - _s**2, 1 + _s**8, _PENTA6]
 )
+
+
+def _sympy_gcd(p, q):
+    """The reference: sympy's gcd in the 4-variable ring, sign made positive."""
+    g = p.gcd(q)
+    return g if g.LC > 0 else -g
 
 
 @st.composite
@@ -288,13 +295,13 @@ def s_polys(draw, step):
             max_size=4,
         )
     )
-    return qs._RING.from_dict({(0, 0, 0, step * e): c for c, e in terms})
+    return _R.from_dict({(0, 0, 0, step * e): c for c, e in terms})
 
 
 @st.composite
 def s_poly_pairs(draw):
     """Two s-only polynomials with a shared factor; step 4 and 8 are the
-    polynomials in s^(2(N-2)) that sympy deflates before its gcd."""
+    polynomials in s^(2(N-2)) that the gcd deflates first."""
     step = draw(st.sampled_from([1, 2, 4, 8]))
     common = draw(_shared_factors)
     return draw(s_polys(step)) * common, draw(s_polys(step)) * common
@@ -305,21 +312,99 @@ def s_poly_pairs(draw):
 @example(_NEG_PAIR)
 @example((_NEG_PAIR[1], _NEG_PAIR[0]))
 def test_s_only_gcd_route_matches_4_variable_gcd(pair):
+    """The packed gcd of two s-only polynomials is sympy's gcd in the
+    4-variable ring, with a positive leading coefficient."""
     p, q = pair
-    g = qs._gcd_fast(p, q)
-    ref = p.gcd(q)
-    assert g.ring is qs._RING
-    assert g == (ref if ref.LC > 0 else -ref)
+    g = qs._gcd_fast(qs._packed(p), qs._packed(q))
+    assert qs._poly(g) == _sympy_gcd(p, q)
+
+
+@st.composite
+def suv_polys(draw, step=1):
+    """A nonzero integer polynomial in s, u, v (exponents of s times step)."""
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-9, max_value=9).filter(bool),
+                st.integers(min_value=0, max_value=4),
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=2),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return _R.from_dict({(0, ev, eu, step * es): c for c, es, eu, ev in terms})
+
+
+_suv_factors = st.sampled_from(
+    [
+        _R.one,
+        _s - _u,
+        _u * _v - 2,
+        1 + _s * _v,
+        (1 + _s**2) ** 2,
+        3 * _s**4 - _u,
+        (_s**2 - _u * _v) * (1 + _s**4),
+        _PENTA6,
+    ]
+)
+
+
+@st.composite
+def suv_pairs(draw):
+    """Two polynomials in Z[s, u, v] with a shared factor; step 4 gives
+    pairs in s^4 (with the shared factor 1 + s^4) that the gcd deflates."""
+    step = draw(st.sampled_from([1, 1, 4]))
+    common = _R.one + _s**4 if step == 4 else draw(_suv_factors)
+    return draw(suv_polys(step)) * common, draw(suv_polys(step)) * common
+
+
+@settings(max_examples=200, deadline=None)
+@given(suv_pairs())
+@example(_NEG_PAIR)
+def test_packed_gcd_matches_sympy_in_z_s_u_v(pair):
+    p, q = pair
+    g = qs._gcd_fast(qs._packed(p), qs._packed(q))
+    assert qs._poly(g) == _sympy_gcd(p, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(suv_pairs(), suv_polys())
+def test_packed_gcd_with_a_w_linear_numerator_matches_sympy(pair, b):
+    """num = a + b*w against a w-free den: sympy's 4-variable gcd."""
+    a, den = pair
+    num = a + b * _w * (a.gcd(den))
+    g = qs._gcd_with_wfree(qs._packed(num), qs._packed(den))
+    assert qs._poly(g) == _sympy_gcd(num, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(suv_pairs(), suv_polys())
+@example((_NEG_PAIR[0] + _w * _PENTA6, _PENTA6), _R.one)
+def test_packed_exact_division_matches_sympy(pair, b):
+    p, h = pair
+    for f in (p, p * h, p * h + b):
+        q, r = f.div(h)
+        got = qs._exquo(qs._packed(f), qs._packed(h))
+        assert got == (None if r else qs._packed(q))
+    if h != _R.one:
+        assert qs._poly(qs._div_fast(qs._packed(p * h), qs._packed(h))) == p
+
+
+def test_a_gcd_the_heuristic_cannot_find_raises_scalar_error(monkeypatch):
+    monkeypatch.setattr(qs, "_HEU_GCD_MAX", 0)
+    with pytest.raises(ScalarError, match="heuristic gcd"):
+        Scalar.parse("(s+1)/(s^2+1)") + Scalar.parse("(1)/(s^2+3)")
 
 
 def _gcd_4var(p, q):
-    """The reference: sympy's gcd in the 4-variable ring, sign made positive."""
-    g = p.gcd(q)
-    return g if g.LC > 0 else -g
+    """_gcd_fast through sympy's gcd in the 4-variable ring."""
+    return qs._packed(_sympy_gcd(qs._poly(p), qs._poly(q)))
 
 
 _q_factors = st.sampled_from(
-    [1, 2, _S, 1 + _S**2, 1 + _S**4, 1 - _S**2, _S**4 + _S**2 + 1, (_S - 1) ** 6]
+    [1, 2, _s, 1 + _s**2, 1 + _s**4, 1 - _s**2, _s**4 + _s**2 + 1, (_s - 1) ** 6]
 )
 
 
@@ -327,13 +412,13 @@ _q_factors = st.sampled_from(
 def q_operands(draw):
     """num/den in Q(s) with den a product of true polynomial factors."""
     num = draw(s_polys(draw(st.sampled_from([1, 2])))) * draw(_q_factors)
-    den = qs._ONE
+    den = _R.one
     for f in draw(st.lists(_q_factors, min_size=1, max_size=3)):
         den = den * f
     return Scalar(num, den)
 
 
-_NEG_SUM = (Scalar(qs._ONE, _PENTA6), Scalar(_NEG_PAIR[0] - 1, _PENTA6))
+_NEG_SUM = (Scalar(_R.one, _PENTA6), Scalar(_NEG_PAIR[0] - 1, _PENTA6))
 
 
 @settings(max_examples=100, deadline=None)
@@ -358,27 +443,30 @@ def test_sum_over_a_true_polynomial_denominator_is_canonical():
 
 
 def test_f_series_takes_no_s_only_gcd_in_the_4_variable_ring(monkeypatch):
-    calls = []
-    real = PolyElement.gcd
+    """f(u) on D3 takes its gcds of s-only polynomials in the packed kernel,
+    which evaluates s alone: none goes through sympy, and no evaluation
+    touches w, v or u."""
+    sympy_calls, s_only, shifts = [], [], set()
+    real_gcd, real_eval = qs._gcd_fast, qs._evaluate
 
     def gcd(p, q):
-        if p.ring is qs._RING:
-            calls.append(qs._s_only(p) and qs._s_only(q))
-        else:
-            calls.append("Z[s]")
-        return real(p, q)
+        s_only.append(not any(k & qs._UVWMASK for k in [*p, *q]))
+        return real_gcd(p, q)
 
-    monkeypatch.setattr(PolyElement, "gcd", gcd)
+    def evaluate(p, shift, x1, x):
+        shifts.add(shift)
+        return real_eval(p, shift, x1, x)
+
+    monkeypatch.setattr(PolyElement, "gcd", lambda p, q: sympy_calls.append(p))
+    monkeypatch.setattr(qs, "_gcd_fast", gcd)
+    monkeypatch.setattr(qs, "_evaluate", evaluate)
     series.f_series(AlgebraData("D", 3), 10)
-    assert True not in calls
-    assert "Z[s]" in calls
+    assert not sympy_calls
+    assert s_only and all(s_only)
+    assert shifts == {0}
 
 
 # -- the packed kernel against sympy PolyElement arithmetic -------------------
-
-_R = qs._RING
-_w, _v, _u, _s = _R.gens
-
 
 def _sympy_canonical(num, den):
     """num/den in canonical form by sympy alone: w^2 -> (s^2+1)/s through a
