@@ -17,7 +17,13 @@ from fractions import Fraction
 
 from . import vecrep
 from .liedata import AlgebraData
-from .quasidet import GaussFactors, _cross_check, gauss_decompose, mat_mul, psi_image
+from .quasidet import (
+    GaussFactors,
+    _cross_check,
+    gauss_decompose,
+    mat_mul,
+    schur_complement,
+)
 from .report import check, first_failure
 from .rmatrix import _mat_subs_u, build_catalog, crossing_scalar
 from .scalars import ONE, Scalar, qbinom
@@ -983,11 +989,11 @@ def check_lowrank(alg: AlgebraData, K: int = 10) -> list:
 
 
 def _current_indices(alg: AlgebraData, i: int):
-    if i < alg.n:
-        return i, i + 1
-    if alg.type == "B":
-        return alg.n, alg.n + 1
-    return alg.n - 1, alg.n + 1
+    """The 1-based Gauss entry (a, b) whose e_ab and f_ba carry the current
+    of node i."""
+    if alg.type == "D" and i == alg.n:
+        return alg.n - 1, alg.n + 1
+    return i, i + 1
 
 
 def x_current(gs: GaussianSeries, i: int, plus: bool) -> ModeSeries:
@@ -1135,22 +1141,20 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
     qmq = _QMQ
     zero = SparseMat.zeros(N, N)
     for i in range(1, n + 1):
-        if alg.type == "D" and i == n:
-            a, b = n - 1, n + 1
-        else:
-            a, b = i, i + 1
+        a, b = _current_indices(alg, i)
         hp = src.h(a, 1).inverse() * src.h(b, 1)
         hm = src.h(a, -1).inverse() * src.h(b, -1)
         for j in range(1, n + 1):
             Xp, Xm = currents[(i, True)], currents[(j, False)]
 
             def mixed(alpha, beta):
-                lhs = Xp.mat(alpha) * Xm.mat(beta) - Xm.mat(beta) * Xp.mat(alpha)
-                if i != j:
-                    return lhs
-                g = alpha + beta
-                diff = hm.coefficient(g, zero=zero) - hp.coefficient(g, zero=zero)
-                return lhs - diff.scale(qmq)
+                xp, xm = Xp.mat(alpha), Xm.mat(beta)
+                terms = [(None, xp, xm), (_MONE, xm, xp)]
+                if i == j:
+                    g = alpha + beta
+                    terms.append((-qmq, hm.coefficient(g, zero=zero), None))
+                    terms.append((qmq, hp.coefficient(g, zero=zero), None))
+                return SparseMat.sum_of_products(terms, N, N)
 
             out.append(
                 first_failure(
@@ -1355,32 +1359,29 @@ def check_eiprei(alg: AlgebraData, K: int = 10) -> list:
 
 
 def check_psi_consistency(alg: AlgebraData, m: int, K: int = 10) -> list:
-    """Quasideterminant reduction images versus trailing-block products, the
-    commutation of the eliminated corner with the images, and - when the
-    reduced rank admits one - the low-rank battery run through the reduced
-    generators."""
+    """The reduction images psi_m(l_ij), read from L as one Schur complement
+    of its leading m x m block, versus the central-block products of the
+    Gauss factors; the commutation of the eliminated corner with the images;
+    and - when the reduced rank admits one - the low-rank battery run
+    through the reduced generators."""
     if not (1 <= m <= alg.n - 1):
         raise LopError("need 1 <= m <= n - 1")
     lops = build_lops(alg, K)
     gs = gaussian_generators(lops)
     N = alg.N
     out = []
-    hi = N - m  # last index of the central block, 1-based
-    block = range(m + 1, hi + 1)
-    # each image is a quasideterminant; both loops below reuse them
-    images = {
-        (s, i, j): psi_image(gs.g(s), m, i, j)
-        for s in _SIGNS
-        for i in block
-        for j in block
-    }
+    block = range(m + 1, N - m + 1)  # the central block, 1-based
+    # the images psi_m(l_ij), i, j in the block: the Schur complement of the
+    # leading m x m block of L, one inverse per sign; both loops reuse them
+    idx = range(m, N - m)
+    images = {s: schur_complement(gs.g(s).L, m, idx, idx, gs.g(s).one) for s in _SIGNS}
     for s in _SIGNS:
         witness = next(
             (
                 {"row": i, "col": j}
-                for i in block
-                for j in block
-                if not images[s, i, j][2]
+                for i, xs, ys in zip(block, images[s], gs.g(s).product(m))
+                for j, x, y in zip(block, xs, ys)
+                if not (x - y).is_zero()
             ),
             None,
         )
@@ -1398,9 +1399,8 @@ def check_psi_consistency(alg: AlgebraData, m: int, K: int = 10) -> list:
         for a in range(1, m + 1):
             for b in range(1, m + 1):
                 A = ga[a - 1][b - 1]
-                for i in block:
-                    for j in block:
-                        B = images[t, i, j][0]
+                for i, row in zip(block, images[t]):
+                    for j, B in zip(block, row):
                         item = _bivar_zero(
                             f"[l[{a},{b}]{_sig(s)}(u), psi_{m}(l[{i},{j}]{_sig(t)}(v))]",
                             N,
@@ -1494,15 +1494,13 @@ def _reduced_xi(alg: AlgebraData, m: int) -> Scalar:
 
 def _reduced_central_series(gs: GaussianSeries, m: int, sign: int):
     """The central series of the rank-m reduction, computed from the central
-    square of the trailing-block product."""
-    alg, N, K = gs.alg, gs.N, gs.K
-    m0 = alg.n - m
-    g = gs.g(sign)
-    red = g.reduced_product(m0)
-    nr = N - 2 * m0
-    central = [[red[i][j] for j in range(nr)] for i in range(nr)]
+    block product of the Gauss factors that psi_(n-m) maps L onto."""
+    alg = gs.alg
     prod = _weighted_transpose_product(
-        central, _red_bars(alg.type, m), _reduced_xi(alg, m), K
+        gs.g(sign).product(alg.n - m),
+        _red_bars(alg.type, m),
+        _reduced_xi(alg, m),
+        gs.K,
     )
     return _extract_aux_scalar(
         f"{alg} reduced rank {m} central series ({_sig(sign)})", prod
@@ -1531,10 +1529,7 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
         g = gs.g(s)
         # near-diagonal entries against the geometric closed forms
         for i in range(1, n + 1):
-            if alg.type == "D" and i == n:
-                erow, ecol = n - 1, n + 1
-            else:
-                erow, ecol = i, i + 1
+            erow, ecol = _current_indices(alg, i)
             out.append(
                 _series_equal(
                     f"{alg}: e[{erow},{ecol}]{_sig(s)} matches the geometric "

@@ -7,6 +7,13 @@ Matrices here are plain dense lists-of-lists whose entries support +, -, *
 same code therefore serves the Scalar field, truncated series, and series
 with matrix coefficients.
 
+L is read beside its Gauss decomposition through one elimination,
+schur_complement: the Schur complement of a leading block of L, with that
+block inverted once.  The quasideterminants, the cross path _cross_check of
+every h, e and f, and the images psi_m(l_ij) of the reduction map (the
+central block of the complement of the leading m x m block, against
+GaussFactors.product(m)) are all read from it.
+
 Entry indices of the dense matrices are 0-based; the accessors of
 GaussFactors use the 1-based labels of the generator series e_ij, f_ji, h_i.
 """
@@ -111,22 +118,41 @@ def quasideterminant(A, i, j, one):
     """|A|_ij = a_ij - r (A^ij)^-1 c over the ring (0-based i, j).
 
     r is row i of A with the (i,j) entry deleted, c is column j with the
-    (i,j) entry deleted, and A^ij is A with row i and column j deleted.
-    The product is formed as r ((A^ij)^-1 c), by fused dots.
+    (i,j) entry deleted, and A^ij is A with row i and column j deleted: with
+    row i and column j moved last, |A|_ij is the Schur complement of the
+    leading block A^ij.
     """
     n = _dims(A)
     if not (0 <= i < n and 0 <= j < n):
         raise QuasidetError("quasideterminant index out of range")
-    if n == 1:
-        return A[0][0]
-    rows = [r for r in range(n) if r != i]
-    cols = [c for c in range(n) if c != j]
-    sub = [[A[r][c] for c in cols] for r in rows]
-    inv = ring_inverse(sub, one)
-    r_vec = [A[i][c] for c in cols]
-    c_vec = [A[r][j] for r in rows]
-    inv_c = [_dot(list(zip(row, c_vec))) for row in inv]
-    return A[i][j] - _dot(list(zip(r_vec, inv_c)))
+    rows = [r for r in range(n) if r != i] + [i]
+    cols = [c for c in range(n) if c != j] + [j]
+    ((x,),) = schur_complement(_bordered(A, rows, cols), n - 1, [n - 1], [n - 1], one)
+    return x
+
+
+def schur_complement(L, k, rows, cols, one, inv=None):
+    """The entries L_ij - L_i,:k A^-1 L_:k,j for i in rows and j in cols
+    (0-based), where A = L[:k, :k] is the leading k x k block: rows x cols
+    of the Schur complement of A in L.
+
+    A is inverted once by ring_inverse, unless its inverse is given as inv.
+    The correction is formed as (R A^-1) C when there are no more rows than
+    columns and as R (A^-1 C) otherwise, R and C being the rows and columns
+    of L beside A; every entry of each product is one fused dot.
+    """
+    if not k:
+        return _bordered(L, rows, cols)
+    if inv is None:
+        inv = ring_inverse(_bordered(L, range(k), range(k)), one)
+    R, C = _bordered(L, rows, range(k)), _bordered(L, range(k), cols)
+    if len(rows) <= len(cols):
+        corr = mat_mul(mat_mul(R, inv), C)
+    else:
+        corr = mat_mul(R, mat_mul(inv, C))
+    return [
+        [L[i][j] - x for j, x in zip(cols, row)] for i, row in zip(rows, corr)
+    ]
 
 
 def _dot(pairs):
@@ -140,6 +166,10 @@ def mat_mul(A, B):
         [_dot([(a, b[j]) for a, b in zip(row, B)]) for j in range(len(B[0]))]
         for row in A
     ]
+
+
+def _bordered(L, rows, cols):
+    return [[L[r][c] for c in cols] for r in rows]
 
 
 class GaussFactors:
@@ -168,17 +198,13 @@ class GaussFactors:
             raise QuasidetError("f(j, i) requires i < j")
         return self.F[j - 1][i - 1]
 
-    def product(self):
-        """F * H * E, for verifying the decomposition."""
-        n = self.n
-        HE = [[self.H[i] * self.E[i][j] for j in range(n)] for i in range(n)]
-        return mat_mul(self.F, HE)
-
-    def reduced_product(self, m):
-        """The product of the trailing (n-m) x (n-m) blocks of F, H, E."""
-        n = self.n
-        idx = range(m, n)
-        F = [[self.F[i][j] for j in idx] for i in idx]
+    def product(self, m=0):
+        """F * H * E on the central indices m..n-m-1 (0-based), for verifying
+        the decomposition (m = 0) and the reduction map psi_m: as F and E
+        are triangular, this is the central block of the product of the
+        trailing blocks of F, H and E from m on."""
+        idx = range(m, self.n - m)
+        F = _bordered(self.F, idx, idx)
         HE = [[self.H[i] * self.E[i][j] for j in idx] for i in idx]
         return mat_mul(F, HE)
 
@@ -220,10 +246,6 @@ def gauss_decompose(L, one) -> GaussFactors:
     return GaussFactors(L, F, H, E, one)
 
 
-def _bordered(L, rows, cols):
-    return [[L[r][c] for c in cols] for r in rows]
-
-
 def _cross_check(g: GaussFactors):
     """Yield (labels, difference) for every Gaussian generator against its
     quasideterminant formula, read from L and ring_inverse alone:
@@ -232,45 +254,17 @@ def _cross_check(g: GaussFactors):
         f_jk h_k = L_jk - r_j A^-1 c_k,
 
     where A is the leading k x k block of L, r_i the first k entries of row
-    i and c_j those of column j.  Each A is inverted once, r_k A^-1 and
-    A^-1 c_k are formed once, and h_k is never inverted.  The labels are
-    {"generator": "h" | "e" | "f", "entry": the 1-based indices}.
+    i and c_j those of column j: row k and column k of the Schur complement
+    of A, which share one inverse of A.  h_k is never inverted.  The labels
+    are {"generator": "h" | "e" | "f", "entry": the 1-based indices}.
     """
     L, one, n = g.L, g.one, g.n
     for k in range(n):
-        # row k from column k on, and column k below row k, of the Schur
-        # complement of A in L
-        row, col = L[k][k:], [L[j][k] for j in range(k + 1, n)]
-        if k:
-            inv = ring_inverse(_bordered(L, range(k), range(k)), one)
-            r_inv = mat_mul([L[k][:k]], inv)
-            inv_c = mat_mul(inv, _bordered(L, range(k), [k]))
-            top = mat_mul(r_inv, _bordered(L, range(k), range(k, n)))[0]
-            left = mat_mul(_bordered(L, range(k + 1, n), range(k)), inv_c)
-            row = [x - y for x, y in zip(row, top)]
-            col = [x - y for x, (y,) in zip(col, left)]
+        inv = ring_inverse(_bordered(L, range(k), range(k)), one) if k else None
+        (row,) = schur_complement(L, k, [k], range(k, n), one, inv)
+        col = schur_complement(L, k, range(k + 1, n), [k], one, inv)
         h = g.H[k]
         yield {"generator": "h", "entry": [k + 1]}, row[0] - h
-        for j, e, f in zip(range(k + 1, n), row[1:], col):
+        for j, e, (f,) in zip(range(k + 1, n), row[1:], col):
             yield {"generator": "e", "entry": [k + 1, j + 1]}, e - h * g.E[k][j]
             yield {"generator": "f", "entry": [j + 1, k + 1]}, f - g.F[j][k] * h
-
-
-def psi_image(g: GaussFactors, m, i, j):
-    """The reduction map on entry (i, j), 1-based with m < i, j <= n.
-
-    Returns (value, reduced, ok): the bordered quasideterminant built from
-    the original matrix, the (i, j) entry of the product of the trailing
-    blocks of F, H, E, and whether the two agree.
-    """
-    if not (m < i <= g.n and m < j <= g.n):
-        raise QuasidetError("psi_image index out of range")
-    rows = list(range(m)) + [i - 1]
-    cols = list(range(m)) + [j - 1]
-    value = quasideterminant(_bordered(g.L, rows, cols), m, m, g.one)
-    # entry (i, j) of g.reduced_product(m), without forming the whole product
-    reduced = mat_mul(
-        [g.F[i - 1][m:]], [[g.H[k] * g.E[k][j - 1]] for k in range(m, g.n)]
-    )[0][0]
-    ok = (value - reduced).is_zero()
-    return value, reduced, ok

@@ -20,6 +20,7 @@ from .tensor import SparseMat
 # The largest rank check_drinfeld_window accepts, at the default window 3.
 # On a 2-core host B14 and D15 take about 11 s, D14 about 8 s.
 MAX_DRINFELD_RANK = 14
+_MONE = Scalar.from_int(-1)
 
 
 class VecRepError(ValueError):
@@ -32,7 +33,8 @@ def _check_index(alg, i):
 
 
 def _qp(e):
-    return Scalar.q_pow(e)
+    """q^e for an integer e (q = s^2)."""
+    return Scalar.s_pow(2 * e)
 
 
 def _mat(N, entries) -> SparseMat:
@@ -139,8 +141,10 @@ def psi_phi_modes(alg, i, maxmode):
     return psi, phi
 
 
-def _comm(a, b):
-    return a * b - b * a
+def _comm(a, b, *terms):
+    """a*b - b*a + the sum of the (c, A, B) terms, as one sum_of_products."""
+    terms = [(None, a, b), (_MONE, b, a), *terms]
+    return SparseMat.sum_of_products(terms, a.nrows, b.ncols)
 
 
 def serre_sum(xs, y, coefs) -> SparseMat:
@@ -252,11 +256,9 @@ def check_drinfeld_window(alg, window=3) -> list:
                     coef = qint(m * aij, alg.r[i - 1]) * Scalar.fraction(1, m)
                     for l in modes:
                         for sgn, xf in ((1, x_plus), (-1, x_minus)):
-                            lhs = _comm(a_gen(alg, i, m), xf(alg, j, l))
-                            rhs = xf(alg, j, m + l).scale(
-                                coef if sgn > 0 else -coef
-                            )
-                            yield f"i={i},j={j},m={m},l={l},sign={sgn:+d}", lhs - rhs
+                            rhs = (-coef if sgn > 0 else coef, xf(alg, j, m + l), None)
+                            diff = _comm(a_gen(alg, i, m), xf(alg, j, l), rhs)
+                            yield f"i={i},j={j},m={m},l={l},sign={sgn:+d}", diff
 
     run("[a_{i,m}, x_{j,l}] = +-([m A_ij]_{q_i}/m) x_{j,m+l}", a_x())
 
@@ -265,16 +267,19 @@ def check_drinfeld_window(alg, window=3) -> list:
             for j in range(1, n + 1):
                 aij = int(alg.A[i - 1][j - 1])
                 for sgn, xf in ((1, x_plus), (-1, x_minus)):
-                    coef = alg.qi[i - 1] ** (sgn * aij)
+                    mc = -alg.qi[i - 1] ** (sgn * aij)
+                    coefs = None, mc, mc, None
                     for m in range(-W, W):
                         xi1 = xf(alg, i, m + 1)
                         xi0 = xf(alg, i, m)
                         for l in modes:
                             xj0 = xf(alg, j, l)
                             xj1 = xf(alg, j, l + 1)
-                            lhs = xi1 * xj0 - (xj0 * xi1).scale(coef)
-                            rhs = (xi0 * xj1).scale(coef) - xj1 * xi0
-                            yield f"i={i},j={j},m={m},l={l},sign={sgn:+d}", lhs - rhs
+                            # (xi1 xj0 - c xj0 xi1) - (c xi0 xj1 - xj1 xi0), mc = -c
+                            pairs = (xi1, xj0), (xj0, xi1), (xi0, xj1), (xj1, xi0)
+                            terms = [(c, a, b) for c, (a, b) in zip(coefs, pairs)]
+                            diff = SparseMat.sum_of_products(terms, N, N)
+                            yield f"i={i},j={j},m={m},l={l},sign={sgn:+d}", diff
 
     run("quadratic x-x relation", quadratic())
 
@@ -290,15 +295,14 @@ def check_drinfeld_window(alg, window=3) -> list:
             for j in range(1, n + 1):
                 for m in modes:
                     for l in modes:
-                        lhs = _comm(x_plus(alg, i, m), x_minus(alg, j, l))
-                        if i != j:
-                            yield f"i={i},j={j},m={m},l={l}", lhs
-                            continue
-                        t = m + l
-                        psi_t = psis[i][t] if t >= 0 else zero
-                        phi_t = phis[i][-t] if t <= 0 else zero
-                        rhs = (psi_t - phi_t).scale(qdinv)
-                        yield f"i={i},j={j},m={m},l={l}", lhs - rhs
+                        rhs = []
+                        if i == j:
+                            t = m + l
+                            psi_t = psis[i][t] if t >= 0 else zero
+                            phi_t = phis[i][-t] if t <= 0 else zero
+                            rhs = [(-qdinv, psi_t, None), (qdinv, phi_t, None)]
+                        diff = _comm(x_plus(alg, i, m), x_minus(alg, j, l), *rhs)
+                        yield f"i={i},j={j},m={m},l={l}", diff
 
     run("[x+_{i,m}, x-_{j,l}] = delta_ij (psi - phi)/(q_i - 1/q_i)", x_mixed())
 

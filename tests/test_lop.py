@@ -1,6 +1,8 @@
 """L-operators, Gaussian generators, and the relation suites (fast smoke at
 low truncation order; the full order-10 runs live in test_acceptance)."""
 
+import json
+
 import pytest
 
 from qav import cli, lop, quasidet, rmatrix, vecrep
@@ -34,6 +36,11 @@ def b1():
 @pytest.fixture(scope="module")
 def d2():
     return AlgebraData("D", 2)
+
+
+@pytest.fixture(scope="module")
+def d3():
+    return AlgebraData("D", 3)
 
 
 def test_build_lops_selects_unique_wiring(b1):
@@ -139,6 +146,48 @@ def test_gaussian_generators_raises_when_the_cross_path_fails(monkeypatch, capsy
     assert cli.run(["check", "gauss", "--type", "B", "--rank", "1", "--order", "4"]) == 2
     err = capsys.readouterr().err
     assert "Gauss factors fail 'quasideterminant cross-path agrees" in err
+
+
+def test_psi_inverts_each_leading_block_once(monkeypatch, d3):
+    """On D3 (N = 6) the reduction images of each sign are one Schur
+    complement: one inverse of the leading m x m block of L per sign, where
+    an entrywise quasideterminant inverted it once per image."""
+    gaussian_generators(build_lops(d3, K))
+    ring_inverse = quasidet.ring_inverse
+    for m in (1, 2):
+        sizes = []
+
+        def counted(A, one):
+            sizes.append(len(A))
+            return ring_inverse(A, one)
+
+        monkeypatch.setattr(quasidet, "ring_inverse", counted)
+        checks = check_psi_consistency(d3, m, K)
+        assert all_pass(checks), failures(checks)
+        assert sizes == [m, m]
+
+
+def test_psi_fails_when_the_images_read_a_wrong_inverse(monkeypatch, capsys, d2):
+    """After the build, images read through a wrong inverse of the leading
+    block of L disagree with the central blocks of the Gauss factors: both
+    image items fail with a row/col witness, and `qav check` exits 1."""
+    gaussian_generators(build_lops(d2, K))
+    ring_inverse = quasidet.ring_inverse
+
+    def wrong(A, one):
+        inv = ring_inverse(A, one)
+        inv[0][0] = inv[0][0] + one
+        return inv
+
+    monkeypatch.setattr(quasidet, "ring_inverse", wrong)
+    argv = ["check", "psi", "--type", "D", "--rank", "2", "--order", str(K)]
+    assert cli.run([*argv, "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+    failed = {c["name"]: c["witness"] for c in checks if c["status"] == "fail"}
+    assert failed == {
+        f"D2 m=1: reduction images match trailing blocks ({s})": {"row": 2, "col": 2}
+        for s in "+-"
+    }
 
 
 def test_lowrank_b1(b1):

@@ -16,9 +16,9 @@ from qav.quasidet import (
     _cross_check,
     gauss_decompose,
     mat_mul,
-    psi_image,
     quasideterminant,
     ring_inverse,
+    schur_complement,
 )
 from qav.scalars import Scalar, ONE, ZERO
 
@@ -160,15 +160,47 @@ def test_gauss_diagonal_is_quasideterminant_of_leading_block():
 
 
 def test_psi_image_two_paths_agree():
-    g = gauss_decompose(_generic4(), ONE)
+    """The images psi_m(l_ij) on the central block m..n-m-1: the Schur
+    complement of the leading m x m block of L equals the central block
+    product of F, H and E, and, commutatively, the determinant ratio of the
+    bordered minor over the leading block."""
+    rows = [
+        [Fraction(2), Fraction(1), Fraction(-1), Fraction(3), Fraction(1)],
+        [Fraction(1), Fraction(3), Fraction(2), Fraction(-1), Fraction(2)],
+        [Fraction(-2), Fraction(1), Fraction(4), Fraction(1), Fraction(-3)],
+        [Fraction(3), Fraction(-1), Fraction(1), Fraction(5), Fraction(1)],
+        [Fraction(1), Fraction(2), Fraction(-1), Fraction(2), Fraction(4)],
+    ]
+    for k in range(1, 6):
+        assert det([r[:k] for r in rows[:k]]) != 0
+    L = to_scalars(rows)
+    g = gauss_decompose(L, ONE)
     for m in (1, 2):
-        for i in range(m + 1, 5):
-            for j in range(m + 1, 5):
-                value, reduced, ok = psi_image(g, m, i, j)
-                assert ok, (m, i, j)
-                assert reduced == g.reduced_product(m)[i - 1 - m][j - 1 - m]
-    with pytest.raises(QuasidetError):
-        psi_image(g, 2, 2, 3)
+        block = range(m, 5 - m)
+        images = schur_complement(L, m, block, block, ONE)
+        reduced = g.product(m)
+        assert len(images) == len(reduced) == 5 - 2 * m
+        lead = det([r[:m] for r in rows[:m]])
+        for a, i in enumerate(block):
+            for b, j in enumerate(block):
+                assert (images[a][b] - reduced[a][b]).is_zero(), (m, i, j)
+                minor = [rows[r][:m] + [rows[r][j]] for r in [*range(m), i]]
+                want = det(minor) / lead
+                assert images[a][b] == Scalar.fraction(want.numerator, want.denominator)
+
+
+def test_schur_complement_reuses_a_given_inverse_in_either_order():
+    """Rows x cols of the complement agree in both product orders, and an
+    inverse that is passed in is the one used."""
+    L = _generic4()
+    inv = ring_inverse([r[:2] for r in L[:2]], ONE)
+    tall = schur_complement(L, 2, [2, 3], [3], ONE)  # R (A^-1 C)
+    wide = schur_complement(L, 2, [2, 3], [2, 3], ONE, inv)  # (R A^-1) C
+    assert [x for (x,) in tall] == [row[1] for row in wide]
+    bumped = [row[:] for row in inv]
+    bumped[0][0] += ONE
+    ((x,),) = schur_complement(L, 2, [3], [3], ONE, bumped)
+    assert not (x - wide[1][1]).is_zero()
 
 
 def test_singular_leading_block_raises():

@@ -1,6 +1,7 @@
-"""Byte identity of the JSON reports: every B1 and D3 invocation recorded in
-perfbench/reference.json, run in-process, prints exactly the recorded bytes.
-(The D2 `check all` entry is left to the benchmark, which runs it.)"""
+"""Byte identity of the JSON reports: every invocation recorded in
+perfbench/reference.json (the B1 and D3 suites, and `check all` on D2, the
+one key where `psi` runs its images and corner checks), run in-process,
+prints exactly the recorded bytes."""
 
 import hashlib
 import json
@@ -12,9 +13,7 @@ from qav import cli
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 DIGESTS = json.loads(REFERENCE.read_text())
-KEYS = sorted(
-    k for k in DIGESTS if "--type B --rank 1 " in k or "--type D --rank 3 " in k
-)
+KEYS = sorted(DIGESTS)
 
 
 def _id(key):
@@ -23,7 +22,8 @@ def _id(key):
 
 
 def test_reference_covers_b1_and_d3():
-    assert len(KEYS) == 19
+    assert len(KEYS) == 20
+    assert "check all --type D --rank 2 --order 10 --window 3 --format json" in KEYS
 
 
 @pytest.mark.parametrize("key", KEYS, ids=_id)
