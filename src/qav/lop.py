@@ -1,9 +1,13 @@
 """Evaluated L-operators in the vector representation and the verification
 suites built on top of their Gauss decomposition.
 
-The L-operators are N x N matrices over truncated series whose coefficients
-are again N x N matrices of exact scalars: the outer index pair is the
-auxiliary tensor slot, the inner one the representation slot.  Everything
+An L-operator is an N x N matrix over truncated series whose coefficients are
+M x M matrices of exact scalars: N = alg.N = len(L) is the auxiliary slot, M
+the representation slot.  M is read from the coefficient matrices, never from
+the algebra, so an L-operator on another representation (M != N) goes through
+the same Gauss factors and relation checks.  Only the code that builds images
+in the vector representation V by definition (vecrep, _lemma_k_diagonal,
+_check_rll, the closed forms of _geom_target) takes M = N.  Everything
 downstream - Gaussian generators, current-style combinations, the central
 series, the reduction maps and the structural checks - is computed from these
 series matrices with exact arithmetic; every check reports pass/fail with a
@@ -74,15 +78,16 @@ def _q_exponent(x: Scalar, bound: int):
     return None
 
 
-def _diag_sqrt(mat: SparseMat, N: int) -> SparseMat:
+def _diag_sqrt(mat: SparseMat) -> SparseMat:
     """Entrywise square root of a diagonal matrix of monomials in q^(1/2).
 
     Raises LopError when an entry is not such a monomial or when its square
     root would leave the coefficient ring (odd monomial in q^(1/2))."""
+    size = mat.nrows
     out = []
-    for i in range(N):
+    for i in range(size):
         x = mat.get(i, i)
-        e = _q_exponent(x, 8 * N)
+        e = _q_exponent(x, 8 * size)
         if e is None:
             raise LopError("diagonal entry is not a monomial power of q^(1/2)")
         if e.denominator == 2:
@@ -90,17 +95,22 @@ def _diag_sqrt(mat: SparseMat, N: int) -> SparseMat:
                 "odd monomial in q^(1/2): square root leaves the scalar ring"
             )
         out.append((i, i, Scalar.q_pow(e / 2)))
-    return SparseMat.from_entries(N, N, out)
+    return SparseMat.from_entries(size, size, out)
 
 
-def _series_zero(name: str, a: TruncSeries) -> dict:
-    return first_failure(
-        name, (({"exponent": m * a.sign}, a.coeffs[m]) for m in sorted(a.coeffs))
+def _coefficient_item(name, instances) -> dict:
+    """The check item of (labels, series difference) pairs: fail at the first
+    nonzero coefficient, whose signed exponent joins the labels."""
+    coefficients = (
+        ({**labels, "exponent": m * d.sign}, d.coeffs[m])
+        for labels, d in instances
+        for m in sorted(d.coeffs)
     )
+    return first_failure(name, coefficients)
 
 
 def _series_equal(name: str, a: TruncSeries, b: TruncSeries) -> dict:
-    return _series_zero(name, a - b)
+    return _coefficient_item(name, [({}, a - b)])
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +118,9 @@ def _series_equal(name: str, a: TruncSeries, b: TruncSeries) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_series(entries, N: int, direction, K: int) -> TruncSeries:
-    """The series with N x N matrix coefficients whose entry (a, b) expands
+def _matrix_series(entries, M: int, direction, K: int) -> TruncSeries:
+    """The series with M x M matrix coefficients (M the representation
+    dimension, which sparse entries cannot show) whose entry (a, b) expands
     the rational scalar x, for each (a, b, x) of entries."""
     per_m = {}
     for a, b, x in entries:
@@ -118,23 +129,25 @@ def _matrix_series(entries, N: int, direction, K: int) -> TruncSeries:
     return TruncSeries(
         direction,
         K,
-        {m: SparseMat.from_entries(N, N, lst) for m, lst in per_m.items()},
+        {m: SparseMat.from_entries(M, M, lst) for m, lst in per_m.items()},
     )
 
 
-def _series_matrix(M: SparseMat, N: int, direction, K: int):
-    """Repackage an N^2 x N^2 matrix of rational scalars into an N x N matrix
-    (auxiliary slot) of truncated series with N x N matrix coefficients."""
+def _series_matrix(mat: SparseMat, N: int, direction, K: int):
+    """Repackage an NM x NM matrix of rational scalars, the auxiliary slot
+    first, into an N x N matrix of truncated series with M x M matrix
+    coefficients."""
+    M = mat.nrows // N
 
     def block(i, j):
-        for a in range(N):
-            for b in range(N):
-                x = M.get(i * N + a, j * N + b)
+        for a in range(M):
+            for b in range(M):
+                x = mat.get(i * M + a, j * M + b)
                 if not x.is_zero():
                     yield a, b, x
 
     return [
-        [_matrix_series(block(i, j), N, direction, K) for j in range(N)]
+        [_matrix_series(block(i, j), M, direction, K) for j in range(N)]
         for i in range(N)
     ]
 
@@ -157,38 +170,35 @@ def _lemma_k_diagonal(alg: AlgebraData):
             lam[i] = acc
         lam[n + 1] = ident
     else:
-        root = _diag_sqrt(kmat(n - 1) * kmat(n), N)
+        root = _diag_sqrt(kmat(n - 1) * kmat(n))
         for i in range(1, n):
             acc = ident
             for b in range(i, n - 1):
                 acc = acc * kmat(b)
             lam[i] = acc * root
-        lam[n] = _diag_sqrt(kmat(n - 1, inv=True) * kmat(n), N)
+        lam[n] = _diag_sqrt(kmat(n - 1, inv=True) * kmat(n))
     for pos in range(N // 2 + 1, N + 1):
         if lam[pos] is None:
             lam[pos] = lam[N + 1 - pos].inverse()
     return lam[1:]
 
 
-def _check_triangular(lp, lm, N: int) -> bool:
-    zero = SparseMat.zeros(N, N)
+def _check_triangular(lp, lm) -> bool:
+    """The constant terms of L+ vanish below the diagonal, those of L- above
+    it (a stored coefficient is never zero)."""
+    N = len(lp)
     for i in range(N):
         for j in range(N):
-            if i > j and not lp[i][j].coefficient(0, zero=zero).is_zero():
+            if i > j and lp[i][j].get(0) is not None:
                 return False
-            if i < j and not lm[i][j].coefficient(0, zero=zero).is_zero():
+            if i < j and lm[i][j].get(0) is not None:
                 return False
     return True
 
 
 def _check_diagonal_constants(alg, lp, lm) -> bool:
-    N = alg.N
-    zero = SparseMat.zeros(N, N)
-    lam = _lemma_k_diagonal(alg)
-    for i in range(N):
-        if lp[i][i].coefficient(0, zero=zero) != lam[i]:
-            return False
-        if lm[i][i].coefficient(0, zero=zero) != lam[i].inverse():
+    for i, lam in enumerate(_lemma_k_diagonal(alg)):
+        if lp[i][i].get(0) != lam or lm[i][i].get(0) != lam.inverse():
             return False
     return True
 
@@ -216,7 +226,6 @@ class LOperators:
     def __init__(self, alg, K, lp, lm, wiring, candidates):
         self.alg = alg
         self.K = K
-        self.N = alg.N
         self.lp = lp  # N x N of TruncSeries at zero
         self.lm = lm  # N x N of TruncSeries at infinity
         self.wiring = wiring
@@ -263,7 +272,7 @@ def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
                 "diagonal": None,
                 "exchange": None,
             }
-            cand["triangular"] = _check_triangular(lp, lm, N)
+            cand["triangular"] = _check_triangular(lp, lm)
             if cand["triangular"]:
                 cand["diagonal"] = _check_diagonal_constants(alg, lp, lm)
             if cand["diagonal"]:
@@ -299,7 +308,6 @@ class GaussianSeries:
     def __init__(self, lops: LOperators, gp: GaussFactors, gm: GaussFactors):
         self.lops = lops
         self.alg = lops.alg
-        self.N = lops.N
         self.K = lops.K
         self.gp = gp
         self.gm = gm
@@ -315,17 +323,6 @@ class GaussianSeries:
 
     def f(self, j, i, sign) -> TruncSeries:
         return self.g(sign).f(j, i)
-
-
-def _coefficient_item(name, instances) -> dict:
-    """The check item of (labels, series difference) pairs: fail at the first
-    nonzero coefficient, whose signed exponent joins the labels."""
-    coefficients = (
-        ({**labels, "exponent": m * d.sign}, d.coeffs[m])
-        for labels, d in instances
-        for m in sorted(d.coeffs)
-    )
-    return first_failure(name, coefficients)
 
 
 def _reassembly(lops, gp, gm) -> dict:
@@ -354,15 +351,26 @@ def _cross_path(lops, gp, gm) -> dict:
     )
 
 
+def _rep_size(L) -> int:
+    """The representation dimension M: the size of the coefficient matrices
+    of L, an N x N matrix of series."""
+    return next(c.nrows for row in L for x in row for c in x.coeffs.values())
+
+
+def _unit(L) -> TruncSeries:
+    """The identity of the series ring of L: the M x M identity at the
+    direction and order of L's entries."""
+    x = L[0][0]
+    return TruncSeries.constant(SparseMat.identity(_rep_size(L)), x.direction, x.order)
+
+
 def gaussian_generators(lops: LOperators) -> GaussianSeries:
     """Gauss-decompose both operator matrices, and raise LopError unless the
     reassembly and the quasideterminant cross path pass; memoised on lops."""
     if lops.gauss is not None:
         return lops.gauss
-    K = lops.K
-    ident = SparseMat.identity(lops.N)
-    gp = gauss_decompose(lops.lp, TruncSeries.constant(ident, AT_ZERO, K))
-    gm = gauss_decompose(lops.lm, TruncSeries.constant(ident, AT_INFINITY, K))
+    gp = gauss_decompose(lops.lp, _unit(lops.lp))
+    gm = gauss_decompose(lops.lm, _unit(lops.lm))
     for check_item in (_reassembly, _cross_path):
         item = check_item(lops, gp, gm)
         if item["status"] == "fail":
@@ -377,9 +385,10 @@ def check_gauss(alg: AlgebraData, K: int = 10) -> list:
     probe (perturbing one coefficient of F must break the reassembly)."""
     lops = build_lops(alg, K)
     gs = gaussian_generators(lops)
-    N, g = lops.N, gs.gp
+    g = gs.gp
+    N, M = len(g.L), _rep_size(g.L)
     F2 = [row[:] for row in g.F]
-    F2[N - 1][0] += TruncSeries(AT_ZERO, K, {1: SparseMat.unit(N, N - 1, 0)})
+    F2[N - 1][0] += TruncSeries(AT_ZERO, K, {1: SparseMat.unit(M, M - 1, 0)})
     probe = _reassembly(lops, GaussFactors(g.L, F2, g.H, g.E, g.one), gs.gm)
     return [
         _reassembly(lops, gs.gp, gs.gm),
@@ -398,32 +407,27 @@ def check_gauss(alg: AlgebraData, K: int = 10) -> list:
 
 class ModeSeries:
     """A series known on a finite window of integer modes: table maps mode ->
-    matrix coefficient, [lo, hi] is the interval of determined modes (modes
-    outside the table but inside the interval are exactly zero)."""
+    nonzero matrix coefficient, [lo, hi] is the interval of determined modes
+    (modes outside the table but inside the interval are exactly zero)."""
 
-    def __init__(self, N, table, lo, hi):
-        self.N = N
+    def __init__(self, table, lo, hi):
         self.table = table
         self.lo = lo
         self.hi = hi
-        self._zero = SparseMat.zeros(N, N)
 
     @staticmethod
-    def from_trunc(ts: TruncSeries, N: int) -> "ModeSeries":
+    def from_trunc(ts: TruncSeries) -> "ModeSeries":
         sign = ts.sign
-        table = {m * sign: c for m, c in ts.coeffs.items() if not c.is_zero()}
+        table = {m * sign: c for m, c in ts.coeffs.items()}
         if ts.direction == AT_ZERO:
             lo, hi = -BIG, ts.order
         else:
             lo, hi = -ts.order, BIG
-        return ModeSeries(N, table, lo, hi)
+        return ModeSeries(table, lo, hi)
 
-    @staticmethod
-    def delta(N: int) -> "ModeSeries":
-        return ModeSeries(N, {0: SparseMat.identity(N)}, -BIG, BIG)
-
-    def mat(self, m: int) -> SparseMat:
-        return self.table.get(m, self._zero)
+    def get(self, m: int):
+        """The coefficient of mode m; a zero coefficient returns None."""
+        return self.table.get(m)
 
     def shift_arg(self, c: Scalar) -> "ModeSeries":
         """The series evaluated at c*u: mode m picks up a factor c^m."""
@@ -432,10 +436,25 @@ class ModeSeries:
         for m, x in self.table.items():
             p = c**m if m >= 0 else cinv ** (-m)
             table[m] = x.scale(p)
-        return ModeSeries(self.N, table, self.lo, self.hi)
+        return ModeSeries(table, self.lo, self.hi)
 
 
-def _bivar_zero(name, N, K, terms, clearing=ONE) -> dict:
+def _part_product(U, V, a, b, order):
+    """The coefficient of u^a v^b in the product of the parts U(u) and V(v)
+    of one term, or None when it is zero.  A None part is the identity at
+    mode zero, so the product is then the other part's stored coefficient."""
+    if U is None:
+        return V.get(b) if a == 0 else None
+    if V is None:
+        return U.get(a) if b == 0 else None
+    x, y = U.get(a), V.get(b)
+    if x is None or y is None:
+        return None
+    prod = x * y if order == "uv" else y * x
+    return None if prod.is_zero() else prod
+
+
+def _bivar_zero(name, K, terms, clearing=ONE) -> dict:
     """Check that a sum of bivariate terms vanishes on every determined
     bi-mode (alpha, beta) with |alpha|, |beta| <= K.
 
@@ -445,16 +464,9 @@ def _bivar_zero(name, N, K, terms, clearing=ONE) -> dict:
     polynomial).  order "uv" multiplies coefficients as u-part * v-part,
     "vu" the other way.  A part is a TruncSeries (read on its signed
     exponents), a ModeSeries (the two-tailed currents of x_current), or
-    None, the identity at mode zero.
+    None, the identity at mode zero; at most one part of a term is None.
+    The matrix size is read from the parts' coefficients.
     """
-
-    def mode_series(part) -> ModeSeries:
-        if part is None:
-            return ModeSeries.delta(N)
-        if isinstance(part, TruncSeries):
-            return ModeSeries.from_trunc(part, N)
-        return part
-
     expanded = []
     alo, ahi = -K, K
     blo, bhi = -K, K
@@ -463,18 +475,23 @@ def _bivar_zero(name, N, K, terms, clearing=ONE) -> dict:
         keys = [k for k, c in poly.items() if not c.is_zero()]
         if not keys:
             continue
-        U, V = mode_series(upart), mode_series(vpart)
-        imin = min(k[0] for k in keys)
-        imax = max(k[0] for k in keys)
-        jmin = min(k[1] for k in keys)
-        jmax = max(k[1] for k in keys)
-        alo = max(alo, U.lo + imax)
-        ahi = min(ahi, U.hi + imin)
-        blo = max(blo, V.lo + jmax)
-        bhi = min(bhi, V.hi + jmin)
+        U, V = (
+            ModeSeries.from_trunc(p) if isinstance(p, TruncSeries) else p
+            for p in (upart, vpart)
+        )
+        if U is not None:
+            alo = max(alo, U.lo + max(k[0] for k in keys))
+            ahi = min(ahi, U.hi + min(k[0] for k in keys))
+        if V is not None:
+            blo = max(blo, V.lo + max(k[1] for k in keys))
+            bhi = min(bhi, V.hi + min(k[1] for k in keys))
         expanded.append(([(k, poly[k]) for k in keys], U, V, order))
     if alo > ahi or blo > bhi:
         raise LopError(f"{name}: empty determined window")
+    # the size of the coefficient matrices; with no coefficient at all every
+    # product is zero, and the size of the empty sum is never read
+    parts = [p for _, U, V, _ in expanded for p in (U, V) if p is not None]
+    M = next((x.nrows for p in parts for x in p.table.values()), 0)
     # bi-modes (alpha, beta) and (alpha + 1, beta + 1) share most products;
     # a zero product is memoised as None
     products = {}
@@ -487,17 +504,11 @@ def _bivar_zero(name, N, K, terms, clearing=ONE) -> dict:
                 if key in products:
                     prod = products[key]
                 else:
-                    a = U.mat(alpha - i)
-                    b = V.mat(beta - j)
-                    prod = None
-                    if not (a.is_zero() or b.is_zero()):
-                        prod = a * b if order == "uv" else b * a
-                        if prod.is_zero():
-                            prod = None
+                    prod = _part_product(U, V, alpha - i, beta - j, order)
                     products[key] = prod
                 if prod is not None:
                     prods.append((c, prod, None))
-        return SparseMat.sum_of_products(prods, N, N)
+        return SparseMat.sum_of_products(prods, M, M)
 
     modes = [(a, b) for a in range(alo, ahi + 1) for b in range(blo, bhi + 1)]
     item = first_failure(
@@ -522,7 +533,6 @@ class GenSource:
     def __init__(self, gs: GaussianSeries, offset: int = 0):
         self.gs = gs
         self.off = offset
-        self.N = gs.N
 
     def h(self, i, sign) -> TruncSeries:
         return self.gs.h(i + self.off, sign)
@@ -553,10 +563,10 @@ def _battery_rank1_b(src: GenSource, K: int, tag: str) -> list:
     qmq = _QMQ
     qh = Scalar.q_pow(Fraction(1, 2))
     qhi = Scalar.q_pow(Fraction(-1, 2))
-    N, out = src.N, []
+    out = []
 
     def bv(name, terms, clearing=ONE):
-        out.append(_bivar_zero(f"{tag}: {name}", N, K, terms, clearing))
+        out.append(_bivar_zero(f"{tag}: {name}", K, terms, clearing))
 
     # h-h commutation
     for i, j in ((1, 1), (1, 2), (2, 2)):
@@ -735,10 +745,10 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
     """The full rank-two type-D relation battery on a generator source."""
     u, v, q, qi = _U, _V, _Q, _QI
     qmq = _QMQ
-    N, out = src.N, []
+    out = []
 
     def bv(name, terms, clearing=ONE):
-        out.append(_bivar_zero(f"{tag}: {name}", N, K, terms, clearing))
+        out.append(_bivar_zero(f"{tag}: {name}", K, terms, clearing))
 
     # h-h commutation
     for i, j in ((1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3)):
@@ -851,32 +861,32 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
             )
     # vanishing inner entries
     for s in _SIGNS:
-        out.append(_series_zero(f"{tag}: e23{_sig(s)}(u) = 0", src.e(2, 3, s)))
-        out.append(_series_zero(f"{tag}: f32{_sig(s)}(u) = 0", src.f(3, 2, s)))
+        for name, x in (("e23", src.e(2, 3, s)), ("f32", src.f(3, 2, s))):
+            out.append(_coefficient_item(f"{tag}: {name}{_sig(s)}(u) = 0", [({}, x)]))
     # corner entries as products
     for s in _SIGNS:
         out.append(
-            _series_zero(
+            _coefficient_item(
                 f"{tag}: e14{_sig(s)}(u) + e12{_sig(s)}(u) e13{_sig(s)}(u) = 0",
-                src.e(1, 4, s) + src.e(1, 2, s) * src.e(1, 3, s),
+                [({}, src.e(1, 4, s) + src.e(1, 2, s) * src.e(1, 3, s))],
             )
         )
         out.append(
-            _series_zero(
+            _coefficient_item(
                 f"{tag}: e14{_sig(s)}(u) + e13{_sig(s)}(u) e12{_sig(s)}(u) = 0",
-                src.e(1, 4, s) + src.e(1, 3, s) * src.e(1, 2, s),
+                [({}, src.e(1, 4, s) + src.e(1, 3, s) * src.e(1, 2, s))],
             )
         )
         out.append(
-            _series_zero(
+            _coefficient_item(
                 f"{tag}: f41{_sig(s)}(u) + f21{_sig(s)}(u) f31{_sig(s)}(u) = 0",
-                src.f(4, 1, s) + src.f(2, 1, s) * src.f(3, 1, s),
+                [({}, src.f(4, 1, s) + src.f(2, 1, s) * src.f(3, 1, s))],
             )
         )
         out.append(
-            _series_zero(
+            _coefficient_item(
                 f"{tag}: f41{_sig(s)}(u) + f31{_sig(s)}(u) f21{_sig(s)}(u) = 0",
-                src.f(4, 1, s) + src.f(3, 1, s) * src.f(2, 1, s),
+                [({}, src.f(4, 1, s) + src.f(3, 1, s) * src.f(2, 1, s))],
             )
         )
     for s, t in _PAIRS:
@@ -903,27 +913,27 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
     # mirrored entries
     for s in _SIGNS:
         out.append(
-            _series_zero(
+            _coefficient_item(
                 f"{tag}: e34{_sig(s)}(u) + e12{_sig(s)}(u) = 0",
-                src.e(3, 4, s) + src.e(1, 2, s),
+                [({}, src.e(3, 4, s) + src.e(1, 2, s))],
             )
         )
         out.append(
-            _series_zero(
+            _coefficient_item(
                 f"{tag}: e24{_sig(s)}(u) + e13{_sig(s)}(u) = 0",
-                src.e(2, 4, s) + src.e(1, 3, s),
+                [({}, src.e(2, 4, s) + src.e(1, 3, s))],
             )
         )
         out.append(
-            _series_zero(
+            _coefficient_item(
                 f"{tag}: f43{_sig(s)}(u) + f21{_sig(s)}(u) = 0",
-                src.f(4, 3, s) + src.f(2, 1, s),
+                [({}, src.f(4, 3, s) + src.f(2, 1, s))],
             )
         )
         out.append(
-            _series_zero(
+            _coefficient_item(
                 f"{tag}: f42{_sig(s)}(u) + f31{_sig(s)}(u) = 0",
-                src.f(4, 2, s) + src.f(3, 1, s),
+                [({}, src.f(4, 2, s) + src.f(3, 1, s))],
             )
         )
     # cross commutators and exchanges between the two root columns
@@ -1000,22 +1010,19 @@ def x_current(gs: GaussianSeries, i: int, plus: bool) -> ModeSeries:
     """The combined two-tailed current: positive modes from the plus series,
     negative modes from minus the minus series."""
     a, b = _current_indices(gs.alg, i)
-    N, K = gs.N, gs.K
-    zero = SparseMat.zeros(N, N)
+    K = gs.K
     if plus:
         tp, tm = gs.e(a, b, 1), gs.e(a, b, -1)
     else:
         tp, tm = gs.f(b, a, 1), gs.f(b, a, -1)
     table = {}
-    for m in range(0, K + 1):
-        c = tp.coefficient(m, zero=zero) - tm.coefficient(m, zero=zero)
-        if not c.is_zero():
+    for m in range(-K, K + 1):
+        c, d = tp.get(m), tm.get(m)
+        if d is not None:
+            c = -d if c is None else c - d
+        if c is not None and not c.is_zero():
             table[m] = c
-    for m in range(1, K + 1):
-        c = tp.coefficient(-m, zero=zero) - tm.coefficient(-m, zero=zero)
-        if not c.is_zero():
-            table[-m] = c
-    return ModeSeries(N, table, -K, K)
+    return ModeSeries(table, -K, K)
 
 
 def _eps_alpha(alg: AlgebraData, i: int, j: int) -> Fraction:
@@ -1074,7 +1081,7 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
     if not (K >= W >= 2):
         raise LopError("need K >= W >= 2")
     gs = gaussian_generators(build_lops(alg, K))
-    N, n = gs.N, alg.n
+    n = alg.n
     out = []
     src = GenSource(gs)
 
@@ -1086,7 +1093,6 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
                 out.append(
                     _bivar_zero(
                         f"(a) [h{i}{_sig(s)}(u), h{j}{_sig(t)}(v)] = 0",
-                        N,
                         K,
                         [(ONE, hi, hj, "uv"), (_MONE, hi, hj, "vu")],
                     )
@@ -1108,7 +1114,6 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
                     out.append(
                         _bivar_zero(
                             f"(b) h{i}{_sig(s)}(u) X{j}{lbl}(v) exchange",
-                            N,
                             K,
                             [(ONE, hi, X, "uv"), (_MONE * pre, hi, X, "vu")],
                             clearing=clearing,
@@ -1128,7 +1133,6 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
                 out.append(
                     _bivar_zero(
                         f"(c) quadratic X{i}{lbl}-X{j}{lbl}",
-                        N,
                         K,
                         [
                             (_U - qe * _V, Xi, Xj, "uv"),
@@ -1139,7 +1143,7 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
     # (d) mixed-current commutator against the diagonal ratios, modewise on
     # the bi-modes whose total alpha + beta the truncated ratios determine
     qmq = _QMQ
-    zero = SparseMat.zeros(N, N)
+    M = _rep_size(gs.lops.lp)
     for i in range(1, n + 1):
         a, b = _current_indices(alg, i)
         hp = src.h(a, 1).inverse() * src.h(b, 1)
@@ -1148,13 +1152,18 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
             Xp, Xm = currents[(i, True)], currents[(j, False)]
 
             def mixed(alpha, beta):
-                xp, xm = Xp.mat(alpha), Xm.mat(beta)
-                terms = [(None, xp, xm), (_MONE, xm, xp)]
+                xp, xm = Xp.get(alpha), Xm.get(beta)
+                terms = []
+                if xp is not None and xm is not None:
+                    terms += [(None, xp, xm), (_MONE, xm, xp)]
                 if i == j:
                     g = alpha + beta
-                    terms.append((-qmq, hm.coefficient(g, zero=zero), None))
-                    terms.append((qmq, hp.coefficient(g, zero=zero), None))
-                return SparseMat.sum_of_products(terms, N, N)
+                    terms += [
+                        (c, x, None)
+                        for c, x in ((-qmq, hm.get(g)), (qmq, hp.get(g)))
+                        if x is not None
+                    ]
+                return SparseMat.sum_of_products(terms, M, M)
 
             out.append(
                 first_failure(
@@ -1183,20 +1192,20 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
                     if sum(abs(x) for x in tup) <= W and sorted(tup[:r]) == list(tup[:r])
                 ]
 
-                def serre(amodes, bmode):
-                    xs = [Xi.mat(a) for a in amodes]
-                    return vecrep.serre_sum(xs, Xj.mat(bmode), coefs)
+                def serre_sums():
+                    # every product of a Serre sum holds each x once, so a
+                    # zero mode coefficient makes the sum zero
+                    for tup in tuples:
+                        xs = [Xi.get(a) for a in tup[:r]]
+                        y = Xj.get(tup[r])
+                        if y is not None and all(x is not None for x in xs):
+                            labels = {"u_modes": list(tup[:r]), "v_mode": tup[r]}
+                            yield labels, vecrep.serre_sum(xs, y, coefs)
 
                 out.append(
                     first_failure(
                         f"(e) Serre X{i}{lbl}/X{j}{lbl}, degree {r + 1}, window {W}",
-                        (
-                            (
-                                {"u_modes": list(tup[:r]), "v_mode": tup[r]},
-                                serre(tup[:r], tup[r]),
-                            )
-                            for tup in tuples
-                        ),
+                        serre_sums(),
                     )
                 )
     return out
@@ -1242,13 +1251,17 @@ def _extract_aux_scalar(name, prod):
     ]
 
 
-def _extract_scalar_series(name, prod, N: int, K: int, direction):
+def _extract_scalar_series(name, prod):
     """Assert that a matrix of matrix-coefficient series is a scalar multiple
     of the identity in both slots; return (scalar_series, checks)."""
     diag, checks = _extract_aux_scalar(name, prod)
-    ident = SparseMat.identity(N)
     bad = next(
-        (m for m, c in diag.coeffs.items() if c != ident.scale(c.get(0, 0))), None
+        (
+            m
+            for m, c in diag.coeffs.items()
+            if c != SparseMat.identity(c.nrows, c.get(0, 0))
+        ),
+        None,
     )
     witness = None if bad is None else {"exponent": bad * diag.sign}
     checks.append(
@@ -1261,7 +1274,7 @@ def _extract_scalar_series(name, prod, N: int, K: int, direction):
     # the scalar series stops before the first coefficient that is not scalar
     scalar = itertools.takewhile(lambda m: m != bad, diag.coeffs)
     coeffs = {m: diag.coeffs[m].get(0, 0) for m in scalar}
-    return TruncSeries(direction, K, coeffs), checks
+    return TruncSeries(diag.direction, diag.order, coeffs), checks
 
 
 def z_series(alg: AlgebraData, K: int = 10):
@@ -1272,18 +1285,18 @@ def z_series(alg: AlgebraData, K: int = 10):
         raise LopError("need K >= 2")
     lops = build_lops(alg, K)
     gs = gaussian_generators(lops)
-    N, n = alg.N, alg.n
+    n = alg.n
     checks = []
     results = {}
-    for sign, L, direction in ((1, lops.lp, AT_ZERO), (-1, lops.lm, AT_INFINITY)):
+    for sign, L in ((1, lops.lp), (-1, lops.lm)):
         tag = f"{alg} z{_sig(sign)}"
         prod = _weighted_transpose_product(L, alg.bars, alg.xi, K)
-        zser, sc = _extract_scalar_series(tag, prod, N, K, direction)
+        zser, sc = _extract_scalar_series(tag, prod)
         checks.extend(sc)
         # diagonal-series product formula
         g = gs.g(sign)
         top = n if alg.type == "B" else n - 1
-        acc = TruncSeries.constant(SparseMat.identity(N), direction, K)
+        acc = g.one
         for i in range(1, top + 1):
             acc = acc * g.h(i).scale_arg(alg.xi * Scalar.q_pow(2 * i)).inverse()
         for i in range(1, top + 1):
@@ -1292,10 +1305,11 @@ def z_series(alg: AlgebraData, K: int = 10):
             acc = acc * g.h(n + 1) * g.h(n + 1).scale_arg(_Q)
         else:
             acc = acc * g.h(n) * g.h(n + 1)
+        ident = g.one.coeffs[0]
         target = TruncSeries(
-            direction,
-            K,
-            {m: SparseMat.identity(N).scale(c) for m, c in zser.coeffs.items()},
+            zser.direction,
+            zser.order,
+            {m: ident.scale(c) for m, c in zser.coeffs.items()},
         )
         checks.append(
             _series_equal(f"{tag} equals the diagonal-series product", acc, target)
@@ -1335,19 +1349,19 @@ def check_eiprei(alg: AlgebraData, K: int = 10) -> list:
             lhs = g.e(N - i, N - i + 1)
             rhs = g.e(i, i + 1).scale_arg(shift)
             out.append(
-                _series_zero(
+                _coefficient_item(
                     f"{alg}: e[{N - i},{N + 1 - i}]{_sig(s)}(u) "
                     f"+ e[{i},{i + 1}]{_sig(s)}(u xi q^{2 * i}) = 0",
-                    lhs + rhs,
+                    [({}, lhs + rhs)],
                 )
             )
             lhsf = g.f(N - i + 1, N - i)
             rhsf = g.f(i + 1, i).scale_arg(shift)
             out.append(
-                _series_zero(
+                _coefficient_item(
                     f"{alg}: f[{N + 1 - i},{N - i}]{_sig(s)}(u) "
                     f"+ f[{i + 1},{i}]{_sig(s)}(u xi q^{2 * i}) = 0",
-                    lhsf + rhsf,
+                    [({}, lhsf + rhsf)],
                 )
             )
     return out
@@ -1403,7 +1417,6 @@ def check_psi_consistency(alg: AlgebraData, m: int, K: int = 10) -> list:
                     for j, B in zip(block, row):
                         item = _bivar_zero(
                             f"[l[{a},{b}]{_sig(s)}(u), psi_{m}(l[{i},{j}]{_sig(t)}(v))]",
-                            N,
                             K,
                             [(ONE, A, B, "uv"), (_MONE, A, B, "vu")],
                         )
@@ -1442,7 +1455,7 @@ def _geom_target(alg: AlgebraData, i: int, kind: str, sign: int, K: int, dvals):
     kind "e" sums raising-generator images, "f" lowering ones.  The geometric
     ratio of the mode matrices is computed entrywise and verified on a third
     mode before the closed form is expanded."""
-    N, n = alg.N, alg.n
+    n = alg.n
     qi_def = alg.qi[i - 1]
     pref = qi_def - qi_def.inverse()
     if sign < 0:
@@ -1475,7 +1488,7 @@ def _geom_target(alg: AlgebraData, i: int, kind: str, sign: int, K: int, dvals):
             raise LopError(f"mode matrices are not geometric at entry ({a}, {b})")
         rational = pref * v0 * arg**kmin * (ONE - rho * arg).inverse()
         entries.append((a, b, dvals[a] * rational * dvals[b].inverse()))
-    return _matrix_series(entries, N, direction, K)
+    return _matrix_series(entries, m0.nrows, direction, K)
 
 
 def _red_bars(type_: str, m: int):
@@ -1549,27 +1562,27 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
         # type-D interior zero and paired entries
         if alg.type == "D":
             out.append(
-                _series_zero(
+                _coefficient_item(
                     f"{alg}: E{_sig(s)} entry ({n},{n + 1}) vanishes",
-                    g.e(n, n + 1),
+                    [({}, g.e(n, n + 1))],
                 )
             )
             out.append(
-                _series_zero(
+                _coefficient_item(
                     f"{alg}: F{_sig(s)} entry ({n + 1},{n}) vanishes",
-                    g.f(n + 1, n),
+                    [({}, g.f(n + 1, n))],
                 )
             )
             out.append(
-                _series_zero(
+                _coefficient_item(
                     f"{alg}: E{_sig(s)} ({n},{n + 2}) pairs with ({n - 1},{n + 1})",
-                    g.e(n, n + 2) + g.e(n - 1, n + 1),
+                    [({}, g.e(n, n + 2) + g.e(n - 1, n + 1))],
                 )
             )
             out.append(
-                _series_zero(
+                _coefficient_item(
                     f"{alg}: F{_sig(s)} ({n + 2},{n}) pairs with ({n + 1},{n - 1})",
-                    g.f(n + 2, n) + g.f(n + 1, n - 1),
+                    [({}, g.f(n + 2, n) + g.f(n + 1, n - 1))],
                 )
             )
         # mirrored far entries

@@ -7,7 +7,7 @@ matrices, which is how matrix-valued series are represented elsewhere.
 
 The module also hosts the coefficient-recursive solvers that replace the
 infinite products of the source formulas: the square-root-scaled functional
-equation f(u) f(u xi) = r(u) and the prefactor series f(u) and g(u).
+equation f(u) f(u xi) = r(u) and the prefactor series f(u).
 """
 
 from __future__ import annotations
@@ -31,10 +31,14 @@ class ResourceBoundError(RuntimeError):
     Defined in this module, the lowest one that raises it."""
 
 
-# The largest rank verify_fu_product accepts, per type, at the default
-# order 10.  Its cost grows with N and is far higher for type B: on a 2-core
-# host B6 takes about 9 s and B7 16 s; D16 about 9 s and D18 15 s.
+# The largest rank verify_fu_product accepts, per type.  Rank and order are
+# also bounded together: the time grows with rank * order^3 (roughly as its
+# square), and an input with a larger rank * order^3 than the rank bound has
+# at FSERIES_WORK_ORDER is refused.
+# Measured as single processes on a 2-core host: B6 takes 2.6 s at order 10,
+# 8.8 s at order 12 and 51 s at order 16; D16 3.4 s, 8.0 s and 40 s.
 MAX_FSERIES_RANK = {"B": 6, "D": 16}
+FSERIES_WORK_ORDER = 12
 
 
 def _is_zero(x) -> bool:
@@ -88,9 +92,10 @@ class TruncSeries:
             return None
         return self.coeffs.get(m)
 
-    def coefficient(self, exponent: int, zero=ZERO):
+    def coefficient(self, exponent: int):
+        """Coefficient of u^exponent (signed), the Scalar ZERO when absent."""
         c = self.get(exponent)
-        return zero if c is None else c
+        return ZERO if c is None else c
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -338,13 +343,6 @@ def f_series(alg, order: int) -> TruncSeries:
     return f
 
 
-def g_series(alg, order: int) -> TruncSeries:
-    """g(u) = f(u) (u - q^-2)(u - xi)."""
-    u = Scalar.u_pow(1)
-    poly = (u - Scalar.q_pow(-2)) * (u - alg.xi)
-    return f_series(alg, order) * expand_scalar(poly, AT_ZERO, order)
-
-
 def fu_product(alg, R: int, order_u: int) -> TruncSeries:
     """The infinite product for f(u), cut after r = R, as a series at u = 0:
 
@@ -406,6 +404,12 @@ def verify_fu_product(alg, order_u: int, order_qadic: int) -> dict:
         raise ResourceBoundError(
             f"rank {alg.n} exceeds the f-series bound "
             f"MAX_FSERIES_RANK[{alg.type!r}] = {bound}"
+        )
+    order = max(order_u, order_qadic)
+    if alg.n * order**3 > bound * FSERIES_WORK_ORDER**3:
+        raise ResourceBoundError(
+            f"rank {alg.n} at order {order} exceeds the f-series work bound, "
+            f"that of rank {bound} at order {FSERIES_WORK_ORDER}"
         )
     R = 1
     while Nm2 * (2 * R + 1 - order_u) <= order_qadic:

@@ -157,6 +157,10 @@ def test_resource_bound_exits_2(capsys):
             for suite in ("unitarity", "crossing", "drinfeld-rep", "f-series")
         ),
         ["f-series", "--type", "D", "--rank", "3", "--order", "40"],
+        *(
+            ["f-series", "--type", t, "--rank", r, "--order", "16"]
+            for t, r in (("B", "6"), ("D", "16"))
+        ),
         ["drinfeld-rep", "--window", "50"],
         *(
             ["drinfeld-rep", "--type", t, "--rank", "14", "--window", "4"]

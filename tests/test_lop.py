@@ -53,14 +53,13 @@ def test_build_lops_selects_unique_wiring(b1):
 
 def test_build_lops_triangular_constant_terms(d2):
     lops = build_lops(d2, K)
-    N = lops.N
-    zero = SparseMat.zeros(N, N)
+    N = len(lops.lp)
     for i in range(N):
         for j in range(N):
             if i > j:
-                assert lops.lp[i][j].coefficient(0, zero=zero).is_zero()
+                assert lops.lp[i][j].get(0) is None
             if i < j:
-                assert lops.lm[i][j].coefficient(0, zero=zero).is_zero()
+                assert lops.lm[i][j].get(0) is None
 
 
 def test_build_lops_memoizes_and_validates(b1):
@@ -87,10 +86,10 @@ def test_check_gauss(b1):
 def test_gaussian_generators_accessors(d2):
     gs = gaussian_generators(build_lops(d2, K))
     # h-series have invertible constant terms (diagonal matrices)
-    for i in range(1, gs.N + 1):
+    for i in range(1, d2.N + 1):
         for sign in (1, -1):
-            h0 = gs.h(i, sign).coefficient(0, zero=SparseMat.zeros(gs.N, gs.N))
-            assert not h0.is_zero()
+            h0 = gs.h(i, sign).get(0)
+            assert h0 is not None
             h0.inverse()  # must not raise
 
 
@@ -98,7 +97,7 @@ def test_gaussian_generators_decomposes_the_given_operators(b1):
     """Operators that differ from the built ones get their own factors, not
     the memoised factors of the genuine operators."""
     good = build_lops(b1, 4)
-    N = good.N
+    N = b1.N
     lp = [row[:] for row in good.lp]
     lp[N - 1][0] = lp[N - 1][0] + TruncSeries(
         AT_ZERO, 4, {2: SparseMat.unit(N, 0, N - 1)}
@@ -244,19 +243,18 @@ def test_bivar_zero_reads_trunc_series_parts(b1):
     """A TruncSeries part gives the same item as its ModeSeries, on a
     relation that holds and on one broken by a mode-2 bump."""
     gs = gaussian_generators(build_lops(b1, K))
-    N = gs.N
     h2 = gs.h(2, 1)
-    bump = TruncSeries(AT_ZERO, K, {2: SparseMat.unit(N, 0, 1)})
+    bump = TruncSeries(AT_ZERO, K, {2: SparseMat.unit(b1.N, 0, 1)})
     modes = lop.ModeSeries.from_trunc
 
     def item(a, b):
         terms = [(lop.ONE, a, b, "uv"), (lop._MONE, a, b, "vu")]
-        return lop._bivar_zero("[h1+(u), h2+(v)] = 0", N, K, terms)
+        return lop._bivar_zero("[h1+(u), h2+(v)] = 0", K, terms)
 
     items = []
     for h1 in (gs.h(1, 1), gs.h(1, 1) + bump):
         items.append(item(h1, h2))
-        assert items[-1] == item(modes(h1, N), modes(h2, N))
+        assert items[-1] == item(modes(h1), modes(h2))
     assert items[0]["status"] == "pass"
     assert items[1]["status"] == "fail" and items[1]["witness"]["u_mode"] == 2
 
@@ -302,3 +300,54 @@ def test_fused_sums_add_no_matrices(monkeypatch):
     assert all(calls[name] for name in ("_bivar_zero", "serre_sum", "__mul__"))
     assert calls["inverse"]
     assert calls["add"] == 0
+
+
+def test_lowrank_battery_reads_the_representation_size_from_l(b1):
+    """L-operators whose coefficients are M x M with M != N: B1's L with
+    every coefficient tensored with the 2 x 2 identity has the Gauss factors
+    of B1 tensored with it, so its rank-one battery gives B1's items."""
+    lops = build_lops(b1, 4)
+    ident = SparseMat.identity(2)
+
+    def tensored(L):
+        def entry(x):
+            coeffs = {m: c.kron(ident) for m, c in x.coeffs.items()}
+            return TruncSeries(x.direction, x.order, coeffs)
+
+        return [[entry(x) for x in row] for row in L]
+
+    lops2 = LOperators(
+        b1, 4, tensored(lops.lp), tensored(lops.lm), lops.wiring, lops.candidates
+    )
+    got = lop._battery_rank1_b(lop.GenSource(gaussian_generators(lops2)), 4, "B1")
+    want = lop._battery_rank1_b(lop.GenSource(gaussian_generators(lops)), 4, "B1")
+    assert len(want) == 40 and all_pass(want), failures(want)
+    assert got == want
+
+
+def test_bivar_zero_reads_the_identity_part(b1):
+    """The e-f commutator against the h-ratio holds; with its ratio_u series
+    bumped at mode 2, its only nonzero contribution is that of the
+    (prefactor, ratio_u, None) term, whose None part is the identity at v
+    mode 0, and the relation fails at u mode 2."""
+    src = lop.GenSource(gaussian_generators(build_lops(b1, 4)))
+    u, v, qmq = lop._U, lop._V, lop._QMQ
+    e12, f21 = src.e(1, 2, 1), src.f(2, 1, 1)
+    ratio = src.h(2, 1) * src.h(1, 1).inverse()
+    bump = TruncSeries(AT_ZERO, 4, {2: SparseMat.unit(b1.N, 0, 0)})
+    duv = u - v
+    pre = qmq * v * duv.inverse()
+
+    def item(ratio_u):
+        terms = [
+            (lop.ONE, e12, f21, "uv"),
+            (lop._MONE, e12, f21, "vu"),
+            (lop._MONE * pre, None, ratio, "uv"),
+            (pre, ratio_u, None, "uv"),
+        ]
+        return lop._bivar_zero("[e12+(u), f21+(v)] vs h-ratio", 4, terms, duv)
+
+    assert item(ratio)["status"] == "pass"
+    bad = item(ratio + bump)
+    assert bad["status"] == "fail"
+    assert (bad["witness"]["u_mode"], bad["witness"]["v_mode"]) == (2, 1)

@@ -15,7 +15,6 @@ from qav.series import (
     expand_scalar,
     f_series,
     fu_product,
-    g_series,
     series_exp,
     series_log,
     solve_sqrt_scaled,
@@ -155,13 +154,6 @@ def test_f_series_satisfies_its_functional_equation():
         K,
     )
     assert f * f.scale_arg(alg.xi) == rhs
-
-
-def test_g_series_relates_to_f_series():
-    alg = AlgebraData("D", 2)
-    u = Scalar.u_pow(1)
-    poly = expand_scalar((u - Scalar.q_pow(-2)) * (u - alg.xi), AT_ZERO, K)
-    assert g_series(alg, K) == f_series(alg, K) * poly
 
 
 # -- fused products against the folded coefficient sums ------------------------
@@ -354,3 +346,21 @@ def test_f_series_is_built_once_per_algebra_and_order(monkeypatch):
     assert f_series(alg, 3) is not f and calls == [4, 3]
     assert f_series(AlgebraData("B", 1), 4) is not f
     assert calls == [4, 3, 4]
+
+
+def test_f_series_work_bound_admits_every_rank_at_the_default_order(monkeypatch):
+    """The joint rank-order bound refuses no rank within MAX_FSERIES_RANK at
+    order 10 or below: the guard passes and the product is reached."""
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(series, "fu_product", reached)
+    for type_, bound in series.MAX_FSERIES_RANK.items():
+        for rank in range(2 if type_ == "D" else 1, bound + 1):
+            for order in (1, 10):
+                with pytest.raises(Reached):
+                    verify_fu_product(AlgebraData(type_, rank), order, order)
