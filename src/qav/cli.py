@@ -59,7 +59,7 @@ _TABLE = {
         needs_lops=True,
         skip=(lambda alg: alg.n < 2, "mirror identities", "needs rank at least 2"),
     ),
-    "f-series": _Suite(lambda alg, K, W: verify_fu_product(alg, K, K)["checks"]),
+    "f-series": _Suite(lambda alg, K, W: verify_fu_product(alg, K)["checks"]),
     "gauss": _Suite(lambda alg, K, W: lop.check_gauss(alg, K), needs_lops=True),
     "lowrank": _Suite(
         lambda alg, K, W: lop.check_lowrank(alg, K),

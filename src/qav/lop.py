@@ -6,12 +6,15 @@ M x M matrices of exact scalars: N = alg.N = len(L) is the auxiliary slot, M
 the representation slot.  M is read from the coefficient matrices, never from
 the algebra, so an L-operator on another representation (M != N) goes through
 the same Gauss factors and relation checks.  Only the code that builds images
-in the vector representation V by definition (vecrep, _lemma_k_diagonal,
-_check_rll, the closed forms of _geom_target) takes M = N.  Everything
-downstream - Gaussian generators, current-style combinations, the central
-series, the reduction maps and the structural checks - is computed from these
-series matrices with exact arithmetic; every check reports pass/fail with a
-witness coefficient on failure.
+in the vector representation V by definition (vecrep, _lemma_k_diagonal, the
+wiring's RLL check through rmatrix.exchange_difference, the closed forms of
+_geom_target) takes M = N.  Everything downstream - Gaussian generators,
+current-style combinations, the central series, the reduction maps and the
+structural checks - is computed from these series matrices with exact
+arithmetic; every check reports pass/fail with a witness coefficient on
+failure.  A relation family that several checks state identically (the
+commutator, h-h commutation, the h1 exchanges and the e-f commutator of the
+low-rank batteries) is written once.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from .quasidet import (
     schur_complement,
 )
 from .report import check, first_failure
-from .rmatrix import _mat_subs_u, build_catalog, crossing_scalar
+from .rmatrix import build_catalog, crossing_scalar, exchange_difference
 from .scalars import ONE, Scalar, qbinom
 from .series import AT_INFINITY, AT_ZERO, TruncSeries, expand_scalar
-from .tensor import SparseMat, embed_leg
+from .tensor import SparseMat
 
 BIG = 10**6
 
@@ -203,21 +206,6 @@ def _check_diagonal_constants(alg, lp, lm) -> bool:
     return True
 
 
-def _check_rll(alg, base_name: str) -> bool:
-    """Exact rational cubic relation: the R-matrix exchange identity for the
-    candidate operator matrix, checked with denominator-cleared entries."""
-    cat = build_catalog(alg)
-    N = alg.N
-    rpoly = cat.rbar_poly
-    mpoly = cat.P * rpoly * cat.P if base_name == "swapped" else rpoly
-    r12 = embed_leg(_mat_subs_u(mpoly, _U * Scalar.v_pow(-1)), (1, 2), N)
-    m13 = embed_leg(mpoly, (1, 3), N)
-    m23 = embed_leg(_mat_subs_u(mpoly, _V), (2, 3), N)
-    lhs = r12 * m13 * m23
-    rhs = m23 * m13 * r12
-    return (lhs - rhs).is_zero()
-
-
 class LOperators:
     """The pair of evaluated operator matrices together with the convention
     record and the per-candidate validation trace; `gauss` holds the
@@ -276,7 +264,8 @@ def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
             if cand["triangular"]:
                 cand["diagonal"] = _check_diagonal_constants(alg, lp, lm)
             if cand["diagonal"]:
-                cand["exchange"] = _check_rll(alg, base_name)
+                cleared = mat.scale(cat.denpoly)
+                cand["exchange"] = exchange_difference(cleared, N).is_zero()
             candidates.append(cand)
             if cand["exchange"]:
                 survivors.append((cand, lp, lm))
@@ -553,6 +542,79 @@ def _sig(s):
 
 
 # ---------------------------------------------------------------------------
+# relation families shared by several checks
+# ---------------------------------------------------------------------------
+
+
+def _commutator(x, y):
+    """The terms of x(u) y(v) - y(v) x(u)."""
+    return [(ONE, x, y, "uv"), (_MONE, x, y, "vu")]
+
+
+def _hh_commutation(src: GenSource, K: int, prefix: str, index_pairs) -> list:
+    """[h_i(u), h_j(v)] = 0 for each (i, j) of index_pairs and sign pair."""
+    return [
+        _bivar_zero(
+            f"{prefix}[h{i}{_sig(s)}(u), h{j}{_sig(t)}(v)] = 0",
+            K,
+            _commutator(src.h(i, s), src.h(j, t)),
+        )
+        for i, j in index_pairs
+        for s, t in _PAIRS
+    ]
+
+
+def _h1_exchanges(src: GenSource, K: int, prefix: str, a: int, b: int, s, t):
+    """The exchanges of h1(u) with e_ab(v) and of f_ba(v) with h1(u), for
+    the root column (a, b) of a low-rank battery."""
+    u, v = _U, _V
+    d1 = _Q * u - _QI * v
+    pre = _MONE * (u - v) * d1.inverse()
+    h1s, e, f = src.h(1, s), src.e(a, b, t), src.f(b, a, t)
+    he_u = h1s * src.e(a, b, s)
+    fh_u = src.f(b, a, s) * h1s
+    return [
+        _bivar_zero(
+            f"{prefix}h1{_sig(s)}(u) e{a}{b}{_sig(t)}(v) exchange",
+            K,
+            [
+                (ONE, h1s, e, "uv"),
+                (pre, h1s, e, "vu"),
+                (_MONE * _QMQ * u * d1.inverse(), he_u, None, "uv"),
+            ],
+            d1,
+        ),
+        _bivar_zero(
+            f"{prefix}f{b}{a}{_sig(t)}(v) h1{_sig(s)}(u) exchange",
+            K,
+            [
+                (ONE, h1s, f, "vu"),
+                (pre, h1s, f, "uv"),
+                (_MONE * _QMQ * v * d1.inverse(), fh_u, None, "uv"),
+            ],
+            d1,
+        ),
+    ]
+
+
+def _ef_commutator(src: GenSource, K: int, prefix: str, a: int, b: int, hidx, s, t):
+    """[e_ab(u), f_ba(v)] against the ratio h_hidx h1^-1 of the diagonal
+    series, for the root column (a, b) of a low-rank battery."""
+    duv = _U - _V
+    e, f = src.e(a, b, s), src.f(b, a, t)
+    ratio_u = src.h(hidx, s) * src.h(1, s).inverse()
+    ratio_v = src.h(hidx, t) * src.h(1, t).inverse()
+    pre = _QMQ * _V * duv.inverse()
+    return _bivar_zero(
+        f"{prefix}[e{a}{b}{_sig(s)}(u), f{b}{a}{_sig(t)}(v)] vs h-ratio",
+        K,
+        _commutator(e, f)
+        + [(_MONE * pre, None, ratio_v, "uv"), (pre, ratio_u, None, "uv")],
+        duv,
+    )
+
+
+# ---------------------------------------------------------------------------
 # low-rank relation batteries
 # ---------------------------------------------------------------------------
 
@@ -563,60 +625,16 @@ def _battery_rank1_b(src: GenSource, K: int, tag: str) -> list:
     qmq = _QMQ
     qh = Scalar.q_pow(Fraction(1, 2))
     qhi = Scalar.q_pow(Fraction(-1, 2))
-    out = []
+    prefix = f"{tag}: "
+    out = _hh_commutation(src, K, prefix, ((1, 1), (1, 2), (2, 2)))
 
     def bv(name, terms, clearing=ONE):
-        out.append(_bivar_zero(f"{tag}: {name}", K, terms, clearing))
+        out.append(_bivar_zero(prefix + name, K, terms, clearing))
 
-    # h-h commutation
-    for i, j in ((1, 1), (1, 2), (2, 2)):
-        for s, t in _PAIRS:
-            hi, hj = src.h(i, s), src.h(j, t)
-            bv(
-                f"[h{i}{_sig(s)}(u), h{j}{_sig(t)}(v)] = 0",
-                [(ONE, hi, hj, "uv"), (_MONE, hi, hj, "vu")],
-            )
-    d1 = q * u - qi * v
     for s, t in _PAIRS:
-        h1s, e12t = src.h(1, s), src.e(1, 2, t)
-        he_u = src.h(1, s) * src.e(1, 2, s)
-        bv(
-            f"h1{_sig(s)}(u) e12{_sig(t)}(v) exchange",
-            [
-                (ONE, h1s, e12t, "uv"),
-                (_MONE * (u - v) * d1.inverse(), h1s, e12t, "vu"),
-                (_MONE * qmq * u * d1.inverse(), he_u, None, "uv"),
-            ],
-            clearing=d1,
-        )
-        f21t = src.f(2, 1, t)
-        fh_u = src.f(2, 1, s) * src.h(1, s)
-        bv(
-            f"f21{_sig(t)}(v) h1{_sig(s)}(u) exchange",
-            [
-                (ONE, h1s, f21t, "vu"),
-                (_MONE * (u - v) * d1.inverse(), h1s, f21t, "uv"),
-                (_MONE * qmq * v * d1.inverse(), fh_u, None, "uv"),
-            ],
-            clearing=d1,
-        )
+        out += _h1_exchanges(src, K, prefix, 1, 2, s, t)
     # e-f commutator against the h-ratio
-    duv = u - v
-    for s, t in _PAIRS:
-        e12s, f21t = src.e(1, 2, s), src.f(2, 1, t)
-        ratio_u = src.h(2, s) * src.h(1, s).inverse()
-        ratio_v = src.h(2, t) * src.h(1, t).inverse()
-        pre = qmq * v * duv.inverse()
-        bv(
-            f"[e12{_sig(s)}(u), f21{_sig(t)}(v)] vs h-ratio",
-            [
-                (ONE, e12s, f21t, "uv"),
-                (_MONE, e12s, f21t, "vu"),
-                (_MONE * pre, None, ratio_v, "uv"),
-                (pre, ratio_u, None, "uv"),
-            ],
-            clearing=duv,
-        )
+    out += [_ef_commutator(src, K, prefix, 1, 2, 2, s, t) for s, t in _PAIRS]
     # quadratic e-e / f-f with the next-root correction terms
     dq = (qi * u - v) * (qi * u - q * v) * (u - qi * qi * v)
     A = (u - qi * v) * (qi * u - v).inverse()
@@ -745,51 +763,37 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
     """The full rank-two type-D relation battery on a generator source."""
     u, v, q, qi = _U, _V, _Q, _QI
     qmq = _QMQ
-    out = []
+    prefix = f"{tag}: "
+    pairs = ((1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3))
+    out = _hh_commutation(src, K, prefix, pairs)
 
     def bv(name, terms, clearing=ONE):
-        out.append(_bivar_zero(f"{tag}: {name}", K, terms, clearing))
+        out.append(_bivar_zero(prefix + name, K, terms, clearing))
 
-    # h-h commutation
-    for i, j in ((1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3)):
-        for s, t in _PAIRS:
-            hi, hj = src.h(i, s), src.h(j, t)
-            bv(
-                f"[h{i}{_sig(s)}(u), h{j}{_sig(t)}(v)] = 0",
-                [(ONE, hi, hj, "uv"), (_MONE, hi, hj, "vu")],
-            )
+    def gen(name, s):  # "e12" -> e12 of sign s
+        return (src.e if name[0] == "e" else src.f)(int(name[1]), int(name[2]), s)
+
+    def zero_items(template, rows):
+        # per sign, a row (x,), (x, y) or (x, y, z) states x, x + y or x + y z = 0
+        for s in _SIGNS:
+            for row in rows:
+                x = gen(row[0], s)
+                if len(row) == 3:
+                    x = x + gen(row[1], s) * gen(row[2], s)
+                elif len(row) == 2:
+                    x = x + gen(row[1], s)
+                labels = [f"{name}{_sig(s)}(u)" for name in row]
+                name = prefix + template.format(*labels)
+                out.append(_coefficient_item(name, [({}, x)]))
+
     d1 = q * u - qi * v
     duv = u - v
     # the two root columns (e12/f21 against h2, e13/f31 against h3)
-    for col, erow, hidx in (((1, 2), (2, 1), 2), ((1, 3), (3, 1), 3)):
-        ei, ej = col
-        fj, fi = erow
+    for (ei, ej), hidx in (((1, 2), 2), ((1, 3), 3)):
         label = f"e{ei}{ej}"
-        flabel = f"f{fj}{fi}"
+        flabel = f"f{ej}{ei}"
         for s, t in _PAIRS:
-            h1s = src.h(1, s)
-            ect = src.e(ei, ej, t)
-            he_u = src.h(1, s) * src.e(ei, ej, s)
-            bv(
-                f"h1{_sig(s)}(u) {label}{_sig(t)}(v) exchange",
-                [
-                    (ONE, h1s, ect, "uv"),
-                    (_MONE * duv * d1.inverse(), h1s, ect, "vu"),
-                    (_MONE * qmq * u * d1.inverse(), he_u, None, "uv"),
-                ],
-                clearing=d1,
-            )
-            fct = src.f(fj, fi, t)
-            fh_u = src.f(fj, fi, s) * src.h(1, s)
-            bv(
-                f"{flabel}{_sig(t)}(v) h1{_sig(s)}(u) exchange",
-                [
-                    (ONE, h1s, fct, "vu"),
-                    (_MONE * duv * d1.inverse(), h1s, fct, "uv"),
-                    (_MONE * qmq * v * d1.inverse(), fh_u, None, "uv"),
-                ],
-                clearing=d1,
-            )
+            out += _h1_exchanges(src, K, prefix, ei, ej, s, t)
             # exchange with the matching diagonal series
             ecs = src.e(ei, ej, s)
             hct = src.h(hidx, t)
@@ -803,8 +807,8 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
                 ],
                 clearing=duv,
             )
-            fcs = src.f(fj, fi, s)
-            fh_v = src.f(fj, fi, t) * src.h(hidx, t)
+            fcs = src.f(ej, ei, s)
+            fh_v = src.f(ej, ei, t) * src.h(hidx, t)
             bv(
                 f"h{hidx}{_sig(t)}(v) {flabel}{_sig(s)}(u) exchange",
                 [
@@ -830,9 +834,9 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
                 ],
                 clearing=dq,
             )
-            fcs, fct = src.f(fj, fi, s), src.f(fj, fi, t)
-            fsq_u = src.f(fj, fi, s) * src.f(fj, fi, s)
-            fsq_v = src.f(fj, fi, t) * src.f(fj, fi, t)
+            fcs, fct = src.f(ej, ei, s), src.f(ej, ei, t)
+            fsq_u = src.f(ej, ei, s) * src.f(ej, ei, s)
+            fsq_v = src.f(ej, ei, t) * src.f(ej, ei, t)
             bv(
                 f"{flabel}{_sig(s)}(u) {flabel}{_sig(t)}(v) quadratic",
                 [
@@ -844,111 +848,37 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
                 clearing=d1,
             )
         # e-f commutator against the h-ratio
-        for s, t in _PAIRS:
-            ecs, fct = src.e(ei, ej, s), src.f(fj, fi, t)
-            ratio_u = src.h(hidx, s) * src.h(1, s).inverse()
-            ratio_v = src.h(hidx, t) * src.h(1, t).inverse()
-            pre = qmq * v * duv.inverse()
-            bv(
-                f"[{label}{_sig(s)}(u), {flabel}{_sig(t)}(v)] vs h-ratio",
-                [
-                    (ONE, ecs, fct, "uv"),
-                    (_MONE, ecs, fct, "vu"),
-                    (_MONE * pre, None, ratio_v, "uv"),
-                    (pre, ratio_u, None, "uv"),
-                ],
-                clearing=duv,
-            )
+        out += [_ef_commutator(src, K, prefix, ei, ej, hidx, s, t) for s, t in _PAIRS]
     # vanishing inner entries
-    for s in _SIGNS:
-        for name, x in (("e23", src.e(2, 3, s)), ("f32", src.f(3, 2, s))):
-            out.append(_coefficient_item(f"{tag}: {name}{_sig(s)}(u) = 0", [({}, x)]))
+    zero_items("{} = 0", (("e23",), ("f32",)))
     # corner entries as products
-    for s in _SIGNS:
-        out.append(
-            _coefficient_item(
-                f"{tag}: e14{_sig(s)}(u) + e12{_sig(s)}(u) e13{_sig(s)}(u) = 0",
-                [({}, src.e(1, 4, s) + src.e(1, 2, s) * src.e(1, 3, s))],
-            )
-        )
-        out.append(
-            _coefficient_item(
-                f"{tag}: e14{_sig(s)}(u) + e13{_sig(s)}(u) e12{_sig(s)}(u) = 0",
-                [({}, src.e(1, 4, s) + src.e(1, 3, s) * src.e(1, 2, s))],
-            )
-        )
-        out.append(
-            _coefficient_item(
-                f"{tag}: f41{_sig(s)}(u) + f21{_sig(s)}(u) f31{_sig(s)}(u) = 0",
-                [({}, src.f(4, 1, s) + src.f(2, 1, s) * src.f(3, 1, s))],
-            )
-        )
-        out.append(
-            _coefficient_item(
-                f"{tag}: f41{_sig(s)}(u) + f31{_sig(s)}(u) f21{_sig(s)}(u) = 0",
-                [({}, src.f(4, 1, s) + src.f(3, 1, s) * src.f(2, 1, s))],
-            )
-        )
+    zero_items(
+        "{} + {} {} = 0",
+        (
+            ("e14", "e12", "e13"),
+            ("e14", "e13", "e12"),
+            ("f41", "f21", "f31"),
+            ("f41", "f31", "f21"),
+        ),
+    )
     for s, t in _PAIRS:
-        e12s, e13t = src.e(1, 2, s), src.e(1, 3, t)
-        e13s, e12t = src.e(1, 3, s), src.e(1, 2, t)
-        bv(
-            f"e12{_sig(s)}(u) e13{_sig(t)}(v) symmetric in signs",
-            [(ONE, e12s, e13t, "uv"), (_MONE, e13s, e12t, "vu")],
-        )
-        bv(
-            f"[e12{_sig(s)}(u), e13{_sig(t)}(v)] = 0",
-            [(ONE, e12s, e13t, "uv"), (_MONE, e12s, e13t, "vu")],
-        )
-        f21s, f31t = src.f(2, 1, s), src.f(3, 1, t)
-        f31s, f21t = src.f(3, 1, s), src.f(2, 1, t)
-        bv(
-            f"f21{_sig(s)}(u) f31{_sig(t)}(v) symmetric in signs",
-            [(ONE, f21s, f31t, "uv"), (_MONE, f31s, f21t, "vu")],
-        )
-        bv(
-            f"[f21{_sig(s)}(u), f31{_sig(t)}(v)] = 0",
-            [(ONE, f21s, f31t, "uv"), (_MONE, f21s, f31t, "vu")],
-        )
+        for x, y in (("e12", "e13"), ("f21", "f31")):
+            xs, yt = gen(x, s), gen(y, t)
+            bv(
+                f"{x}{_sig(s)}(u) {y}{_sig(t)}(v) symmetric in signs",
+                [(ONE, xs, yt, "uv"), (_MONE, gen(y, s), gen(x, t), "vu")],
+            )
+            bv(f"[{x}{_sig(s)}(u), {y}{_sig(t)}(v)] = 0", _commutator(xs, yt))
     # mirrored entries
-    for s in _SIGNS:
-        out.append(
-            _coefficient_item(
-                f"{tag}: e34{_sig(s)}(u) + e12{_sig(s)}(u) = 0",
-                [({}, src.e(3, 4, s) + src.e(1, 2, s))],
-            )
-        )
-        out.append(
-            _coefficient_item(
-                f"{tag}: e24{_sig(s)}(u) + e13{_sig(s)}(u) = 0",
-                [({}, src.e(2, 4, s) + src.e(1, 3, s))],
-            )
-        )
-        out.append(
-            _coefficient_item(
-                f"{tag}: f43{_sig(s)}(u) + f21{_sig(s)}(u) = 0",
-                [({}, src.f(4, 3, s) + src.f(2, 1, s))],
-            )
-        )
-        out.append(
-            _coefficient_item(
-                f"{tag}: f42{_sig(s)}(u) + f31{_sig(s)}(u) = 0",
-                [({}, src.f(4, 2, s) + src.f(3, 1, s))],
-            )
-        )
+    zero_items(
+        "{} + {} = 0", (("e34", "e12"), ("e24", "e13"), ("f43", "f21"), ("f42", "f31"))
+    )
     # cross commutators and exchanges between the two root columns
     d2 = qi * u - q * v
     for s, t in _PAIRS:
-        e12s, f31t = src.e(1, 2, s), src.f(3, 1, t)
-        bv(
-            f"[e12{_sig(s)}(u), f31{_sig(t)}(v)] = 0",
-            [(ONE, e12s, f31t, "uv"), (_MONE, e12s, f31t, "vu")],
-        )
-        e13s, f21t = src.e(1, 3, s), src.f(2, 1, t)
-        bv(
-            f"[e13{_sig(s)}(u), f21{_sig(t)}(v)] = 0",
-            [(ONE, e13s, f21t, "uv"), (_MONE, e13s, f21t, "vu")],
-        )
+        for x, y in (("e12", "f31"), ("e13", "f21")):
+            xs, yt = gen(x, s), gen(y, t)
+            bv(f"[{x}{_sig(s)}(u), {y}{_sig(t)}(v)] = 0", _commutator(xs, yt))
     for s, t in _PAIRS:
         for (ei, ej), hidx in (((1, 2), 3), ((1, 3), 2)):
             ecs = src.e(ei, ej, s)
@@ -1025,23 +955,14 @@ def x_current(gs: GaussianSeries, i: int, plus: bool) -> ModeSeries:
     return ModeSeries(table, -K, K)
 
 
-def _eps_alpha(alg: AlgebraData, i: int, j: int) -> Fraction:
-    """(epsilon_i, alpha_j) for 1 <= i <= n, 1 <= j <= n."""
-    n = alg.n
-    if j < n:
-        return Fraction(int(i == j) - int(i == j + 1))
-    if alg.type == "B":
-        return Fraction(int(i == n))
-    return Fraction(int(i == n - 1) + int(i == n))
-
-
 def _hx_prefactors(alg: AlgebraData, i: int, j: int):
     """(plus_pre, minus_pre, clearing) for the diagonal-series/current
     exchange h_i(u) X_j(v) = pre * X_j(v) h_i(u)."""
     u, v, q, qi = _U, _V, _Q, _QI
     n = alg.n
     if i <= n:
-        a = _eps_alpha(alg, i, j)
+        # (epsilon_i, alpha_j)
+        a = sum(x * y for x, y in zip(alg.epsilon[i - 1], alg.roots[j - 1]))
         den = Scalar.q_pow(a) * u - Scalar.q_pow(-a) * v
         plus_pre = (u - v) * den.inverse()
         minus_pre = den * (u - v).inverse()
@@ -1082,21 +1003,10 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
         raise LopError("need K >= W >= 2")
     gs = gaussian_generators(build_lops(alg, K))
     n = alg.n
-    out = []
     src = GenSource(gs)
-
     # (a) diagonal-series commutation, all pairs, all sign combinations
-    for i in range(1, n + 2):
-        for j in range(i, n + 2):
-            for s, t in _PAIRS:
-                hi, hj = src.h(i, s), src.h(j, t)
-                out.append(
-                    _bivar_zero(
-                        f"(a) [h{i}{_sig(s)}(u), h{j}{_sig(t)}(v)] = 0",
-                        K,
-                        [(ONE, hi, hj, "uv"), (_MONE, hi, hj, "vu")],
-                    )
-                )
+    pairs = [(i, j) for i in range(1, n + 2) for j in range(i, n + 2)]
+    out = _hh_commutation(src, K, "(a) ", pairs)
     # (b) diagonal-series / current exchange
     currents = {
         (j, True): x_current(gs, j, True) for j in range(1, n + 1)
@@ -1418,7 +1328,7 @@ def check_psi_consistency(alg: AlgebraData, m: int, K: int = 10) -> list:
                         item = _bivar_zero(
                             f"[l[{a},{b}]{_sig(s)}(u), psi_{m}(l[{i},{j}]{_sig(t)}(v))]",
                             K,
-                            [(ONE, A, B, "uv"), (_MONE, A, B, "vu")],
+                            _commutator(A, B),
                         )
                         if item["status"] != "pass":
                             yield {"entry": [a, b, i, j], "detail": item["witness"]}

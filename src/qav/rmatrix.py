@@ -189,10 +189,6 @@ class RCatalog:
         c_q = q2i1 * (u - 1) * xi
         return self.R.scale(c_r) + self.P.scale(c_p) + self.Q.scale(c_q)
 
-    def rbar_poly_subs(self, t: Scalar) -> SparseMat:
-        """The denominator-cleared Rbar at spectral parameter t."""
-        return _mat_subs_u(self.rbar_poly, t)
-
 
 def _mat_subs_u(m: SparseMat, t: Scalar) -> SparseMat:
     """m with the spectral variable u of every entry replaced by t."""
@@ -219,30 +215,32 @@ def build_catalog(alg) -> RCatalog:
     return _CATALOGS[key]
 
 
+def exchange_difference(m: SparseMat, N: int) -> SparseMat:
+    """M12(u) M13(uv) M23(v) - M23(v) M13(uv) M12(u) for an N^2 x N^2 matrix
+    m = M(u) with polynomial entries: the Yang-Baxter equation for M = Rbar,
+    and the RLL relation of L = M (in u/v and v, an invertible change of
+    variables) at build time."""
+    u, v = Scalar.u_pow(1), Scalar.v_pow(1)
+    a12 = embed_leg(m, (1, 2), N)
+    a13 = embed_leg(_mat_subs_u(m, u * v), (1, 3), N)
+    a23 = embed_leg(_mat_subs_u(m, v), (2, 3), N)
+    return a12 * a13 * a23 - a23 * a13 * a12
+
+
 def check_ybe(alg) -> list:
     """Exact two-variable Yang-Baxter check for Rbar.
 
     The check is run for Rbar; it extends to R(u) = g(u) Rbar(u) because
     the scalar prefactors g(x) g(xy) g(y) cancel between the two sides.
+    Both sides are scaled by the same denominator-clearing polynomials, so
+    the comparison is between matrices with polynomial entries.
     """
     cat = build_catalog(alg)
     N = alg.N
-    x = Scalar.u_pow(1)
-    y = Scalar.v_pow(1)
-    # both sides are scaled by the same denominator-clearing polynomials,
-    # so the comparison is between matrices with polynomial entries
-    r_x = cat.rbar_poly
-    r_xy = cat.rbar_poly_subs(x * y)
-    r_y = cat.rbar_poly_subs(y)
-    a12 = embed_leg(r_x, (1, 2), N)
-    a13 = embed_leg(r_xy, (1, 3), N)
-    a23 = embed_leg(r_y, (2, 3), N)
-    lhs = a12 * a13 * a23
-    rhs = a23 * a13 * a12
     return [
         first_failure(
             f"Yang-Baxter identity for Rbar, {alg} ({N**3}x{N**3})",
-            [({}, lhs - rhs)],
+            [({}, exchange_difference(cat.rbar_poly, N))],
             note="checked exactly for Rbar; the g-prefactors of R cancel",
         )
     ]
@@ -252,7 +250,7 @@ def check_unitarity(alg) -> list:
     """Rbar_12(u) Rbar_21(1/u) = 1 with Rbar_21(x) = P Rbar(x) P."""
     cat = build_catalog(alg)
     uinv = Scalar.u_pow(-1)
-    r21_inv_arg = cat.P * cat.rbar_poly_subs(uinv) * cat.P
+    r21_inv_arg = cat.P * _mat_subs_u(cat.rbar_poly, uinv) * cat.P
     prod = cat.rbar_poly * r21_inv_arg
     scale = cat.denpoly * cat.denpoly.subs_u(uinv)
     ident = SparseMat.identity(alg.N**2, scale)
@@ -278,7 +276,7 @@ def check_crossing(alg, order=10) -> list:
     out = []
 
     uxi = Scalar.u_pow(1) * alg.xi
-    lhs = cat.rbar_poly * d1 * transpose_t1(cat.rbar_poly_subs(uxi), alg) * d1i
+    lhs = cat.rbar_poly * d1 * transpose_t1(_mat_subs_u(cat.rbar_poly, uxi), alg) * d1i
     scale = cat.denpoly * cat.denpoly.subs_u(uxi) * crossing_scalar(alg)
     target = SparseMat.identity(N * N).scale(scale)
     out.append(

@@ -388,10 +388,10 @@ def fu_product(alg, R: int, order_u: int) -> TruncSeries:
     return out
 
 
-def verify_fu_product(alg, order_u: int, order_qadic: int) -> dict:
+def verify_fu_product(alg, order: int) -> dict:
     """Compare the functional-equation solution f(u) against the truncated
     infinite product, coefficient by coefficient, in the q^(-1)-adic
-    completion through order `order_qadic`.
+    completion; `order` is both the u-order and the q-adic order.
 
     The product is cut at the smallest depth R such that every dropped
     factor can only contribute beyond the comparison order.
@@ -405,33 +405,32 @@ def verify_fu_product(alg, order_u: int, order_qadic: int) -> dict:
             f"rank {alg.n} exceeds the f-series bound "
             f"MAX_FSERIES_RANK[{alg.type!r}] = {bound}"
         )
-    order = max(order_u, order_qadic)
     if alg.n * order**3 > bound * FSERIES_WORK_ORDER**3:
         raise ResourceBoundError(
             f"rank {alg.n} at order {order} exceeds the f-series work bound, "
             f"that of rank {bound} at order {FSERIES_WORK_ORDER}"
         )
     R = 1
-    while Nm2 * (2 * R + 1 - order_u) <= order_qadic:
+    while Nm2 * (2 * R + 1 - order) <= order:
         R += 1
     nfactors = 8 * (R + 1)
-    product_side = fu_product(alg, R, order_u)
-    solver_side = f_series(alg, order_u)
+    product_side = fu_product(alg, R, order)
+    solver_side = f_series(alg, order)
 
     def at(lead, coeffs, e):
         """The coefficient of q^e in sum_j coeffs[j] q^(lead - j)."""
-        return coeffs[lead - e] if 0 <= lead - e <= order_qadic else Fraction(0)
+        return coeffs[lead - e] if 0 <= lead - e <= order else Fraction(0)
 
     checks = []
-    for k in range(order_u + 1):
+    for k in range(order + 1):
         a = solver_side.coefficient(k)
         b = product_side.coefficient(k)
-        la, ca = a.qadic_laurent(order_qadic)
-        lb, cb = b.qadic_laurent(order_qadic)
-        # align the two Laurent windows and compare through q^(-order_qadic)
+        la, ca = a.qadic_laurent(order)
+        lb, cb = b.qadic_laurent(order)
+        # align the two Laurent windows and compare through q^(-order)
         pairs = (
             (e, at(la, ca, e), at(lb, cb, e))
-            for e in range(max(la, lb), -order_qadic - 1, -1)
+            for e in range(max(la, lb), -order - 1, -1)
         )
         witness = next(
             (

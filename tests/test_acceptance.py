@@ -101,7 +101,7 @@ def test_criterion_04_f_series():
         for k in range(order + 1):
             c = f.coefficient(k)
             assert c.is_uv_free() and c.is_w_free(), (str(alg), k)
-        report = verify_fu_product(alg, order, order)
+        report = verify_fu_product(alg, order)
         for k, check in enumerate(report["checks"]):
             if k <= 4:
                 assert check["status"] == "pass", (str(alg), check)

@@ -3,6 +3,7 @@ the suite reports `fail`, that its witness locates the perturbation, and that
 `qav check` exits 1.  A kernel that wrongly collapsed a nonzero value to zero
 would pass every positive check; it cannot pass these."""
 
+import ast
 import json
 
 import pytest
@@ -57,24 +58,70 @@ def test_rmatrix_suites_fail_on_a_bumped_rbar_entry(
     assert [c["witness"] for c in checks if c["status"] == "fail"] == [witness]
 
 
-def test_lowrank_fails_on_a_bumped_gauss_mode(monkeypatch, capsys):
-    """Mode 2 of h1+(u) on B1 gets e_11 added; the relations that carry
-    h1+ in the u-slot fail at u-mode 2."""
+def _lowrank_failures_with_h1_bumped(monkeypatch, capsys, type_, rank):
+    """The low-rank battery with e_11 added at mode 2 of h1+(u), on fresh
+    caches: its items, and its failing items by name with their witnesses,
+    which `qav check lowrank` (exit 1) reports too."""
     monkeypatch.setattr(rmatrix, "_CATALOGS", {})
     monkeypatch.setattr(lop, "_LOPS_CACHE", {})
-    alg, K = AlgebraData("B", 1), 10
+    alg, K = AlgebraData(type_, rank), 10
     gs = lop.gaussian_generators(lop.build_lops(alg, K))
     gs.gp.H[0] = gs.gp.H[0] + TruncSeries(
         AT_ZERO, K, {2: SparseMat.unit(alg.N, 0, 0)}
     )
     checks = lop.check_lowrank(alg, K)
     failed = {c["name"]: c["witness"] for c in checks if c["status"] == "fail"}
+    args = ["--type", type_, "--rank", str(rank), "--format", "json"]
+    assert cli.run(["check", "lowrank", *args]) == 1
+    report = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+    assert {c["name"]: c["witness"] for c in report if c["status"] == "fail"} == failed
+    return checks, failed
+
+
+def test_lowrank_fails_on_a_bumped_gauss_mode(monkeypatch, capsys):
+    """Mode 2 of h1+(u) on B1 gets e_11 added; the relations that carry
+    h1+ in the u-slot fail at u-mode 2."""
+    _, failed = _lowrank_failures_with_h1_bumped(monkeypatch, capsys, "B", 1)
     assert failed
     for name in ("B1: h1+(u) e12+(v) exchange", "B1: h1+(u) e12-(v) exchange"):
         assert failed[name]["u_mode"] == 2
-    rc, report = _run_json(capsys, "lowrank")
-    assert rc == 1
-    assert {c["name"]: c["witness"] for c in report if c["status"] == "fail"} == failed
+
+
+def test_lowrank_d2_fails_on_a_bumped_gauss_mode(monkeypatch, capsys):
+    """The same bump on D2: the h1 exchanges that the D2 battery shares with
+    the B1 battery fail at u-mode 2 in both root columns."""
+    checks, failed = _lowrank_failures_with_h1_bumped(monkeypatch, capsys, "D", 2)
+    assert (len(checks), len(failed)) == (140, 14)
+    for name in ("D2: h1+(u) e12+(v) exchange", "D2: h1+(u) e13+(v) exchange"):
+        assert failed[name]["u_mode"] == 2
+
+
+def test_build_lops_refuses_a_wiring_that_breaks_the_exchange_relation(
+    monkeypatch,
+):
+    """u/denpoly added at entry (0, 4) of B1's Rbar expands with no constant
+    term at either end, so the first candidate keeps its triangular and
+    diagonal constant terms; only the exact RLL exchange relation rejects
+    it, and no wiring passes."""
+    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
+    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
+    alg = AlgebraData("B", 1)
+    cat = rmatrix.build_catalog(alg)
+    row = cat.rbar.rows.setdefault(0, {})
+    row[4] = row.get(4, ZERO) + Scalar.u_pow(1) * cat.denpoly.inverse()
+    cat.rbar_poly = cat.rbar.scale(cat.denpoly)
+    with pytest.raises(lop.LopError, match="^0 wiring conventions passed") as err:
+        lop.build_lops(alg, 4)
+    candidates = ast.literal_eval(str(err.value).split("candidates: ")[1])
+    assert candidates[0] == {
+        "base": "swapped",
+        "aux_slot": 1,
+        "equivalent_raw_wirings": 2,
+        "plus_expansion": "zero",
+        "triangular": True,
+        "diagonal": True,
+        "exchange": False,
+    }
 
 
 # ---------------------------------------------------------------------------

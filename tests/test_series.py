@@ -292,7 +292,7 @@ def _rational_fu_product(alg, R, order_u):
 def test_fu_product_matches_rational_oracle(type_, rank):
     alg = AlgebraData(type_, rank)
     order = 6
-    R = verify_fu_product(alg, order, order)["product_depth"]
+    R = verify_fu_product(alg, order)["product_depth"]
     fast = fu_product(alg, R, order)
     oracle = _rational_fu_product(alg, R, order)
     for k in range(order + 1):
@@ -311,7 +311,7 @@ def test_f_series_check_fails_on_a_perturbed_solver(monkeypatch, capsys):
         return TruncSeries(f.direction, f.order, coeffs)
 
     monkeypatch.setattr(series, "f_series", bumped)
-    checks = verify_fu_product(AlgebraData("D", 2), order, order)["checks"]
+    checks = verify_fu_product(AlgebraData("D", 2), order)["checks"]
     failed = [c for c in checks if c["status"] == "fail"]
     assert [c["name"] for c in failed] == ["f_1 q-adic match"]
     assert failed[0]["witness"]["q_exponent"] == -4
@@ -339,7 +339,7 @@ def test_f_series_is_built_once_per_algebra_and_order(monkeypatch):
     monkeypatch.setattr(series, "solve_sqrt_scaled", counted)
     alg = AlgebraData("B", 1)
     rmatrix.check_crossing(alg, order=4)
-    verify_fu_product(alg, 4, 4)
+    verify_fu_product(alg, 4)
     assert calls == [4]
     f = f_series(alg, 4)
     assert f is f_series(alg, 4)
@@ -363,4 +363,4 @@ def test_f_series_work_bound_admits_every_rank_at_the_default_order(monkeypatch)
         for rank in range(2 if type_ == "D" else 1, bound + 1):
             for order in (1, 10):
                 with pytest.raises(Reached):
-                    verify_fu_product(AlgebraData(type_, rank), order, order)
+                    verify_fu_product(AlgebraData(type_, rank), order)
