@@ -30,6 +30,29 @@ def _dot(x, y):
     return sum((a * b for a, b in zip(x, y) if a and b), Fraction(0))
 
 
+# N, the barred weights and xi of B_n or D_n, for every rank n >= 1 (D_1 has
+# bars [0, 0] and xi = 1): the rank-m reductions read them at each m <= n.
+
+
+def dimension_of(type_: str, n: int) -> int:
+    return 2 * n + 1 if type_ == "B" else 2 * n
+
+
+def bars_of(type_: str, n: int) -> list:
+    """The barred weights of the indices i = 1..N: n - i + 1/2 (type B) or
+    n - i (type D) for i <= n, 0 at i = n + 1 in type B, then negatives."""
+    if type_ == "B":
+        top = [n - i - Fraction(1, 2) for i in range(n)] + [Fraction(0)]
+    else:
+        top = [Fraction(n - 1 - i) for i in range(n)]
+    return top + [-b for b in reversed(top[:n])]
+
+
+def xi_of(type_: str, n: int) -> Scalar:
+    """xi = q^(2 - N)."""
+    return Scalar.q_pow(2 - dimension_of(type_, n))
+
+
 class AlgebraData:
     """All constants attached to type B_n (N = 2n+1) or D_n (N = 2n)."""
 
@@ -43,8 +66,8 @@ class AlgebraData:
         self.type = type_
         self.n = rank
         n = rank
-        self.N = 2 * n + 1 if type_ == "B" else 2 * n
-        self.xi = Scalar.q_pow(2 - self.N)
+        self.N = dimension_of(type_, n)
+        self.xi = xi_of(type_, n)
 
         # orthonormal-basis coordinates of the simple roots
         eps = [
@@ -71,17 +94,7 @@ class AlgebraData:
         self.Bmat = [[_dot(roots[i], roots[j]) for j in range(n)] for i in range(n)]
         # f(u) by order, filled by series.f_series
         self.fu_by_order = {}
-
-        if type_ == "B":
-            bars = [n - i - Fraction(1, 2) for i in range(n)]
-            bars += [Fraction(0)]
-            bars += [-b for b in reversed(bars[:n])]
-        else:
-            bars = [Fraction(n - 1 - i) for i in range(n)]
-            bars += [Fraction(0)]
-            bars += [-b for b in reversed(bars[: n - 1])]
-        assert len(bars) == self.N
-        self.bars = bars
+        self.bars = bars_of(type_, n)
 
     @cached_property
     def Btilde(self):

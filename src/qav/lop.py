@@ -14,7 +14,8 @@ structural checks - is computed from these series matrices with exact
 arithmetic; every check reports pass/fail with a witness coefficient on
 failure.  A relation family that several checks state identically (the
 commutator, h-h commutation, the h1 exchanges and the e-f commutator of the
-low-rank batteries) is written once.
+low-rank batteries, the mirror differences of eiprei and main-structure) is
+written once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 from fractions import Fraction
 
 from . import vecrep
-from .liedata import AlgebraData
+from .liedata import AlgebraData, bars_of, xi_of
 from .quasidet import (
     GaussFactors,
     _cross_check,
@@ -54,13 +55,6 @@ class LopError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # small helpers
 # ---------------------------------------------------------------------------
-
-
-def _scale_series(ts: TruncSeries, c: Scalar) -> TruncSeries:
-    """Multiply every (matrix) coefficient of ts by the scalar c."""
-    return TruncSeries(
-        ts.direction, ts.order, {m: x.scale(c) for m, x in ts.coeffs.items()}
-    )
 
 
 def gauge_dvals(alg: AlgebraData):
@@ -249,8 +243,8 @@ def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
         }
         for plus_dir in (AT_ZERO, AT_INFINITY):
             minus_dir = AT_INFINITY if plus_dir == AT_ZERO else AT_ZERO
-            lp = [[_scale_series(x, _QI) for x in row] for row in series[plus_dir]]
-            lm = [[_scale_series(x, _Q) for x in row] for row in series[minus_dir]]
+            lp = [[x.scale(_QI) for x in row] for row in series[plus_dir]]
+            lm = [[x.scale(_Q) for x in row] for row in series[minus_dir]]
             cand = {
                 "base": base_name,
                 "aux_slot": 1,
@@ -1135,7 +1129,7 @@ def _weighted_transpose_product(mat_series, bars, xi_shift: Scalar, K: int):
         row = []
         for j in range(Nr):
             entry = mat_series[Nr - 1 - j][Nr - 1 - i].scale_arg(xi_shift)
-            row.append(_scale_series(entry, Scalar.q_pow(bars[j] - bars[i])))
+            row.append(entry.scale(Scalar.q_pow(bars[j] - bars[i])))
         right.append(row)
     return mat_mul(mat_series, right)
 
@@ -1244,6 +1238,18 @@ def z_series(alg: AlgebraData, K: int = 10):
 # ---------------------------------------------------------------------------
 
 
+def _mirror_differences(alg: AlgebraData, g: GaussFactors, i: int, r_e, r_f):
+    """The pair of mirror differences of the 1-based node i:
+    e[N-i,N+1-i](u) + r_e e[i,i+1](u xi q^2i) and
+    f[N+1-i,N-i](u) + r_f f[i+1,i](u xi q^2i)."""
+    N = alg.N
+    shift = alg.xi * Scalar.q_pow(2 * i)
+    return (
+        g.e(N - i, N + 1 - i) + g.e(i, i + 1).scale_arg(shift).scale(r_e),
+        g.f(N + 1 - i, N - i) + g.f(i + 1, i).scale_arg(shift).scale(r_f),
+    )
+
+
 def check_eiprei(alg: AlgebraData, K: int = 10) -> list:
     """The mirror identities relating the primed off-diagonal generator
     series to the argument-shifted unprimed ones, for 1 <= i <= n-1."""
@@ -1255,23 +1261,19 @@ def check_eiprei(alg: AlgebraData, K: int = 10) -> list:
     for s in _SIGNS:
         g = gs.g(s)
         for i in range(1, alg.n):
-            shift = alg.xi * Scalar.q_pow(2 * i)
-            lhs = g.e(N - i, N - i + 1)
-            rhs = g.e(i, i + 1).scale_arg(shift)
+            de, df = _mirror_differences(alg, g, i, ONE, ONE)
             out.append(
                 _coefficient_item(
                     f"{alg}: e[{N - i},{N + 1 - i}]{_sig(s)}(u) "
                     f"+ e[{i},{i + 1}]{_sig(s)}(u xi q^{2 * i}) = 0",
-                    [({}, lhs + rhs)],
+                    [({}, de)],
                 )
             )
-            lhsf = g.f(N - i + 1, N - i)
-            rhsf = g.f(i + 1, i).scale_arg(shift)
             out.append(
                 _coefficient_item(
                     f"{alg}: f[{N + 1 - i},{N - i}]{_sig(s)}(u) "
                     f"+ f[{i + 1},{i}]{_sig(s)}(u xi q^{2 * i}) = 0",
-                    [({}, lhsf + rhsf)],
+                    [({}, df)],
                 )
             )
     return out
@@ -1401,28 +1403,14 @@ def _geom_target(alg: AlgebraData, i: int, kind: str, sign: int, K: int, dvals):
     return _matrix_series(entries, m0.nrows, direction, K)
 
 
-def _red_bars(type_: str, m: int):
-    if type_ == "B":
-        half = [Fraction(2 * k - 1, 2) for k in range(m, 0, -1)]
-        return half + [Fraction(0)] + [-x for x in reversed(half)]
-    pos = [Fraction(k) for k in range(m - 1, 0, -1)]
-    return pos + [Fraction(0), Fraction(0)] + [-x for x in reversed(pos)]
-
-
-def _reduced_xi(alg: AlgebraData, m: int) -> Scalar:
-    if alg.type == "B":
-        return Scalar.q_pow(1 - 2 * m)
-    return Scalar.q_pow(2 - 2 * m)
-
-
 def _reduced_central_series(gs: GaussianSeries, m: int, sign: int):
     """The central series of the rank-m reduction, computed from the central
     block product of the Gauss factors that psi_(n-m) maps L onto."""
     alg = gs.alg
     prod = _weighted_transpose_product(
         gs.g(sign).product(alg.n - m),
-        _red_bars(alg.type, m),
-        _reduced_xi(alg, m),
+        bars_of(alg.type, m),
+        xi_of(alg.type, m),
         gs.K,
     )
     return _extract_aux_scalar(
@@ -1495,32 +1483,22 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
                     [({}, g.f(n + 2, n) + g.f(n + 1, n - 1))],
                 )
             )
-        # mirrored far entries
-        for j in range(n + 1, N):
-            i2 = N - j
-            if alg.type == "D" and i2 >= n:
-                continue
-            shift = alg.xi * Scalar.q_pow(2 * i2)
-            ratio_f = dv(j + 1) * dv(i2) * (dv(j) * dv(i2 + 1)).inverse()
-            target_f = _scale_series(
-                g.f(i2 + 1, i2).scale_arg(shift), _MONE * ratio_f
+        # mirrored far entries (j = N - i), with the gauge ratios
+        for i in range(N - n - 1, 0, -1):
+            j = N - i
+            de, df = _mirror_differences(
+                alg, g, i,
+                dv(j) * dv(i + 1) * (dv(j + 1) * dv(i)).inverse(),
+                dv(j + 1) * dv(i) * (dv(j) * dv(i + 1)).inverse(),
             )
             out.append(
-                _series_equal(
-                    f"{alg}: F{_sig(s)} mirror entry ({j + 1},{j})",
-                    g.f(j + 1, j),
-                    target_f,
+                _coefficient_item(
+                    f"{alg}: F{_sig(s)} mirror entry ({j + 1},{j})", [({}, df)]
                 )
             )
-            ratio_e = dv(j) * dv(i2 + 1) * (dv(j + 1) * dv(i2)).inverse()
-            target_e = _scale_series(
-                g.e(i2, i2 + 1).scale_arg(shift), _MONE * ratio_e
-            )
             out.append(
-                _series_equal(
-                    f"{alg}: E{_sig(s)} mirror entry ({j},{j + 1})",
-                    g.e(j, j + 1),
-                    target_e,
+                _coefficient_item(
+                    f"{alg}: E{_sig(s)} mirror entry ({j},{j + 1})", [({}, de)]
                 )
             )
         # diagonal factor: lower half through the reduced central series
@@ -1529,8 +1507,7 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
             i0 = n + 1 - m
             zred, sc = _reduced_central_series(gs, m, s)
             out.extend(sc)
-            xim = _reduced_xi(alg, m)
-            lhs = g.h(i0).scale_arg(xim)
+            lhs = g.h(i0).scale_arg(xi_of(alg.type, m))
             rhs = g.h(pos).inverse() * zred
             out.append(
                 _series_equal(

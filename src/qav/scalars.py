@@ -24,10 +24,10 @@ that order.  No field can carry into the next while the total degree is at
 most 2^B - 1, because every exponent is at most the total degree; a key that
 reaches 2^(5B) raises ScalarError instead of wrapping.  Multiplying by s^e
 adds e * (2^(4B) + 1) to every key, and "has w" or "is c*s^k" are bit tests.
-No arithmetic calls sympy, and importing the module does not import it.
-Scalar.num and Scalar.den build sympy PolyElements on demand (importing
-sympy on the first read), for tests that compare the kernel with sympy,
-and Scalar(num, den) accepts PolyElements as well as packed dicts.
+Nothing here imports sympy.  Scalar(num, den) takes packed dicts, and
+Scalar.num and Scalar.den are the packed numerator and denominator
+themselves; the tests hold the maps to sympy's ring that compare the
+kernel with sympy.
 
 Products and sums take one of two paths, which produce the same canonical
 form.  Almost all of the work of the checks lives in Z[s, 1/s, u, v][w],
@@ -75,9 +75,8 @@ the sign.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import gcd, isqrt, lcm
-from operator import attrgetter, floordiv, mul
+from operator import floordiv, mul
 
 # -- packed monomials (see the module docstring) ----------------------------
 
@@ -111,27 +110,6 @@ def _pack(mon):
 
 def _unpack(key):
     return (key >> 3 * _B & _M, key >> 2 * _B & _M, key >> _B & _M, key & _M)
-
-
-@cache
-def _ring():
-    """sympy's ring Z[w, v, u, s] under grlex, imported on first use: only
-    the PolyElement views Scalar.num and Scalar.den need it.  Generators are
-    declared largest-first, so under grlex: w > v > u > s."""
-    from sympy import ZZ
-    from sympy.polys.rings import ring
-
-    return ring("w,v,u,s", ZZ, "grlex")[0]
-
-
-def _packed(p):
-    """PolyElement of _ring() -> packed dict."""
-    return {_pack(m): int(c) for m, c in p.items()}
-
-
-def _poly(d):
-    """Packed dict -> PolyElement of _ring()."""
-    return _ring().dtype({_unpack(k): c for k, c in d.items()})
 
 
 def _pmul(a, b):
@@ -500,44 +478,19 @@ def _canonical(num, den):
     return Scalar(num, den)
 
 
-class _PolyView:
-    """A read-only view of one packed slot of a Scalar as a PolyElement of
-    _ring(), built on each read.  A descriptor rather than a property:
-    perfbench/qavtrace.py times every property as a kernel operation, and
-    its product hook reads den on every Scalar product."""
-
-    __slots__ = ("_get",)
-
-    def __init__(self, slot):
-        self._get = attrgetter(slot)
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        d = self._get(obj)
-        return _ring().one if d == _D1 else _poly(d)
-
-
 class Scalar:
     """An element of Q(s, u, v)[w]/(w^2 - s - 1/s) in canonical form."""
 
     __slots__ = ("_n", "_d", "_f")
 
     def __init__(self, num, den=_D1, _normal=False):
-        """num / den for packed dicts or PolyElements of _ring(); _normal
-        asserts that the pair is already canonical."""
-        if type(num) is not dict:
-            num = _packed(num)
-        if type(den) is not dict:
-            den = _packed(den)
+        """num / den for packed dicts; _normal asserts that the pair is
+        already canonical."""
         if not _normal:
             num, den = _canonicalize(num, den)
         self._n = num
         self._d = den
         self._f = None
-
-    num = _PolyView("_n")  # the numerator as a PolyElement (imports sympy)
-    den = _PolyView("_d")  # the denominator as a PolyElement (imports sympy)
 
     def _facts(self):
         """(has_w, k, c): whether the numerator has w, and den == c*s^k
@@ -893,6 +846,11 @@ class Scalar:
     @staticmethod
     def parse(text: str) -> "Scalar":
         return _parse_scalar(text)
+
+
+# The packed numerator and denominator: slot aliases, not properties, as
+# perfbench/qavtrace.py times properties and reads den on every product.
+Scalar.num, Scalar.den = Scalar._n, Scalar._d
 
 
 def _u_split(p):

@@ -45,12 +45,9 @@ def _is_zero(x) -> bool:
     return x.is_zero()
 
 
-def _scale_coef(x, frac: Fraction):
-    """Multiply a coefficient (Scalar or matrix) by a rational number."""
-    c = Scalar.fraction(frac.numerator, frac.denominator)
-    if isinstance(x, Scalar):
-        return x * c
-    return x.scale(c)
+def _scaled(x, c: Scalar):
+    """A coefficient (Scalar or matrix) times the Scalar c."""
+    return x * c if isinstance(x, Scalar) else x.scale(c)
 
 
 class TruncSeries:
@@ -165,9 +162,16 @@ class TruncSeries:
                 out[m] = -(b0 * _dot(pairs))
         return TruncSeries(self.direction, self.order, out)
 
+    def scale(self, c: Scalar) -> "TruncSeries":
+        """Multiply every coefficient by the Scalar c."""
+        return TruncSeries(
+            self.direction,
+            self.order,
+            {m: _scaled(x, c) for m, x in self.coeffs.items()},
+        )
+
     def scale_arg(self, c: Scalar) -> "TruncSeries":
         """Substitute u -> c*u for an invertible Scalar c."""
-        pows = {0: ONE}
         out = {}
         cinv = None
         for m, x in self.coeffs.items():
@@ -178,10 +182,7 @@ class TruncSeries:
                 if cinv is None:
                     cinv = c.inverse()
                 p = cinv ** (-e)
-            if isinstance(x, Scalar):
-                out[m] = x * p
-            else:
-                out[m] = x.scale(p)
+            out[m] = _scaled(x, p)
         return TruncSeries(self.direction, self.order, out)
 
     def __eq__(self, other):
@@ -231,8 +232,6 @@ def expand_scalar(x: Scalar, direction, order) -> TruncSeries:
             raise SeriesError("expand_scalar: no expansion at infinity")
         nn = {dn - e: c for e, c in num.items()}
         dd = {dn - e: c for e, c in den.items()}
-        if 0 not in dd:
-            raise SeriesError("expand_scalar: denominator degenerate at infinity")
     d0inv = dd[0].inverse()
     out = {}
     for m in range(order + 1):
@@ -262,14 +261,7 @@ def series_log(f: TruncSeries, one=ONE) -> TruncSeries:
         power = power * x
         if power.is_zero():
             break
-        out = out + TruncSeries(
-            f.direction,
-            f.order,
-            {
-                k: _scale_coef(c, Fraction((-1) ** (m + 1), m))
-                for k, c in power.coeffs.items()
-            },
-        )
+        out = out + power.scale(Scalar.fraction((-1) ** (m + 1), m))
     return out
 
 
@@ -285,11 +277,7 @@ def series_exp(g: TruncSeries, one=ONE) -> TruncSeries:
         if power.is_zero():
             break
         fact *= m
-        out = out + TruncSeries(
-            g.direction,
-            g.order,
-            {k: _scale_coef(c, Fraction(1, fact)) for k, c in power.coeffs.items()},
-        )
+        out = out + power.scale(Scalar.fraction(1, fact))
     return out
 
 

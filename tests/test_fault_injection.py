@@ -329,6 +329,33 @@ def test_eiprei_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, capsys):
     )
 
 
+def test_mirror_suites_fail_on_a_bumped_f_entry(fresh_caches, tmp_path, capsys):
+    """f21+ on D2 gets e_12 added at mode 1: the F half of the mirror
+    differences that eiprei and main-structure share fails in both."""
+    alg, K = AlgebraData("D", 2), 4
+    gs = _gauss(alg, K)
+    gs.gp.F[1][0] = _bump(gs.gp.F[1][0], K, 1, SparseMat.unit(alg.N, 0, 1))
+    witness = {"exponent": 1, "row": 0, "col": 1, "value": "1"}
+    _assert_fails(
+        tmp_path, capsys,
+        ["eiprei", "--type", "D", "--rank", "2", "--order", "4"],
+        [_fail("D2: f[4,3]+(u) + f[2,1]+(u xi q^2) = 0", witness)],
+    )
+    _assert_fails(
+        tmp_path, capsys,
+        ["main-structure", "--type", "D", "--rank", "2", "--order", "4"],
+        [
+            _fail("D2: f[2,1]+ matches the geometric closed form", witness),
+            _fail("D2: F+ mirror entry (4,3)", witness),
+            _fail(
+                "D2 reduced rank 2 central series (+): off-diagonal entries vanish",
+                {"row": 0, "col": 2},
+            ),
+            _fail("D2 reduced rank 2 central series (+): diagonal entries agree"),
+        ],
+    )
+
+
 def test_gauss_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, capsys):
     """e12+ on B1 gets e_21 added at mode 1 after the factors are built: the
     reassembly and the cross path (h1 e12 = L12) both fail at aux entry

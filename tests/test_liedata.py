@@ -35,6 +35,36 @@ def test_frozen_dimensions_and_xi():
     assert d3.xi == Scalar.q_pow(-4)
 
 
+@pytest.mark.parametrize(
+    "type_, n", [("B", n) for n in range(1, 8)] + [("D", n) for n in range(2, 8)]
+)
+def test_module_functions_reproduce_algebra_data(type_, n):
+    alg = AlgebraData(type_, n)
+    assert liedata.dimension_of(type_, n) == alg.N
+    assert liedata.bars_of(type_, n) == alg.bars
+    assert liedata.xi_of(type_, n) == alg.xi
+
+
+def test_frozen_reduced_rank_bars_and_xi():
+    """The barred weights and xi at the ranks m the main structure theorem's
+    reductions read, D_1 included: bars [0, 0] and xi = 1."""
+    h = Fraction(1, 2)
+    frozen = {
+        ("B", 1): ([h, 0, -h], -1),
+        ("B", 2): ([3 * h, h, 0, -h, -3 * h], -3),
+        ("B", 3): ([5 * h, 3 * h, h, 0, -h, -3 * h, -5 * h], -5),
+        ("D", 1): ([0, 0], 0),
+        ("D", 2): ([1, 0, 0, -1], -2),
+        ("D", 3): ([2, 1, 0, 0, -1, -2], -4),
+        ("D", 4): ([3, 2, 1, 0, 0, -1, -2, -3], -6),
+    }
+    for (type_, m), (bars, xi_exp) in frozen.items():
+        assert liedata.bars_of(type_, m) == bars
+        assert liedata.dimension_of(type_, m) == len(bars)
+        assert liedata.xi_of(type_, m) == Scalar.q_pow(xi_exp)
+    assert liedata.xi_of("D", 1).is_one()
+
+
 def test_frozen_cartan_data_b2():
     alg = AlgebraData("B", 2)
     assert alg.A == [[2, -1], [-2, 2]]

@@ -1,12 +1,17 @@
 """Field arithmetic in Q(s,u,v)[w]/(w^2 - s - 1/s) and the q-combinatorics."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from sympy.polys.rings import PolyElement
+from sympy import ZZ
+from sympy.polys.rings import PolyElement, ring
 
 import qav.scalars as qs
 from qav import series
@@ -20,6 +25,34 @@ from qav.scalars import (
     qfact,
     qbinom,
 )
+
+# -- the sympy reference ------------------------------------------------------
+
+# sympy's ring Z[w, v, u, s] under grlex.  Generators are declared
+# largest-first, so under grlex: w > v > u > s, the order of the packed keys.
+_R = ring("w,v,u,s", ZZ, "grlex")[0]
+_w, _v, _u, _s = _R.gens
+
+
+def _packed(p):
+    """PolyElement of _R -> packed dict."""
+    return {qs._pack(m): int(c) for m, c in p.items()}
+
+
+def _poly(d):
+    """Packed dict -> PolyElement of _R."""
+    return _R.from_dict({qs._unpack(k): c for k, c in d.items()})
+
+
+def _pair(x):
+    """The numerator and denominator of a Scalar as PolyElements of _R."""
+    return _poly(x.num), _poly(x.den)
+
+
+def _scalar(num, den):
+    """The Scalar num / den for PolyElements of _R."""
+    return Scalar(_packed(num), _packed(den))
+
 
 # -- strategies -------------------------------------------------------------
 
@@ -256,16 +289,15 @@ def laurent_operands(draw):
 @settings(max_examples=150, deadline=None)
 @given(laurent_operands(), laurent_operands())
 def test_laurent_path_matches_general_path(a, b):
-    prod = Scalar(a.num * b.num, a.den * b.den)
-    total = Scalar(a.num * b.den + b.num * a.den, a.den * b.den)
+    (an, ad), (bn, bd) = _pair(a), _pair(b)
+    prod = _scalar(an * bn, ad * bd)
+    total = _scalar(an * bd + bn * ad, ad * bd)
     assert ((a * b).num, (a * b).den) == (prod.num, prod.den)
     assert ((a + b).num, (a + b).den) == (total.num, total.den)
 
 
 # -- the packed gcd and exact division against sympy's ------------------------
 
-_R = qs._ring()
-_w, _v, _u, _s = _R.gens
 _PENTA6 = prod((1 - _s**j for j in range(1, 7)), start=_R.one)
 # sympy's heugcd returns this pair's gcd with a negative leading coefficient,
 # in Z[s] and in Z[w, v, u, s] alike
@@ -315,8 +347,8 @@ def test_s_only_gcd_route_matches_4_variable_gcd(pair):
     """The packed gcd of two s-only polynomials is sympy's gcd in the
     4-variable ring, with a positive leading coefficient."""
     p, q = pair
-    g = qs._gcd_fast(qs._packed(p), qs._packed(q))
-    assert qs._poly(g) == _sympy_gcd(p, q)
+    g = qs._gcd_fast(_packed(p), _packed(q))
+    assert _poly(g) == _sympy_gcd(p, q)
 
 
 @st.composite
@@ -365,8 +397,8 @@ def suv_pairs(draw):
 @example(_NEG_PAIR)
 def test_packed_gcd_matches_sympy_in_z_s_u_v(pair):
     p, q = pair
-    g = qs._gcd_fast(qs._packed(p), qs._packed(q))
-    assert qs._poly(g) == _sympy_gcd(p, q)
+    g = qs._gcd_fast(_packed(p), _packed(q))
+    assert _poly(g) == _sympy_gcd(p, q)
 
 
 @settings(max_examples=150, deadline=None)
@@ -375,8 +407,8 @@ def test_packed_gcd_with_a_w_linear_numerator_matches_sympy(pair, b):
     """num = a + b*w against a w-free den: sympy's 4-variable gcd."""
     a, den = pair
     num = a + b * _w * (a.gcd(den))
-    g = qs._gcd_with_wfree(qs._packed(num), qs._packed(den))
-    assert qs._poly(g) == _sympy_gcd(num, den)
+    g = qs._gcd_with_wfree(_packed(num), _packed(den))
+    assert _poly(g) == _sympy_gcd(num, den)
 
 
 @settings(max_examples=150, deadline=None)
@@ -386,10 +418,10 @@ def test_packed_exact_division_matches_sympy(pair, b):
     p, h = pair
     for f in (p, p * h, p * h + b):
         q, r = f.div(h)
-        got = qs._exquo(qs._packed(f), qs._packed(h))
-        assert got == (None if r else qs._packed(q))
+        got = qs._exquo(_packed(f), _packed(h))
+        assert got == (None if r else _packed(q))
     if h != _R.one:
-        assert qs._poly(qs._div_fast(qs._packed(p * h), qs._packed(h))) == p
+        assert _poly(qs._div_fast(_packed(p * h), _packed(h))) == p
 
 
 def test_a_gcd_the_heuristic_cannot_find_raises_scalar_error(monkeypatch):
@@ -400,7 +432,7 @@ def test_a_gcd_the_heuristic_cannot_find_raises_scalar_error(monkeypatch):
 
 def _gcd_4var(p, q):
     """_gcd_fast through sympy's gcd in the 4-variable ring."""
-    return qs._packed(_sympy_gcd(qs._poly(p), qs._poly(q)))
+    return _packed(_sympy_gcd(_poly(p), _poly(q)))
 
 
 _q_factors = st.sampled_from(
@@ -415,10 +447,10 @@ def q_operands(draw):
     den = _R.one
     for f in draw(st.lists(_q_factors, min_size=1, max_size=3)):
         den = den * f
-    return Scalar(num, den)
+    return _scalar(num, den)
 
 
-_NEG_SUM = (Scalar(_R.one, _PENTA6), Scalar(_NEG_PAIR[0] - 1, _PENTA6))
+_NEG_SUM = (_scalar(_R.one, _PENTA6), _scalar(_NEG_PAIR[0] - 1, _PENTA6))
 
 
 @settings(max_examples=100, deadline=None)
@@ -438,8 +470,8 @@ def test_sum_over_a_true_polynomial_denominator_is_canonical():
     # without a sign fix the sum comes out over a negative denominator
     a, b = _NEG_SUM
     total = a + b
-    assert total.den.LC > 0
-    assert total == Scalar(_NEG_PAIR[0], _PENTA6)
+    assert _poly(total.den).LC > 0
+    assert total == _scalar(_NEG_PAIR[0], _PENTA6)
 
 
 def test_f_series_takes_no_s_only_gcd_in_the_4_variable_ring(monkeypatch):
@@ -527,25 +559,25 @@ def field_operands(draw):
     for c, ew, ev, eu, es in draw(_raw_terms):
         num += c * _w**ew * _v**ev * _u**eu * _s**es
     den = draw(_raw_dens)
-    x = Scalar(num, den)
-    assert (x.num, x.den) == _sympy_canonical(num, den)
+    x = _scalar(num, den)
+    assert _pair(x) == _sympy_canonical(num, den)
     return x
 
 
 @settings(max_examples=200, deadline=None)
 @given(field_operands(), field_operands())
 def test_packed_kernel_matches_sympy_arithmetic(a, b):
-    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    (an, ad), (bn, bd) = _pair(a), _pair(b)
     for got, num, den in (
         (a * b, an * bn, ad * bd),
         (a + b, an * bd + bn * ad, ad * bd),
         (a - b, an * bd - bn * ad, ad * bd),
     ):
         p, q = _sympy_canonical(num, den)
-        assert (got.num, got.den) == (p, q)
+        assert _pair(got) == (p, q)
         assert q.LC > 0
         assert str(got) == _sympy_str(p, q)
-        ref = Scalar(p, q, _normal=True)
+        ref = Scalar(_packed(p), _packed(q), _normal=True)
         assert got == ref and hash(got) == hash(ref)
     assert (a == b) == ((an, ad) == (bn, bd))
     assert hash(a * b) == hash(b * a)
@@ -605,9 +637,10 @@ def test_dot_matches_the_folded_sum(pairs):
     # and a reference by sympy alone, which shares nothing with the kernel
     num, den = _R.zero, _R.one
     for x, y in pairs:
-        num, den = num * x.den * y.den + x.num * y.num * den, den * x.den * y.den
+        (xn, xd), (yn, yd) = _pair(x), _pair(y)
+        num, den = num * xd * yd + xn * yn * den, den * xd * yd
     p, q = _sympy_canonical(num, den)
-    assert (got.num, got.den) == (p, q)
+    assert _pair(got) == (p, q)
     assert str(got) == _sympy_str(p, q)
 
 
@@ -620,8 +653,45 @@ def test_dot_cases_reach_every_path():
     assert got == "(3*s^5+2*s^2*w+3*s^3+6*u*w+2*w)/(6*s^2+6)"
 
 
+_VIEWS_WITHOUT_SYMPY = """
+import sys
+sys.modules["sympy"] = None  # any import of sympy now fails
+from qav.scalars import ONE, Scalar, _pack
+
+q = Scalar.q_pow(1)
+assert (q.num, q.den) == ({_pack((0, 0, 0, 2)): 1}, {0: 1})
+cases = [
+    (ONE, True),
+    (Scalar.q_pow(-3), True),
+    (Scalar.fraction(2, 3) * Scalar.u_pow(1), True),
+    (Scalar.parse("(w)/(3*s^2*u)"), True),
+    (Scalar.parse("(u)/(s^2+1)"), False),
+    (Scalar.parse("(1)/(s-u)"), False),
+]
+for x, mono in cases:
+    assert type(x.num) is dict and type(x.den) is dict
+    assert (len(x.den) == 1) is mono, x
+    assert Scalar(x.num, x.den) == x
+print("ok")
+"""
+
+
+def test_num_and_den_need_no_sympy():
+    """Scalar.num and Scalar.den are the packed dicts: they work in a process
+    where importing sympy fails, len(x.den) == 1 holds exactly for one-term
+    denominators (the tracer's mono-denominator test), and Scalar(x.num,
+    x.den) rebuilds x."""
+    src = str(Path(qs.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _VIEWS_WITHOUT_SYMPY],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
 def test_packed_key_order_is_grlex():
-    # total degree first, then w > v > u > s: sympy's order of _RING
+    # total degree first, then w > v > u > s: the order of _R
     mons = [m for m in itertools.product(range(3), repeat=4) if sum(m) <= 3]
     keys = [qs._pack(m) for m in mons]
     by_key = [m for _, m in sorted(zip(keys, mons))]
@@ -644,7 +714,7 @@ def test_exponent_past_the_field_width_raises():
     with pytest.raises(ScalarError):
         Scalar.s_pow(top) + Scalar.s_pow(-1)  # aligning over s shifts up
     with pytest.raises(ScalarError):
-        Scalar(_s ** (top + 1))
+        _scalar(_s ** (top + 1), _R.one)
     # a sum of products aligns over the largest s-power, shifting up
     assert str(Scalar.dot([(Scalar.s_pow(top - 1), ONE), (ONE, Scalar.s_pow(-1))]))
     with pytest.raises(ScalarError):
