@@ -422,21 +422,6 @@ class ModeSeries:
         return ModeSeries(table, self.lo, self.hi)
 
 
-def _part_product(U, V, a, b, order):
-    """The coefficient of u^a v^b in the product of the parts U(u) and V(v)
-    of one term, or None when it is zero.  A None part is the identity at
-    mode zero, so the product is then the other part's stored coefficient."""
-    if U is None:
-        return V.get(b) if a == 0 else None
-    if V is None:
-        return U.get(a) if b == 0 else None
-    x, y = U.get(a), V.get(b)
-    if x is None or y is None:
-        return None
-    prod = x * y if order == "uv" else y * x
-    return None if prod.is_zero() else prod
-
-
 def _bivar_zero(name, K, terms, clearing=ONE) -> dict:
     """Check that a sum of bivariate terms vanishes on every determined
     bi-mode (alpha, beta) with |alpha|, |beta| <= K.
@@ -449,6 +434,14 @@ def _bivar_zero(name, K, terms, clearing=ONE) -> dict:
     exponents), a ModeSeries (the two-tailed currents of x_current), or
     None, the identity at mode zero; at most one part of a term is None.
     The matrix size is read from the parts' coefficients.
+
+    One pass over the terms collects, for every (alpha, beta, row, col)
+    inside the window, the scalar pairs whose products sum to that entry:
+    each monomial c u^i v^j of a cleared prefactor scales each coefficient
+    of the term's first factor once, and its entries are paired with those
+    of the second factor's coefficients.  Each entry is then one Scalar.dot;
+    no matrix product is formed, and a bi-mode that no term reaches costs
+    one dict lookup.
     """
     expanded = []
     alo, ahi = -K, K
@@ -472,28 +465,74 @@ def _bivar_zero(name, K, terms, clearing=ONE) -> dict:
     if alo > ahi or blo > bhi:
         raise LopError(f"{name}: empty determined window")
     # the size of the coefficient matrices; with no coefficient at all every
-    # product is zero, and the size of the empty sum is never read
+    # bi-mode is the empty sum, and its size is never read
     parts = [p for _, U, V, _ in expanded for p in (U, V) if p is not None]
     M = next((x.nrows for p in parts for x in p.table.values()), 0)
-    # bi-modes (alpha, beta) and (alpha + 1, beta + 1) share most products;
-    # a zero product is memoised as None
-    products = {}
+    # (alpha, beta) -> row -> col -> the (x, y) pairs whose products sum to
+    # that entry of the bi-mode
+    slots = {}
+    in_a, in_b = range(alo, ahi + 1), range(blo, bhi + 1)
+    for coeffs, U, V, order in expanded:
+        for (i, j), c in coeffs:
+            if U is None or V is None:
+                # the identity at mode zero: each entry of the other part,
+                # paired with c, at the bi-mode its mode shifts to
+                other = U if V is None else V
+                for m, z in other.table.items():
+                    key = (i, m + j) if U is None else (m + i, j)
+                    if key[0] not in in_a or key[1] not in in_b:
+                        continue
+                    slot = slots.setdefault(key, {})
+                    for r, zrow in z.rows.items():
+                        entry = slot.setdefault(r, {})
+                        for col, x in zrow.items():
+                            entry.setdefault(col, []).append((c, x))
+                continue
+            # the first factor of each product carries the scaling by c
+            uv = order == "uv"
+            first, fwin, fi = (U, in_a, i) if uv else (V, in_b, j)
+            second, swin, si = (V, in_b, j) if uv else (U, in_a, i)
+            seconds = [
+                (m + si, y.rows) for m, y in second.table.items() if m + si in swin
+            ]
+            if not seconds:
+                continue
+            for m, x in first.table.items():
+                fm = m + fi
+                if fm not in fwin:
+                    continue
+                cx = [
+                    (r, [(k, c * e) for k, e in xrow.items()])
+                    for r, xrow in x.rows.items()
+                ]
+                for sm, yrows in seconds:
+                    slot = slots.setdefault((fm, sm) if uv else (sm, fm), {})
+                    for r, xrow in cx:
+                        entry = slot.setdefault(r, {})
+                        for k, e in xrow:
+                            yrow = yrows.get(k)
+                            if yrow:
+                                for col, y in yrow.items():
+                                    entry.setdefault(col, []).append((e, y))
+    empty = SparseMat(M, M)
+    dot = Scalar.dot
 
     def total(alpha, beta):
-        prods = []
-        for t, (coeffs, U, V, order) in enumerate(expanded):
-            for (i, j), c in coeffs:
-                key = (t, alpha - i, beta - j)
-                if key in products:
-                    prod = products[key]
-                else:
-                    prod = _part_product(U, V, alpha - i, beta - j, order)
-                    products[key] = prod
-                if prod is not None:
-                    prods.append((c, prod, None))
-        return SparseMat.sum_of_products(prods, M, M)
+        slot = slots.get((alpha, beta))
+        if slot is None:
+            return empty
+        rows = {}
+        for r, entry in slot.items():
+            row = {}
+            for col, pairs in entry.items():
+                x = dot(pairs)
+                if not x.is_zero():
+                    row[col] = x
+            if row:
+                rows[r] = row
+        return SparseMat._nonzero(M, M, rows)
 
-    modes = [(a, b) for a in range(alo, ahi + 1) for b in range(blo, bhi + 1)]
+    modes = [(a, b) for a in in_a for b in in_b]
     item = first_failure(
         name, (({"u_mode": a, "v_mode": b}, total(a, b)) for a, b in modes)
     )
@@ -558,15 +597,24 @@ def _hh_commutation(src: GenSource, K: int, prefix: str, index_pairs) -> list:
     ]
 
 
-def _h1_exchanges(src: GenSource, K: int, prefix: str, a: int, b: int, s, t):
+def _h1_products(src: GenSource, a: int, b: int) -> dict:
+    """Per sign s, the products h1(u) e_ab(u) and f_ba(u) h1(u) that the h1
+    exchanges of the root column (a, b) read, formed once per sign."""
+    return {
+        s: (src.h(1, s) * src.e(a, b, s), src.f(b, a, s) * src.h(1, s))
+        for s in _SIGNS
+    }
+
+
+def _h1_exchanges(src: GenSource, K: int, prefix: str, a: int, b: int, s, t, prods):
     """The exchanges of h1(u) with e_ab(v) and of f_ba(v) with h1(u), for
-    the root column (a, b) of a low-rank battery."""
+    the root column (a, b) of a low-rank battery; prods is its
+    _h1_products."""
     u, v = _U, _V
     d1 = _Q * u - _QI * v
     pre = _MONE * (u - v) * d1.inverse()
     h1s, e, f = src.h(1, s), src.e(a, b, t), src.f(b, a, t)
-    he_u = h1s * src.e(a, b, s)
-    fh_u = src.f(b, a, s) * h1s
+    he_u, fh_u = prods[s]
     return [
         _bivar_zero(
             f"{prefix}h1{_sig(s)}(u) e{a}{b}{_sig(t)}(v) exchange",
@@ -591,13 +639,20 @@ def _h1_exchanges(src: GenSource, K: int, prefix: str, a: int, b: int, s, t):
     ]
 
 
-def _ef_commutator(src: GenSource, K: int, prefix: str, a: int, b: int, hidx, s, t):
+def _h_ratio(src: GenSource, hidx: int) -> dict:
+    """Per sign s, the ratio h_hidx h1^-1 of the diagonal series."""
+    return {s: src.h(hidx, s) * src.h(1, s).inverse() for s in _SIGNS}
+
+
+def _ef_commutator(
+    src: GenSource, K: int, prefix: str, a: int, b: int, hidx, s, t, ratio
+):
     """[e_ab(u), f_ba(v)] against the ratio h_hidx h1^-1 of the diagonal
-    series, for the root column (a, b) of a low-rank battery."""
+    series, for the root column (a, b) of a low-rank battery; ratio is the
+    _h_ratio of hidx."""
     duv = _U - _V
     e, f = src.e(a, b, s), src.f(b, a, t)
-    ratio_u = src.h(hidx, s) * src.h(1, s).inverse()
-    ratio_v = src.h(hidx, t) * src.h(1, t).inverse()
+    ratio_u, ratio_v = ratio[s], ratio[t]
     pre = _QMQ * _V * duv.inverse()
     return _bivar_zero(
         f"{prefix}[e{a}{b}{_sig(s)}(u), f{b}{a}{_sig(t)}(v)] vs h-ratio",
@@ -625,10 +680,12 @@ def _battery_rank1_b(src: GenSource, K: int, tag: str) -> list:
     def bv(name, terms, clearing=ONE):
         out.append(_bivar_zero(prefix + name, K, terms, clearing))
 
+    prods = _h1_products(src, 1, 2)
     for s, t in _PAIRS:
-        out += _h1_exchanges(src, K, prefix, 1, 2, s, t)
+        out += _h1_exchanges(src, K, prefix, 1, 2, s, t, prods)
     # e-f commutator against the h-ratio
-    out += [_ef_commutator(src, K, prefix, 1, 2, 2, s, t) for s, t in _PAIRS]
+    ratio = _h_ratio(src, 2)
+    out += [_ef_commutator(src, K, prefix, 1, 2, 2, s, t, ratio) for s, t in _PAIRS]
     # quadratic e-e / f-f with the next-root correction terms
     dq = (qi * u - v) * (qi * u - q * v) * (u - qi * qi * v)
     A = (u - qi * v) * (qi * u - v).inverse()
@@ -654,10 +711,10 @@ def _battery_rank1_b(src: GenSource, K: int, tag: str) -> list:
         * v
         * ((qi * u - v) * (qi * u - q * v)).inverse()
     )
+    sq = {s: src.e(1, 2, s) * src.e(1, 2, s) for s in _SIGNS}
     for s, t in _PAIRS:
         e12s, e12t = src.e(1, 2, s), src.e(1, 2, t)
-        sq_u = src.e(1, 2, s) * src.e(1, 2, s)
-        sq_v = src.e(1, 2, t) * src.e(1, 2, t)
+        sq_u, sq_v = sq[s], sq[t]
         e13u, e13v = src.e(1, 3, s), src.e(1, 3, t)
         bv(
             f"e12{_sig(s)}(u) e12{_sig(t)}(v) quadratic",
@@ -693,10 +750,10 @@ def _battery_rank1_b(src: GenSource, K: int, tag: str) -> list:
         * u
         * ((qi * u - v) * (qi * u - q * v)).inverse()
     )
+    sq = {s: src.f(2, 1, s) * src.f(2, 1, s) for s in _SIGNS}
     for s, t in _PAIRS:
         f21s, f21t = src.f(2, 1, s), src.f(2, 1, t)
-        sq_u = src.f(2, 1, s) * src.f(2, 1, s)
-        sq_v = src.f(2, 1, t) * src.f(2, 1, t)
+        sq_u, sq_v = sq[s], sq[t]
         f31u, f31v = src.f(3, 1, s), src.f(3, 1, t)
         bv(
             f"f21{_sig(t)}(v) f21{_sig(s)}(u) quadratic",
@@ -713,10 +770,19 @@ def _battery_rank1_b(src: GenSource, K: int, tag: str) -> list:
     # exchange against the long-root diagonal series
     d2 = (u - v) * (qi * u - v)
     pre3 = (qi * u - q * v) * (u - qi * v) * d2.inverse()
+    # per sign t: f21 h2, f32 h2, h2 e12 and h2 e23 at v
+    vprods = {
+        t: (
+            src.f(2, 1, t) * src.h(2, t),
+            src.f(3, 2, t) * src.h(2, t),
+            src.h(2, t) * src.e(1, 2, t),
+            src.h(2, t) * src.e(2, 3, t),
+        )
+        for t in _SIGNS
+    }
     for s, t in _PAIRS:
         f21s, h2t = src.f(2, 1, s), src.h(2, t)
-        fh_v = src.f(2, 1, t) * src.h(2, t)
-        f32h_v = src.f(3, 2, t) * src.h(2, t)
+        fh_v, f32h_v, he_v, he23_v = vprods[t]
         bv(
             f"h2{_sig(t)}(v) f21{_sig(s)}(u) exchange",
             [
@@ -733,8 +799,6 @@ def _battery_rank1_b(src: GenSource, K: int, tag: str) -> list:
             clearing=d2,
         )
         e12s = src.e(1, 2, s)
-        he_v = src.h(2, t) * src.e(1, 2, t)
-        he23_v = src.h(2, t) * src.e(2, 3, t)
         bv(
             f"e12{_sig(s)}(u) h2{_sig(t)}(v) exchange",
             [
@@ -786,12 +850,21 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
     for (ei, ej), hidx in (((1, 2), 2), ((1, 3), 3)):
         label = f"e{ei}{ej}"
         flabel = f"f{ej}{ei}"
+        prods = _h1_products(src, ei, ej)
+        # per sign t: h_hidx e and f h_hidx at v
+        vprods = {
+            t: (
+                src.h(hidx, t) * src.e(ei, ej, t),
+                src.f(ej, ei, t) * src.h(hidx, t),
+            )
+            for t in _SIGNS
+        }
         for s, t in _PAIRS:
-            out += _h1_exchanges(src, K, prefix, ei, ej, s, t)
+            out += _h1_exchanges(src, K, prefix, ei, ej, s, t, prods)
             # exchange with the matching diagonal series
             ecs = src.e(ei, ej, s)
             hct = src.h(hidx, t)
-            he_v = src.h(hidx, t) * src.e(ei, ej, t)
+            he_v, fh_v = vprods[t]
             bv(
                 f"{label}{_sig(s)}(u) h{hidx}{_sig(t)}(v) exchange",
                 [
@@ -802,7 +875,6 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
                 clearing=duv,
             )
             fcs = src.f(ej, ei, s)
-            fh_v = src.f(ej, ei, t) * src.h(hidx, t)
             bv(
                 f"h{hidx}{_sig(t)}(v) {flabel}{_sig(s)}(u) exchange",
                 [
@@ -814,10 +886,11 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
             )
         # quadratic relations
         dq = qi * u - q * v
+        sq = {s: src.e(ei, ej, s) * src.e(ei, ej, s) for s in _SIGNS}
+        fsq = {s: src.f(ej, ei, s) * src.f(ej, ei, s) for s in _SIGNS}
         for s, t in _PAIRS:
             ecs, ect = src.e(ei, ej, s), src.e(ei, ej, t)
-            sq_u = src.e(ei, ej, s) * src.e(ei, ej, s)
-            sq_v = src.e(ei, ej, t) * src.e(ei, ej, t)
+            sq_u, sq_v = sq[s], sq[t]
             bv(
                 f"{label}{_sig(s)}(u) {label}{_sig(t)}(v) quadratic",
                 [
@@ -829,8 +902,7 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
                 clearing=dq,
             )
             fcs, fct = src.f(ej, ei, s), src.f(ej, ei, t)
-            fsq_u = src.f(ej, ei, s) * src.f(ej, ei, s)
-            fsq_v = src.f(ej, ei, t) * src.f(ej, ei, t)
+            fsq_u, fsq_v = fsq[s], fsq[t]
             bv(
                 f"{flabel}{_sig(s)}(u) {flabel}{_sig(t)}(v) quadratic",
                 [
@@ -842,7 +914,11 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
                 clearing=d1,
             )
         # e-f commutator against the h-ratio
-        out += [_ef_commutator(src, K, prefix, ei, ej, hidx, s, t) for s, t in _PAIRS]
+        ratio = _h_ratio(src, hidx)
+        out += [
+            _ef_commutator(src, K, prefix, ei, ej, hidx, s, t, ratio)
+            for s, t in _PAIRS
+        ]
     # vanishing inner entries
     zero_items("{} = 0", (("e23",), ("f32",)))
     # corner entries as products
@@ -873,30 +949,40 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
         for x, y in (("e12", "f31"), ("e13", "f21")):
             xs, yt = gen(x, s), gen(y, t)
             bv(f"[{x}{_sig(s)}(u), {y}{_sig(t)}(v)] = 0", _commutator(xs, yt))
+    ecross, fcross = (((1, 2), 3), ((1, 3), 2)), (((2, 1), 3), ((3, 1), 2))
+    # per sign t: h_hidx e and f h_hidx at v of the crossed columns
+    he_v = {
+        (ei, ej, t): src.h(hidx, t) * src.e(ei, ej, t)
+        for (ei, ej), hidx in ecross
+        for t in _SIGNS
+    }
+    fh_v = {
+        (fj, fi, t): src.f(fj, fi, t) * src.h(hidx, t)
+        for (fj, fi), hidx in fcross
+        for t in _SIGNS
+    }
     for s, t in _PAIRS:
-        for (ei, ej), hidx in (((1, 2), 3), ((1, 3), 2)):
+        for (ei, ej), hidx in ecross:
             ecs = src.e(ei, ej, s)
             hct = src.h(hidx, t)
-            he_v = src.h(hidx, t) * src.e(ei, ej, t)
             bv(
                 f"e{ei}{ej}{_sig(s)}(u) h{hidx}{_sig(t)}(v) cross exchange",
                 [
                     (ONE, ecs, hct, "uv"),
                     (_MONE * d2 * duv.inverse(), ecs, hct, "vu"),
-                    (_MONE * qmq * v * duv.inverse(), None, he_v, "uv"),
+                    (_MONE * qmq * v * duv.inverse(), None, he_v[ei, ej, t], "uv"),
                 ],
                 clearing=duv,
             )
-        for (fj, fi), hidx in (((2, 1), 3), ((3, 1), 2)):
+        for (fj, fi), hidx in fcross:
             fcs = src.f(fj, fi, s)
             hct = src.h(hidx, t)
-            fh_v = src.f(fj, fi, t) * src.h(hidx, t)
             bv(
                 f"h{hidx}{_sig(t)}(v) f{fj}{fi}{_sig(s)}(u) cross exchange",
                 [
                     (ONE, fcs, hct, "vu"),
                     (_MONE * d2 * duv.inverse(), fcs, hct, "uv"),
-                    (_MONE * qmq * u * duv.inverse(), None, fh_v, "uv"),
+                    (_MONE * qmq * u * duv.inverse(), None, fh_v[fj, fi, t], "uv"),
                 ],
                 clearing=duv,
             )

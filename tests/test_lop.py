@@ -20,6 +20,8 @@ from qav.lop import (
     gaussian_generators,
     z_series,
 )
+from qav.report import check, first_failure
+from qav.scalars import Scalar
 from qav.series import AT_INFINITY, AT_ZERO, TruncSeries
 from qav.tensor import SparseMat
 
@@ -262,36 +264,54 @@ def test_bivar_zero_reads_trunc_series_parts(b1):
 def test_fused_sums_add_no_matrices(monkeypatch):
     """_bivar_zero, the products of matrix series and the Serre sum form
     every entry with one fused dot, so during relrbar on B1 and D2 none of
-    them adds two SparseMats."""
+    them adds two SparseMats; and _bivar_zero forms no matrix product and
+    no matrix sum of products at all."""
     monkeypatch.setattr(rmatrix, "_CATALOGS", {})
     monkeypatch.setattr(lop, "_LOPS_CACHE", {})
     inside = [0]
+    in_bivar = [0]
     calls = {"_bivar_zero": 0, "serre_sum": 0, "__mul__": 0, "inverse": 0, "add": 0}
+    calls.update(matmul=0, sum_of_products=0)
 
-    def counted(owner, name):
+    def counted(owner, name, depths=(inside,)):
         real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            inside[0] += 1
+            for depth in depths:
+                depth[0] += 1
             try:
                 return real(*args, **kwargs)
             finally:
-                inside[0] -= 1
+                for depth in depths:
+                    depth[0] -= 1
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(lop, "_bivar_zero")
+    counted(lop, "_bivar_zero", (inside, in_bivar))
     counted(vecrep, "serre_sum")
     counted(TruncSeries, "__mul__")
     counted(TruncSeries, "inverse")
-    add = SparseMat.__add__
+    add, mul = SparseMat.__add__, SparseMat.__mul__
+    sum_of_products = SparseMat.sum_of_products
 
     def counted_add(a, b):
         calls["add"] += inside[0] > 0
         return add(a, b)
 
+    def counted_mul(a, b):
+        calls["matmul"] += in_bivar[0] > 0
+        return mul(a, b)
+
+    def counted_sum_of_products(terms, nrows, ncols):
+        calls["sum_of_products"] += in_bivar[0] > 0
+        return sum_of_products(terms, nrows, ncols)
+
     monkeypatch.setattr(SparseMat, "__add__", counted_add)
+    monkeypatch.setattr(SparseMat, "__mul__", counted_mul)
+    monkeypatch.setattr(
+        SparseMat, "sum_of_products", staticmethod(counted_sum_of_products)
+    )
     for args in (
         ["--type", "B", "--rank", "1", "--order", "4"],
         ["--type", "D", "--rank", "2", "--order", "4", "--window", "2"],
@@ -300,6 +320,8 @@ def test_fused_sums_add_no_matrices(monkeypatch):
     assert all(calls[name] for name in ("_bivar_zero", "serre_sum", "__mul__"))
     assert calls["inverse"]
     assert calls["add"] == 0
+    assert calls["matmul"] == 0
+    assert calls["sum_of_products"] == 0
 
 
 def test_lowrank_battery_reads_the_representation_size_from_l(b1):
@@ -351,3 +373,128 @@ def test_bivar_zero_reads_the_identity_part(b1):
     bad = item(ratio + bump)
     assert bad["status"] == "fail"
     assert (bad["witness"]["u_mode"], bad["witness"]["v_mode"]) == (2, 1)
+
+
+def _bivar_zero_reference(name, K, terms, clearing=lop.ONE) -> dict:
+    """_bivar_zero by matrix products, as an oracle: every product U(a) V(b)
+    of a term is a SparseMat, memoised per (term, u mode, v mode), and each
+    bi-mode is the sum_of_products of its products scaled by the prefactor
+    monomials."""
+    expanded = []
+    alo, ahi, blo, bhi = -K, K, -K, K
+    for pref, upart, vpart, order in terms:
+        poly = (pref * clearing).uv_coeffs()
+        keys = [k for k, c in poly.items() if not c.is_zero()]
+        if not keys:
+            continue
+        U, V = (
+            lop.ModeSeries.from_trunc(p) if isinstance(p, TruncSeries) else p
+            for p in (upart, vpart)
+        )
+        if U is not None:
+            alo = max(alo, U.lo + max(k[0] for k in keys))
+            ahi = min(ahi, U.hi + min(k[0] for k in keys))
+        if V is not None:
+            blo = max(blo, V.lo + max(k[1] for k in keys))
+            bhi = min(bhi, V.hi + min(k[1] for k in keys))
+        expanded.append(([(k, poly[k]) for k in keys], U, V, order))
+    if alo > ahi or blo > bhi:
+        raise LopError(f"{name}: empty determined window")
+    parts = [p for _, U, V, _ in expanded for p in (U, V) if p is not None]
+    M = next((x.nrows for p in parts for x in p.table.values()), 0)
+    products = {}
+
+    def product(t, a, b):
+        if (t, a, b) not in products:
+            _, U, V, order = expanded[t]
+            if U is None:
+                prod = V.get(b) if a == 0 else None
+            elif V is None:
+                prod = U.get(a) if b == 0 else None
+            else:
+                x, y = U.get(a), V.get(b)
+                if x is None or y is None:
+                    prod = None
+                else:
+                    prod = x * y if order == "uv" else y * x
+            products[t, a, b] = prod
+        return products[t, a, b]
+
+    def total(alpha, beta):
+        prods = []
+        for t, (coeffs, _, _, _) in enumerate(expanded):
+            for (i, j), c in coeffs:
+                prod = product(t, alpha - i, beta - j)
+                if prod is not None:
+                    prods.append((c, prod, None))
+        return SparseMat.sum_of_products(prods, M, M)
+
+    modes = [(a, b) for a in range(alo, ahi + 1) for b in range(blo, bhi + 1)]
+    item = first_failure(
+        name, (({"u_mode": a, "v_mode": b}, total(a, b)) for a, b in modes)
+    )
+    if item["status"] == "fail":
+        return item
+    return check(
+        name, True, modes_u=[alo, ahi], modes_v=[blo, bhi], points=len(modes)
+    )
+
+
+def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
+    """_bivar_zero gives the item of the matrix-product oracle, witnesses
+    included, on relations that hold on B1 and D2 and on the same relations
+    broken by a bump on the u side, on the v side, inside a "vu" term, in a
+    None-part term under a clearing polynomial, and in an argument-shifted
+    current."""
+    u, v, qmq = lop._U, lop._V, lop._QMQ
+    duv = u - v
+    pre = qmq * v * duv.inverse()
+    cases = {}
+    for alg in (b1, d2):
+        src = lop.GenSource(gaussian_generators(build_lops(alg, K)))
+        h1, h2 = src.h(1, 1), src.h(2, -1)
+        e12, f21 = src.e(1, 2, 1), src.f(2, 1, -1)
+        ratio = lop._h_ratio(src, 2)
+
+        def bump(x, mode, i, j):
+            unit = SparseMat.unit(alg.N, i, j)
+            return x + TruncSeries(x.direction, K, {mode: unit})
+
+        def hh(hu, hv, hu_vu, hv_vu):
+            return [(lop.ONE, hu, hv, "uv"), (lop._MONE, hu_vu, hv_vu, "vu")]
+
+        def ef(ratio_u):
+            return lop._commutator(e12, f21) + [
+                (lop._MONE * pre, None, ratio[-1], "uv"),
+                (pre, ratio_u, None, "uv"),
+            ]
+
+        tag = str(alg)
+        cases[tag, "hh"] = (hh(h1, h2, h1, h2), lop.ONE)
+        cases[tag, "u bump"] = (hh(bump(h1, 2, 0, 1), h2, h1, h2), lop.ONE)
+        cases[tag, "v bump"] = (hh(h1, bump(h2, 1, 0, 1), h1, h2), lop.ONE)
+        cases[tag, "vu bump"] = (hh(h1, h2, bump(h1, 3, 1, 0), h2), lop.ONE)
+        cases[tag, "ef"] = (ef(ratio[1]), duv)
+        cases[tag, "None bump"] = (ef(bump(ratio[1], 2, 0, 0)), duv)
+    # relrbar (c) on D2: the quadratic relation of the currents 1 and 2 with
+    # shifted arguments, and the same with a bumped current mode
+    gs = gaussian_generators(build_lops(d2, K))
+    si, sj = lop._quad_shifts(d2, 1, 2)
+    qe = Scalar.q_pow(d2.Bmat[0][1])
+    Xi = lop.x_current(gs, 1, True).shift_arg(Scalar.q_pow(si))
+    Xj = lop.x_current(gs, 2, True).shift_arg(Scalar.q_pow(sj))
+    Xj_bumped = lop.ModeSeries({**Xj.table, -2: SparseMat.unit(d2.N, 2, 0)}, -K, K)
+    for key, X in (("shifted", Xj), ("shifted bump", Xj_bumped)):
+        terms = [(u - qe * v, Xi, Xj, "uv"), (lop._MONE * (qe * u - v), Xi, X, "vu")]
+        cases["D2", key] = (terms, lop.ONE)
+    items = {}
+    for (tag, key), (terms, clearing) in cases.items():
+        name = f"{tag} {key}"
+        items[tag, key] = _bivar_zero_reference(name, K, terms, clearing)
+        assert lop._bivar_zero(name, K, terms, clearing) == items[tag, key], name
+        assert items[tag, key]["status"] == ("fail" if "bump" in key else "pass")
+    for tag in ("B1", "D2"):
+        assert items[tag, "u bump"]["witness"]["u_mode"] == 2
+        assert items[tag, "v bump"]["witness"]["v_mode"] == -1
+        assert items[tag, "vu bump"]["witness"]["u_mode"] == 3
+        assert items[tag, "None bump"]["witness"]["u_mode"] == 2
