@@ -24,10 +24,11 @@ _HEADER_NOTE = (
 )
 
 # The largest --order and --window any suite accepts, refused before anything
-# is built.  Measured as single processes on a 2-core host on D3 (N = 6, the
-# largest algebra the default QAV_MAX_N admits): relrbar takes 13 s at the
-# defaults, 20 s at order 16 and 13 s at order and window 8; f-series takes
-# 5 s at order 16, 11 s at order 20 and over 60 s at order 30.
+# is built.  Measured as single processes on a shared 2-core host on D3
+# (N = 6, the largest algebra the default QAV_MAX_N admits), L-operator build
+# included: relrbar takes 2.0 s at the defaults, 3.5 s at order 16, 1.8 s at
+# order 8 and window 8, and 2.9 s at order 16 and window 8; f-series takes
+# 1.5 s at order 16.
 MAX_ORDER = 16
 MAX_WINDOW = 8
 
@@ -118,7 +119,7 @@ def _suite_report(suite, alg, K, W):
         "checks": checks,
     }
     if _TABLE[suite].needs_lops:
-        report["conventions"] = lop.build_lops(alg, K).wiring
+        report["conventions"] = lop.choose_wiring(alg).record
     return report, elapsed_ms
 
 

@@ -7,11 +7,11 @@ the representation slot.  M is read from the coefficient matrices, never from
 the algebra, so an L-operator on another representation (M != N) goes through
 the same Gauss factors and relation checks.  Only the code that builds images
 in the vector representation V by definition (vecrep, _lemma_k_diagonal, the
-wiring's RLL check through rmatrix.exchange_difference, the closed forms of
-_geom_target) takes M = N.  Everything downstream - Gaussian generators,
-current-style combinations, the central series, the reduction maps and the
-structural checks - is computed from these series matrices with exact
-arithmetic; every check reports pass/fail with a witness coefficient on
+wiring's RLL check, which reads the catalog's Yang-Baxter difference, the
+closed forms of _geom_target) takes M = N.  Everything downstream - Gaussian
+generators, current-style combinations, the central series, the reduction
+maps and the structural checks - is computed from these series matrices with
+exact arithmetic; every check reports pass/fail with a witness coefficient on
 failure.  A relation family that several checks state identically (the
 commutator, h-h commutation, the h1 exchanges and the e-f commutator of the
 low-rank batteries, the mirror differences of eiprei and main-structure) is
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import vecrep
 from .liedata import AlgebraData, bars_of, xi_of
@@ -33,7 +34,7 @@ from .quasidet import (
     schur_complement,
 )
 from .report import check, first_failure
-from .rmatrix import build_catalog, crossing_scalar, exchange_difference
+from .rmatrix import build_catalog, crossing_scalar
 from .scalars import ONE, Scalar, qbinom
 from .series import AT_INFINITY, AT_ZERO, TruncSeries, expand_scalar
 from .tensor import SparseMat
@@ -66,15 +67,6 @@ def gauge_dvals(alg: AlgebraData):
     return [ONE] * alg.N
 
 
-def _q_exponent(x: Scalar, bound: int):
-    """The exponent e (a half-integer) with x == q^e, or None."""
-    for t in range(-2 * bound, 2 * bound + 1):
-        e = Fraction(t, 2)
-        if (x - Scalar.q_pow(e)).is_zero():
-            return e
-    return None
-
-
 def _diag_sqrt(mat: SparseMat) -> SparseMat:
     """Entrywise square root of a diagonal matrix of monomials in q^(1/2).
 
@@ -83,15 +75,14 @@ def _diag_sqrt(mat: SparseMat) -> SparseMat:
     size = mat.nrows
     out = []
     for i in range(size):
-        x = mat.get(i, i)
-        e = _q_exponent(x, 8 * size)
-        if e is None:
+        k = mat.get(i, i).s_exponent()
+        if k is None:
             raise LopError("diagonal entry is not a monomial power of q^(1/2)")
-        if e.denominator == 2:
+        if k % 2:
             raise LopError(
                 "odd monomial in q^(1/2): square root leaves the scalar ring"
             )
-        out.append((i, i, Scalar.q_pow(e / 2)))
+        out.append((i, i, Scalar.s_pow(k // 2)))
     return SparseMat.from_entries(size, size, out)
 
 
@@ -193,11 +184,32 @@ def _check_triangular(lp, lm) -> bool:
     return True
 
 
-def _check_diagonal_constants(alg, lp, lm) -> bool:
-    for i, lam in enumerate(_lemma_k_diagonal(alg)):
-        if lp[i][i].get(0) != lam or lm[i][i].get(0) != lam.inverse():
+def _check_diagonal_constants(lam, lp, lm) -> bool:
+    """The constant terms of L+ on the diagonal are lam, those of L- their
+    inverses (lam as _lemma_k_diagonal returns it)."""
+    for i, d in enumerate(lam):
+        if lp[i][i].get(0) != d or lm[i][i].get(0) != d.inverse():
             return False
     return True
+
+
+def _signed(plus_series, minus_series):
+    """(L+, L-): q^-1 times the plus series and q times the minus series,
+    two N x N matrices of series."""
+    return (
+        [[x.scale(_QI) for x in row] for row in plus_series],
+        [[x.scale(_Q) for x in row] for row in minus_series],
+    )
+
+
+class Wiring(NamedTuple):
+    """The wiring of one algebra's L-operators: the convention record every
+    L-operator report carries, the validation trace of every candidate and
+    the chosen reading of Rbar."""
+
+    record: dict
+    candidates: list
+    base: SparseMat
 
 
 class LOperators:
@@ -215,17 +227,21 @@ class LOperators:
         self.gauss = None
 
 
-_LOPS_CACHE = {}
+_LOPS_CACHE = {}  # (type, rank) -> Wiring; (type, rank, K) -> LOperators
 
 
-def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
-    """Build both operator matrices, selecting the unique wiring convention
-    that satisfies triangularity, the diagonal constant terms and the exact
-    cubic exchange relation.  Raises LopError unless exactly one of the
-    candidate conventions passes."""
-    if K < 1:
-        raise LopError("truncation order must be at least 1")
-    key = (alg.type, alg.n, K)
+def choose_wiring(alg: AlgebraData) -> Wiring:
+    """Decide the wiring once per algebra, on Rbar itself (see build_lops).
+
+    Four candidates are tested: the reading `swapped` (P Rbar P, the
+    aux-first reading of slot 2) or `plain` (Rbar), with the plus series
+    expanded at u = 0 or at u = infinity and the minus series at the other
+    end.  Triangularity and the diagonal constants need only the constant
+    terms, so each reading is expanded at order 0; the exact RLL exchange
+    relation is the catalog's Yang-Baxter difference.  Memoised in
+    _LOPS_CACHE under (type, rank); raises LopError unless exactly one
+    candidate passes."""
+    key = (alg.type, alg.n)
     if key in _LOPS_CACHE:
         return _LOPS_CACHE[key]
     cat = build_catalog(alg)
@@ -234,49 +250,70 @@ def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
         "swapped": cat.P * cat.rbar * cat.P,  # = aux-first reading of slot 2
         "plain": cat.rbar,
     }
+    lam = None
     candidates = []
     survivors = []
     for base_name, mat in bases.items():
-        series = {
-            AT_ZERO: _series_matrix(mat, N, AT_ZERO, K),
-            AT_INFINITY: _series_matrix(mat, N, AT_INFINITY, K),
-        }
-        for plus_dir in (AT_ZERO, AT_INFINITY):
-            minus_dir = AT_INFINITY if plus_dir == AT_ZERO else AT_ZERO
-            lp = [[x.scale(_QI) for x in row] for row in series[plus_dir]]
-            lm = [[x.scale(_Q) for x in row] for row in series[minus_dir]]
+        const = {d: _series_matrix(mat, N, d, 0) for d in (AT_ZERO, AT_INFINITY)}
+        for plus_dir, minus_dir in ((AT_ZERO, AT_INFINITY), (AT_INFINITY, AT_ZERO)):
+            lp, lm = _signed(const[plus_dir], const[minus_dir])
             cand = {
                 "base": base_name,
                 "aux_slot": 1,
                 "equivalent_raw_wirings": 2,
                 "plus_expansion": plus_dir,
-                "triangular": False,
+                "triangular": _check_triangular(lp, lm),
                 "diagonal": None,
                 "exchange": None,
             }
-            cand["triangular"] = _check_triangular(lp, lm)
             if cand["triangular"]:
-                cand["diagonal"] = _check_diagonal_constants(alg, lp, lm)
+                if lam is None:
+                    lam = _lemma_k_diagonal(alg)
+                cand["diagonal"] = _check_diagonal_constants(lam, lp, lm)
             if cand["diagonal"]:
-                cleared = mat.scale(cat.denpoly)
-                cand["exchange"] = exchange_difference(cleared, N).is_zero()
+                cand["exchange"] = cat.ybe_difference.is_zero()
             candidates.append(cand)
             if cand["exchange"]:
-                survivors.append((cand, lp, lm))
+                survivors.append((cand, mat))
     if len(survivors) != 1:
         raise LopError(
             f"{len(survivors)} wiring conventions passed the invariants "
             f"(expected exactly 1); candidates: {candidates}"
         )
-    cand, lp, lm = survivors[0]
-    wiring = {
+    cand, mat = survivors[0]
+    record = {
         "base": cand["base"],
         "aux_slot": 1,
         "plus_expansion": cand["plus_expansion"],
         "normalization": "q^-1 on the plus series, q on the minus series",
     }
-    out = LOperators(alg, K, lp, lm, wiring, candidates)
-    _LOPS_CACHE[key] = out
+    out = _LOPS_CACHE[key] = Wiring(record, candidates, mat)
+    return out
+
+
+def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
+    """Both operator matrices at order K, memoised per algebra and order.
+
+    L+(u) and L-(u) are q^-1 and q times the two expansions of one rational
+    matrix, a reading of Rbar, so the wiring is decided once per algebra by
+    choose_wiring (which raises LopError unless exactly one candidate
+    passes), and only the chosen reading is expanded, at the ends it chose.
+    Its RLL check reads the difference that `ybe` reports, for either
+    reading: exchange(P X P) = -P13 sigma(exchange(X)) P13, with P13 the
+    swap of legs 1 and 3 and sigma the swap of u and v, so both readings
+    share one exchange verdict, and it is the YBE verdict."""
+    if K < 1:
+        raise LopError("truncation order must be at least 1")
+    key = (alg.type, alg.n, K)
+    if key in _LOPS_CACHE:
+        return _LOPS_CACHE[key]
+    w = choose_wiring(alg)
+    plus = w.record["plus_expansion"]
+    minus = AT_INFINITY if plus == AT_ZERO else AT_ZERO
+    lp, lm = _signed(
+        _series_matrix(w.base, alg.N, plus, K), _series_matrix(w.base, alg.N, minus, K)
+    )
+    out = _LOPS_CACHE[key] = LOperators(alg, K, lp, lm, w.record, w.candidates)
     return out
 
 

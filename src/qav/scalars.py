@@ -574,6 +574,18 @@ class Scalar:
     def is_w_free(self) -> bool:
         return not (self._f or self._facts())[0]
 
+    def s_exponent(self):
+        """The integer k with self == s^k, or None when self is not a power
+        of s (a canonical s^k is s^k/1 or 1/s^-k)."""
+        n, d = self._n, self._d
+        if len(n) == len(d) == 1:
+            ((kn, cn),) = n.items()
+            ((kd, cd),) = d.items()
+            en, ed = kn & _M, kd & _M
+            if cn == cd == 1 and kn == en * _S1 and kd == ed * _S1:
+                return en - ed
+        return None
+
     # -- arithmetic -------------------------------------------------------
 
     @staticmethod

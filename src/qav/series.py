@@ -331,6 +331,16 @@ def f_series(alg, order: int) -> TruncSeries:
     return f
 
 
+def _fu_parameters(c: int, r: int):
+    """The q-exponents of the parameters of group r of the f(u) product,
+    with xi = q^-c: those of its numerator factors 1 - a u, then those of
+    its denominator factors 1 - b u (see fu_product)."""
+    return (
+        (-2 * r * c, -2 - (2 * r + 1) * c, 2 - (2 * r + 1) * c, -(2 * r + 2) * c),
+        (-(2 * r - 1) * c, -(2 * r + 1) * c, 2 - 2 * r * c, -2 - 2 * r * c),
+    )
+
+
 def fu_product(alg, R: int, order_u: int) -> TruncSeries:
     """The infinite product for f(u), cut after r = R, as a series at u = 0:
 
@@ -341,12 +351,6 @@ def fu_product(alg, R: int, order_u: int) -> TruncSeries:
     the geometric series sum_k b^k u^k, so every coefficient stays a Laurent
     polynomial in q^(1/2) and no rational function is ever formed.
     """
-    q2 = Scalar.q_pow(2)
-    q2i = Scalar.q_pow(-2)
-    xi = alg.xi
-
-    def xipow(k):
-        return xi**k if k >= 0 else xi.inverse() ** (-k)
 
     def linear(a):
         return TruncSeries(AT_ZERO, order_u, {0: ONE, 1: -a})
@@ -359,30 +363,30 @@ def fu_product(alg, R: int, order_u: int) -> TruncSeries:
 
     out = TruncSeries.one(AT_ZERO, order_u)
     for r in range(R + 1):
-        for a in (
-            xipow(2 * r),
-            q2i * xipow(2 * r + 1),
-            q2 * xipow(2 * r + 1),
-            xipow(2 * r + 2),
-        ):
-            out = out * linear(a)
-        for b in (
-            xipow(2 * r - 1),
-            xipow(2 * r + 1),
-            q2 * xipow(2 * r),
-            q2i * xipow(2 * r),
-        ):
-            out = out * geometric(b)
+        nums, dens = _fu_parameters(alg.N - 2, r)
+        for e in nums:
+            out = out * linear(Scalar.q_pow(e))
+        for e in dens:
+            out = out * geometric(Scalar.q_pow(e))
     return out
 
 
 def verify_fu_product(alg, order: int) -> dict:
     """Compare the functional-equation solution f(u) against the truncated
     infinite product, coefficient by coefficient, in the q^(-1)-adic
-    completion; `order` is both the u-order and the q-adic order.
+    completion; `order` is both the u-order and the q-adic order: each f_k,
+    k <= order, is compared at every q-exponent from its lead down to
+    -order.
 
-    The product is cut at the smallest depth R such that every dropped
-    factor can only contribute beyond the comparison order.
+    The depth rule.  Write f = P_R * D, P_R the product through r = R and
+    D that of the dropped groups r > R; the parameter exponents fall as r
+    grows.  Every parameter a or b of P_R has q-exponent at most top(0) >= 0,
+    the largest of group 0, so the u^m coefficient of P_R has lead
+    q-exponent at most m * top(0).  Every parameter of D has q-exponent at
+    most top(R + 1) < 0, so the u^j coefficient of D has lead at most
+    j * top(R + 1).  The error f_k - P_R[k], the sum over 1 <= j <= k of
+    P_R[k - j] D_j, then has lead at most (order - 1) * top(0) + top(R + 1),
+    and the product is cut at the smallest R that puts this below -order.
     """
     Nm2 = alg.N - 2
     if Nm2 <= 0:
@@ -398,23 +402,34 @@ def verify_fu_product(alg, order: int) -> dict:
             f"rank {alg.n} at order {order} exceeds the f-series work bound, "
             f"that of rank {bound} at order {FSERIES_WORK_ORDER}"
         )
-    R = 1
-    while Nm2 * (2 * R + 1 - order) <= order:
+
+    def top(r):
+        """The largest q-exponent of a parameter of group r."""
+        return max(e for group in _fu_parameters(Nm2, r) for e in group)
+
+    R = 0
+    while (order - 1) * top(0) + top(R + 1) >= -order:
         R += 1
     nfactors = 8 * (R + 1)
     product_side = fu_product(alg, R, order)
     solver_side = f_series(alg, order)
 
+    def laurent(x):
+        """(lead, coeffs) with x = sum_j coeffs[j] q^(lead - j) through
+        q^(-order)."""
+        lead, coeffs = x.qadic_laurent(order)
+        if lead > 0:
+            lead, coeffs = x.qadic_laurent(lead + order)
+        return lead, coeffs
+
     def at(lead, coeffs, e):
         """The coefficient of q^e in sum_j coeffs[j] q^(lead - j)."""
-        return coeffs[lead - e] if 0 <= lead - e <= order else Fraction(0)
+        return coeffs[lead - e] if 0 <= lead - e < len(coeffs) else Fraction(0)
 
     checks = []
     for k in range(order + 1):
-        a = solver_side.coefficient(k)
-        b = product_side.coefficient(k)
-        la, ca = a.qadic_laurent(order)
-        lb, cb = b.qadic_laurent(order)
+        la, ca = laurent(solver_side.coefficient(k))
+        lb, cb = laurent(product_side.coefficient(k))
         # align the two Laurent windows and compare through q^(-order)
         pairs = (
             (e, at(la, ca, e), at(lb, cb, e))

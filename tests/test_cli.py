@@ -249,3 +249,30 @@ def test_lop_suites_report_conventions(capsys):
     assert rc == 0
     (report,) = payload["reports"]
     assert report["conventions"]["base"] == "swapped"
+
+
+@pytest.mark.parametrize(
+    "suite, type_, rank", [("eiprei", "B", 1), ("lowrank", "D", 3)]
+)
+def test_skipped_suite_reports_conventions_without_building_lops(
+    monkeypatch, capsys, suite, type_, rank
+):
+    """A skipped suite reports the wiring decided on Rbar's constant terms
+    and expands no L-operator."""
+
+    def refuse(*args):
+        raise lop.LopError("a skipped suite built L-operators")
+
+    monkeypatch.setattr(lop, "build_lops", refuse)
+    rc = cli.run(
+        ["check", suite, "--type", type_, "--rank", str(rank), "--format", "json"]
+    )
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert rc == 0
+    assert [c["status"] for c in report["checks"]] == ["skipped"]
+    assert report["conventions"] == {
+        "base": "swapped",
+        "aux_slot": 1,
+        "plus_expansion": "zero",
+        "normalization": "q^-1 on the plus series, q on the minus series",
+    }

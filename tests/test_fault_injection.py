@@ -249,6 +249,35 @@ def test_psi_fails_only_the_image_match_on_a_bumped_gauss_entry(
     )
 
 
+def test_psi_fails_only_the_corner_commutation_on_a_bumped_corner(
+    fresh_caches, tmp_path, capsys
+):
+    """After the Gauss factors are built, lops.lp is rebound to a copy whose
+    l11+ has e_12 added at mode 1.  The corner loop reads lops.lp and the
+    images read the factors' own L, so only the corner items with l11+ in
+    the u-slot fail."""
+    alg, K = AlgebraData("D", 2), 4
+    lops = lop.build_lops(alg, K)
+    lop.gaussian_generators(lops)
+    lp = [row[:] for row in lops.lp]
+    lp[0][0] = _bump(lp[0][0], K, 1, SparseMat.unit(alg.N, 0, 1))
+    lops.lp = lp
+
+    def wit(v_mode, value):
+        detail = {"u_mode": 1, "v_mode": v_mode, "row": 0, "col": 1, "value": value}
+        return {"entry": [1, 1, 2, 2], "detail": detail}
+
+    name = "D2 m=1: corner generators commute with reduction images"
+    _assert_fails(
+        tmp_path, capsys,
+        ["psi", "--type", "D", "--rank", "2", "--order", "4"],
+        [
+            _fail(f"{name} (+/+)", wit(0, "(-s^2+1)/(s^2)")),
+            _fail(f"{name} (+/-)", wit(-4, "s^4-1")),
+        ],
+    )
+
+
 def test_zseries_fails_on_a_bumped_lop_mode(fresh_caches, tmp_path, capsys):
     """Mode 2 of l12+ on B1 gets e_11 added after the Gauss factors are
     built: the central series is no longer scalar and disagrees with the

@@ -53,6 +53,36 @@ def test_build_lops_selects_unique_wiring(b1):
     assert sum(1 for c in lops.candidates if c["exchange"]) == 1
 
 
+def test_check_all_decides_the_wiring_once(monkeypatch, capsys):
+    """`check all` on D2 forms the Yang-Baxter difference once (`ybe` and
+    the wiring's RLL check share it), builds the expected diagonal
+    constants once, and expands only the chosen reading of Rbar at order K,
+    one series matrix per sign."""
+    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
+    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+        calls[name] = []
+
+        def counted(*args):
+            calls[name].append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(rmatrix, "exchange_difference")
+    count(lop, "_series_matrix")
+    count(lop, "_lemma_k_diagonal")
+    args = ["check", "all", "--type", "D", "--rank", "2", "--format", "json"]
+    assert cli.run(args) == 0
+    capsys.readouterr()
+    assert len(calls["exchange_difference"]) == 1
+    assert [a[3] for a in calls["_series_matrix"] if a[3] > 0] == [10, 10]
+    assert len(calls["_lemma_k_diagonal"]) == 1
+
+
 def test_build_lops_triangular_constant_terms(d2):
     lops = build_lops(d2, K)
     N = len(lops.lp)

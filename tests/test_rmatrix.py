@@ -2,6 +2,7 @@
 
 import pytest
 
+from qav import rmatrix
 from qav.liedata import AlgebraData
 from qav.rmatrix import (
     ResourceBoundError,
@@ -10,6 +11,7 @@ from qav.rmatrix import (
     check_unitarity,
     check_ybe,
     crossing_scalar,
+    exchange_difference,
     guard_cubic,
     p_matrix,
     q_matrix,
@@ -93,3 +95,66 @@ def test_resource_guard(monkeypatch):
 
 def test_catalog_memoizes(b1):
     assert build_catalog(b1) is build_catalog(b1)
+
+
+def test_yang_baxter_difference_is_formed_only_when_read(monkeypatch, b1):
+    """`unitarity` and `crossing` never form the N^3 x N^3 difference; `ybe`
+    forms it once on the catalog, and reads it from there afterwards."""
+    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
+    cat = build_catalog(b1)
+    assert all_pass(check_unitarity(b1) + check_crossing(b1, order=4))
+    assert "ybe_difference" not in vars(cat)
+    assert all_pass(check_ybe(b1))
+    formed = vars(cat)["ybe_difference"]
+    assert all_pass(check_ybe(b1)) and cat.ybe_difference is formed
+
+
+_B = 24  # bits per exponent field of a packed key (see qav.scalars)
+_FIELD = (1 << _B) - 1
+
+
+def _swap_uv(x: Scalar) -> Scalar:
+    """x with u and v exchanged.  The packed key of w^a v^b u^c s^d is
+    deg 2^(4B) + a 2^(3B) + b 2^(2B) + c 2^B + d, so the b and c fields
+    trade places and the total degree stays."""
+
+    def swap(p):
+        out = {}
+        for k, c in p.items():
+            eu, ev = k >> _B & _FIELD, k >> 2 * _B & _FIELD
+            out[k + (ev - eu << _B) + (eu - ev << 2 * _B)] = c
+        return out
+
+    return Scalar(swap(x.num), swap(x.den))
+
+
+@pytest.mark.parametrize("bumped", [False, True], ids=["clean", "bumped"])
+@pytest.mark.parametrize("type_,rank", [("B", 1), ("D", 2)])
+def test_exchange_of_the_swapped_reading_mirrors_the_plain_one(type_, rank, bumped):
+    """exchange(P X P) = -P13 sigma(exchange(X)) P13 exactly, sigma the swap
+    of u and v, for X the cleared Rbar and for X with u added at (1, 3): the
+    two readings of Rbar share one exchange verdict."""
+    alg = AlgebraData(type_, rank)
+    N = alg.N
+    x = build_catalog(alg).rbar_poly
+    if bumped:
+        x = x + SparseMat.unit(N * N, 1, 3, Scalar.u_pow(1))
+    P = p_matrix(alg)
+    P13 = SparseMat.from_entries(
+        N**3,
+        N**3,
+        (
+            ((i * N + j) * N + k, (k * N + j) * N + i, ONE)
+            for i in range(N)
+            for j in range(N)
+            for k in range(N)
+        ),
+    )
+    ex = exchange_difference(x, N)
+    mirrored = SparseMat(
+        ex.nrows,
+        ex.ncols,
+        {i: {j: -_swap_uv(y) for j, y in row.items()} for i, row in ex.rows.items()},
+    )
+    assert ex.is_zero() is not bumped
+    assert exchange_difference(P * x * P, N) == P13 * mirrored * P13

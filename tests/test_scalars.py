@@ -130,6 +130,21 @@ def test_q_pow_half_integers_only():
         Scalar.q_pow(Fraction(1, 3))
 
 
+def test_s_exponent_reads_powers_of_s_only():
+    for k in (-7, -1, 0, 1, 12):
+        assert Scalar.s_pow(k).s_exponent() == k
+    for x in (
+        ZERO,
+        -Scalar.s_pow(2),
+        Scalar.from_int(2) * Scalar.s_pow(2),
+        Scalar.u_pow(1),
+        Scalar.s_pow(1) + 1,
+        Scalar.s_pow(2) * Scalar.w(),
+        Scalar.s_pow(1) / Scalar.u_pow(1),
+    ):
+        assert x.s_exponent() is None, x
+
+
 # -- frozen q-adic expansions ------------------------------------------------
 
 

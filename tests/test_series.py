@@ -300,30 +300,32 @@ def test_fu_product_matches_rational_oracle(type_, rank):
 
 
 def test_f_series_check_fails_on_a_perturbed_solver(monkeypatch, capsys):
-    """Negative control: f_1 bumped by q^-4 must fail exactly at q^-4."""
-    order = 6
+    """Negative control: f_k bumped by q^-4 must fail exactly at q^-4, for
+    f_1 at order 6 and for f_2 at order 4, whose q^-4 lies below the window
+    of qadic_laurent(order) (the lead of f_2 on D2 is q^4)."""
     real = series.f_series
+    for order, k in ((6, 1), (4, 2)):
 
-    def bumped(alg, order_u):
-        f = real(alg, order_u)
-        coeffs = dict(f.coeffs)
-        coeffs[1] = f.coefficient(1) + Scalar.q_pow(-4)
-        return TruncSeries(f.direction, f.order, coeffs)
+        def bumped(alg, order_u, k=k):
+            f = real(alg, order_u)
+            coeffs = dict(f.coeffs)
+            coeffs[k] = f.coefficient(k) + Scalar.q_pow(-4)
+            return TruncSeries(f.direction, f.order, coeffs)
 
-    monkeypatch.setattr(series, "f_series", bumped)
-    checks = verify_fu_product(AlgebraData("D", 2), order)["checks"]
-    failed = [c for c in checks if c["status"] == "fail"]
-    assert [c["name"] for c in failed] == ["f_1 q-adic match"]
-    assert failed[0]["witness"]["q_exponent"] == -4
+        monkeypatch.setattr(series, "f_series", bumped)
+        checks = verify_fu_product(AlgebraData("D", 2), order)["checks"]
+        failed = [c for c in checks if c["status"] == "fail"]
+        assert [c["name"] for c in failed] == [f"f_{k} q-adic match"]
+        assert failed[0]["witness"]["q_exponent"] == -4
 
-    rc = cli.run(
-        ["check", "f-series", "--type", "D", "--rank", "2", "--order",
-         str(order), "--format", "json"]
-    )
-    payload = json.loads(capsys.readouterr().out)
-    assert rc == 1
-    statuses = [c["status"] for c in payload["reports"][0]["checks"]]
-    assert statuses.count("fail") == 1
+        rc = cli.run(
+            ["check", "f-series", "--type", "D", "--rank", "2", "--order",
+             str(order), "--format", "json"]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        statuses = [c["status"] for c in payload["reports"][0]["checks"]]
+        assert statuses.count("fail") == 1
 
 
 def test_f_series_is_built_once_per_algebra_and_order(monkeypatch):
