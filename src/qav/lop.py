@@ -39,8 +39,6 @@ from .scalars import ONE, Scalar, qbinom
 from .series import AT_INFINITY, AT_ZERO, TruncSeries, expand_scalar
 from .tensor import SparseMat
 
-BIG = 10**6
-
 _Q = Scalar.q_pow(1)
 _QI = Scalar.q_pow(-1)
 _QMQ = _Q - _QI  # q - q^-1
@@ -323,14 +321,19 @@ def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
 
 
 class GaussianSeries:
-    """Gauss factors of both operator matrices plus convenience accessors."""
+    """Gauss factors of both operator matrices plus convenience accessors;
+    checks holds the two items that verify the factors (the reassembly and
+    the quasideterminant cross path), formed once with them."""
 
-    def __init__(self, lops: LOperators, gp: GaussFactors, gm: GaussFactors):
+    def __init__(
+        self, lops: LOperators, gp: GaussFactors, gm: GaussFactors, checks: list
+    ):
         self.lops = lops
         self.alg = lops.alg
         self.K = lops.K
         self.gp = gp
         self.gm = gm
+        self.checks = checks
 
     def g(self, sign) -> GaussFactors:
         return self.gp if sign > 0 else self.gm
@@ -384,35 +387,41 @@ def _unit(L) -> TruncSeries:
     return TruncSeries.constant(SparseMat.identity(_rep_size(L)), x.direction, x.order)
 
 
-def gaussian_generators(lops: LOperators) -> GaussianSeries:
-    """Gauss-decompose both operator matrices, and raise LopError unless the
-    reassembly and the quasideterminant cross path pass; memoised on lops."""
-    if lops.gauss is not None:
-        return lops.gauss
-    gp = gauss_decompose(lops.lp, _unit(lops.lp))
-    gm = gauss_decompose(lops.lm, _unit(lops.lm))
-    for check_item in (_reassembly, _cross_path):
-        item = check_item(lops, gp, gm)
-        if item["status"] == "fail":
-            raise LopError(f"Gauss factors fail {item['name']!r} at {item['witness']}")
-    lops.gauss = GaussianSeries(lops, gp, gm)
+def _gauss_series(lops: LOperators) -> GaussianSeries:
+    """Gauss-decompose both operator matrices and verify the factors once;
+    memoised on lops, whether or not the factors pass."""
+    if lops.gauss is None:
+        gp = gauss_decompose(lops.lp, _unit(lops.lp))
+        gm = gauss_decompose(lops.lm, _unit(lops.lm))
+        checks = [_reassembly(lops, gp, gm), _cross_path(lops, gp, gm)]
+        lops.gauss = GaussianSeries(lops, gp, gm, checks)
     return lops.gauss
 
 
+def gaussian_generators(lops: LOperators) -> GaussianSeries:
+    """The memoised Gauss factors of lops; raises LopError unless the
+    reassembly and the quasideterminant cross path pass."""
+    gs = _gauss_series(lops)
+    for item in gs.checks:
+        if item["status"] == "fail":
+            raise LopError(f"Gauss factors fail {item['name']!r} at {item['witness']}")
+    return gs
+
+
 def check_gauss(alg: AlgebraData, K: int = 10) -> list:
-    """Three items on the memoised Gauss factors: the reassembly F*H*E = L
-    for both signs, the quasideterminant cross path, and a sensitivity
-    probe (perturbing one coefficient of F must break the reassembly)."""
+    """The two items formed with the memoised factors (so failing factors
+    fail here, where every other suite refuses them), the reassembly
+    F*H*E = L for both signs and the quasideterminant cross path, and a
+    probe: perturbing one coefficient of F must break the reassembly."""
     lops = build_lops(alg, K)
-    gs = gaussian_generators(lops)
+    gs = _gauss_series(lops)
     g = gs.gp
     N, M = len(g.L), _rep_size(g.L)
     F2 = [row[:] for row in g.F]
     F2[N - 1][0] += TruncSeries(AT_ZERO, K, {1: SparseMat.unit(M, M - 1, 0)})
     probe = _reassembly(lops, GaussFactors(g.L, F2, g.H, g.E, g.one), gs.gm)
     return [
-        _reassembly(lops, gs.gp, gs.gm),
-        _cross_path(lops, gs.gp, gs.gm),
+        *gs.checks,
         check(
             f"single-entry perturbation of F breaks reassembly, {alg}",
             probe["status"] == "fail",
@@ -421,42 +430,17 @@ def check_gauss(alg: AlgebraData, K: int = 10) -> list:
 
 
 # ---------------------------------------------------------------------------
-# mode-indexed series and the bivariate relation checker
+# the bivariate relation checker
 # ---------------------------------------------------------------------------
 
 
-class ModeSeries:
-    """A series known on a finite window of integer modes: table maps mode ->
-    nonzero matrix coefficient, [lo, hi] is the interval of determined modes
-    (modes outside the table but inside the interval are exactly zero)."""
-
-    def __init__(self, table, lo, hi):
-        self.table = table
-        self.lo = lo
-        self.hi = hi
-
-    @staticmethod
-    def from_trunc(ts: TruncSeries) -> "ModeSeries":
-        sign = ts.sign
-        table = {m * sign: c for m, c in ts.coeffs.items()}
-        if ts.direction == AT_ZERO:
-            lo, hi = -BIG, ts.order
-        else:
-            lo, hi = -ts.order, BIG
-        return ModeSeries(table, lo, hi)
-
-    def get(self, m: int):
-        """The coefficient of mode m; a zero coefficient returns None."""
-        return self.table.get(m)
-
-    def shift_arg(self, c: Scalar) -> "ModeSeries":
-        """The series evaluated at c*u: mode m picks up a factor c^m."""
-        cinv = c.inverse()
-        table = {}
-        for m, x in self.table.items():
-            p = c**m if m >= 0 else cinv ** (-m)
-            table[m] = x.scale(p)
-        return ModeSeries(table, self.lo, self.hi)
+def _modes(part):
+    """The (mode, coefficient) pairs of a TruncSeries part, modes signed;
+    None, the identity at mode zero, stays None."""
+    if part is None:
+        return None
+    sign = part.sign
+    return [(m * sign, c) for m, c in part.coeffs.items()]
 
 
 def _bivar_zero(name, K, terms, clearing=ONE) -> dict:
@@ -467,10 +451,13 @@ def _bivar_zero(name, K, terms, clearing=ONE) -> dict:
     rational scalar in u, v; clearing is a polynomial multiple of all the
     denominators (verified: the cleared prefactor must expand into a
     polynomial).  order "uv" multiplies coefficients as u-part * v-part,
-    "vu" the other way.  A part is a TruncSeries (read on its signed
-    exponents), a ModeSeries (the two-tailed currents of x_current), or
-    None, the identity at mode zero; at most one part of a term is None.
-    The matrix size is read from the parts' coefficients.
+    "vu" the other way.  A part is a TruncSeries, read on its signed
+    exponents, or None, the identity at mode zero; at most one part of a
+    term is None.  A current is two terms, one per Gauss half.  A part at
+    zero determines its variable's modes up to its order plus the smallest
+    exponent of that variable in the cleared prefactor; a part at infinity
+    down to minus its order plus the largest.  The matrix size is read
+    from the parts' coefficients.
 
     One pass over the terms collects, for every (alpha, beta, row, col)
     inside the window, the scalar pairs whose products sum to that entry:
@@ -481,30 +468,28 @@ def _bivar_zero(name, K, terms, clearing=ONE) -> dict:
     one dict lookup.
     """
     expanded = []
-    alo, ahi = -K, K
-    blo, bhi = -K, K
+    lo, hi = [-K, -K], [K, K]  # per variable, u then v
     for pref, upart, vpart, order in terms:
         poly = (pref * clearing).uv_coeffs()
         keys = [k for k, c in poly.items() if not c.is_zero()]
         if not keys:
             continue
-        U, V = (
-            ModeSeries.from_trunc(p) if isinstance(p, TruncSeries) else p
-            for p in (upart, vpart)
-        )
-        if U is not None:
-            alo = max(alo, U.lo + max(k[0] for k in keys))
-            ahi = min(ahi, U.hi + min(k[0] for k in keys))
-        if V is not None:
-            blo = max(blo, V.lo + max(k[1] for k in keys))
-            bhi = min(bhi, V.hi + min(k[1] for k in keys))
-        expanded.append(([(k, poly[k]) for k in keys], U, V, order))
+        for var, part in enumerate((upart, vpart)):
+            if part is None:
+                continue
+            if part.direction == AT_ZERO:
+                hi[var] = min(hi[var], part.order + min(k[var] for k in keys))
+            else:
+                lo[var] = max(lo[var], max(k[var] for k in keys) - part.order)
+        coeffs = [(k, poly[k]) for k in keys]
+        expanded.append((coeffs, _modes(upart), _modes(vpart), order))
+    (alo, blo), (ahi, bhi) = lo, hi
     if alo > ahi or blo > bhi:
         raise LopError(f"{name}: empty determined window")
     # the size of the coefficient matrices; with no coefficient at all every
     # bi-mode is the empty sum, and its size is never read
     parts = [p for _, U, V, _ in expanded for p in (U, V) if p is not None]
-    M = next((x.nrows for p in parts for x in p.table.values()), 0)
+    M = next((x.nrows for p in parts for _, x in p), 0)
     # (alpha, beta) -> row -> col -> the (x, y) pairs whose products sum to
     # that entry of the bi-mode
     slots = {}
@@ -515,7 +500,7 @@ def _bivar_zero(name, K, terms, clearing=ONE) -> dict:
                 # the identity at mode zero: each entry of the other part,
                 # paired with c, at the bi-mode its mode shifts to
                 other = U if V is None else V
-                for m, z in other.table.items():
+                for m, z in other:
                     key = (i, m + j) if U is None else (m + i, j)
                     if key[0] not in in_a or key[1] not in in_b:
                         continue
@@ -529,12 +514,10 @@ def _bivar_zero(name, K, terms, clearing=ONE) -> dict:
             uv = order == "uv"
             first, fwin, fi = (U, in_a, i) if uv else (V, in_b, j)
             second, swin, si = (V, in_b, j) if uv else (U, in_a, i)
-            seconds = [
-                (m + si, y.rows) for m, y in second.table.items() if m + si in swin
-            ]
+            seconds = [(m + si, y.rows) for m, y in second if m + si in swin]
             if not seconds:
                 continue
-            for m, x in first.table.items():
+            for m, x in first:
                 fm = m + fi
                 if fm not in fwin:
                     continue
@@ -1053,23 +1036,34 @@ def _current_indices(alg: AlgebraData, i: int):
     return i, i + 1
 
 
-def x_current(gs: GaussianSeries, i: int, plus: bool) -> ModeSeries:
-    """The combined two-tailed current: positive modes from the plus series,
-    negative modes from minus the minus series."""
+def _current_halves(gs: GaussianSeries, i: int, plus: bool):
+    """The two Gauss series of the current X_i^+ (e_ab) or X_i^- (f_ba) of
+    node i: (plus series, minus series), whose difference is the current."""
     a, b = _current_indices(gs.alg, i)
-    K = gs.K
     if plus:
-        tp, tm = gs.e(a, b, 1), gs.e(a, b, -1)
-    else:
-        tp, tm = gs.f(b, a, 1), gs.f(b, a, -1)
-    table = {}
-    for m in range(-K, K + 1):
-        c, d = tp.get(m), tm.get(m)
-        if d is not None:
-            c = -d if c is None else c - d
-        if c is not None and not c.is_zero():
-            table[m] = c
-    return ModeSeries(table, -K, K)
+        return gs.e(a, b, 1), gs.e(a, b, -1)
+    return gs.f(b, a, 1), gs.f(b, a, -1)
+
+
+def x_current(gs: GaussianSeries, i: int, plus: bool) -> dict:
+    """The mode table of the two-tailed current: mode -> nonzero matrix
+    coefficient of the plus series minus the minus series."""
+    tp, tm = _current_halves(gs, i, plus)
+    table = dict(_modes(tp))
+    for m, d in _modes(tm):
+        table[m] = -d if m not in table else table[m] - d
+    return {m: c for m, c in table.items() if not c.is_zero()}
+
+
+def _current_terms(pref, x, y, order) -> list:
+    """The terms of pref * x(u) y(v) in the given order; x and y are tuples
+    of Gauss series with coefficients +1, -1: a current is its pair
+    (plus half, minus half) of _current_halves, a single series a 1-tuple."""
+    return [
+        (pref if a == b else -pref, xh, yh, order)
+        for a, xh in zip((1, -1), x)
+        for b, yh in zip((1, -1), y)
+    ]
 
 
 def _hx_prefactors(alg: AlgebraData, i: int, j: int):
@@ -1124,25 +1118,29 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
     # (a) diagonal-series commutation, all pairs, all sign combinations
     pairs = [(i, j) for i in range(1, n + 2) for j in range(i, n + 2)]
     out = _hh_commutation(src, K, "(a) ", pairs)
-    # (b) diagonal-series / current exchange
-    currents = {
-        (j, True): x_current(gs, j, True) for j in range(1, n + 1)
+    # (b) diagonal-series / current exchange; (b) and (c) read each current
+    # as its two Gauss series, (d) and (e) its mode table
+    halves = {
+        (j, plus): _current_halves(gs, j, plus)
+        for j in range(1, n + 1)
+        for plus in (True, False)
     }
-    currents.update({(j, False): x_current(gs, j, False) for j in range(1, n + 1)})
+    currents = {key: x_current(gs, *key) for key in halves}
     for i in range(1, n + 2):
         for j in range(1, n + 1):
             plus_pre, minus_pre, clearing = _hx_prefactors(alg, i, j)
             for plus in (True, False):
                 pre = plus_pre if plus else minus_pre
-                X = currents[(j, plus)]
+                X = halves[(j, plus)]
                 lbl = "+" if plus else "-"
                 for s in _SIGNS:
-                    hi = src.h(i, s)
+                    hi = (src.h(i, s),)
                     out.append(
                         _bivar_zero(
                             f"(b) h{i}{_sig(s)}(u) X{j}{lbl}(v) exchange",
                             K,
-                            [(ONE, hi, X, "uv"), (_MONE * pre, hi, X, "vu")],
+                            _current_terms(ONE, hi, X, "uv")
+                            + _current_terms(_MONE * pre, hi, X, "vu"),
                             clearing=clearing,
                         )
                     )
@@ -1154,17 +1152,15 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
             for plus in (True, False):
                 e = bij if plus else -bij
                 qe = Scalar.q_pow(e)
-                Xi = currents[(i, plus)].shift_arg(Scalar.q_pow(si))
-                Xj = currents[(j, plus)].shift_arg(Scalar.q_pow(sj))
+                Xi = tuple(x.scale_arg(Scalar.q_pow(si)) for x in halves[(i, plus)])
+                Xj = tuple(x.scale_arg(Scalar.q_pow(sj)) for x in halves[(j, plus)])
                 lbl = "+" if plus else "-"
                 out.append(
                     _bivar_zero(
                         f"(c) quadratic X{i}{lbl}-X{j}{lbl}",
                         K,
-                        [
-                            (_U - qe * _V, Xi, Xj, "uv"),
-                            (_MONE * (qe * _U - _V), Xi, Xj, "vu"),
-                        ],
+                        _current_terms(_U - qe * _V, Xi, Xj, "uv")
+                        + _current_terms(_MONE * (qe * _U - _V), Xi, Xj, "vu"),
                     )
                 )
     # (d) mixed-current commutator against the diagonal ratios, modewise on

@@ -203,6 +203,26 @@ def test_runtime_imports_no_sympy():
     assert proc.stdout.split() == ["0", "[]"]
 
 
+def test_closed_stdout_keeps_the_verdict(tmp_path):
+    """A reader that closes stdout before qav writes does not turn a pass
+    into a traceback and exit 1: the process exits 0, prints nothing on
+    stderr and still writes its --dump file."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    dump = tmp_path / "report.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qav.cli", "check", "cartan", "--type", "B",
+         "--rank", "2", "--dump", str(dump)],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0
+    assert err == b""
+    assert json.loads(dump.read_text())["reports"][0]["suite"] == "cartan"
+
+
 def test_relrbar_mixed_relation_reads_only_determined_modes(capsys):
     """At window 6 and order 10 the bi-modes (-6, -6) .. (6, 6) include
     totals past the truncation order; (d) skips those instead of reading the

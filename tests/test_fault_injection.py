@@ -11,7 +11,7 @@ import pytest
 from qav import cli, liedata, lop, rmatrix, vecrep
 from qav.liedata import AlgebraData
 from qav.scalars import Scalar, ZERO
-from qav.series import AT_ZERO, TruncSeries
+from qav.series import AT_INFINITY, AT_ZERO, TruncSeries
 from qav.tensor import SparseMat
 
 # An off-diagonal entry of Rbar on B1 (N = 3) in the first row block:
@@ -205,6 +205,47 @@ def test_relrbar_fails_on_a_bumped_current_mode(fresh_caches, tmp_path, capsys):
     )
 
 
+def test_relrbar_fails_on_a_bumped_minus_half_of_a_current(
+    fresh_caches, tmp_path, capsys
+):
+    """e12- on B1 gets e_21 added at u^-1, the minus half of X1+, which is
+    read at infinity: the exchange, quadratic and mixed relations of X1+
+    fail below mode zero or where a prefactor carries the bump up."""
+    alg, K = AlgebraData("B", 1), 6
+    gs = _gauss(alg, K)
+    bump = TruncSeries(AT_INFINITY, K, {1: SparseMat.unit(alg.N, 1, 0)})
+    gs.gm.E[0][1] = gs.gm.E[0][1] + bump
+
+    def wit(u, v, row, col, value):
+        return {"u_mode": u, "v_mode": v, "row": row, "col": col, "value": value}
+
+    _assert_fails(
+        tmp_path, capsys,
+        ["relrbar", "--type", "B", "--rank", "1", "--order", "6", "--window", "3"],
+        [
+            _fail("(b) h1+(u) X1+(v) exchange", wit(1, 0, 1, 0, "(s^4-1)/(s^2)")),
+            _fail("(b) h1-(u) X1+(v) exchange", wit(-4, -1, 1, 0, "(s^4-1)/(s^22)")),
+            _fail(
+                "(b) h2+(u) X1+(v) exchange",
+                wit(1, 2, 1, 0, "(s^6-s^4-s^2+1)/(s^2)"),
+            ),
+            _fail(
+                "(b) h2-(u) X1+(v) exchange",
+                wit(
+                    -2, -1, 1, 0,
+                    "(s^38-s^36-s^34+2*s^32-s^30-2*s^28+2*s^26-s^22+2*s^20"
+                    "-s^18-s^16+2*s^14-s^12-s^10+2*s^8-s^6+s^2-1)/(s^20)",
+                ),
+            ),
+            _fail("(c) quadratic X1+-X1+", wit(-5, -1, 2, 0, "(-s^4+1)/(s^5)")),
+            _fail(
+                "(d) [X1+, X1-] modewise, window 3",
+                wit(-1, -3, 0, 0, "(-s^4+1)/(s^2)"),
+            ),
+        ],
+    )
+
+
 def test_relrbar_serre_fails_on_a_wrong_q_binomial(
     fresh_caches, monkeypatch, tmp_path, capsys
 ):
@@ -385,14 +426,24 @@ def test_mirror_suites_fail_on_a_bumped_f_entry(fresh_caches, tmp_path, capsys):
     )
 
 
-def test_gauss_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, capsys):
-    """e12+ on B1 gets e_21 added at mode 1 after the factors are built: the
+def test_gauss_fails_on_a_bumped_gauss_entry(
+    fresh_caches, monkeypatch, tmp_path, capsys
+):
+    """e12+ on B1 gets e_21 added at mode 1 as the factors are built: the
     reassembly and the cross path (h1 e12 = L12) both fail at aux entry
     (1, 2), with opposite signs as h1 has constant term 1 at (1, 1), and the
-    probe still breaks the reassembly."""
+    probe still breaks the reassembly.  `gauss` reports them (exit 1);
+    every other L-operator suite refuses the factors (exit 2)."""
     alg, K = AlgebraData("B", 1), 4
-    gs = _gauss(alg, K)
-    gs.gp.E[0][1] = _bump(gs.gp.E[0][1], K, 1, SparseMat.unit(alg.N, 1, 0))
+    gauss_decompose = lop.gauss_decompose
+
+    def bumped(L, one):
+        g = gauss_decompose(L, one)
+        if L[0][0].direction == AT_ZERO:
+            g.E[0][1] = _bump(g.E[0][1], K, 1, SparseMat.unit(alg.N, 1, 0))
+        return g
+
+    monkeypatch.setattr(lop, "gauss_decompose", bumped)
     _assert_fails(
         tmp_path, capsys,
         ["gauss", "--type", "B", "--rank", "1", "--order", "4"],
@@ -422,6 +473,10 @@ def test_gauss_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, capsys):
             ),
         ],
     )
+    args = ["zseries", "--type", "B", "--rank", "1", "--order", "4"]
+    assert cli.run(["check", *args]) == 2
+    err = capsys.readouterr().err
+    assert "Gauss factors fail 'Gauss reassembly F H E = L, both signs, B1'" in err
 
 
 def test_crossing_series_fails_on_a_bumped_r_entry(fresh_caches, tmp_path, capsys):

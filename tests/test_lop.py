@@ -163,7 +163,8 @@ def test_cross_path_inverts_each_leading_block_once(monkeypatch, d2):
 
 def test_gaussian_generators_raises_when_the_cross_path_fails(monkeypatch, capsys):
     """A cross path that reads a wrong inverse of a leading block disagrees
-    with the elimination, and the build refuses the factors (exit 2)."""
+    with the elimination: `gauss` reports that item alone as failing (exit
+    1), and every other L-operator suite refuses the factors (exit 2)."""
     monkeypatch.setattr(rmatrix, "_CATALOGS", {})
     monkeypatch.setattr(lop, "_LOPS_CACHE", {})
     ring_inverse = quasidet.ring_inverse
@@ -174,9 +175,39 @@ def test_gaussian_generators_raises_when_the_cross_path_fails(monkeypatch, capsy
         return inv
 
     monkeypatch.setattr(quasidet, "ring_inverse", wrong)
-    assert cli.run(["check", "gauss", "--type", "B", "--rank", "1", "--order", "4"]) == 2
+    args = ["--type", "B", "--rank", "1", "--order", "4", "--format", "json"]
+    assert cli.run(["check", "gauss", *args]) == 1
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    name = "quasideterminant cross-path agrees with block elimination, B1"
+    assert [c["name"] for c in report["checks"] if c["status"] == "fail"] == [name]
+    assert cli.run(["check", "zseries", *args]) == 2
     err = capsys.readouterr().err
-    assert "Gauss factors fail 'quasideterminant cross-path agrees" in err
+    assert f"Gauss factors fail {name!r}" in err
+
+
+def test_check_all_verifies_the_gauss_factors_once(monkeypatch, capsys):
+    """`check all` on D2 forms the reassembly and the cross path of the
+    factors once, with the factors: the cross path runs once per sign, and
+    the reassembly once more only for the perturbation probe of `gauss`."""
+    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
+    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
+    calls = {"_cross_check": 0, "_reassembly": 0}
+
+    def count(name):
+        real = getattr(lop, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(lop, name, counted)
+
+    count("_cross_check")
+    count("_reassembly")
+    args = ["check", "all", "--type", "D", "--rank", "2", "--format", "json"]
+    assert cli.run(args) == 0
+    capsys.readouterr()
+    assert calls == {"_cross_check": 2, "_reassembly": 2}
 
 
 def test_psi_inverts_each_leading_block_once(monkeypatch, d3):
@@ -271,24 +302,29 @@ def test_main_structure_b1(b1):
     assert all_pass(checks), failures(checks)
 
 
-def test_bivar_zero_reads_trunc_series_parts(b1):
-    """A TruncSeries part gives the same item as its ModeSeries, on a
-    relation that holds and on one broken by a mode-2 bump."""
-    gs = gaussian_generators(build_lops(b1, K))
-    h2 = gs.h(2, 1)
-    bump = TruncSeries(AT_ZERO, K, {2: SparseMat.unit(b1.N, 0, 1)})
-    modes = lop.ModeSeries.from_trunc
+def test_bivar_zero_window_follows_the_part_directions(b1):
+    """A part at zero caps its variable's modes at its order plus the
+    smallest exponent of that variable in the cleared prefactor; a part at
+    infinity floors them at minus its order plus the largest; a variable
+    with no part keeps [-K, K]."""
+    gs = gaussian_generators(build_lops(b1, 4))
+    hp, hm = gs.h(1, 1), gs.h(1, -1)
+    u, v = lop._U, lop._V
 
-    def item(a, b):
-        terms = [(lop.ONE, a, b, "uv"), (lop._MONE, a, b, "vu")]
-        return lop._bivar_zero("[h1+(u), h2+(v)] = 0", K, terms)
+    def window(pref, upart, vpart):
+        terms = [(pref, upart, vpart, "uv"), (-pref, upart, vpart, "vu")]
+        item = lop._bivar_zero("window", K, terms)
+        assert item["status"] == "pass"
+        return item["modes_u"], item["modes_v"]
 
-    items = []
-    for h1 in (gs.h(1, 1), gs.h(1, 1) + bump):
-        items.append(item(h1, h2))
-        assert items[-1] == item(modes(h1), modes(h2))
-    assert items[0]["status"] == "pass"
-    assert items[1]["status"] == "fail" and items[1]["witness"]["u_mode"] == 2
+    assert window(lop.ONE, hp, hp) == ([-K, 4], [-K, 4])
+    assert window(lop.ONE, hm, hm) == ([-4, K], [-4, K])
+    assert window(lop.ONE, hp, hm) == ([-K, 4], [-4, K])
+    # u^2 v: the prefactor shifts the u modes by 2 and the v modes by 1
+    assert window(u * u * v, hp, hm) == ([-K, 6], [-3, K])
+    assert window(u * u * v, hm, hp) == ([-2, K], [-K, 5])
+    assert window(lop.ONE, hp, None) == ([-K, 4], [-K, K])
+    assert window(lop.ONE, None, hm) == ([-K, K], [-4, K])
 
 
 def test_fused_sums_add_no_matrices(monkeypatch):
@@ -412,26 +448,28 @@ def _bivar_zero_reference(name, K, terms, clearing=lop.ONE) -> dict:
     monomials."""
     expanded = []
     alo, ahi, blo, bhi = -K, K, -K, K
-    for pref, upart, vpart, order in terms:
+    for pref, U, V, order in terms:
         poly = (pref * clearing).uv_coeffs()
         keys = [k for k, c in poly.items() if not c.is_zero()]
         if not keys:
             continue
-        U, V = (
-            lop.ModeSeries.from_trunc(p) if isinstance(p, TruncSeries) else p
-            for p in (upart, vpart)
-        )
+        # a series at zero holds the exponents 0..order, one at infinity
+        # -order..0; below or above them it is not known
         if U is not None:
-            alo = max(alo, U.lo + max(k[0] for k in keys))
-            ahi = min(ahi, U.hi + min(k[0] for k in keys))
+            if U.direction == AT_ZERO:
+                ahi = min(ahi, U.order + min(k[0] for k in keys))
+            else:
+                alo = max(alo, -U.order + max(k[0] for k in keys))
         if V is not None:
-            blo = max(blo, V.lo + max(k[1] for k in keys))
-            bhi = min(bhi, V.hi + min(k[1] for k in keys))
+            if V.direction == AT_ZERO:
+                bhi = min(bhi, V.order + min(k[1] for k in keys))
+            else:
+                blo = max(blo, -V.order + max(k[1] for k in keys))
         expanded.append(([(k, poly[k]) for k in keys], U, V, order))
     if alo > ahi or blo > bhi:
         raise LopError(f"{name}: empty determined window")
     parts = [p for _, U, V, _ in expanded for p in (U, V) if p is not None]
-    M = next((x.nrows for p in parts for x in p.table.values()), 0)
+    M = next((x.nrows for p in parts for x in p.coeffs.values()), 0)
     products = {}
 
     def product(t, a, b):
@@ -474,8 +512,8 @@ def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
     """_bivar_zero gives the item of the matrix-product oracle, witnesses
     included, on relations that hold on B1 and D2 and on the same relations
     broken by a bump on the u side, on the v side, inside a "vu" term, in a
-    None-part term under a clearing polynomial, and in an argument-shifted
-    current."""
+    None-part term under a clearing polynomial, and in either Gauss half of
+    an argument-shifted current."""
     u, v, qmq = lop._U, lop._V, lop._QMQ
     duv = u - v
     pre = qmq * v * duv.inverse()
@@ -507,15 +545,27 @@ def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
         cases[tag, "ef"] = (ef(ratio[1]), duv)
         cases[tag, "None bump"] = (ef(bump(ratio[1], 2, 0, 0)), duv)
     # relrbar (c) on D2: the quadratic relation of the currents 1 and 2 with
-    # shifted arguments, and the same with a bumped current mode
+    # shifted arguments, each current its two Gauss halves, and the same
+    # with a bumped mode of the plus or the minus half
     gs = gaussian_generators(build_lops(d2, K))
     si, sj = lop._quad_shifts(d2, 1, 2)
     qe = Scalar.q_pow(d2.Bmat[0][1])
-    Xi = lop.x_current(gs, 1, True).shift_arg(Scalar.q_pow(si))
-    Xj = lop.x_current(gs, 2, True).shift_arg(Scalar.q_pow(sj))
-    Xj_bumped = lop.ModeSeries({**Xj.table, -2: SparseMat.unit(d2.N, 2, 0)}, -K, K)
-    for key, X in (("shifted", Xj), ("shifted bump", Xj_bumped)):
-        terms = [(u - qe * v, Xi, Xj, "uv"), (lop._MONE * (qe * u - v), Xi, X, "vu")]
+
+    def halves(i, shift):
+        c = Scalar.q_pow(shift)
+        return tuple(x.scale_arg(c) for x in lop._current_halves(gs, i, True))
+
+    def bumped(x):
+        return x + TruncSeries(x.direction, K, {2: SparseMat.unit(d2.N, 0, 1)})
+
+    Xi, Xj = halves(1, si), halves(2, sj)
+    for key, X in (
+        ("shifted", Xj),
+        ("shifted bump", (bumped(Xj[0]), Xj[1])),
+        ("shifted minus-half bump", (Xj[0], bumped(Xj[1]))),
+    ):
+        terms = lop._current_terms(u - qe * v, Xi, Xj, "uv")
+        terms += lop._current_terms(lop._MONE * (qe * u - v), Xi, X, "vu")
         cases["D2", key] = (terms, lop.ONE)
     items = {}
     for (tag, key), (terms, clearing) in cases.items():
@@ -528,3 +578,5 @@ def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
         assert items[tag, "v bump"]["witness"]["v_mode"] == -1
         assert items[tag, "vu bump"]["witness"]["u_mode"] == 3
         assert items[tag, "None bump"]["witness"]["u_mode"] == 2
+    assert items["D2", "shifted bump"]["witness"]["v_mode"] == 2
+    assert items["D2", "shifted minus-half bump"]["witness"]["v_mode"] == -2
