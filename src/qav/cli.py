@@ -180,7 +180,7 @@ def run(argv) -> int:
     except ResourceBoundError as exc:
         print(f"error: resource bound exceeded: {exc}", file=sys.stderr)
         return 2
-    except (lop.LopError, ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = {"schema": 1, "reports": [r for r, _ in reports]}

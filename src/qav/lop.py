@@ -211,18 +211,22 @@ class Wiring(NamedTuple):
 
 
 class LOperators:
-    """The pair of evaluated operator matrices together with the convention
-    record and the per-candidate validation trace; `gauss` holds the
-    GaussianSeries of these operators once gaussian_generators built it."""
+    """The two operator matrices of one algebra at one order, the Wiring
+    that read them off Rbar, and their Gauss factors, gp of L+ and gm of L-,
+    with the two items that verify the factors (the reassembly and the
+    quasideterminant cross path), formed with them by _decompose."""
 
-    def __init__(self, alg, K, lp, lm, wiring, candidates):
+    def __init__(self, alg, wiring: Wiring, gp, gm, checks):
         self.alg = alg
-        self.K = K
-        self.lp = lp  # N x N of TruncSeries at zero
-        self.lm = lm  # N x N of TruncSeries at infinity
         self.wiring = wiring
-        self.candidates = candidates
-        self.gauss = None
+        self.lp = gp.L  # N x N of TruncSeries at zero
+        self.lm = gm.L  # N x N of TruncSeries at infinity
+        self.gp = gp
+        self.gm = gm
+        self.checks = checks
+
+    def g(self, sign) -> GaussFactors:
+        return self.gp if sign > 0 else self.gm
 
 
 _LOPS_CACHE = {}  # (type, rank) -> Wiring; (type, rank, K) -> LOperators
@@ -290,7 +294,8 @@ def choose_wiring(alg: AlgebraData) -> Wiring:
 
 
 def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
-    """Both operator matrices at order K, memoised per algebra and order.
+    """Both operator matrices at order K with their Gauss factors, memoised
+    per algebra and order.
 
     L+(u) and L-(u) are q^-1 and q times the two expansions of one rational
     matrix, a reading of Rbar, so the wiring is decided once per algebra by
@@ -311,7 +316,7 @@ def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
     lp, lm = _signed(
         _series_matrix(w.base, alg.N, plus, K), _series_matrix(w.base, alg.N, minus, K)
     )
-    out = _LOPS_CACHE[key] = LOperators(alg, K, lp, lm, w.record, w.candidates)
+    out = _LOPS_CACHE[key] = _decompose(alg, w, lp, lm)
     return out
 
 
@@ -320,52 +325,24 @@ def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
 # ---------------------------------------------------------------------------
 
 
-class GaussianSeries:
-    """Gauss factors of both operator matrices plus convenience accessors;
-    checks holds the two items that verify the factors (the reassembly and
-    the quasideterminant cross path), formed once with them."""
-
-    def __init__(
-        self, lops: LOperators, gp: GaussFactors, gm: GaussFactors, checks: list
-    ):
-        self.lops = lops
-        self.alg = lops.alg
-        self.K = lops.K
-        self.gp = gp
-        self.gm = gm
-        self.checks = checks
-
-    def g(self, sign) -> GaussFactors:
-        return self.gp if sign > 0 else self.gm
-
-    def h(self, i, sign) -> TruncSeries:
-        return self.g(sign).h(i)
-
-    def e(self, i, j, sign) -> TruncSeries:
-        return self.g(sign).e(i, j)
-
-    def f(self, j, i, sign) -> TruncSeries:
-        return self.g(sign).f(j, i)
-
-
-def _reassembly(lops, gp, gm) -> dict:
+def _reassembly(alg, gp, gm) -> dict:
     """The check item of F*H*E = L for both signs."""
     return _coefficient_item(
-        f"Gauss reassembly F H E = L, both signs, {lops.alg}",
+        f"Gauss reassembly F H E = L, both signs, {alg}",
         (
-            ({"sign": sign, "entry": [i + 1, j + 1]}, x - L[i][j])
-            for sign, g, L in (("+", gp, lops.lp), ("-", gm, lops.lm))
+            ({"sign": sign, "entry": [i + 1, j + 1]}, x - g.L[i][j])
+            for sign, g in (("+", gp), ("-", gm))
             for i, row in enumerate(g.product())
             for j, x in enumerate(row)
         ),
     )
 
 
-def _cross_path(lops, gp, gm) -> dict:
+def _cross_path(alg, gp, gm) -> dict:
     """The check item of every h, e and f of both signs against its
     quasideterminant formula, read from L alone (quasidet._cross_check)."""
     return _coefficient_item(
-        f"quasideterminant cross-path agrees with block elimination, {lops.alg}",
+        f"quasideterminant cross-path agrees with block elimination, {alg}",
         (
             ({"sign": sign, **labels}, d)
             for sign, g in (("+", gp), ("-", gm))
@@ -387,25 +364,22 @@ def _unit(L) -> TruncSeries:
     return TruncSeries.constant(SparseMat.identity(_rep_size(L)), x.direction, x.order)
 
 
-def _gauss_series(lops: LOperators) -> GaussianSeries:
-    """Gauss-decompose both operator matrices and verify the factors once;
-    memoised on lops, whether or not the factors pass."""
-    if lops.gauss is None:
-        gp = gauss_decompose(lops.lp, _unit(lops.lp))
-        gm = gauss_decompose(lops.lm, _unit(lops.lm))
-        checks = [_reassembly(lops, gp, gm), _cross_path(lops, gp, gm)]
-        lops.gauss = GaussianSeries(lops, gp, gm, checks)
-    return lops.gauss
+def _decompose(alg, wiring: Wiring, lp, lm) -> LOperators:
+    """The LOperators of lp and lm: their Gauss factors and the two items
+    that verify them are formed first, whether or not the factors pass."""
+    gp = gauss_decompose(lp, _unit(lp))
+    gm = gauss_decompose(lm, _unit(lm))
+    checks = [_reassembly(alg, gp, gm), _cross_path(alg, gp, gm)]
+    return LOperators(alg, wiring, gp, gm, checks)
 
 
-def gaussian_generators(lops: LOperators) -> GaussianSeries:
-    """The memoised Gauss factors of lops; raises LopError unless the
-    reassembly and the quasideterminant cross path pass."""
-    gs = _gauss_series(lops)
-    for item in gs.checks:
+def gaussian_generators(lops: LOperators) -> LOperators:
+    """lops, once its Gauss factors pass the reassembly and the
+    quasideterminant cross path; raises LopError otherwise."""
+    for item in lops.checks:
         if item["status"] == "fail":
             raise LopError(f"Gauss factors fail {item['name']!r} at {item['witness']}")
-    return gs
+    return lops
 
 
 def check_gauss(alg: AlgebraData, K: int = 10) -> list:
@@ -414,14 +388,13 @@ def check_gauss(alg: AlgebraData, K: int = 10) -> list:
     F*H*E = L for both signs and the quasideterminant cross path, and a
     probe: perturbing one coefficient of F must break the reassembly."""
     lops = build_lops(alg, K)
-    gs = _gauss_series(lops)
-    g = gs.gp
+    g = lops.gp
     N, M = len(g.L), _rep_size(g.L)
     F2 = [row[:] for row in g.F]
     F2[N - 1][0] += TruncSeries(AT_ZERO, K, {1: SparseMat.unit(M, M - 1, 0)})
-    probe = _reassembly(lops, GaussFactors(g.L, F2, g.H, g.E, g.one), gs.gm)
+    probe = _reassembly(alg, GaussFactors(g.L, F2, g.H, g.E, g.one), lops.gm)
     return [
-        *gs.checks,
+        *lops.checks,
         check(
             f"single-entry perturbation of F breaks reassembly, {alg}",
             probe["status"] == "fail",
@@ -569,21 +542,22 @@ def _bivar_zero(name, K, terms, clearing=ONE) -> dict:
 
 
 class GenSource:
-    """Access to Gaussian generator series by local index, optionally offset
-    into the trailing blocks of a larger decomposition (the reduction map)."""
+    """The Gaussian generator series of either sign by local index,
+    optionally offset into the trailing blocks of a larger decomposition
+    (the reduction map)."""
 
-    def __init__(self, gs: GaussianSeries, offset: int = 0):
-        self.gs = gs
+    def __init__(self, lops: LOperators, offset: int = 0):
+        self.lops = lops
         self.off = offset
 
     def h(self, i, sign) -> TruncSeries:
-        return self.gs.h(i + self.off, sign)
+        return self.lops.g(sign).h(i + self.off)
 
     def e(self, i, j, sign) -> TruncSeries:
-        return self.gs.e(i + self.off, j + self.off, sign)
+        return self.lops.g(sign).e(i + self.off, j + self.off)
 
     def f(self, j, i, sign) -> TruncSeries:
-        return self.gs.f(j + self.off, i + self.off, sign)
+        return self.lops.g(sign).f(j + self.off, i + self.off)
 
 
 _SIGNS = (1, -1)
@@ -1016,8 +990,7 @@ def check_lowrank(alg: AlgebraData, K: int = 10) -> list:
         raise LopError("the low-rank battery is defined for B rank 1 and D rank 2")
     if K < 4:
         raise LopError("low-rank battery needs K >= 4")
-    gs = gaussian_generators(build_lops(alg, K))
-    src = GenSource(gs)
+    src = GenSource(gaussian_generators(build_lops(alg, K)))
     if alg.type == "B":
         return _battery_rank1_b(src, K, str(alg))
     return _battery_rank2_d(src, K, str(alg))
@@ -1036,19 +1009,19 @@ def _current_indices(alg: AlgebraData, i: int):
     return i, i + 1
 
 
-def _current_halves(gs: GaussianSeries, i: int, plus: bool):
+def _current_halves(lops: LOperators, i: int, plus: bool):
     """The two Gauss series of the current X_i^+ (e_ab) or X_i^- (f_ba) of
     node i: (plus series, minus series), whose difference is the current."""
-    a, b = _current_indices(gs.alg, i)
+    a, b = _current_indices(lops.alg, i)
     if plus:
-        return gs.e(a, b, 1), gs.e(a, b, -1)
-    return gs.f(b, a, 1), gs.f(b, a, -1)
+        return lops.gp.e(a, b), lops.gm.e(a, b)
+    return lops.gp.f(b, a), lops.gm.f(b, a)
 
 
-def x_current(gs: GaussianSeries, i: int, plus: bool) -> dict:
+def x_current(lops: LOperators, i: int, plus: bool) -> dict:
     """The mode table of the two-tailed current: mode -> nonzero matrix
     coefficient of the plus series minus the minus series."""
-    tp, tm = _current_halves(gs, i, plus)
+    tp, tm = _current_halves(lops, i, plus)
     table = dict(_modes(tp))
     for m, d in _modes(tm):
         table[m] = -d if m not in table else table[m] - d
@@ -1112,20 +1085,20 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
     mixed-current delta relation modewise, and the Serre relations modewise."""
     if not (K >= W >= 2):
         raise LopError("need K >= W >= 2")
-    gs = gaussian_generators(build_lops(alg, K))
+    lops = gaussian_generators(build_lops(alg, K))
     n = alg.n
-    src = GenSource(gs)
+    src = GenSource(lops)
     # (a) diagonal-series commutation, all pairs, all sign combinations
     pairs = [(i, j) for i in range(1, n + 2) for j in range(i, n + 2)]
     out = _hh_commutation(src, K, "(a) ", pairs)
     # (b) diagonal-series / current exchange; (b) and (c) read each current
     # as its two Gauss series, (d) and (e) its mode table
     halves = {
-        (j, plus): _current_halves(gs, j, plus)
+        (j, plus): _current_halves(lops, j, plus)
         for j in range(1, n + 1)
         for plus in (True, False)
     }
-    currents = {key: x_current(gs, *key) for key in halves}
+    currents = {key: x_current(lops, *key) for key in halves}
     for i in range(1, n + 2):
         for j in range(1, n + 1):
             plus_pre, minus_pre, clearing = _hx_prefactors(alg, i, j)
@@ -1166,7 +1139,7 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
     # (d) mixed-current commutator against the diagonal ratios, modewise on
     # the bi-modes whose total alpha + beta the truncated ratios determine
     qmq = _QMQ
-    M = _rep_size(gs.lops.lp)
+    M = _rep_size(lops.lp)
     for i in range(1, n + 1):
         a, b = _current_indices(alg, i)
         hp = src.h(a, 1).inverse() * src.h(b, 1)
@@ -1239,7 +1212,7 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_transpose_product(mat_series, bars, xi_shift: Scalar, K: int):
+def _weighted_transpose_product(mat_series, bars, xi_shift: Scalar):
     """M(u) * D * M(u*shift)^t * D^-1 for a square matrix of series, with the
     weighted antidiagonal transpose and D = diag(q^bar)."""
     Nr = len(mat_series)
@@ -1306,18 +1279,17 @@ def z_series(alg: AlgebraData, K: int = 10):
     with the diagonal-series product formula."""
     if K < 2:
         raise LopError("need K >= 2")
-    lops = build_lops(alg, K)
-    gs = gaussian_generators(lops)
+    lops = gaussian_generators(build_lops(alg, K))
     n = alg.n
     checks = []
     results = {}
     for sign, L in ((1, lops.lp), (-1, lops.lm)):
         tag = f"{alg} z{_sig(sign)}"
-        prod = _weighted_transpose_product(L, alg.bars, alg.xi, K)
+        prod = _weighted_transpose_product(L, alg.bars, alg.xi)
         zser, sc = _extract_scalar_series(tag, prod)
         checks.extend(sc)
         # diagonal-series product formula
-        g = gs.g(sign)
+        g = lops.g(sign)
         top = n if alg.type == "B" else n - 1
         acc = g.one
         for i in range(1, top + 1):
@@ -1374,11 +1346,11 @@ def check_eiprei(alg: AlgebraData, K: int = 10) -> list:
     series to the argument-shifted unprimed ones, for 1 <= i <= n-1."""
     if alg.n < 2:
         raise LopError("mirror identities need rank at least 2")
-    gs = gaussian_generators(build_lops(alg, K))
+    lops = gaussian_generators(build_lops(alg, K))
     N = alg.N
     out = []
     for s in _SIGNS:
-        g = gs.g(s)
+        g = lops.g(s)
         for i in range(1, alg.n):
             de, df = _mirror_differences(alg, g, i, ONE, ONE)
             out.append(
@@ -1411,20 +1383,21 @@ def check_psi_consistency(alg: AlgebraData, m: int, K: int = 10) -> list:
     through the reduced generators."""
     if not (1 <= m <= alg.n - 1):
         raise LopError("need 1 <= m <= n - 1")
-    lops = build_lops(alg, K)
-    gs = gaussian_generators(lops)
+    lops = gaussian_generators(build_lops(alg, K))
     N = alg.N
     out = []
     block = range(m + 1, N - m + 1)  # the central block, 1-based
     # the images psi_m(l_ij), i, j in the block: the Schur complement of the
     # leading m x m block of L, one inverse per sign; both loops reuse them
     idx = range(m, N - m)
-    images = {s: schur_complement(gs.g(s).L, m, idx, idx, gs.g(s).one) for s in _SIGNS}
+    images = {
+        s: schur_complement(lops.g(s).L, m, idx, idx, lops.g(s).one) for s in _SIGNS
+    }
     for s in _SIGNS:
         witness = next(
             (
                 {"row": i, "col": j}
-                for i, xs, ys in zip(block, images[s], gs.g(s).product(m))
+                for i, xs, ys in zip(block, images[s], lops.g(s).product(m))
                 for j, x, y in zip(block, xs, ys)
                 if not (x - y).is_zero()
             ),
@@ -1466,7 +1439,7 @@ def check_psi_consistency(alg: AlgebraData, m: int, K: int = 10) -> list:
         )
     # cross-check against the low-rank battery through the reduced generators
     red_rank = alg.n - m
-    src = GenSource(gs, offset=m)
+    src = GenSource(lops, offset=m)
     if alg.type == "B" and red_rank == 1:
         out.extend(_battery_rank1_b(src, K, f"{alg} reduced m={m}"))
     elif alg.type == "D" and red_rank == 2:
@@ -1522,15 +1495,12 @@ def _geom_target(alg: AlgebraData, i: int, kind: str, sign: int, K: int, dvals):
     return _matrix_series(entries, m0.nrows, direction, K)
 
 
-def _reduced_central_series(gs: GaussianSeries, m: int, sign: int):
+def _reduced_central_series(lops: LOperators, m: int, sign: int):
     """The central series of the rank-m reduction, computed from the central
     block product of the Gauss factors that psi_(n-m) maps L onto."""
-    alg = gs.alg
+    alg = lops.alg
     prod = _weighted_transpose_product(
-        gs.g(sign).product(alg.n - m),
-        bars_of(alg.type, m),
-        xi_of(alg.type, m),
-        gs.K,
+        lops.g(sign).product(alg.n - m), bars_of(alg.type, m), xi_of(alg.type, m)
     )
     return _extract_aux_scalar(
         f"{alg} reduced rank {m} central series ({_sig(sign)})", prod
@@ -1546,8 +1516,7 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
     fixed by the reduced central series."""
     if K < 4:
         raise LopError("need K >= 4")
-    lops = build_lops(alg, K)
-    gs = gaussian_generators(lops)
+    lops = gaussian_generators(build_lops(alg, K))
     N, n = alg.N, alg.n
     dvals = gauge_dvals(alg)
     out = []
@@ -1556,7 +1525,7 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
         return dvals[i - 1]
 
     for s in _SIGNS:
-        g = gs.g(s)
+        g = lops.g(s)
         # near-diagonal entries against the geometric closed forms
         for i in range(1, n + 1):
             erow, ecol = _current_indices(alg, i)
@@ -1624,7 +1593,7 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
         for m in range(1, n + 1):
             pos = (n + 1 + m) if alg.type == "B" else (n + m)
             i0 = n + 1 - m
-            zred, sc = _reduced_central_series(gs, m, s)
+            zred, sc = _reduced_central_series(lops, m, s)
             out.extend(sc)
             lhs = g.h(i0).scale_arg(xi_of(alg.type, m))
             rhs = g.h(pos).inverse() * zred

@@ -281,14 +281,14 @@ def series_exp(g: TruncSeries, one=ONE) -> TruncSeries:
     return out
 
 
-def solve_sqrt_scaled(r: TruncSeries, xi: Scalar, order=None) -> TruncSeries:
+def solve_sqrt_scaled(r: TruncSeries, xi: Scalar) -> TruncSeries:
     """Solve f(u) f(u xi) = r(u) for f with f(0) = 1.
 
     Coefficientwise: f_k (1 + xi^k) = r_k - sum_{a+b=k, 0<a,b<k} f_a f_b xi^b.
     """
     if r.direction != AT_ZERO:
         raise SeriesError("solve_sqrt_scaled expects a series at zero")
-    K = r.order if order is None else min(order, r.order)
+    K = r.order
     r0 = r.coeffs.get(0)
     if r0 is None or not r0.is_one():
         raise SeriesError("solve_sqrt_scaled: r(0) must be 1")
@@ -327,7 +327,7 @@ def f_series(alg, order: int) -> TruncSeries:
             * (ONE - u * alg.xi.inverse())
         )
         r = expand_scalar(prod.inverse(), AT_ZERO, order)
-        f = alg.fu_by_order[order] = solve_sqrt_scaled(r, alg.xi, order)
+        f = alg.fu_by_order[order] = solve_sqrt_scaled(r, alg.xi)
     return f
 
 
@@ -410,7 +410,6 @@ def verify_fu_product(alg, order: int) -> dict:
     R = 0
     while (order - 1) * top(0) + top(R + 1) >= -order:
         R += 1
-    nfactors = 8 * (R + 1)
     product_side = fu_product(alg, R, order)
     solver_side = f_series(alg, order)
 
@@ -444,9 +443,4 @@ def verify_fu_product(alg, order: int) -> dict:
             None,
         )
         checks.append(check(f"f_{k} q-adic match", witness is None, witness))
-    return {
-        "product_depth": R,
-        "factor_count": nfactors,
-        "qadic_direction": "expansion in powers of 1/q (|q| large)",
-        "checks": checks,
-    }
+    return {"product_depth": R, "checks": checks}

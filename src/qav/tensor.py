@@ -12,18 +12,12 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .quasidet import SingularPivotError, ring_inverse
+from .quasidet import ring_inverse
 from .scalars import Scalar, ONE, ZERO
 
 
 class MatrixError(ArithmeticError):
     pass
-
-
-class SingularMatrixError(MatrixError):
-    def __init__(self, col):
-        super().__init__(f"singular matrix: no usable pivot for column {col}")
-        self.col = col
 
 
 def _entry_is_zero(x) -> bool:
@@ -237,15 +231,12 @@ class SparseMat:
     def inverse(self, one=ONE) -> "SparseMat":
         """Exact inverse by quasidet.ring_inverse, so it works over the
         Scalar field and over rings where invertibility can fail (series
-        rings); raises SingularMatrixError when no pivot works."""
+        rings); raises quasidet.SingularPivotError when no pivot works."""
         if self.nrows != self.ncols:
             raise MatrixError("inverse of a non-square matrix")
         n = self.nrows
         dense = [[self.rows.get(i, {}).get(j) for j in range(n)] for i in range(n)]
-        try:
-            inv = ring_inverse(dense, one)
-        except SingularPivotError as exc:
-            raise SingularMatrixError(exc.col) from None
+        inv = ring_inverse(dense, one)
         return SparseMat(n, n, {i: dict(enumerate(row)) for i, row in enumerate(inv)})
 
     def __str__(self):

@@ -8,7 +8,6 @@ import pytest
 from qav import cli, lop, quasidet, rmatrix, vecrep
 from qav.liedata import AlgebraData
 from qav.lop import (
-    LOperators,
     LopError,
     build_lops,
     check_eiprei,
@@ -47,10 +46,10 @@ def d3():
 
 def test_build_lops_selects_unique_wiring(b1):
     lops = build_lops(b1, K)
-    assert lops.wiring["base"] == "swapped"
-    assert lops.wiring["plus_expansion"] == AT_ZERO
+    assert lops.wiring.record["base"] == "swapped"
+    assert lops.wiring.record["plus_expansion"] == AT_ZERO
     # exactly one candidate survived the full invariant cascade
-    assert sum(1 for c in lops.candidates if c["exchange"]) == 1
+    assert sum(1 for c in lops.wiring.candidates if c["exchange"]) == 1
 
 
 def test_check_all_decides_the_wiring_once(monkeypatch, capsys):
@@ -116,11 +115,14 @@ def test_check_gauss(b1):
 
 
 def test_gaussian_generators_accessors(d2):
-    gs = gaussian_generators(build_lops(d2, K))
+    lops = build_lops(d2, K)
+    assert gaussian_generators(lops) is lops
+    src = lop.GenSource(lops)
     # h-series have invertible constant terms (diagonal matrices)
     for i in range(1, d2.N + 1):
         for sign in (1, -1):
-            h0 = gs.h(i, sign).get(0)
+            assert src.h(i, sign) is lops.g(sign).h(i)
+            h0 = src.h(i, sign).get(0)
             assert h0 is not None
             h0.inverse()  # must not raise
 
@@ -134,13 +136,11 @@ def test_gaussian_generators_decomposes_the_given_operators(b1):
     lp[N - 1][0] = lp[N - 1][0] + TruncSeries(
         AT_ZERO, 4, {2: SparseMat.unit(N, 0, N - 1)}
     )
-    bad = LOperators(b1, 4, lp, good.lm, good.wiring, good.candidates)
-    gs_good = gaussian_generators(good)
-    gs_bad = gaussian_generators(bad)
-    assert gs_bad is not gs_good
-    assert gs_bad.lops is bad and gs_good.lops is good
-    assert gaussian_generators(bad) is gs_bad
-    prod = gs_bad.gp.product()
+    bad = lop._decompose(b1, good.wiring, lp, good.lm)
+    assert bad.gp is not good.gp
+    assert bad.lp is lp and good.lp is not lp
+    assert gaussian_generators(bad) is bad and gaussian_generators(good) is good
+    prod = bad.gp.product()
     assert (prod[N - 1][0] - lp[N - 1][0]).is_zero()
     assert not (prod[N - 1][0] - good.lp[N - 1][0]).is_zero()
 
@@ -186,12 +186,13 @@ def test_gaussian_generators_raises_when_the_cross_path_fails(monkeypatch, capsy
 
 
 def test_check_all_verifies_the_gauss_factors_once(monkeypatch, capsys):
-    """`check all` on D2 forms the reassembly and the cross path of the
-    factors once, with the factors: the cross path runs once per sign, and
-    the reassembly once more only for the perturbation probe of `gauss`."""
+    """`check all` on D2 decomposes L once per sign and forms the
+    reassembly and the cross path of the factors once, with the factors:
+    the cross path runs once per sign, and the reassembly once more only
+    for the perturbation probe of `gauss`."""
     monkeypatch.setattr(rmatrix, "_CATALOGS", {})
     monkeypatch.setattr(lop, "_LOPS_CACHE", {})
-    calls = {"_cross_check": 0, "_reassembly": 0}
+    calls = {"gauss_decompose": 0, "_cross_check": 0, "_reassembly": 0}
 
     def count(name):
         real = getattr(lop, name)
@@ -202,12 +203,13 @@ def test_check_all_verifies_the_gauss_factors_once(monkeypatch, capsys):
 
         monkeypatch.setattr(lop, name, counted)
 
+    count("gauss_decompose")
     count("_cross_check")
     count("_reassembly")
     args = ["check", "all", "--type", "D", "--rank", "2", "--format", "json"]
     assert cli.run(args) == 0
     capsys.readouterr()
-    assert calls == {"_cross_check": 2, "_reassembly": 2}
+    assert calls == {"gauss_decompose": 2, "_cross_check": 2, "_reassembly": 2}
 
 
 def test_psi_inverts_each_leading_block_once(monkeypatch, d3):
@@ -307,8 +309,8 @@ def test_bivar_zero_window_follows_the_part_directions(b1):
     smallest exponent of that variable in the cleared prefactor; a part at
     infinity floors them at minus its order plus the largest; a variable
     with no part keeps [-K, K]."""
-    gs = gaussian_generators(build_lops(b1, 4))
-    hp, hm = gs.h(1, 1), gs.h(1, -1)
+    lops = gaussian_generators(build_lops(b1, 4))
+    hp, hm = lops.gp.h(1), lops.gm.h(1)
     u, v = lop._U, lop._V
 
     def window(pref, upart, vpart):
@@ -404,9 +406,7 @@ def test_lowrank_battery_reads_the_representation_size_from_l(b1):
 
         return [[entry(x) for x in row] for row in L]
 
-    lops2 = LOperators(
-        b1, 4, tensored(lops.lp), tensored(lops.lm), lops.wiring, lops.candidates
-    )
+    lops2 = lop._decompose(b1, lops.wiring, tensored(lops.lp), tensored(lops.lm))
     got = lop._battery_rank1_b(lop.GenSource(gaussian_generators(lops2)), 4, "B1")
     want = lop._battery_rank1_b(lop.GenSource(gaussian_generators(lops)), 4, "B1")
     assert len(want) == 40 and all_pass(want), failures(want)

@@ -335,7 +335,7 @@ def test_f_series_is_built_once_per_algebra_and_order(monkeypatch):
     real = series.solve_sqrt_scaled
 
     def counted(*args, **kwargs):
-        calls.append(args[2] if len(args) > 2 else kwargs.get("order"))
+        calls.append(args[0].order)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(series, "solve_sqrt_scaled", counted)
