@@ -67,7 +67,7 @@ _TABLE = {
         lambda alg, K, W: lop.check_lowrank(alg, K),
         needs_lops=True,
         skip=(
-            lambda alg: (alg.type, alg.n) not in (("B", 1), ("D", 2)),
+            lambda alg: (alg.type, alg.n) not in lop.BATTERIES,
             "low-rank battery",
             "defined for type B rank 1 and type D rank 2 only",
         ),

@@ -416,9 +416,10 @@ def _modes(part):
     return [(m * sign, c) for m, c in part.coeffs.items()]
 
 
-def _bivar_zero(name, K, terms, clearing=ONE) -> dict:
+def _bivar_zero(name, terms, clearing=ONE) -> dict:
     """Check that a sum of bivariate terms vanishes on every determined
-    bi-mode (alpha, beta) with |alpha|, |beta| <= K.
+    bi-mode (alpha, beta) with |alpha|, |beta| <= K, K the least order of
+    the parts.
 
     Each term is (prefactor, u_part, v_part, order): the prefactor is a
     rational scalar in u, v; clearing is a polynomial multiple of all the
@@ -427,10 +428,10 @@ def _bivar_zero(name, K, terms, clearing=ONE) -> dict:
     "vu" the other way.  A part is a TruncSeries, read on its signed
     exponents, or None, the identity at mode zero; at most one part of a
     term is None.  A current is two terms, one per Gauss half.  A part at
-    zero determines its variable's modes up to its order plus the smallest
-    exponent of that variable in the cleared prefactor; a part at infinity
-    down to minus its order plus the largest.  The matrix size is read
-    from the parts' coefficients.
+    zero determines its variable's modes up to K at least; a part at
+    infinity down to minus its order plus the largest exponent of that
+    variable in the cleared prefactor.  K and the matrix size are read from
+    the parts.
 
     One pass over the terms collects, for every (alpha, beta, row, col)
     inside the window, the scalar pairs whose products sum to that entry:
@@ -440,6 +441,7 @@ def _bivar_zero(name, K, terms, clearing=ONE) -> dict:
     no matrix product is formed, and a bi-mode that no term reaches costs
     one dict lookup.
     """
+    K = min(p.order for _, U, V, _ in terms for p in (U, V) if p is not None)
     expanded = []
     lo, hi = [-K, -K], [K, K]  # per variable, u then v
     for pref, upart, vpart, order in terms:
@@ -447,12 +449,9 @@ def _bivar_zero(name, K, terms, clearing=ONE) -> dict:
         keys = [k for k, c in poly.items() if not c.is_zero()]
         if not keys:
             continue
+        # no cap at zero: its order is >= K, the cleared prefactor a polynomial
         for var, part in enumerate((upart, vpart)):
-            if part is None:
-                continue
-            if part.direction == AT_ZERO:
-                hi[var] = min(hi[var], part.order + min(k[var] for k in keys))
-            else:
+            if part is not None and part.direction == AT_INFINITY:
                 lo[var] = max(lo[var], max(k[var] for k in keys) - part.order)
         coeffs = [(k, poly[k]) for k in keys]
         expanded.append((coeffs, _modes(upart), _modes(vpart), order))
@@ -578,12 +577,11 @@ def _commutator(x, y):
     return [(ONE, x, y, "uv"), (_MONE, x, y, "vu")]
 
 
-def _hh_commutation(src: GenSource, K: int, prefix: str, index_pairs) -> list:
+def _hh_commutation(src: GenSource, prefix: str, index_pairs) -> list:
     """[h_i(u), h_j(v)] = 0 for each (i, j) of index_pairs and sign pair."""
     return [
         _bivar_zero(
             f"{prefix}[h{i}{_sig(s)}(u), h{j}{_sig(t)}(v)] = 0",
-            K,
             _commutator(src.h(i, s), src.h(j, t)),
         )
         for i, j in index_pairs
@@ -600,7 +598,7 @@ def _h1_products(src: GenSource, a: int, b: int) -> dict:
     }
 
 
-def _h1_exchanges(src: GenSource, K: int, prefix: str, a: int, b: int, s, t, prods):
+def _h1_exchanges(src: GenSource, prefix: str, a: int, b: int, s, t, prods):
     """The exchanges of h1(u) with e_ab(v) and of f_ba(v) with h1(u), for
     the root column (a, b) of a low-rank battery; prods is its
     _h1_products."""
@@ -612,7 +610,6 @@ def _h1_exchanges(src: GenSource, K: int, prefix: str, a: int, b: int, s, t, pro
     return [
         _bivar_zero(
             f"{prefix}h1{_sig(s)}(u) e{a}{b}{_sig(t)}(v) exchange",
-            K,
             [
                 (ONE, h1s, e, "uv"),
                 (pre, h1s, e, "vu"),
@@ -622,7 +619,6 @@ def _h1_exchanges(src: GenSource, K: int, prefix: str, a: int, b: int, s, t, pro
         ),
         _bivar_zero(
             f"{prefix}f{b}{a}{_sig(t)}(v) h1{_sig(s)}(u) exchange",
-            K,
             [
                 (ONE, h1s, f, "vu"),
                 (pre, h1s, f, "uv"),
@@ -638,9 +634,7 @@ def _h_ratio(src: GenSource, hidx: int) -> dict:
     return {s: src.h(hidx, s) * src.h(1, s).inverse() for s in _SIGNS}
 
 
-def _ef_commutator(
-    src: GenSource, K: int, prefix: str, a: int, b: int, hidx, s, t, ratio
-):
+def _ef_commutator(src: GenSource, prefix: str, a: int, b: int, hidx, s, t, ratio):
     """[e_ab(u), f_ba(v)] against the ratio h_hidx h1^-1 of the diagonal
     series, for the root column (a, b) of a low-rank battery; ratio is the
     _h_ratio of hidx."""
@@ -650,7 +644,6 @@ def _ef_commutator(
     pre = _QMQ * _V * duv.inverse()
     return _bivar_zero(
         f"{prefix}[e{a}{b}{_sig(s)}(u), f{b}{a}{_sig(t)}(v)] vs h-ratio",
-        K,
         _commutator(e, f)
         + [(_MONE * pre, None, ratio_v, "uv"), (pre, ratio_u, None, "uv")],
         duv,
@@ -662,24 +655,24 @@ def _ef_commutator(
 # ---------------------------------------------------------------------------
 
 
-def _battery_rank1_b(src: GenSource, K: int, tag: str) -> list:
+def _battery_rank1_b(src: GenSource, tag: str) -> list:
     """The full rank-one type-B relation battery on a generator source."""
     u, v, q, qi = _U, _V, _Q, _QI
     qmq = _QMQ
     qh = Scalar.q_pow(Fraction(1, 2))
     qhi = Scalar.q_pow(Fraction(-1, 2))
     prefix = f"{tag}: "
-    out = _hh_commutation(src, K, prefix, ((1, 1), (1, 2), (2, 2)))
+    out = _hh_commutation(src, prefix, ((1, 1), (1, 2), (2, 2)))
 
     def bv(name, terms, clearing=ONE):
-        out.append(_bivar_zero(prefix + name, K, terms, clearing))
+        out.append(_bivar_zero(prefix + name, terms, clearing))
 
     prods = _h1_products(src, 1, 2)
     for s, t in _PAIRS:
-        out += _h1_exchanges(src, K, prefix, 1, 2, s, t, prods)
+        out += _h1_exchanges(src, prefix, 1, 2, s, t, prods)
     # e-f commutator against the h-ratio
     ratio = _h_ratio(src, 2)
-    out += [_ef_commutator(src, K, prefix, 1, 2, 2, s, t, ratio) for s, t in _PAIRS]
+    out += [_ef_commutator(src, prefix, 1, 2, 2, s, t, ratio) for s, t in _PAIRS]
     # quadratic e-e / f-f with the next-root correction terms
     dq = (qi * u - v) * (qi * u - q * v) * (u - qi * qi * v)
     A = (u - qi * v) * (qi * u - v).inverse()
@@ -811,16 +804,16 @@ def _battery_rank1_b(src: GenSource, K: int, tag: str) -> list:
     return out
 
 
-def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
+def _battery_rank2_d(src: GenSource, tag: str) -> list:
     """The full rank-two type-D relation battery on a generator source."""
     u, v, q, qi = _U, _V, _Q, _QI
     qmq = _QMQ
     prefix = f"{tag}: "
     pairs = ((1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3))
-    out = _hh_commutation(src, K, prefix, pairs)
+    out = _hh_commutation(src, prefix, pairs)
 
     def bv(name, terms, clearing=ONE):
-        out.append(_bivar_zero(prefix + name, K, terms, clearing))
+        out.append(_bivar_zero(prefix + name, terms, clearing))
 
     def gen(name, s):  # "e12" -> e12 of sign s
         return (src.e if name[0] == "e" else src.f)(int(name[1]), int(name[2]), s)
@@ -854,7 +847,7 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
             for t in _SIGNS
         }
         for s, t in _PAIRS:
-            out += _h1_exchanges(src, K, prefix, ei, ej, s, t, prods)
+            out += _h1_exchanges(src, prefix, ei, ej, s, t, prods)
             # exchange with the matching diagonal series
             ecs = src.e(ei, ej, s)
             hct = src.h(hidx, t)
@@ -910,8 +903,7 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
         # e-f commutator against the h-ratio
         ratio = _h_ratio(src, hidx)
         out += [
-            _ef_commutator(src, K, prefix, ei, ej, hidx, s, t, ratio)
-            for s, t in _PAIRS
+            _ef_commutator(src, prefix, ei, ej, hidx, s, t, ratio) for s, t in _PAIRS
         ]
     # vanishing inner entries
     zero_items("{} = 0", (("e23",), ("f32",)))
@@ -983,17 +975,19 @@ def _battery_rank2_d(src: GenSource, K: int, tag: str) -> list:
     return out
 
 
+# (type, rank) -> the hand-written relation battery of that algebra
+BATTERIES = {("B", 1): _battery_rank1_b, ("D", 2): _battery_rank2_d}
+
+
 def check_lowrank(alg: AlgebraData, K: int = 10) -> list:
     """The complete low-rank relation batteries (rank-one type B on o_3 and
     rank-two type D on o_4)."""
-    if not ((alg.type == "B" and alg.n == 1) or (alg.type == "D" and alg.n == 2)):
+    battery = BATTERIES.get((alg.type, alg.n))
+    if battery is None:
         raise LopError("the low-rank battery is defined for B rank 1 and D rank 2")
     if K < 4:
         raise LopError("low-rank battery needs K >= 4")
-    src = GenSource(gaussian_generators(build_lops(alg, K)))
-    if alg.type == "B":
-        return _battery_rank1_b(src, K, str(alg))
-    return _battery_rank2_d(src, K, str(alg))
+    return battery(GenSource(gaussian_generators(build_lops(alg, K))), str(alg))
 
 
 # ---------------------------------------------------------------------------
@@ -1090,7 +1084,7 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
     src = GenSource(lops)
     # (a) diagonal-series commutation, all pairs, all sign combinations
     pairs = [(i, j) for i in range(1, n + 2) for j in range(i, n + 2)]
-    out = _hh_commutation(src, K, "(a) ", pairs)
+    out = _hh_commutation(src, "(a) ", pairs)
     # (b) diagonal-series / current exchange; (b) and (c) read each current
     # as its two Gauss series, (d) and (e) its mode table
     halves = {
@@ -1111,7 +1105,6 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
                     out.append(
                         _bivar_zero(
                             f"(b) h{i}{_sig(s)}(u) X{j}{lbl}(v) exchange",
-                            K,
                             _current_terms(ONE, hi, X, "uv")
                             + _current_terms(_MONE * pre, hi, X, "vu"),
                             clearing=clearing,
@@ -1131,7 +1124,6 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
                 out.append(
                     _bivar_zero(
                         f"(c) quadratic X{i}{lbl}-X{j}{lbl}",
-                        K,
                         _current_terms(_U - qe * _V, Xi, Xj, "uv")
                         + _current_terms(_MONE * (qe * _U - _V), Xi, Xj, "vu"),
                     )
@@ -1212,24 +1204,22 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_transpose_product(mat_series, bars, xi_shift: Scalar):
-    """M(u) * D * M(u*shift)^t * D^-1 for a square matrix of series, with the
-    weighted antidiagonal transpose and D = diag(q^bar)."""
-    Nr = len(mat_series)
+def _central_series(name, L, type_: str, rank: int):
+    """L(u) D L(u xi)^t D^-1 for a square matrix L of series of the algebra
+    of this type and rank, with the weighted antidiagonal transpose,
+    D = diag(q^bar) and bar and xi of that rank.  Returns its diagonal
+    series and the items that it is a scalar multiple of the identity in
+    the auxiliary slot."""
+    bars, xi = bars_of(type_, rank), xi_of(type_, rank)
+    Nr = len(L)
     right = []
     for i in range(Nr):
         row = []
         for j in range(Nr):
-            entry = mat_series[Nr - 1 - j][Nr - 1 - i].scale_arg(xi_shift)
+            entry = L[Nr - 1 - j][Nr - 1 - i].scale_arg(xi)
             row.append(entry.scale(Scalar.q_pow(bars[j] - bars[i])))
         right.append(row)
-    return mat_mul(mat_series, right)
-
-
-def _extract_aux_scalar(name, prod):
-    """Assert that a matrix of series is a scalar multiple of the identity in
-    the auxiliary slot; return (diagonal_series, checks)."""
-    Nr = len(prod)
+    prod = mat_mul(L, right)
     witness = next(
         (
             {"row": i, "col": j}
@@ -1247,10 +1237,9 @@ def _extract_aux_scalar(name, prod):
     ]
 
 
-def _extract_scalar_series(name, prod):
-    """Assert that a matrix of matrix-coefficient series is a scalar multiple
-    of the identity in both slots; return (scalar_series, checks)."""
-    diag, checks = _extract_aux_scalar(name, prod)
+def _scalar_series(name, diag):
+    """The scalar series of diag, a series with matrix coefficients, and the
+    item that each coefficient is a scalar multiple of the identity."""
     bad = next(
         (
             m
@@ -1260,17 +1249,15 @@ def _extract_scalar_series(name, prod):
         None,
     )
     witness = None if bad is None else {"exponent": bad * diag.sign}
-    checks.append(
-        check(
-            f"{name}: coefficients are scalar multiples of the identity",
-            bad is None,
-            witness,
-        )
+    item = check(
+        f"{name}: coefficients are scalar multiples of the identity",
+        bad is None,
+        witness,
     )
     # the scalar series stops before the first coefficient that is not scalar
     scalar = itertools.takewhile(lambda m: m != bad, diag.coeffs)
     coeffs = {m: diag.coeffs[m].get(0, 0) for m in scalar}
-    return TruncSeries(diag.direction, diag.order, coeffs), checks
+    return TruncSeries(diag.direction, diag.order, coeffs), item
 
 
 def z_series(alg: AlgebraData, K: int = 10):
@@ -1285,9 +1272,9 @@ def z_series(alg: AlgebraData, K: int = 10):
     results = {}
     for sign, L in ((1, lops.lp), (-1, lops.lm)):
         tag = f"{alg} z{_sig(sign)}"
-        prod = _weighted_transpose_product(L, alg.bars, alg.xi)
-        zser, sc = _extract_scalar_series(tag, prod)
-        checks.extend(sc)
+        diag, sc = _central_series(tag, L, alg.type, n)
+        zser, item = _scalar_series(tag, diag)
+        checks += [*sc, item]
         # diagonal-series product formula
         g = lops.g(sign)
         top = n if alg.type == "B" else n - 1
@@ -1421,7 +1408,6 @@ def check_psi_consistency(alg: AlgebraData, m: int, K: int = 10) -> list:
                     for j, B in zip(block, row):
                         item = _bivar_zero(
                             f"[l[{a},{b}]{_sig(s)}(u), psi_{m}(l[{i},{j}]{_sig(t)}(v))]",
-                            K,
                             _commutator(A, B),
                         )
                         if item["status"] != "pass":
@@ -1438,12 +1424,9 @@ def check_psi_consistency(alg: AlgebraData, m: int, K: int = 10) -> list:
             )
         )
     # cross-check against the low-rank battery through the reduced generators
-    red_rank = alg.n - m
-    src = GenSource(lops, offset=m)
-    if alg.type == "B" and red_rank == 1:
-        out.extend(_battery_rank1_b(src, K, f"{alg} reduced m={m}"))
-    elif alg.type == "D" and red_rank == 2:
-        out.extend(_battery_rank2_d(src, K, f"{alg} reduced m={m}"))
+    battery = BATTERIES.get((alg.type, alg.n - m))
+    if battery is not None:
+        out.extend(battery(GenSource(lops, offset=m), f"{alg} reduced m={m}"))
     return out
 
 
@@ -1452,7 +1435,7 @@ def check_psi_consistency(alg: AlgebraData, m: int, K: int = 10) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _geom_target(alg: AlgebraData, i: int, kind: str, sign: int, K: int, dvals):
+def _geom_target(alg: AlgebraData, i: int, kind: str, sign: int, K: int):
     """Closed-form geometric sum of the representation images of one Drinfeld
     generator family, expanded as the target for a near-diagonal Gauss entry.
 
@@ -1472,6 +1455,7 @@ def _geom_target(alg: AlgebraData, i: int, kind: str, sign: int, K: int, dvals):
         ash = Fraction(-(n - 1))
     kmin = {("e", 1): 0, ("e", -1): 1, ("f", 1): 1, ("f", -1): 0}[(kind, sign)]
     gen = vecrep.x_plus if kind == "e" else vecrep.x_minus
+    dvals = gauge_dvals(alg)
 
     def mode_mat(k):
         mode = -k if sign > 0 else k
@@ -1493,18 +1477,6 @@ def _geom_target(alg: AlgebraData, i: int, kind: str, sign: int, K: int, dvals):
         rational = pref * v0 * arg**kmin * (ONE - rho * arg).inverse()
         entries.append((a, b, dvals[a] * rational * dvals[b].inverse()))
     return _matrix_series(entries, m0.nrows, direction, K)
-
-
-def _reduced_central_series(lops: LOperators, m: int, sign: int):
-    """The central series of the rank-m reduction, computed from the central
-    block product of the Gauss factors that psi_(n-m) maps L onto."""
-    alg = lops.alg
-    prod = _weighted_transpose_product(
-        lops.g(sign).product(alg.n - m), bars_of(alg.type, m), xi_of(alg.type, m)
-    )
-    return _extract_aux_scalar(
-        f"{alg} reduced rank {m} central series ({_sig(sign)})", prod
-    )
 
 
 def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
@@ -1534,7 +1506,7 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
                     f"{alg}: e[{erow},{ecol}]{_sig(s)} matches the geometric "
                     "closed form",
                     g.e(erow, ecol),
-                    _geom_target(alg, i, "e", s, K, dvals),
+                    _geom_target(alg, i, "e", s, K),
                 )
             )
             out.append(
@@ -1542,7 +1514,7 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
                     f"{alg}: f[{ecol},{erow}]{_sig(s)} matches the geometric "
                     "closed form",
                     g.f(ecol, erow),
-                    _geom_target(alg, i, "f", s, K, dvals),
+                    _geom_target(alg, i, "f", s, K),
                 )
             )
         # type-D interior zero and paired entries
@@ -1593,7 +1565,8 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
         for m in range(1, n + 1):
             pos = (n + 1 + m) if alg.type == "B" else (n + m)
             i0 = n + 1 - m
-            zred, sc = _reduced_central_series(lops, m, s)
+            name = f"{alg} reduced rank {m} central series ({_sig(s)})"
+            zred, sc = _central_series(name, g.product(n - m), alg.type, m)
             out.extend(sc)
             lhs = g.h(i0).scale_arg(xi_of(alg.type, m))
             rhs = g.h(pos).inverse() * zred

@@ -228,7 +228,7 @@ class SparseMat:
             self.nrows * other.nrows, self.ncols * other.ncols, rows
         )
 
-    def inverse(self, one=ONE) -> "SparseMat":
+    def inverse(self) -> "SparseMat":
         """Exact inverse by quasidet.ring_inverse, so it works over the
         Scalar field and over rings where invertibility can fail (series
         rings); raises quasidet.SingularPivotError when no pivot works."""
@@ -236,7 +236,7 @@ class SparseMat:
             raise MatrixError("inverse of a non-square matrix")
         n = self.nrows
         dense = [[self.rows.get(i, {}).get(j) for j in range(n)] for i in range(n)]
-        inv = ring_inverse(dense, one)
+        inv = ring_inverse(dense, ONE)
         return SparseMat(n, n, {i: dict(enumerate(row)) for i, row in enumerate(inv)})
 
     def __str__(self):

@@ -319,6 +319,66 @@ def test_psi_fails_only_the_corner_commutation_on_a_bumped_corner(
     )
 
 
+def test_psi_reduced_battery_fails_on_a_bumped_reduced_entry(
+    fresh_caches, tmp_path, capsys
+):
+    """e23+ on D3 gets e_11 added at mode 1.  Through the reduction m = 1 it
+    is e12+ of the reduced D2 battery, so besides the image match the
+    battery items that carry e12+ fail."""
+    alg, K = AlgebraData("D", 3), 4
+    gs = _gauss(alg, K)
+    gs.gp.E[1][2] = _bump(gs.gp.E[1][2], K, 1, SparseMat.unit(alg.N, 0, 0))
+
+    def wit(u, v, value):
+        return {"u_mode": u, "v_mode": v, "row": 0, "col": 0, "value": value}
+
+    name = "D3 reduced m=1: {}"
+    _assert_fails(
+        tmp_path, capsys,
+        ["psi", "--type", "D", "--rank", "3", "--order", "4"],
+        [
+            _fail(
+                "D3 m=1: reduction images match trailing blocks (+)",
+                {"row": 2, "col": 3},
+            ),
+            _fail(name.format("h1+(u) e12+(v) exchange"), wit(0, 2, "(s^2-1)/(s^2)")),
+            _fail(name.format("e12+(u) h2+(v) exchange"), wit(0, 2, "(s^4-1)/(s^2)")),
+            _fail(name.format("h1+(u) e12-(v) exchange"), wit(2, 0, "(-s^4+1)/(s^2)")),
+            _fail(
+                name.format("e12+(u) h2-(v) exchange"),
+                wit(1, -3, "(s^6-s^4-s^2+1)/(s^2)"),
+            ),
+            _fail(name.format("h1-(u) e12+(v) exchange"), wit(-3, 1, "-s^6+s^4+s^2-1")),
+            _fail(name.format("e12-(u) h2+(v) exchange"), wit(0, 2, "(s^4-1)/(s^2)")),
+            _fail(
+                name.format("e12+(u) e12+(v) quadratic"), wit(0, 3, "(s^4-1)/(s^2)")
+            ),
+            _fail(
+                name.format("e12+(u) e12-(v) quadratic"), wit(3, 0, "(s^4-1)/(s^2)")
+            ),
+            _fail(
+                name.format("e12-(u) e12+(v) quadratic"), wit(0, 3, "(s^4-1)/(s^2)")
+            ),
+            _fail(
+                name.format("e34+(u) + e12+(u) = 0"),
+                {"exponent": 1, "row": 0, "col": 0, "value": "1"},
+            ),
+            _fail(
+                name.format("e12+(u) h3+(v) cross exchange"),
+                wit(0, 2, "(-s^4+1)/(s^2)"),
+            ),
+            _fail(
+                name.format("e12+(u) h3-(v) cross exchange"),
+                wit(1, -3, "-s^6+s^4+s^2-1"),
+            ),
+            _fail(
+                name.format("e12-(u) h3+(v) cross exchange"),
+                wit(0, 2, "(-s^4+1)/(s^2)"),
+            ),
+        ],
+    )
+
+
 def test_zseries_fails_on_a_bumped_lop_mode(fresh_caches, tmp_path, capsys):
     """Mode 2 of l12+ on B1 gets e_11 added after the Gauss factors are
     built: the central series is no longer scalar and disagrees with the

@@ -305,28 +305,29 @@ def test_main_structure_b1(b1):
 
 
 def test_bivar_zero_window_follows_the_part_directions(b1):
-    """A part at zero caps its variable's modes at its order plus the
-    smallest exponent of that variable in the cleared prefactor; a part at
-    infinity floors them at minus its order plus the largest; a variable
-    with no part keeps [-K, K]."""
+    """The window is [-K, K] in each variable, K the least order of the
+    parts; a part at infinity floors its variable's modes at minus its
+    order plus the largest exponent of that variable in the cleared
+    prefactor, and a part at zero, whose order is at least K, caps none."""
     lops = gaussian_generators(build_lops(b1, 4))
     hp, hm = lops.gp.h(1), lops.gm.h(1)
     u, v = lop._U, lop._V
 
     def window(pref, upart, vpart):
         terms = [(pref, upart, vpart, "uv"), (-pref, upart, vpart, "vu")]
-        item = lop._bivar_zero("window", K, terms)
+        item = lop._bivar_zero("window", terms)
         assert item["status"] == "pass"
         return item["modes_u"], item["modes_v"]
 
-    assert window(lop.ONE, hp, hp) == ([-K, 4], [-K, 4])
-    assert window(lop.ONE, hm, hm) == ([-4, K], [-4, K])
-    assert window(lop.ONE, hp, hm) == ([-K, 4], [-4, K])
-    # u^2 v: the prefactor shifts the u modes by 2 and the v modes by 1
-    assert window(u * u * v, hp, hm) == ([-K, 6], [-3, K])
-    assert window(u * u * v, hm, hp) == ([-2, K], [-K, 5])
-    assert window(lop.ONE, hp, None) == ([-K, 4], [-K, K])
-    assert window(lop.ONE, None, hm) == ([-K, K], [-4, K])
+    assert window(lop.ONE, hp, hp) == ([-4, 4], [-4, 4])
+    assert window(lop.ONE, hm, hm) == ([-4, 4], [-4, 4])
+    assert window(lop.ONE, hp, hm) == ([-4, 4], [-4, 4])
+    # u^2 v: the prefactor raises the floor of a part at infinity, by 2 for
+    # u and by 1 for v
+    assert window(u * u * v, hp, hm) == ([-4, 4], [-3, 4])
+    assert window(u * u * v, hm, hp) == ([-2, 4], [-4, 4])
+    assert window(lop.ONE, hp, None) == ([-4, 4], [-4, 4])
+    assert window(lop.ONE, None, hm) == ([-4, 4], [-4, 4])
 
 
 def test_fused_sums_add_no_matrices(monkeypatch):
@@ -407,8 +408,8 @@ def test_lowrank_battery_reads_the_representation_size_from_l(b1):
         return [[entry(x) for x in row] for row in L]
 
     lops2 = lop._decompose(b1, lops.wiring, tensored(lops.lp), tensored(lops.lm))
-    got = lop._battery_rank1_b(lop.GenSource(gaussian_generators(lops2)), 4, "B1")
-    want = lop._battery_rank1_b(lop.GenSource(gaussian_generators(lops)), 4, "B1")
+    got = lop._battery_rank1_b(lop.GenSource(gaussian_generators(lops2)), "B1")
+    want = lop._battery_rank1_b(lop.GenSource(gaussian_generators(lops)), "B1")
     assert len(want) == 40 and all_pass(want), failures(want)
     assert got == want
 
@@ -433,7 +434,7 @@ def test_bivar_zero_reads_the_identity_part(b1):
             (lop._MONE * pre, None, ratio, "uv"),
             (pre, ratio_u, None, "uv"),
         ]
-        return lop._bivar_zero("[e12+(u), f21+(v)] vs h-ratio", 4, terms, duv)
+        return lop._bivar_zero("[e12+(u), f21+(v)] vs h-ratio", terms, duv)
 
     assert item(ratio)["status"] == "pass"
     bad = item(ratio + bump)
@@ -570,8 +571,9 @@ def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
     items = {}
     for (tag, key), (terms, clearing) in cases.items():
         name = f"{tag} {key}"
+        # every part has order K, the bound _bivar_zero reads from them
         items[tag, key] = _bivar_zero_reference(name, K, terms, clearing)
-        assert lop._bivar_zero(name, K, terms, clearing) == items[tag, key], name
+        assert lop._bivar_zero(name, terms, clearing) == items[tag, key], name
         assert items[tag, key]["status"] == ("fail" if "bump" in key else "pass")
     for tag in ("B1", "D2"):
         assert items[tag, "u bump"]["witness"]["u_mode"] == 2
