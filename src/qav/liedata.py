@@ -54,7 +54,8 @@ def xi_of(type_: str, n: int) -> Scalar:
 
 
 class AlgebraData:
-    """All constants attached to type B_n (N = 2n+1) or D_n (N = 2n)."""
+    """All constants attached to type B_n (N = 2n+1) or D_n (N = 2n); equal
+    and hashed by (type, rank), the key of every per-algebra memo."""
 
     def __init__(self, type_: str, rank: int):
         if type_ not in ("B", "D"):
@@ -92,8 +93,6 @@ class AlgebraData:
         ]
         # B = C A with C = diag(r_i); equivalently B_ij = (alpha_i, alpha_j)
         self.Bmat = [[_dot(roots[i], roots[j]) for j in range(n)] for i in range(n)]
-        # f(u) by order, filled by series.f_series
-        self.fu_by_order = {}
         self.bars = bars_of(type_, n)
 
     @cached_property
@@ -118,6 +117,14 @@ class AlgebraData:
     def q_bar_diff(self, i: int, j: int) -> Scalar:
         """q^(bar(i) - bar(j)) as an exact Scalar."""
         return Scalar.q_pow(self.bar(i) - self.bar(j))
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgebraData):
+            return NotImplemented
+        return (self.type, self.n) == (other.type, other.n)
+
+    def __hash__(self):
+        return hash((self.type, self.n))
 
     def __str__(self):
         return f"{self.type}{self.n}"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from . import vecrep
@@ -143,26 +144,24 @@ def _lemma_k_diagonal(alg: AlgebraData):
     N diagonal matrices built from the Cartan generator images."""
     N, n = alg.N, alg.n
     ident = SparseMat.identity(N)
-
-    def kmat(i, inv=False):
-        return vecrep.k_cartan(alg, i, inv=inv)
-
     lam = [None] * (N + 1)  # 1-based
     if alg.type == "B":
         for i in range(1, n + 1):
             acc = ident
             for b in range(i, n + 1):
-                acc = acc * kmat(b)
+                acc = acc * vecrep.k_cartan(alg, b)
             lam[i] = acc
         lam[n + 1] = ident
     else:
-        root = _diag_sqrt(kmat(n - 1) * kmat(n))
+        root = _diag_sqrt(vecrep.k_cartan(alg, n - 1) * vecrep.k_cartan(alg, n))
         for i in range(1, n):
             acc = ident
             for b in range(i, n - 1):
-                acc = acc * kmat(b)
+                acc = acc * vecrep.k_cartan(alg, b)
             lam[i] = acc * root
-        lam[n] = _diag_sqrt(kmat(n - 1, inv=True) * kmat(n))
+        lam[n] = _diag_sqrt(
+            vecrep.k_cartan(alg, n - 1, inv=True) * vecrep.k_cartan(alg, n)
+        )
     for pos in range(N // 2 + 1, N + 1):
         if lam[pos] is None:
             lam[pos] = lam[N + 1 - pos].inverse()
@@ -229,9 +228,7 @@ class LOperators:
         return self.gp if sign > 0 else self.gm
 
 
-_LOPS_CACHE = {}  # (type, rank) -> Wiring; (type, rank, K) -> LOperators
-
-
+@cache
 def choose_wiring(alg: AlgebraData) -> Wiring:
     """Decide the wiring once per algebra, on Rbar itself (see build_lops).
 
@@ -240,12 +237,9 @@ def choose_wiring(alg: AlgebraData) -> Wiring:
     expanded at u = 0 or at u = infinity and the minus series at the other
     end.  Triangularity and the diagonal constants need only the constant
     terms, so each reading is expanded at order 0; the exact RLL exchange
-    relation is the catalog's Yang-Baxter difference.  Memoised in
-    _LOPS_CACHE under (type, rank); raises LopError unless exactly one
-    candidate passes."""
-    key = (alg.type, alg.n)
-    if key in _LOPS_CACHE:
-        return _LOPS_CACHE[key]
+    relation is the catalog's Yang-Baxter difference.  Memoised per algebra
+    with functools.cache; raises LopError unless exactly one candidate
+    passes."""
     cat = build_catalog(alg)
     N = alg.N
     bases = {
@@ -289,13 +283,12 @@ def choose_wiring(alg: AlgebraData) -> Wiring:
         "plus_expansion": cand["plus_expansion"],
         "normalization": "q^-1 on the plus series, q on the minus series",
     }
-    out = _LOPS_CACHE[key] = Wiring(record, candidates, mat)
-    return out
+    return Wiring(record, candidates, mat)
 
 
 def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
     """Both operator matrices at order K with their Gauss factors, memoised
-    per algebra and order.
+    per algebra and order with functools.cache (in _lops).
 
     L+(u) and L-(u) are q^-1 and q times the two expansions of one rational
     matrix, a reading of Rbar, so the wiring is decided once per algebra by
@@ -307,17 +300,18 @@ def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
     share one exchange verdict, and it is the YBE verdict."""
     if K < 1:
         raise LopError("truncation order must be at least 1")
-    key = (alg.type, alg.n, K)
-    if key in _LOPS_CACHE:
-        return _LOPS_CACHE[key]
+    return _lops(alg, K)
+
+
+@cache
+def _lops(alg: AlgebraData, K: int) -> LOperators:
     w = choose_wiring(alg)
     plus = w.record["plus_expansion"]
     minus = AT_INFINITY if plus == AT_ZERO else AT_ZERO
     lp, lm = _signed(
         _series_matrix(w.base, alg.N, plus, K), _series_matrix(w.base, alg.N, minus, K)
     )
-    out = _LOPS_CACHE[key] = _decompose(alg, w, lp, lm)
-    return out
+    return _decompose(alg, w, lp, lm)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ symmetry, and the agreement of the two constructions of Rbar.
 from __future__ import annotations
 
 import os
-from functools import cached_property
+from functools import cache, cached_property
 
 from .report import check, first_failure
 from .scalars import Scalar, ONE, ZERO
@@ -210,17 +210,16 @@ def _mat_subs_u(m: SparseMat, t: Scalar) -> SparseMat:
     )
 
 
-_CATALOGS = {}
-
-
 def build_catalog(alg) -> RCatalog:
-    """The memoised RCatalog of alg; refuses N > QAV_MAX_N, as every check
-    that builds one runs cubic-size products."""
+    """The RCatalog of alg, memoised per algebra; refuses N > QAV_MAX_N on
+    every call, as every check that builds one runs cubic-size products."""
     guard_cubic(alg)
-    key = (alg.type, alg.n)
-    if key not in _CATALOGS:
-        _CATALOGS[key] = RCatalog(alg)
-    return _CATALOGS[key]
+    return _catalog(alg)
+
+
+@cache
+def _catalog(alg) -> RCatalog:
+    return RCatalog(alg)
 
 
 def exchange_difference(m: SparseMat, N: int) -> SparseMat:

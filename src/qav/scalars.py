@@ -483,11 +483,9 @@ class Scalar:
 
     __slots__ = ("_n", "_d", "_f")
 
-    def __init__(self, num, den=_D1, _normal=False):
-        """num / den for packed dicts; _normal asserts that the pair is
-        already canonical."""
-        if not _normal:
-            num, den = _canonicalize(num, den)
+    def __init__(self, num, den=_D1):
+        """num / den for packed dicts."""
+        num, den = _canonicalize(num, den)
         self._n = num
         self._d = den
         self._f = None
@@ -838,11 +836,7 @@ class Scalar:
         for j in range(order + 1):
             acc = n[j] - sum(d[i] * out[j - i] for i in range(1, j + 1))
             out.append(acc / d[0])
-        # strip leading zeros so `lead` is meaningful
-        while out[0] == 0 and any(out[1:]):
-            out.pop(0)
-            out.append(Fraction(0))
-            lead -= 1
+        # out[0] = n[0] / d[0] is never 0, so q^lead is the leading term
         return lead, out
 
     # -- printing and parsing ---------------------------------------------

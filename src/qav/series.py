@@ -13,6 +13,7 @@ equation f(u) f(u xi) = r(u) and the prefactor series f(u).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .quasidet import _dot
 from .report import check
@@ -41,10 +42,6 @@ MAX_FSERIES_RANK = {"B": 6, "D": 16}
 FSERIES_WORK_ORDER = 12
 
 
-def _is_zero(x) -> bool:
-    return x.is_zero()
-
-
 def _scaled(x, c: Scalar):
     """A coefficient (Scalar or matrix) times the Scalar c."""
     return x * c if isinstance(x, Scalar) else x.scale(c)
@@ -67,7 +64,7 @@ class TruncSeries:
             for m, c in coeffs.items():
                 if m < 0 or m > order:
                     raise SeriesError(f"coefficient index {m} out of range")
-                if not _is_zero(c):
+                if not c.is_zero():
                     self.coeffs[m] = c
 
     @property
@@ -197,7 +194,7 @@ class TruncSeries:
             if a is None or b is None:
                 if not (a is None and b is None):
                     return False
-            elif not _is_zero(a - b):
+            elif not (a - b).is_zero():
                 return False
         return True
 
@@ -311,24 +308,22 @@ def solve_sqrt_scaled(r: TruncSeries, xi: Scalar) -> TruncSeries:
     return TruncSeries(AT_ZERO, K, {m: c for m, c in f.items() if not c.is_zero()})
 
 
+@cache
 def f_series(alg, order: int) -> TruncSeries:
     """The normalizing series f(u): the unique solution with f(0)=1 of
     f(u) f(u xi) = 1/((1-u q^-2)(1-u q^2)(1-u xi)(1-u xi^-1)).
 
-    Built once per order and memoised on alg (alg.fu_by_order), so the
-    returned series is shared: callers must not mutate it."""
-    f = alg.fu_by_order.get(order)
-    if f is None:
-        u = Scalar.u_pow(1)
-        prod = (
-            (ONE - u * Scalar.q_pow(-2))
-            * (ONE - u * Scalar.q_pow(2))
-            * (ONE - u * alg.xi)
-            * (ONE - u * alg.xi.inverse())
-        )
-        r = expand_scalar(prod.inverse(), AT_ZERO, order)
-        f = alg.fu_by_order[order] = solve_sqrt_scaled(r, alg.xi)
-    return f
+    Memoised per algebra and order with functools.cache, so the returned
+    series is shared: callers must not mutate it."""
+    u = Scalar.u_pow(1)
+    prod = (
+        (ONE - u * Scalar.q_pow(-2))
+        * (ONE - u * Scalar.q_pow(2))
+        * (ONE - u * alg.xi)
+        * (ONE - u * alg.xi.inverse())
+    )
+    r = expand_scalar(prod.inverse(), AT_ZERO, order)
+    return solve_sqrt_scaled(r, alg.xi)
 
 
 def _fu_parameters(c: int, r: int):

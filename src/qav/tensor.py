@@ -20,10 +20,6 @@ class MatrixError(ArithmeticError):
     pass
 
 
-def _entry_is_zero(x) -> bool:
-    return x.is_zero()
-
-
 class SparseMat:
     """A sparse nrows x ncols matrix; entries indexed 0-based, stored as
     a dict of rows {i: {j: entry}} with no explicit zeros."""
@@ -36,7 +32,7 @@ class SparseMat:
         self.rows = {}
         if rows:
             for i, row in rows.items():
-                clean = {j: x for j, x in row.items() if not _entry_is_zero(x)}
+                clean = {j: x for j, x in row.items() if not x.is_zero()}
                 if clean:
                     self.rows[i] = clean
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qav import lop, rmatrix, series
 from qav.liedata import AlgebraData
 
 # The four algebras every heavy suite runs on.
@@ -13,6 +14,19 @@ SUPPORTED = [("B", 1), ("B", 2), ("D", 2), ("D", 3)]
 @pytest.fixture(scope="session")
 def algebras():
     return {f"{t}{r}": AlgebraData(t, r) for t, r in SUPPORTED}
+
+
+@pytest.fixture
+def fresh_builds():
+    """Empty the per-algebra memos (catalog, wiring, L-operators, f(u))
+    before and after the test, so that a perturbation or a count reaches
+    only this test's objects."""
+    memos = (rmatrix._catalog, lop.choose_wiring, lop._lops, series.f_series)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
 
 
 def all_pass(checks):

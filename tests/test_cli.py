@@ -121,7 +121,7 @@ def test_usage_errors_exit_2(capsys):
         assert "usage:" in captured.err and "expected an integer >= 1" in captured.err
 
 
-def test_non_default_order_builds_one_catalog(monkeypatch, capsys):
+def test_non_default_order_builds_one_catalog(fresh_builds, monkeypatch, capsys):
     """The R-matrix catalog is per algebra: crossing at --order 6 shares the
     catalog that the L-operators use."""
     built = []
@@ -131,8 +131,6 @@ def test_non_default_order_builds_one_catalog(monkeypatch, capsys):
             built.append(args[0])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
-    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
     monkeypatch.setattr(rmatrix, "RCatalog", CountingCatalog)
     rc = cli.run(
         ["check", "all", "--type", "B", "--rank", "1", "--order", "6",
@@ -171,11 +169,9 @@ def test_resource_bound_exits_2(capsys):
         assert "resource bound" in capsys.readouterr().err
 
 
-def test_a_gcd_the_heuristic_cannot_find_exits_2(monkeypatch, capsys):
+def test_a_gcd_the_heuristic_cannot_find_exits_2(fresh_builds, monkeypatch, capsys):
     """A gcd that the heuristic gcd does not find within its evaluation
     points is a resource failure (exit 2), not a failed check (exit 1)."""
-    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
-    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
     monkeypatch.setattr(qs, "_HEU_GCD_MAX", 0)
     rc = cli.run(["check", "unitarity", "--type", "B", "--rank", "1", "--order", "4"])
     captured = capsys.readouterr()

@@ -25,9 +25,8 @@ def _run_json(capsys, suite):
 
 
 @pytest.fixture
-def bumped_catalog(monkeypatch):
+def bumped_catalog(fresh_builds):
     """A fresh B1 catalog whose cleared Rbar has u added at (_ROW, _COL)."""
-    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
     cat = rmatrix.build_catalog(AlgebraData("B", 1))
     row = cat.rbar_poly.rows.setdefault(_ROW, {})
     row[_COL] = row.get(_COL, ZERO) + Scalar.u_pow(1)
@@ -58,12 +57,10 @@ def test_rmatrix_suites_fail_on_a_bumped_rbar_entry(
     assert [c["witness"] for c in checks if c["status"] == "fail"] == [witness]
 
 
-def _lowrank_failures_with_h1_bumped(monkeypatch, capsys, type_, rank):
-    """The low-rank battery with e_11 added at mode 2 of h1+(u), on fresh
-    caches: its items, and its failing items by name with their witnesses,
-    which `qav check lowrank` (exit 1) reports too."""
-    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
-    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
+def _lowrank_failures_with_h1_bumped(capsys, type_, rank):
+    """The low-rank battery with e_11 added at mode 2 of h1+(u): its items,
+    and its failing items by name with their witnesses, which `qav check
+    lowrank` (exit 1) reports too.  Callers request fresh_builds."""
     alg, K = AlgebraData(type_, rank), 10
     gs = lop.gaussian_generators(lop.build_lops(alg, K))
     gs.gp.H[0] = gs.gp.H[0] + TruncSeries(
@@ -78,33 +75,31 @@ def _lowrank_failures_with_h1_bumped(monkeypatch, capsys, type_, rank):
     return checks, failed
 
 
-def test_lowrank_fails_on_a_bumped_gauss_mode(monkeypatch, capsys):
+def test_lowrank_fails_on_a_bumped_gauss_mode(fresh_builds, capsys):
     """Mode 2 of h1+(u) on B1 gets e_11 added; the relations that carry
     h1+ in the u-slot fail at u-mode 2."""
-    _, failed = _lowrank_failures_with_h1_bumped(monkeypatch, capsys, "B", 1)
+    _, failed = _lowrank_failures_with_h1_bumped(capsys, "B", 1)
     assert failed
     for name in ("B1: h1+(u) e12+(v) exchange", "B1: h1+(u) e12-(v) exchange"):
         assert failed[name]["u_mode"] == 2
 
 
-def test_lowrank_d2_fails_on_a_bumped_gauss_mode(monkeypatch, capsys):
+def test_lowrank_d2_fails_on_a_bumped_gauss_mode(fresh_builds, capsys):
     """The same bump on D2: the h1 exchanges that the D2 battery shares with
     the B1 battery fail at u-mode 2 in both root columns."""
-    checks, failed = _lowrank_failures_with_h1_bumped(monkeypatch, capsys, "D", 2)
+    checks, failed = _lowrank_failures_with_h1_bumped(capsys, "D", 2)
     assert (len(checks), len(failed)) == (140, 14)
     for name in ("D2: h1+(u) e12+(v) exchange", "D2: h1+(u) e13+(v) exchange"):
         assert failed[name]["u_mode"] == 2
 
 
 def test_build_lops_refuses_a_wiring_that_breaks_the_exchange_relation(
-    monkeypatch,
+    fresh_builds,
 ):
     """u/denpoly added at entry (0, 4) of B1's Rbar expands with no constant
     term at either end, so the first candidate keeps its triangular and
     diagonal constant terms; only the exact RLL exchange relation rejects
     it, and no wiring passes."""
-    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
-    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
     alg = AlgebraData("B", 1)
     cat = rmatrix.build_catalog(alg)
     row = cat.rbar.rows.setdefault(0, {})
@@ -128,14 +123,6 @@ def test_build_lops_refuses_a_wiring_that_breaks_the_exchange_relation(
 # complete failing items: every item that fails, its witness with the key
 # order the text report prints, and any extra fields
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def fresh_caches(monkeypatch):
-    """Empty R-matrix catalog and L-operator caches, so that a perturbation
-    reaches only this test's objects."""
-    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
-    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
 
 
 def _fail(name, witness=None, **extra):
@@ -169,7 +156,7 @@ def _bump(ts, K, mode, mat):
     return ts + TruncSeries(AT_ZERO, K, {mode: mat})
 
 
-def test_relrbar_fails_on_a_bumped_current_mode(fresh_caches, tmp_path, capsys):
+def test_relrbar_fails_on_a_bumped_current_mode(fresh_builds, tmp_path, capsys):
     """e12+ on B1 gets e_21 added at mode 1: the exchange, quadratic and
     mixed relations of X1+ fail."""
     alg, K = AlgebraData("B", 1), 6
@@ -206,7 +193,7 @@ def test_relrbar_fails_on_a_bumped_current_mode(fresh_caches, tmp_path, capsys):
 
 
 def test_relrbar_fails_on_a_bumped_minus_half_of_a_current(
-    fresh_caches, tmp_path, capsys
+    fresh_builds, tmp_path, capsys
 ):
     """e12- on B1 gets e_21 added at u^-1, the minus half of X1+, which is
     read at infinity: the exchange, quadratic and mixed relations of X1+
@@ -247,7 +234,7 @@ def test_relrbar_fails_on_a_bumped_minus_half_of_a_current(
 
 
 def test_relrbar_serre_fails_on_a_wrong_q_binomial(
-    fresh_caches, monkeypatch, tmp_path, capsys
+    fresh_builds, monkeypatch, tmp_path, capsys
 ):
     """On D2 every Serre relation has degree 2; a top q-binomial off by one
     breaks exactly the four Serre items."""
@@ -273,7 +260,7 @@ def test_relrbar_serre_fails_on_a_wrong_q_binomial(
 
 
 def test_psi_fails_only_the_image_match_on_a_bumped_gauss_entry(
-    fresh_caches, tmp_path, capsys
+    fresh_builds, tmp_path, capsys
 ):
     alg, K = AlgebraData("D", 2), 4
     gs = _gauss(alg, K)
@@ -291,7 +278,7 @@ def test_psi_fails_only_the_image_match_on_a_bumped_gauss_entry(
 
 
 def test_psi_fails_only_the_corner_commutation_on_a_bumped_corner(
-    fresh_caches, tmp_path, capsys
+    fresh_builds, tmp_path, capsys
 ):
     """After the Gauss factors are built, lops.lp is rebound to a copy whose
     l11+ has e_12 added at mode 1.  The corner loop reads lops.lp and the
@@ -320,7 +307,7 @@ def test_psi_fails_only_the_corner_commutation_on_a_bumped_corner(
 
 
 def test_psi_reduced_battery_fails_on_a_bumped_reduced_entry(
-    fresh_caches, tmp_path, capsys
+    fresh_builds, tmp_path, capsys
 ):
     """e23+ on D3 gets e_11 added at mode 1.  Through the reduction m = 1 it
     is e12+ of the reduced D2 battery, so besides the image match the
@@ -379,7 +366,7 @@ def test_psi_reduced_battery_fails_on_a_bumped_reduced_entry(
     )
 
 
-def test_zseries_fails_on_a_bumped_lop_mode(fresh_caches, tmp_path, capsys):
+def test_zseries_fails_on_a_bumped_lop_mode(fresh_builds, tmp_path, capsys):
     """Mode 2 of l12+ on B1 gets e_11 added after the Gauss factors are
     built: the central series is no longer scalar and disagrees with the
     diagonal-series product and the crossing scalar."""
@@ -414,7 +401,7 @@ def test_zseries_fails_on_a_bumped_lop_mode(fresh_caches, tmp_path, capsys):
     )
 
 
-def test_main_structure_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, capsys):
+def test_main_structure_fails_on_a_bumped_gauss_entry(fresh_builds, tmp_path, capsys):
     alg, K = AlgebraData("B", 1), 4
     gs = _gauss(alg, K)
     gs.gp.E[0][1] = _bump(gs.gp.E[0][1], K, 1, SparseMat.unit(alg.N, 1, 0))
@@ -443,7 +430,7 @@ def test_main_structure_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, ca
     )
 
 
-def test_eiprei_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, capsys):
+def test_eiprei_fails_on_a_bumped_gauss_entry(fresh_builds, tmp_path, capsys):
     alg, K = AlgebraData("D", 2), 4
     gs = _gauss(alg, K)
     gs.gp.E[0][1] = _bump(gs.gp.E[0][1], K, 1, SparseMat.unit(alg.N, 1, 0))
@@ -459,7 +446,7 @@ def test_eiprei_fails_on_a_bumped_gauss_entry(fresh_caches, tmp_path, capsys):
     )
 
 
-def test_mirror_suites_fail_on_a_bumped_f_entry(fresh_caches, tmp_path, capsys):
+def test_mirror_suites_fail_on_a_bumped_f_entry(fresh_builds, tmp_path, capsys):
     """f21+ on D2 gets e_12 added at mode 1: the F half of the mirror
     differences that eiprei and main-structure share fails in both."""
     alg, K = AlgebraData("D", 2), 4
@@ -487,7 +474,7 @@ def test_mirror_suites_fail_on_a_bumped_f_entry(fresh_caches, tmp_path, capsys):
 
 
 def test_gauss_fails_on_a_bumped_gauss_entry(
-    fresh_caches, monkeypatch, tmp_path, capsys
+    fresh_builds, monkeypatch, tmp_path, capsys
 ):
     """e12+ on B1 gets e_21 added at mode 1 as the factors are built: the
     reassembly and the cross path (h1 e12 = L12) both fail at aux entry
@@ -539,7 +526,7 @@ def test_gauss_fails_on_a_bumped_gauss_entry(
     assert "Gauss factors fail 'Gauss reassembly F H E = L, both signs, B1'" in err
 
 
-def test_crossing_series_fails_on_a_bumped_r_entry(fresh_caches, tmp_path, capsys):
+def test_crossing_series_fails_on_a_bumped_r_entry(fresh_builds, tmp_path, capsys):
     """R on B1 gets u added at (_ROW, _COL): only the identities built from
     A(u), whose matrix part comes from R, fail."""
     cat = rmatrix.build_catalog(AlgebraData("B", 1))

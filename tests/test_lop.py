@@ -21,7 +21,7 @@ from qav.lop import (
 )
 from qav.report import check, first_failure
 from qav.scalars import Scalar
-from qav.series import AT_INFINITY, AT_ZERO, TruncSeries
+from qav.series import AT_INFINITY, AT_ZERO, TruncSeries, f_series
 from qav.tensor import SparseMat
 
 from conftest import all_pass, failures
@@ -52,13 +52,24 @@ def test_build_lops_selects_unique_wiring(b1):
     assert sum(1 for c in lops.wiring.candidates if c["exchange"]) == 1
 
 
-def test_check_all_decides_the_wiring_once(monkeypatch, capsys):
+def test_builds_are_shared_by_equal_algebras(fresh_builds):
+    """The per-algebra builds are memoised by the algebra's value: two
+    distinct AlgebraData of D2 get the same catalog, wiring, L-operators
+    and f(u) at one order, and another order gets other L-operators."""
+    a, b = AlgebraData("D", 2), AlgebraData("D", 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert rmatrix.build_catalog(a) is rmatrix.build_catalog(b)
+    assert lop.choose_wiring(a) is lop.choose_wiring(b)
+    assert build_lops(a, 4) is build_lops(b, 4)
+    assert build_lops(a, 5) is not build_lops(b, 4)
+    assert f_series(a, 4) is f_series(b, 4)
+
+
+def test_check_all_decides_the_wiring_once(fresh_builds, monkeypatch, capsys):
     """`check all` on D2 forms the Yang-Baxter difference once (`ybe` and
     the wiring's RLL check share it), builds the expected diagonal
     constants once, and expands only the chosen reading of Rbar at order K,
     one series matrix per sign."""
-    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
-    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
     calls = {}
 
     def count(module, name):
@@ -161,12 +172,10 @@ def test_cross_path_inverts_each_leading_block_once(monkeypatch, d2):
     assert sizes == [1, 2, 3]
 
 
-def test_gaussian_generators_raises_when_the_cross_path_fails(monkeypatch, capsys):
+def test_gaussian_generators_raises_when_the_cross_path_fails(fresh_builds, monkeypatch, capsys):
     """A cross path that reads a wrong inverse of a leading block disagrees
     with the elimination: `gauss` reports that item alone as failing (exit
     1), and every other L-operator suite refuses the factors (exit 2)."""
-    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
-    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
     ring_inverse = quasidet.ring_inverse
 
     def wrong(A, one):
@@ -185,13 +194,11 @@ def test_gaussian_generators_raises_when_the_cross_path_fails(monkeypatch, capsy
     assert f"Gauss factors fail {name!r}" in err
 
 
-def test_check_all_verifies_the_gauss_factors_once(monkeypatch, capsys):
+def test_check_all_verifies_the_gauss_factors_once(fresh_builds, monkeypatch, capsys):
     """`check all` on D2 decomposes L once per sign and forms the
     reassembly and the cross path of the factors once, with the factors:
     the cross path runs once per sign, and the reassembly once more only
     for the perturbation probe of `gauss`."""
-    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
-    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
     calls = {"gauss_decompose": 0, "_cross_check": 0, "_reassembly": 0}
 
     def count(name):
@@ -330,13 +337,11 @@ def test_bivar_zero_window_follows_the_part_directions(b1):
     assert window(lop.ONE, None, hm) == ([-4, 4], [-4, 4])
 
 
-def test_fused_sums_add_no_matrices(monkeypatch):
+def test_fused_sums_add_no_matrices(fresh_builds, monkeypatch):
     """_bivar_zero, the products of matrix series and the Serre sum form
     every entry with one fused dot, so during relrbar on B1 and D2 none of
     them adds two SparseMats; and _bivar_zero forms no matrix product and
     no matrix sum of products at all."""
-    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
-    monkeypatch.setattr(lop, "_LOPS_CACHE", {})
     inside = [0]
     in_bivar = [0]
     calls = {"_bivar_zero": 0, "serre_sum": 0, "__mul__": 0, "inverse": 0, "add": 0}

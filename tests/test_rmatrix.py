@@ -2,7 +2,6 @@
 
 import pytest
 
-from qav import rmatrix
 from qav.liedata import AlgebraData
 from qav.rmatrix import (
     ResourceBoundError,
@@ -97,10 +96,19 @@ def test_catalog_memoizes(b1):
     assert build_catalog(b1) is build_catalog(b1)
 
 
-def test_yang_baxter_difference_is_formed_only_when_read(monkeypatch, b1):
+def test_catalog_guard_runs_on_every_call(monkeypatch):
+    """The QAV_MAX_N guard sits outside the memo: a lowered bound refuses
+    an algebra whose catalog is already built."""
+    d2 = AlgebraData("D", 2)
+    build_catalog(d2)
+    monkeypatch.setenv("QAV_MAX_N", "3")
+    with pytest.raises(ResourceBoundError):
+        build_catalog(d2)
+
+
+def test_yang_baxter_difference_is_formed_only_when_read(fresh_builds, b1):
     """`unitarity` and `crossing` never form the N^3 x N^3 difference; `ybe`
     forms it once on the catalog, and reads it from there afterwards."""
-    monkeypatch.setattr(rmatrix, "_CATALOGS", {})
     cat = build_catalog(b1)
     assert all_pass(check_unitarity(b1) + check_crossing(b1, order=4))
     assert "ybe_difference" not in vars(cat)
