@@ -12,12 +12,12 @@ import json
 import os
 import sys
 import time
+from importlib import import_module
 from typing import Callable, NamedTuple
 
-from . import lop, rmatrix, vecrep
-from .liedata import AlgebraData, check_cartan
+from .liedata import AlgebraData
 from .report import skipped
-from .series import ResourceBoundError, verify_fu_product
+from .series import ResourceBoundError
 
 _HEADER_NOTE = (
     "checks are run in the vector representation (central charge 0); "
@@ -35,55 +35,82 @@ MAX_WINDOW = 8
 
 
 class _Suite(NamedTuple):
-    """One row of the suite table.  run(alg, K, W) returns the check dicts;
+    """One row of the suite table.  module names the qav module that holds
+    the check, and run(module, alg, K, W) returns the check dicts;
     needs_lops adds the L-operator conventions to the report; skip, when
     set, is (applies(alg), check name, reason)."""
 
+    module: str
     run: Callable
     needs_lops: bool = False
     skip: tuple | None = None
 
 
-def _psi(alg, K, W):
+def _module(name):
+    """The module qav.<name>.  A run imports only the modules of its suites,
+    before it builds anything: most suites need neither lop nor vecrep, and
+    compiling lop is a measurable share of a short run, while compiling it
+    after the first suite has run raises the peak memory of `check all`."""
+    return import_module(f".{name}", __package__)
+
+
+def _psi(lop, alg, K, W):
     return [c for m in range(1, alg.n) for c in lop.check_psi_consistency(alg, m, K)]
 
 
 # Module functions are looked up when a suite runs, not when the table is
 # built, so that rebinding them (tests, tracing) takes effect.
 _TABLE = {
-    "cartan": _Suite(lambda alg, K, W: check_cartan(alg)),
-    "crossing": _Suite(lambda alg, K, W: rmatrix.check_crossing(alg, order=K)),
+    "cartan": _Suite("liedata", lambda liedata, alg, K, W: liedata.check_cartan(alg)),
+    "crossing": _Suite(
+        "rmatrix", lambda rmatrix, alg, K, W: rmatrix.check_crossing(alg, order=K)
+    ),
     "drinfeld-rep": _Suite(
-        lambda alg, K, W: vecrep.check_drinfeld_window(alg, window=W)
+        "vecrep", lambda vecrep, alg, K, W: vecrep.check_drinfeld_window(alg, window=W)
     ),
     "eiprei": _Suite(
-        lambda alg, K, W: lop.check_eiprei(alg, K),
+        "lop",
+        lambda lop, alg, K, W: lop.check_eiprei(alg, K),
         needs_lops=True,
         skip=(lambda alg: alg.n < 2, "mirror identities", "needs rank at least 2"),
     ),
-    "f-series": _Suite(lambda alg, K, W: verify_fu_product(alg, K)["checks"]),
-    "gauss": _Suite(lambda alg, K, W: lop.check_gauss(alg, K), needs_lops=True),
+    "f-series": _Suite(
+        "series", lambda series, alg, K, W: series.verify_fu_product(alg, K)["checks"]
+    ),
+    "gauss": _Suite(
+        "lop", lambda lop, alg, K, W: lop.check_gauss(alg, K), needs_lops=True
+    ),
     "lowrank": _Suite(
-        lambda alg, K, W: lop.check_lowrank(alg, K),
+        "lop",
+        lambda lop, alg, K, W: lop.check_lowrank(alg, K),
         needs_lops=True,
         skip=(
-            lambda alg: (alg.type, alg.n) not in lop.BATTERIES,
+            lambda alg: (alg.type, alg.n) not in _module("lop").BATTERIES,
             "low-rank battery",
             "defined for type B rank 1 and type D rank 2 only",
         ),
     ),
     "main-structure": _Suite(
-        lambda alg, K, W: lop.check_main_theorem_structure(alg, K), needs_lops=True
+        "lop",
+        lambda lop, alg, K, W: lop.check_main_theorem_structure(alg, K),
+        needs_lops=True,
     ),
     "psi": _Suite(
+        "lop",
         _psi,
         needs_lops=True,
         skip=(lambda alg: alg.n < 2, "reduction consistency", "needs rank at least 2"),
     ),
-    "relrbar": _Suite(lambda alg, K, W: lop.check_relrbar(alg, K, W), needs_lops=True),
-    "unitarity": _Suite(lambda alg, K, W: rmatrix.check_unitarity(alg)),
-    "ybe": _Suite(lambda alg, K, W: rmatrix.check_ybe(alg)),
-    "zseries": _Suite(lambda alg, K, W: lop.z_series(alg, K)[2], needs_lops=True),
+    "relrbar": _Suite(
+        "lop", lambda lop, alg, K, W: lop.check_relrbar(alg, K, W), needs_lops=True
+    ),
+    "unitarity": _Suite(
+        "rmatrix", lambda rmatrix, alg, K, W: rmatrix.check_unitarity(alg)
+    ),
+    "ybe": _Suite("rmatrix", lambda rmatrix, alg, K, W: rmatrix.check_ybe(alg)),
+    "zseries": _Suite(
+        "lop", lambda lop, alg, K, W: lop.z_series(alg, K)[2], needs_lops=True
+    ),
 }
 
 SUITES = tuple(sorted(_TABLE))
@@ -97,7 +124,7 @@ def _run_suite(suite, alg, K, W):
         applies, name, reason = entry.skip
         if applies(alg):
             return [skipped(f"{name}, {alg}", reason)]
-    return entry.run(alg, K, W)
+    return entry.run(_module(entry.module), alg, K, W)
 
 
 def _guard_order_window(K, W):
@@ -120,7 +147,7 @@ def _suite_report(suite, alg, K, W):
         "checks": checks,
     }
     if _TABLE[suite].needs_lops:
-        report["conventions"] = lop.choose_wiring(alg).record
+        report["conventions"] = _module("lop").choose_wiring(alg).record
     return report, elapsed_ms
 
 
@@ -166,12 +193,14 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    suites = sorted(SUITES) if args.suite == "all" else [args.suite]
+    for suite in suites:
+        _module(_TABLE[suite].module)
     try:
         alg = AlgebraData(args.type_, args.rank)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    suites = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     try:
         _guard_order_window(args.order, args.window)

@@ -226,12 +226,14 @@ def exchange_difference(m: SparseMat, N: int) -> SparseMat:
     """M12(u) M13(uv) M23(v) - M23(v) M13(uv) M12(u) for an N^2 x N^2 matrix
     m = M(u) with polynomial entries: the Yang-Baxter equation for M = Rbar,
     and the RLL relation of L = M (in u/v and v, an invertible change of
-    variables)."""
+    variables).  The last products of the two chains are one fused sum, with
+    the right-hand chain negated, so the two sides cancel inside each entry's
+    accumulator."""
     u, v = Scalar.u_pow(1), Scalar.v_pow(1)
     a12 = embed_leg(m, (1, 2), N)
     a13 = embed_leg(_mat_subs_u(m, u * v), (1, 3), N)
     a23 = embed_leg(_mat_subs_u(m, v), (2, 3), N)
-    return a12 * a13 * a23 - a23 * a13 * a12
+    return SparseMat.dot([(a12 * a13, a23), (-(a23 * a13), a12)])
 
 
 def check_ybe(alg) -> list:
@@ -264,10 +266,13 @@ def check_unitarity(alg) -> list:
     cat = build_catalog(alg)
     uinv = Scalar.u_pow(-1)
     r21_inv_arg = cat.P * _mat_subs_u(cat.rbar_poly, uinv) * cat.P
-    prod = cat.rbar_poly * r21_inv_arg
     scale = cat.denpoly * cat.denpoly.subs_u(uinv)
-    ident = SparseMat.identity(alg.N**2, scale)
-    return [first_failure(f"unitarity of Rbar, {alg}", [({}, prod - ident)])]
+    n = alg.N**2
+    # the product minus scale times the identity, as one fused sum
+    diff = SparseMat.sum_of_products(
+        [(None, cat.rbar_poly, r21_inv_arg), (-scale, SparseMat.identity(n), None)], n, n
+    )
+    return [first_failure(f"unitarity of Rbar, {alg}", [({}, diff)])]
 
 
 def crossing_scalar(alg) -> Scalar:
@@ -289,11 +294,14 @@ def check_crossing(alg, order=10) -> list:
     out = []
 
     uxi = Scalar.u_pow(1) * alg.xi
-    lhs = cat.rbar_poly * d1 * transpose_t1(_mat_subs_u(cat.rbar_poly, uxi), alg) * d1i
+    head = cat.rbar_poly * d1 * transpose_t1(_mat_subs_u(cat.rbar_poly, uxi), alg)
     scale = cat.denpoly * cat.denpoly.subs_u(uxi) * crossing_scalar(alg)
-    target = SparseMat.identity(N * N).scale(scale)
+    # head * d1i minus scale times the identity, as one fused sum
+    diff = SparseMat.sum_of_products(
+        [(None, head, d1i), (-scale, SparseMat.identity(N * N), None)], N * N, N * N
+    )
     out.append(
-        first_failure(f"crossing symmetry for Rbar (exact), {alg}", [({}, lhs - target)])
+        first_failure(f"crossing symmetry for Rbar (exact), {alg}", [({}, diff)])
     )
 
     # series crossing for R(u) = f(u) A(u): the matrix part of the product

@@ -51,10 +51,13 @@ products share one denominator, lcm(c) * s^max(k); each product's terms are
 multiplied straight into one dict, shifted by the s-power and scaled by the
 integer its own denominator lacks (a product of two w-linear numerators is
 formed and w-reduced first, which raises its s-power by one).  Zero
-coefficients are dropped once and _laurent cancels once.  A product with a
-true-polynomial denominator takes the general path through * and +, and is
-added at the end.  SparseMat, TruncSeries and the quasideterminants form
-their entries through this one kernel.
+coefficients are dropped once and _laurent cancels once.  The products with
+a true-polynomial denominator are summed the same way over their own common
+denominator, the lcm of the product denominators: equal ones take no gcd,
+and each other one takes one gcd against the running lcm.  That sum is
+canonicalized once (one gcd) and added to the Laurent sum at the end; a
+single such product is x * y.  SparseMat, TruncSeries, the series solvers
+and the quasideterminants form their entries through this one kernel.
 
 The general path's gcds (_gcd_fast) take one of two routes, which return
 the same polynomial: the gcd over Z with a positive leading coefficient,
@@ -478,6 +481,60 @@ def _canonical(num, den):
     return Scalar(num, den)
 
 
+def _general_sum(general):
+    """The canonical sum of x*y over the triples (x, y, ww) of Scalar.dot
+    whose pair has a true-polynomial denominator, ww whether both numerators
+    have w: every product is brought over the lcm of the product
+    denominators in one accumulator, and the sum is canonicalized once.  A
+    single pair is x * y, whose cross-cancellation keeps its gcds small."""
+    if len(general) == 1:
+        x, y, _ = general[0]
+        return x * y
+    which = []  # the index in dens of each product's denominator
+    dens = []  # the distinct product denominators
+    for x, y, ww in general:
+        den = _pmul(x._d, y._d)
+        if ww:  # the w^2 rewrite multiplies the denominator by s
+            den = _pmul(den, {_S1: 1})
+        for i, d in enumerate(dens):
+            if d == den:
+                break
+        else:
+            i = len(dens)
+            dens.append(den)
+        which.append(i)
+    # the lcm: one gcd against the running denominator per distinct one
+    den = dens[0]
+    for d in dens[1:]:
+        g = _gcd_fast(den, d)
+        if g != d:
+            den = _pmul(den, _div_fast(d, g))
+    cofactors = [_D1 if d == den else _div_fast(den, d) for d in dens]
+    # each numerator product is formed and accumulated in turn, so only
+    # one is held at a time
+    num = {}
+    get = num.get
+    for (x, y, ww), i in zip(general, which):
+        n = _pmul(x._n, y._n)
+        if ww:
+            n = _w2_reduce(n)
+        for kb, cb in cofactors[i].items():
+            for ka, ca in n.items():
+                key = ka + kb
+                num[key] = get(key, 0) + ca * cb
+    # as in Scalar.dot, every key made above is still in num
+    if max(num) >= _LIMIT:
+        _too_wide()
+    if not all(num.values()):
+        num = {key: x for key, x in num.items() if x}
+        if not num:
+            return ZERO
+    g = _gcd_with_wfree(num, den)
+    if g != _D1:
+        num, den = _div_fast(num, g), _div_fast(den, g)
+    return _new(num, den)
+
+
 class Scalar:
     """An element of Q(s, u, v)[w]/(w^2 - s - 1/s) in canonical form."""
 
@@ -659,7 +716,7 @@ class Scalar:
             x, y = pairs[0]
             return x * y
         terms = []  # (n1, n2, k, c, ww): the product n1*n2 / (c*s^k)
-        rest = None  # the sum of the products off the Laurent path
+        general = []  # the pairs off the Laurent path
         k, c = 0, 1  # the common denominator c*s^k
         for x, y in pairs:
             n1, n2 = x._n, y._n
@@ -668,7 +725,7 @@ class Scalar:
             w1, k1, c1 = x._f or x._facts()
             w2, k2, c2 = y._f or y._facts()
             if k1 < 0 or k2 < 0:
-                rest = x * y if rest is None else rest + x * y
+                general.append((x, y, w1 and w2))
                 continue
             ww = w1 and w2  # the w^2 rewrite multiplies the denominator by s
             kt, ct = k1 + k2 + ww, c1 * c2
@@ -699,7 +756,7 @@ class Scalar:
         if not all(num.values()):
             num = {key: x for key, x in num.items() if x}
         out = _laurent(num, k, c, None) if num else ZERO
-        return out if rest is None else out + rest
+        return out + _general_sum(general) if general else out
 
     def __mul__(self, other):
         if type(other) is not Scalar:
@@ -830,14 +887,19 @@ class Scalar:
         emax_n, emax_d = max(num), max(den)
         lead = emax_n - emax_d
         # In t = 1/q: num = q^emax_n * n(t), den = q^emax_d * d(t), d(0) != 0.
-        n = [Fraction(num.get(emax_n - j, 0)) for j in range(order + 1)]
-        d = [Fraction(den.get(emax_d - j, 0)) for j in range(order + 1)]
+        n = [num.get(emax_n - j, 0) for j in range(order + 1)]
+        d = [den.get(emax_d - j, 0) for j in range(order + 1)]
+        # dividing by d(0) = +-1 is multiplying by it, and keeps every
+        # coefficient an integer: Fractions are needed only otherwise
+        unit = d[0] in (1, -1)
+        if not unit:
+            n, d = [Fraction(x) for x in n], [Fraction(x) for x in d]
         out = []
         for j in range(order + 1):
             acc = n[j] - sum(d[i] * out[j - i] for i in range(1, j + 1))
-            out.append(acc / d[0])
+            out.append(acc * d[0] if unit else acc / d[0])
         # out[0] = n[0] / d[0] is never 0, so q^lead is the leading term
-        return lead, out
+        return lead, [Fraction(x) for x in out] if unit else out
 
     # -- printing and parsing ---------------------------------------------
 
@@ -897,10 +959,7 @@ def qint(k: int, r=1) -> "Scalar":
         raise ScalarError("qint: r must be positive")
     if k < 0:
         return -qint(-k, r)
-    out = ZERO
-    for j in range(k):
-        out = out + Scalar.q_pow(r * (k - 1 - 2 * j))
-    return out
+    return Scalar.dot([(Scalar.q_pow(r * (k - 1 - 2 * j)), ONE) for j in range(k)])
 
 
 def qfact(k: int, r=1) -> "Scalar":

@@ -230,18 +230,17 @@ def expand_scalar(x: Scalar, direction, order) -> TruncSeries:
         nn = {dn - e: c for e, c in num.items()}
         dd = {dn - e: c for e, c in den.items()}
     d0inv = dd[0].inverse()
+    negd = {j: -c for j, c in dd.items() if j}
     out = {}
     for m in range(order + 1):
-        acc = nn.get(m, ZERO)
-        for j in range(1, m + 1):
-            dj = dd.get(j)
-            bj = out.get(m - j)
-            if dj is None or bj is None:
-                continue
-            acc = acc - dj * bj
-        c = acc * d0inv
-        if not c.is_zero():
-            out[m] = c
+        # b_m = (n_m - sum_j d_j b_(m-j)) / d_0, the sum as one fused dot
+        pairs = [(negd[j], out[m - j]) for j in negd if j <= m and m - j in out]
+        if m in nn:
+            pairs.append((nn[m], ONE))
+        if pairs:
+            c = Scalar.dot(pairs) * d0inv
+            if not c.is_zero():
+                out[m] = c
     return TruncSeries(direction, order, out)
 
 
@@ -293,19 +292,21 @@ def solve_sqrt_scaled(r: TruncSeries, xi: Scalar) -> TruncSeries:
     for k in range(1, K + 1):
         xipow.append(xipow[-1] * xi)
     f = {0: ONE}
+    negfx = {}  # b -> -f_b xi^b, for the nonzero f_b with 0 < b
     for k in range(1, K + 1):
         pivot = ONE + xipow[k]
         if pivot.is_zero():
             raise SeriesError(f"solve_sqrt_scaled: pivot 1 + xi^{k} vanishes")
-        acc = r.coefficient(k)
-        for a in range(1, k):
-            b = k - a
-            fa, fb = f.get(a), f.get(b)
-            if fa is None or fb is None:
-                continue
-            acc = acc - fa * fb * xipow[b]
-        f[k] = acc / pivot
-    return TruncSeries(AT_ZERO, K, {m: c for m, c in f.items() if not c.is_zero()})
+        # the right-hand side as one fused dot
+        pairs = [(f[k - b], x) for b, x in negfx.items() if k - b in negfx]
+        rk = r.coefficient(k)
+        if not rk.is_zero():
+            pairs.append((rk, ONE))
+        fk = Scalar.dot(pairs) / pivot
+        if not fk.is_zero():
+            f[k] = fk
+            negfx[k] = -(fk * xipow[k])
+    return TruncSeries(AT_ZERO, K, f)
 
 
 @cache

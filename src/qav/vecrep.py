@@ -9,6 +9,7 @@ standard basis vectors 1..N, stored 0-based in SparseMat.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations, product
 
 from .report import first_failure
@@ -55,14 +56,20 @@ def _x_entries(alg, i, k):
     return (n + 1, n - 1, -c), (n + 2, n, c)
 
 
+# The generator images are memoised per (algebra, index, mode) with
+# functools.cache, as the relation families read each many times; the
+# returned matrices are shared, so callers must not mutate them.
+@cache
 def x_plus(alg, i, k) -> SparseMat:
     return _mat(alg.N, _x_entries(alg, i, k))
 
 
+@cache
 def x_minus(alg, i, k) -> SparseMat:
     return _mat(alg.N, ((j, i, x) for i, j, x in _x_entries(alg, i, k)))
 
 
+@cache
 def a_gen(alg, i, k) -> SparseMat:
     _check_index(alg, i)
     if k == 0:
@@ -83,6 +90,7 @@ def a_gen(alg, i, k) -> SparseMat:
     return _mat(N, ((j, j, x) for j, x in diag)).scale(coef)
 
 
+@cache
 def k_cartan(alg, i, inv=False) -> SparseMat:
     _check_index(alg, i)
     n, N = alg.n, alg.N

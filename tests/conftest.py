@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qav import lop, rmatrix, series
+from qav import lop, rmatrix, series, vecrep
 from qav.liedata import AlgebraData
 
 # The four algebras every heavy suite runs on.
@@ -18,10 +18,20 @@ def algebras():
 
 @pytest.fixture
 def fresh_builds():
-    """Empty the per-algebra memos (catalog, wiring, L-operators, f(u))
-    before and after the test, so that a perturbation or a count reaches
-    only this test's objects."""
-    memos = (rmatrix._catalog, lop.choose_wiring, lop._lops, series.f_series)
+    """Empty the per-algebra memos (catalog, wiring, L-operators, f(u) and
+    the generator images of the vector representation) before and after the
+    test, so that a perturbation or a count reaches only this test's
+    objects."""
+    memos = (
+        rmatrix._catalog,
+        lop.choose_wiring,
+        lop._lops,
+        series.f_series,
+        vecrep.a_gen,
+        vecrep.x_plus,
+        vecrep.x_minus,
+        vecrep.k_cartan,
+    )
     for memo in memos:
         memo.cache_clear()
     yield

@@ -199,6 +199,25 @@ def test_runtime_imports_no_sympy():
     assert proc.stdout.split() == ["0", "[]"]
 
 
+def test_suites_without_l_operators_import_neither_lop_nor_vecrep():
+    """cartan runs without importing qav.lop or qav.vecrep: the suites that
+    read them import them when they run."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, sys\n"
+        "import qav.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = qav.cli.run(['check', 'cartan', '--type', 'D', '--rank', '3'])\n"
+        "print(rc, sorted(m for m in sys.modules if m in ('qav.lop', 'qav.vecrep')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, check=True, text=True, timeout=300,
+    )
+    assert proc.stdout.split() == ["0", "[]"]
+
+
 def test_closed_stdout_keeps_the_verdict(tmp_path):
     """A reader that closes stdout before qav writes does not turn a pass
     into a traceback and exit 1: the process exits 0, prints nothing on

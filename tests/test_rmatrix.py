@@ -5,6 +5,7 @@ import pytest
 from qav.liedata import AlgebraData
 from qav.rmatrix import (
     ResourceBoundError,
+    _mat_subs_u,
     build_catalog,
     check_crossing,
     check_unitarity,
@@ -19,7 +20,7 @@ from qav.rmatrix import (
 )
 from qav.scalars import Scalar, ONE
 from qav.series import AT_ZERO, expand_scalar
-from qav.tensor import SparseMat
+from qav.tensor import SparseMat, embed_leg
 
 from conftest import all_pass
 
@@ -134,6 +135,27 @@ def _swap_uv(x: Scalar) -> Scalar:
         return out
 
     return Scalar(swap(x.num), swap(x.den))
+
+
+@pytest.mark.parametrize("bumped", [False, True], ids=["clean", "bumped"])
+@pytest.mark.parametrize("type_,rank", [("B", 1), ("D", 2)])
+def test_fused_exchange_matches_the_two_chains(type_, rank, bumped):
+    """exchange_difference, one fused sum, equals the difference of the two
+    chains formed apart, entry for entry, for the cleared Rbar and for it
+    with u added at (1, 3), where the difference is not zero."""
+    alg = AlgebraData(type_, rank)
+    N = alg.N
+    x = build_catalog(alg).rbar_poly
+    if bumped:
+        x = x + SparseMat.unit(N * N, 1, 3, Scalar.u_pow(1))
+    u, v = Scalar.u_pow(1), Scalar.v_pow(1)
+    a12 = embed_leg(x, (1, 2), N)
+    a13 = embed_leg(_mat_subs_u(x, u * v), (1, 3), N)
+    a23 = embed_leg(_mat_subs_u(x, v), (2, 3), N)
+    want = a12 * a13 * a23 - a23 * a13 * a12
+    got = exchange_difference(x, N)
+    assert want.is_zero() is not bumped
+    assert list(got.entries()) == list(want.entries())
 
 
 @pytest.mark.parametrize("bumped", [False, True], ids=["clean", "bumped"])

@@ -623,8 +623,23 @@ _DOT_CASES = [
         (Scalar.u_pow(1) * _half, Scalar.s_pow(-1)),
         (-Scalar.u_pow(1), _half * Scalar.s_pow(-1)),
     ],
-    # a true-polynomial denominator takes the fold beside the Laurent sum
+    # one true-polynomial pair is x * y, added to the Laurent sum
     [(Scalar.parse("(u)/(s^2+1)"), _sw), (_half, Scalar.s_pow(3)), (_sw, _third)],
+    # general pairs with equal denominators meet over it with no gcd
+    [
+        (Scalar.parse("(u)/(s^2+1)"), _sw),
+        (Scalar.parse("(v)/(s^2+1)"), Scalar.s_pow(1)),
+        (_half, Scalar.s_pow(-1)),
+    ],
+    # distinct denominators 2(s^2+1) and u(s^2+1) meet over their lcm
+    [(Scalar.parse("(u)/(s^2+1)"), _half), (Scalar.parse("(v)/(s^2*u+u)"), _sw)],
+    # a general w-linear times w-linear product: its w^2 rewrite cancels s^2+1
+    [
+        (Scalar.parse("(w)/(s^2+1)"), Scalar.parse("(u*w)/(s-u)")),
+        (Scalar.parse("(1)/(s-u)"), _sw),
+    ],
+    # a general sum that cancels to ZERO
+    [(Scalar.parse("(u)/(s^2+1)"), _sw), (Scalar.parse("(u)/(s^2+1)"), -_sw)],
 ]
 
 
@@ -645,6 +660,10 @@ def dot_pairs(draw):
 @example(_DOT_CASES[2])
 @example(_DOT_CASES[3])
 @example(_DOT_CASES[4])
+@example(_DOT_CASES[5])
+@example(_DOT_CASES[6])
+@example(_DOT_CASES[7])
+@example(_DOT_CASES[8])
 def test_dot_matches_the_folded_sum(pairs):
     got, want = Scalar.dot(pairs), _folded(pairs)
     assert (got._n, got._d, str(got)) == (want._n, want._d, str(want))
@@ -659,13 +678,31 @@ def test_dot_matches_the_folded_sum(pairs):
     assert str(got) == _sympy_str(p, q)
 
 
-def test_dot_cases_reach_every_path():
-    assert Scalar.dot(_DOT_CASES[0]) == ZERO
-    assert Scalar.dot(_DOT_CASES[1]) == _folded(_DOT_CASES[1]) != ZERO
-    assert str(Scalar.dot(_DOT_CASES[2])) == "(10*s^2*v+15*s*u+6)/(30*s^2)"
-    assert Scalar.dot(_DOT_CASES[3]) == ZERO
-    got = str(Scalar.dot(_DOT_CASES[4]))
+def test_dot_cases_reach_every_path(monkeypatch):
+    general_sums = []  # the number of general pairs of each fused sum
+    fused = qs._general_sum
+    monkeypatch.setattr(
+        qs, "_general_sum", lambda g: general_sums.append(len(g)) or fused(g)
+    )
+
+    def dot(i):
+        general_sums.clear()
+        return Scalar.dot(_DOT_CASES[i])
+
+    assert dot(0) == ZERO
+    assert dot(1) == _folded(_DOT_CASES[1]) != ZERO
+    assert str(dot(2)) == "(10*s^2*v+15*s*u+6)/(30*s^2)"
+    assert dot(3) == ZERO and general_sums == []
+    got = str(dot(4))
     assert got == "(3*s^5+2*s^2*w+3*s^3+6*u*w+2*w)/(6*s^2+6)"
+    assert general_sums == [1]
+    assert str(dot(5)) == "(2*s*u*w+2*s^2*v+s^2+1)/(2*s^3+2*s)"
+    assert general_sums == [2]
+    assert str(dot(6)) == "(2*v*w+u^2)/(2*s^2*u+2*u)"
+    assert general_sums == [2]
+    assert str(dot(7)) == "(-s*w-u)/(s*u-s^2)"
+    assert general_sums == [2]
+    assert dot(8) == ZERO and general_sums == [2]
 
 
 _VIEWS_WITHOUT_SYMPY = """
