@@ -229,8 +229,12 @@ def run(argv) -> int:
         with open(os.devnull, "w") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())
     if args.dump:
-        with open(args.dump, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        try:
+            with open(args.dump, "w") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+        except OSError as exc:
+            print(f"error: cannot write --dump file: {exc}", file=sys.stderr)
+            return 2
     return 1 if failed else 0
 
 

@@ -1237,7 +1237,7 @@ def _scalar_series(name, diag):
     bad = next(
         (
             m
-            for m, c in diag.coeffs.items()
+            for m, c in sorted(diag.coeffs.items())
             if c != SparseMat.identity(c.nrows, c.get(0, 0))
         ),
         None,
@@ -1249,7 +1249,7 @@ def _scalar_series(name, diag):
         witness,
     )
     # the scalar series stops before the first coefficient that is not scalar
-    scalar = itertools.takewhile(lambda m: m != bad, diag.coeffs)
+    scalar = itertools.takewhile(lambda m: m != bad, sorted(diag.coeffs))
     coeffs = {m: diag.coeffs[m].get(0, 0) for m in scalar}
     return TruncSeries(diag.direction, diag.order, coeffs), item
 

@@ -4,8 +4,9 @@ Here s stands for q^(1/2), u and v are the two spectral variables, and w is
 an adjoined square root of s + 1/s.  Every Scalar is kept in a unique
 canonical form: a coprime numerator/denominator pair of integer polynomials
 in (s, u, v, w), with the denominator w-free and its leading coefficient
-positive, and with every power w^2 rewritten to (s^2 + 1)/s.  Equality is
-therefore structural.
+positive, and with every power w^2 rewritten to (s^2 + 1)/s (_w2_reduce
+takes two off every w-exponent at once, and Scalar(num, den) repeats it
+until the numerator is w-linear).  Equality is therefore structural.
 
 The monomial order is graded lexicographic with s < u < v < w; it fixes
 which term is "leading" for the sign normalization and the printing order.
@@ -29,35 +30,35 @@ Scalar.num and Scalar.den are the packed numerator and denominator
 themselves; the tests hold the maps to sympy's ring that compare the
 kernel with sympy.
 
-Products and sums take one of two paths, which produce the same canonical
-form.  Almost all of the work of the checks lives in Z[s, 1/s, u, v][w],
-where denominators are c*s^k with a positive integer c.  For such operands
-the Laurent path multiplies or aligns the packed numerators and adds the
-s-exponents (a product of two w-linear numerators first rewrites its w^2
-terms, which multiplies the denominator by s); the gcd of a numerator P
-with c*s^k is gcd(c, content(P)) * s^min(k, ord_s P), so cancellation is a
-key shift and an integer division, with no polynomial gcd.  Every other
-operation, where a denominator is a true polynomial, takes the general
-path: it forms the packed products and sums and cancels them with
-polynomial gcds and exact divisions on the same dicts (an inverse of a
+Products take one of two paths, which produce the same canonical form.
+Almost all of the work of the checks lives in Z[s, 1/s, u, v][w], where
+denominators are c*s^k with a positive integer c.  For such operands the
+Laurent path multiplies the packed numerators and adds the s-exponents (a
+product of two w-linear numerators first rewrites its w^2 terms, which
+multiplies the denominator by s); the gcd of a numerator P with c*s^k is
+gcd(c, content(P)) * s^min(k, ord_s P), so cancellation is a key shift and
+an integer division, with no polynomial gcd.  A product with a
+true-polynomial denominator takes the general path of __mul__: it cancels
+with polynomial gcds and exact divisions on the same dicts (an inverse of a
 w-free Scalar swaps its coprime pair and takes no gcd).  Whether the
 numerator has w and the shape of the denominator are worked out once per
 Scalar (Scalar._facts).
 
-Sums of products.  The checks are vanishing sums of products, and
-Scalar.dot(pairs) forms a whole sum of x*y at once (after Monagan and
-Pearce, CASC 2007: one accumulator, one normalization).  The Laurent
+Sums.  Every sum is a sum of products, and Scalar.dot(pairs) forms a whole
+sum of x*y at once (after Monagan and Pearce, CASC 2007: one accumulator,
+one normalization); x + y is the two-pair sum x*1 + y*1.  The Laurent
 products share one denominator, lcm(c) * s^max(k); each product's terms are
 multiplied straight into one dict, shifted by the s-power and scaled by the
 integer its own denominator lacks (a product of two w-linear numerators is
 formed and w-reduced first, which raises its s-power by one).  Zero
-coefficients are dropped once and _laurent cancels once.  The products with
-a true-polynomial denominator are summed the same way over their own common
-denominator, the lcm of the product denominators: equal ones take no gcd,
-and each other one takes one gcd against the running lcm.  That sum is
-canonicalized once (one gcd) and added to the Laurent sum at the end; a
-single such product is x * y.  SparseMat, TruncSeries, the series solvers
-and the quasideterminants form their entries through this one kernel.
+coefficients are dropped once and _laurent cancels once.  When some products
+have a true-polynomial denominator, _general_sum sums them, and the Laurent
+sum as one more product, the same way over their own common denominator,
+the lcm of the product denominators: equal ones take no gcd, and each other
+one takes one gcd against the running lcm.  That sum is canonicalized once
+(one gcd); a single such product is x * y.  SparseMat, TruncSeries, the
+series solvers and the quasideterminants form their entries through this
+one kernel.
 
 The general path's gcds (_gcd_fast) take one of two routes, which return
 the same polynomial: the gcd over Z with a positive leading coefficient,
@@ -70,9 +71,9 @@ variables present are evaluated, so the Q(q) coefficients of f(u) and of
 the inverse q-Gram matrix cost one evaluation level, not four.  A gcd it
 does not find within _HEU_GCD_MAX evaluation points per variable raises
 ScalarError.  The heuristic's sign depends on which of its interpolations
-succeeds, so _gcd_fast fixes it; the general paths of __add__ and __mul__
-rely on that, as they divide canonical denominators by gcds and never fix
-the sign.
+succeeds, so _gcd_fast fixes it; _general_sum and the general path of
+__mul__ rely on that, as they divide canonical denominators by gcds and
+never fix the sign.
 """
 
 from __future__ import annotations
@@ -140,11 +141,12 @@ def _pmul(a, b):
 
 
 def _w2_reduce(p):
-    """s * p with w^2 rewritten to (s^2 + 1)/s, for p of w-degree 2."""
+    """s * p with every w^e, e >= 2, rewritten to w^(e-2) (s^2 + 1)/s: one
+    step of _w_reduce, which leaves p of w-degree 2 or 3 w-linear."""
     out = {}
     get = out.get
     for k, c in p.items():
-        if k >> 3 * _B & _M == 2:
+        if k >> 3 * _B & _M >= 2:
             k -= 2 * _W1
             out[k] = get(k, 0) + c
             k += 2 * _S1
@@ -388,20 +390,13 @@ def _div_fast(p, g):
 
 
 def _w_reduce(p):
-    """Rewrite w^2 -> (s^2+1)/s.  Returns (p2, k) with p == p2 / s^k."""
-    kmax = max(map(_M.__and__, (k >> 3 * _B for k in p)), default=0) // 2
-    if kmax == 0:
-        return p, 0
-    out = {}
-    for key, c in p.items():
-        k = (key >> 3 * _B & _M) // 2
-        term = {key - 2 * k * _W1 + (kmax - k) * _S1: c}
-        for _ in range(k):
-            term = _pmul(term, _S2P1)
-        out = _padd(out, term)
-    if out and max(out) >= _LIMIT:
-        _too_wide()
-    return out, kmax
+    """Rewrite w^2 -> (s^2+1)/s.  Returns (p2, k) with p == p2 / s^k and p2
+    of w-degree at most 1."""
+    k = 0
+    while any(key >> 3 * _B & _M >= 2 for key in p):
+        p = _w2_reduce(p)
+        k += 1
+    return p, k
 
 
 def _w_split(p):
@@ -482,11 +477,12 @@ def _canonical(num, den):
 
 
 def _general_sum(general):
-    """The canonical sum of x*y over the triples (x, y, ww) of Scalar.dot
-    whose pair has a true-polynomial denominator, ww whether both numerators
-    have w: every product is brought over the lcm of the product
-    denominators in one accumulator, and the sum is canonicalized once.  A
-    single pair is x * y, whose cross-cancellation keeps its gcds small."""
+    """The canonical sum of x*y over the triples (x, y, ww) of Scalar.dot,
+    ww whether both numerators have w: the pairs with a true-polynomial
+    denominator, and the nonzero Laurent sum as (sum, ONE, False).  Every
+    product is brought over the lcm of the product denominators in one
+    accumulator, and the sum is canonicalized once.  A single pair is x * y,
+    whose cross-cancellation keeps its gcds small."""
     if len(general) == 1:
         x, y, _ = general[0]
         return x * y
@@ -662,37 +658,7 @@ class Scalar:
             return self
         if not self._n:
             return other
-        w1, k1, c1 = self._f or self._facts()
-        w2, k2, c2 = other._f or other._facts()
-        if k1 >= 0 and k2 >= 0:
-            # Laurent path: the sum of products self*1 + other*1
-            return Scalar.dot([(self, ONE), (other, ONE)])
-        n1, d1 = self._n, self._d
-        n2, d2 = other._n, other._d
-        if d1 == d2:
-            num = _padd(n1, n2)
-            if not num:
-                return ZERO
-            g = _gcd_with_wfree(num, d1)
-            if g == _D1:
-                return _new(num, d1)
-            return _new(_div_fast(num, g), _div_fast(d1, g))
-        # Knuth's reduced addition: only gcd(t, gcd(d1, d2)) can cancel
-        g1 = _gcd_fast(d1, d2)
-        if g1 == _D1:
-            num = _padd(_pmul(n1, d2), _pmul(n2, d1))
-            if not num:
-                return ZERO
-            return _new(num, _pmul(d1, d2))
-        d1r = _div_fast(d1, g1)
-        d2r = _div_fast(d2, g1)
-        t = _padd(_pmul(n1, d2r), _pmul(n2, d1r))
-        if not t:
-            return ZERO
-        g2 = _gcd_with_wfree(t, g1)
-        if g2 == _D1:
-            return _new(t, _pmul(d1r, d2))
-        return _new(_div_fast(t, g2), _pmul(d1r, _div_fast(d2, g2)))
+        return Scalar.dot([(self, ONE), (other, ONE)])
 
     __radd__ = __add__
 
@@ -703,7 +669,10 @@ class Scalar:
         return self + (-other)
 
     def __rsub__(self, other):
-        return Scalar._coerce(other) - self
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __neg__(self):
         return _new({k: -c for k, c in self._n.items()}, self._d, self._f)
@@ -755,8 +724,11 @@ class Scalar:
             _too_wide()
         if not all(num.values()):
             num = {key: x for key, x in num.items() if x}
-        out = _laurent(num, k, c, None) if num else ZERO
-        return out + _general_sum(general) if general else out
+        if not general:
+            return _laurent(num, k, c, None) if num else ZERO
+        if num:  # the Laurent sum joins the general ones as one more pair
+            general.append((_laurent(num, k, c, None), ONE, False))
+        return _general_sum(general)
 
     def __mul__(self, other):
         if type(other) is not Scalar:
@@ -817,7 +789,10 @@ class Scalar:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return Scalar._coerce(other) / self
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, k: int):
         if k < 0:

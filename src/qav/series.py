@@ -221,27 +221,18 @@ def expand_scalar(x: Scalar, direction, order) -> TruncSeries:
     if direction == AT_ZERO:
         if 0 not in den:
             raise SeriesError("expand_scalar: denominator vanishes at u=0")
-        nn, dd = num, den
     else:
         dn = max(den)
-        dnum = max(num, default=0)
-        if num and dnum > dn:
+        if num and max(num) > dn:
             raise SeriesError("expand_scalar: no expansion at infinity")
-        nn = {dn - e: c for e, c in num.items()}
-        dd = {dn - e: c for e, c in den.items()}
-    d0inv = dd[0].inverse()
-    negd = {j: -c for j, c in dd.items() if j}
-    out = {}
-    for m in range(order + 1):
-        # b_m = (n_m - sum_j d_j b_(m-j)) / d_0, the sum as one fused dot
-        pairs = [(negd[j], out[m - j]) for j in negd if j <= m and m - j in out]
-        if m in nn:
-            pairs.append((nn[m], ONE))
-        if pairs:
-            c = Scalar.dot(pairs) * d0inv
-            if not c.is_zero():
-                out[m] = c
-    return TruncSeries(direction, order, out)
+        num = {dn - e: c for e, c in num.items()}
+        den = {dn - e: c for e, c in den.items()}
+    # the slices past the order (choose_wiring expands at order 0) drop out
+    num, den = (
+        TruncSeries(direction, order, {m: c for m, c in p.items() if m <= order})
+        for p in (num, den)
+    )
+    return num * den.inverse()
 
 
 def series_log(f: TruncSeries, one=ONE) -> TruncSeries:

@@ -275,6 +275,15 @@ def test_dump_writes_json_payload(tmp_path, capsys):
     assert json.loads(dump.read_text()) == stdout_payload
 
 
+def test_unwritable_dump_path_exits_2(tmp_path, capsys):
+    dump = tmp_path / "missing" / "report.json"
+    rc = cli.run(["check", "cartan", "--dump", str(dump)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not dump.exists()
+
+
 def test_lop_suites_report_conventions(capsys):
     rc = cli.run(
         ["check", "gauss", "--type", "B", "--rank", "1", "--order", "4",

@@ -286,6 +286,18 @@ def test_relrbar_smoke(b1, d2):
         assert all_pass(checks), failures(checks)
 
 
+def test_scalar_series_reads_coefficients_in_exponent_order():
+    """The scalar series stops before the lowest non-scalar exponent,
+    whatever the order in which the coefficients were inserted."""
+    ident = SparseMat.identity(2)
+    x = SparseMat.unit(2, 0, 1)
+    twice = ident.scale(Scalar.from_int(2))
+    for coeffs in ({1: twice, 3: x, 0: ident}, {0: ident, 1: twice, 3: x}):
+        zser, item = lop._scalar_series("z", TruncSeries(AT_ZERO, 4, coeffs))
+        assert str(zser) == "(1) * 1 + (2) * u"
+        assert item["status"] == "fail" and item["witness"] == {"exponent": 3}
+
+
 def test_z_series_b1(b1):
     zp, zm, checks = z_series(b1, K)
     assert all_pass(checks), failures(checks)

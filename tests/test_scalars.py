@@ -222,6 +222,15 @@ def test_parse_str_roundtrip():
         assert Scalar.parse(str(x)) == x
 
 
+def test_reflected_operators_with_unsupported_operands_raise_type_error():
+    for op in (lambda: 1.5 - ONE, lambda: "a" - ONE, lambda: "a" / ONE):
+        with pytest.raises(TypeError):
+            op()
+    assert 1 - ONE == ZERO
+    assert Fraction(1, 2) - ONE == Scalar.fraction(-1, 2)
+    assert 2 / Scalar.from_int(4) == Scalar.fraction(1, 2)
+
+
 # -- field axioms (property-based) -------------------------------------------
 
 
@@ -579,8 +588,27 @@ def field_operands(draw):
     return x
 
 
+# sums over true-polynomial denominators: coprime ones, ones sharing s^2+1
+# that cancels from the sum, equal ones (the last cancelling to 1), and a
+# Laurent operand with a general one
+_COPRIME = (_scalar(_u, _s**2 + 1), _scalar(_v, _s - _u))
+_SHARED = (
+    _scalar(_s**2 + _s - _u + 1, (_s**2 + 1) * (_s - _u)),  # 1/(s-u) + 1/(s^2+1)
+    _scalar(_s**2 - _s - _u + 1, (_s**2 + 1) * (_s + _u)),  # 1/(s+u) - 1/(s^2+1)
+)
+_EQUAL = (_scalar(_u, _s**2 + 1), _scalar(_v, _s**2 + 1))
+_EQUAL_TO_ONE = (_scalar(_s**2, _s**2 + 1), _scalar(_R.one, _s**2 + 1))
+_MIXED = (_scalar(_w, _s**2 + 1), _scalar(_u * _w + 1, 2 * _s**3))
+
+
 @settings(max_examples=200, deadline=None)
 @given(field_operands(), field_operands())
+@example(*_COPRIME)
+@example(*_SHARED)
+@example(*_EQUAL)
+@example(*_EQUAL_TO_ONE)
+@example(*_MIXED)
+@example(*reversed(_MIXED))
 def test_packed_kernel_matches_sympy_arithmetic(a, b):
     (an, ad), (bn, bd) = _pair(a), _pair(b)
     for got, num, den in (
@@ -596,6 +624,30 @@ def test_packed_kernel_matches_sympy_arithmetic(a, b):
         assert got == ref and hash(got) == hash(ref)
     assert (a == b) == ((an, ad) == (bn, bd))
     assert hash(a * b) == hash(b * a)
+
+
+@st.composite
+def high_w_numerators(draw):
+    """A numerator of w-degree 3 to 6: the terms of _raw_terms, each with
+    its w-exponent raised by 0 to 4, and one term of w-degree 3 to 6 that
+    no other term cancels."""
+    c = draw(st.integers(min_value=-6, max_value=6).filter(bool))
+    num = c * _w ** draw(st.integers(min_value=3, max_value=6)) * _s**5
+    for c, ew, ev, eu, es in draw(_raw_terms):
+        num += c * _w ** (ew + draw(st.integers(0, 4))) * _v**ev * _u**eu * _s**es
+    return num
+
+
+@settings(max_examples=100, deadline=None)
+@given(high_w_numerators(), _raw_dens)
+@example(_w**3, _R.one)
+@example(_s**3 * _w**6, _s**2 + 1)  # (s^2+1)^2
+@example(_w**4 * _u + 2 * _w**5 - _w, _s - _u)
+def test_constructor_rewrites_every_power_of_w(num, den):
+    p, q = _sympy_canonical(num, den)
+    x = _scalar(num, den)
+    assert _pair(x) == (p, q)
+    assert str(x) == _sympy_str(p, q)
 
 
 def _folded(pairs):
@@ -623,9 +675,10 @@ _DOT_CASES = [
         (Scalar.u_pow(1) * _half, Scalar.s_pow(-1)),
         (-Scalar.u_pow(1), _half * Scalar.s_pow(-1)),
     ],
-    # one true-polynomial pair is x * y, added to the Laurent sum
+    # one true-polynomial pair meets the Laurent sum in one accumulator
     [(Scalar.parse("(u)/(s^2+1)"), _sw), (_half, Scalar.s_pow(3)), (_sw, _third)],
-    # general pairs with equal denominators meet over it with no gcd
+    # general pairs with equal denominators meet over it with no gcd, and
+    # the Laurent sum with one
     [
         (Scalar.parse("(u)/(s^2+1)"), _sw),
         (Scalar.parse("(v)/(s^2+1)"), Scalar.s_pow(1)),
@@ -695,9 +748,9 @@ def test_dot_cases_reach_every_path(monkeypatch):
     assert dot(3) == ZERO and general_sums == []
     got = str(dot(4))
     assert got == "(3*s^5+2*s^2*w+3*s^3+6*u*w+2*w)/(6*s^2+6)"
-    assert general_sums == [1]
+    assert general_sums == [2]  # the Laurent sum joins the general pair
     assert str(dot(5)) == "(2*s*u*w+2*s^2*v+s^2+1)/(2*s^3+2*s)"
-    assert general_sums == [2]
+    assert general_sums == [3]
     assert str(dot(6)) == "(2*v*w+u^2)/(2*s^2*u+2*u)"
     assert general_sums == [2]
     assert str(dot(7)) == "(-s*w-u)/(s*u-s^2)"
