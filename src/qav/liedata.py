@@ -66,40 +66,65 @@ class AlgebraData:
             raise LieDataError("type D requires rank >= 2")
         self.type = type_
         self.n = rank
-        n = rank
-        self.N = dimension_of(type_, n)
-        self.xi = xi_of(type_, n)
+        self.N = dimension_of(type_, rank)
+        self.xi = xi_of(type_, rank)
 
-        # orthonormal-basis coordinates of the simple roots
-        eps = [
+    # The tables below are built on first use: the n x n ones cost O(n^3)
+    # Fraction work, and a suite that refuses the rank under its resource
+    # bound reads none of them.
+
+    @cached_property
+    def epsilon(self):
+        """Orthonormal-basis coordinates e_1..e_n."""
+        n = self.n
+        return [
             tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
             for i in range(n)
         ]
+
+    @cached_property
+    def roots(self):
+        """Orthonormal-basis coordinates of the simple roots."""
+        eps, n = self.epsilon, self.n
         roots = [
             tuple(a - b for a, b in zip(eps[i], eps[i + 1])) for i in range(n - 1)
         ]
-        if type_ == "B":
+        if self.type == "B":
             roots.append(eps[n - 1])
         else:
             roots.append(tuple(a + b for a, b in zip(eps[n - 2], eps[n - 1])))
-        self.epsilon = eps
-        self.roots = roots
+        return roots
 
-        self.r = [_dot(a, a) / 2 for a in roots]
-        self.qi = [Scalar.q_pow(ri) for ri in self.r]
-        self.A = [
+    @cached_property
+    def r(self):
+        return [_dot(a, a) / 2 for a in self.roots]
+
+    @cached_property
+    def qi(self):
+        return [Scalar.q_pow(ri) for ri in self.r]
+
+    @cached_property
+    def A(self):
+        """The Cartan matrix."""
+        roots, n = self.roots, self.n
+        return [
             [2 * _dot(roots[i], roots[j]) / _dot(roots[i], roots[i]) for j in range(n)]
             for i in range(n)
         ]
-        # B = C A with C = diag(r_i); equivalently B_ij = (alpha_i, alpha_j)
-        self.Bmat = [[_dot(roots[i], roots[j]) for j in range(n)] for i in range(n)]
-        self.bars = bars_of(type_, n)
+
+    @cached_property
+    def Bmat(self):
+        """B = C A with C = diag(r_i); equivalently B_ij = (alpha_i, alpha_j)."""
+        roots, n = self.roots, self.n
+        return [[_dot(roots[i], roots[j]) for j in range(n)] for i in range(n)]
+
+    @cached_property
+    def bars(self):
+        return bars_of(self.type, self.n)
 
     @cached_property
     def Btilde(self):
-        """The inverse of B, a matrix of constant Scalars.  Computed on first
-        use: the elimination is cubic in the rank, and a check that refuses
-        the rank under its resource bound never needs it."""
+        """The inverse of B, a matrix of constant Scalars."""
         return ring_inverse(
             [[Scalar.fraction(b.numerator, b.denominator) for b in row]
              for row in self.Bmat],

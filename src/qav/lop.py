@@ -15,7 +15,9 @@ exact arithmetic; every check reports pass/fail with a witness coefficient on
 failure.  A relation family that several checks state identically (the
 commutator, h-h commutation, the h1 exchanges and the e-f commutator of the
 low-rank batteries, the mirror differences of eiprei and main-structure) is
-written once.
+written once.  So are the shapes of the batteries' items: _exchange builds
+every exchange x(u) y(v) - pre y(v) x(u) + corrections = 0 of a battery, and
+GenSource.mul forms each product of two generator series once per source.
 """
 
 from __future__ import annotations
@@ -537,11 +539,14 @@ def _bivar_zero(name, terms, clearing=ONE) -> dict:
 class GenSource:
     """The Gaussian generator series of either sign by local index,
     optionally offset into the trailing blocks of a larger decomposition
-    (the reduction map)."""
+    (the reduction map).  The low-rank batteries read the series by label
+    (gen) and form each product of two labelled series once per source
+    (mul); the memo dies with the source."""
 
     def __init__(self, lops: LOperators, offset: int = 0):
         self.lops = lops
         self.off = offset
+        self._products = {}
 
     def h(self, i, sign) -> TruncSeries:
         return self.lops.g(sign).h(i + self.off)
@@ -551,6 +556,25 @@ class GenSource:
 
     def f(self, j, i, sign) -> TruncSeries:
         return self.lops.g(sign).f(j + self.off, i + self.off)
+
+    def gen(self, label: str, sign) -> TruncSeries:
+        """The series of a battery label: "h2", "e12" or "f21" (local
+        indices, one digit each), or "h1^-1", the inverse of h1."""
+        if label == "h1^-1":
+            return self.h(1, sign).inverse()
+        if label[0] == "h":
+            return self.h(int(label[1]), sign)
+        return (self.e if label[0] == "e" else self.f)(
+            int(label[1]), int(label[2]), sign
+        )
+
+    def mul(self, x: str, y: str, sign) -> TruncSeries:
+        """The product of the labelled series x and y of one sign."""
+        key = (x, y, sign)
+        prod = self._products.get(key)
+        if prod is None:
+            prod = self._products[key] = self.gen(x, sign) * self.gen(y, sign)
+        return prod
 
 
 _SIGNS = (1, -1)
@@ -583,63 +607,64 @@ def _hh_commutation(src: GenSource, prefix: str, index_pairs) -> list:
     ]
 
 
-def _h1_products(src: GenSource, a: int, b: int) -> dict:
-    """Per sign s, the products h1(u) e_ab(u) and f_ba(u) h1(u) that the h1
-    exchanges of the root column (a, b) read, formed once per sign."""
-    return {
-        s: (src.h(1, s) * src.e(a, b, s), src.f(b, a, s) * src.h(1, s))
-        for s in _SIGNS
-    }
+def _exchange(name, x, y, first, pre, corrections=(), clearing=ONE) -> dict:
+    """The item x(u) y(v) - pre y(v) x(u) + corrections = 0, or its mirror
+    y(v) x(u) - pre x(u) y(v) + corrections = 0 when first is "vu".  Each
+    correction is a (prefactor, u part, v part) term with one part None."""
+    second = "vu" if first == "uv" else "uv"
+    terms = [(ONE, x, y, first), (_MONE * pre, x, y, second)]
+    return _bivar_zero(
+        name, terms + [(c, U, V, "uv") for c, U, V in corrections], clearing
+    )
 
 
-def _h1_exchanges(src: GenSource, prefix: str, a: int, b: int, s, t, prods):
-    """The exchanges of h1(u) with e_ab(v) and of f_ba(v) with h1(u), for
-    the root column (a, b) of a low-rank battery; prods is its
-    _h1_products."""
+def _product_name(x, s, y, t, first="uv"):
+    """The name x±(u) y±(v) of the labels x and y of signs s and t, or its
+    mirror y±(v) x±(u) when first is "vu"."""
+    xu, yv = f"{x}{_sig(s)}(u)", f"{y}{_sig(t)}(v)"
+    return f"{xu} {yv}" if first == "uv" else f"{yv} {xu}"
+
+
+def _h_side(src: GenSource, h, x, sign) -> TruncSeries:
+    """The product h x of a diagonal series and an e, or x h for an f, that
+    the exchange of h with x reads."""
+    return src.mul(h, x, sign) if x[0] == "e" else src.mul(x, h, sign)
+
+
+def _h1_exchanges(src: GenSource, prefix: str, e: str, f: str, s, t) -> list:
+    """The exchanges of h1(u) with e(v) and of f(v) with h1(u), for the root
+    column of the labels e = e_ab and f = f_ba of a low-rank battery."""
     u, v = _U, _V
     d1 = _Q * u - _QI * v
-    pre = _MONE * (u - v) * d1.inverse()
-    h1s, e, f = src.h(1, s), src.e(a, b, t), src.f(b, a, t)
-    he_u, fh_u = prods[s]
     return [
-        _bivar_zero(
-            f"{prefix}h1{_sig(s)}(u) e{a}{b}{_sig(t)}(v) exchange",
-            [
-                (ONE, h1s, e, "uv"),
-                (pre, h1s, e, "vu"),
-                (_MONE * _QMQ * u * d1.inverse(), he_u, None, "uv"),
-            ],
+        _exchange(
+            f"{prefix}{_product_name('h1', s, y, t, first)} exchange",
+            src.gen("h1", s),
+            src.gen(y, t),
+            first,
+            (u - v) * d1.inverse(),
+            [(_MONE * _QMQ * free * d1.inverse(), _h_side(src, "h1", y, s), None)],
             d1,
-        ),
-        _bivar_zero(
-            f"{prefix}f{b}{a}{_sig(t)}(v) h1{_sig(s)}(u) exchange",
-            [
-                (ONE, h1s, f, "vu"),
-                (pre, h1s, f, "uv"),
-                (_MONE * _QMQ * v * d1.inverse(), fh_u, None, "uv"),
-            ],
-            d1,
-        ),
+        )
+        for y, first, free in ((e, "uv", u), (f, "vu", v))
     ]
 
 
-def _h_ratio(src: GenSource, hidx: int) -> dict:
-    """Per sign s, the ratio h_hidx h1^-1 of the diagonal series."""
-    return {s: src.h(hidx, s) * src.h(1, s).inverse() for s in _SIGNS}
-
-
-def _ef_commutator(src: GenSource, prefix: str, a: int, b: int, hidx, s, t, ratio):
-    """[e_ab(u), f_ba(v)] against the ratio h_hidx h1^-1 of the diagonal
-    series, for the root column (a, b) of a low-rank battery; ratio is the
-    _h_ratio of hidx."""
+def _ef_commutator(src: GenSource, prefix: str, e: str, f: str, h: str, s, t):
+    """[e(u), f(v)] against the ratio h h1^-1 of the diagonal series, for the
+    root column of the labels e = e_ab and f = f_ba of a low-rank battery."""
     duv = _U - _V
-    e, f = src.e(a, b, s), src.f(b, a, t)
-    ratio_u, ratio_v = ratio[s], ratio[t]
     pre = _QMQ * _V * duv.inverse()
-    return _bivar_zero(
-        f"{prefix}[e{a}{b}{_sig(s)}(u), f{b}{a}{_sig(t)}(v)] vs h-ratio",
-        _commutator(e, f)
-        + [(_MONE * pre, None, ratio_v, "uv"), (pre, ratio_u, None, "uv")],
+    return _exchange(
+        f"{prefix}[{e}{_sig(s)}(u), {f}{_sig(t)}(v)] vs h-ratio",
+        src.gen(e, s),
+        src.gen(f, t),
+        "uv",
+        ONE,
+        [
+            (_MONE * pre, None, src.mul(h, "h1^-1", t)),
+            (pre, src.mul(h, "h1^-1", s), None),
+        ],
         duv,
     )
 
@@ -649,152 +674,92 @@ def _ef_commutator(src: GenSource, prefix: str, a: int, b: int, hidx, s, t, rati
 # ---------------------------------------------------------------------------
 
 
-def _battery_rank1_b(src: GenSource, tag: str) -> list:
-    """The full rank-one type-B relation battery on a generator source."""
+def _b1_quadratic_prefactors(swap: bool) -> list:
+    """B, C, D1 and E1 of the rank-one type-B quadratic relation of e12, or
+    of f21 when swap is set: there each free factor u or v is the other."""
     u, v, q, qi = _U, _V, _Q, _QI
-    qmq = _QMQ
-    qh = Scalar.q_pow(Fraction(1, 2))
     qhi = Scalar.q_pow(Fraction(-1, 2))
-    prefix = f"{tag}: "
-    out = _hh_commutation(src, prefix, ((1, 1), (1, 2), (2, 2)))
-
-    def bv(name, terms, clearing=ONE):
-        out.append(_bivar_zero(prefix + name, terms, clearing))
-
-    prods = _h1_products(src, 1, 2)
-    for s, t in _PAIRS:
-        out += _h1_exchanges(src, prefix, 1, 2, s, t, prods)
-    # e-f commutator against the h-ratio
-    ratio = _h_ratio(src, 2)
-    out += [_ef_commutator(src, prefix, 1, 2, 2, s, t, ratio) for s, t in _PAIRS]
-    # quadratic e-e / f-f with the next-root correction terms
-    dq = (qi * u - v) * (qi * u - q * v) * (u - qi * qi * v)
-    A = (u - qi * v) * (qi * u - v).inverse()
-    B = _MONE * qmq * v * (qi * u - q * v).inverse()
+    x, y = (v, u) if swap else (u, v)
+    B = _MONE * _QMQ * y * (qi * u - q * v).inverse()
     C = (
         _MONE
         * (u - qi * v)
         * (ONE - qi * qi)
-        * u
+        * x
         * ((qi * u - v) * (u - qi * qi * v)).inverse()
     )
     D1 = (
         (u - v)
         * qhi
         * (qi * qi - ONE)
-        * u
+        * x
         * ((qi * u - v) * (u - qi * qi * v)).inverse()
     )
     E1 = (
         (u - v)
         * qhi
         * (qi - q)
-        * v
+        * y
         * ((qi * u - v) * (qi * u - q * v)).inverse()
     )
-    sq = {s: src.e(1, 2, s) * src.e(1, 2, s) for s in _SIGNS}
+    return [B, C, D1, E1]
+
+
+def _battery_rank1_b(src: GenSource, tag: str) -> list:
+    """The full rank-one type-B relation battery on a generator source."""
+    u, v, q, qi = _U, _V, _Q, _QI
+    qh = Scalar.q_pow(Fraction(1, 2))
+    prefix = f"{tag}: "
+    out = _hh_commutation(src, prefix, ((1, 1), (1, 2), (2, 2)))
     for s, t in _PAIRS:
-        e12s, e12t = src.e(1, 2, s), src.e(1, 2, t)
-        sq_u, sq_v = sq[s], sq[t]
-        e13u, e13v = src.e(1, 3, s), src.e(1, 3, t)
-        bv(
-            f"e12{_sig(s)}(u) e12{_sig(t)}(v) quadratic",
-            [
-                (ONE, e12s, e12t, "uv"),
-                (_MONE * A, e12s, e12t, "vu"),
-                (_MONE * B, None, sq_v, "uv"),
-                (_MONE * C, sq_u, None, "uv"),
-                (_MONE * D1, e13u, None, "uv"),
-                (_MONE * E1, None, e13v, "uv"),
-            ],
-            clearing=dq,
-        )
-    Bf = _MONE * qmq * u * (qi * u - q * v).inverse()
-    Cf = (
-        _MONE
-        * (u - qi * v)
-        * (ONE - qi * qi)
-        * v
-        * ((qi * u - v) * (u - qi * qi * v)).inverse()
-    )
-    D1f = (
-        (u - v)
-        * qhi
-        * (qi * qi - ONE)
-        * v
-        * ((qi * u - v) * (u - qi * qi * v)).inverse()
-    )
-    E1f = (
-        (u - v)
-        * qhi
-        * (qi - q)
-        * u
-        * ((qi * u - v) * (qi * u - q * v)).inverse()
-    )
-    sq = {s: src.f(2, 1, s) * src.f(2, 1, s) for s in _SIGNS}
-    for s, t in _PAIRS:
-        f21s, f21t = src.f(2, 1, s), src.f(2, 1, t)
-        sq_u, sq_v = sq[s], sq[t]
-        f31u, f31v = src.f(3, 1, s), src.f(3, 1, t)
-        bv(
-            f"f21{_sig(t)}(v) f21{_sig(s)}(u) quadratic",
-            [
-                (ONE, f21s, f21t, "vu"),
-                (_MONE * A, f21s, f21t, "uv"),
-                (_MONE * Bf, None, sq_v, "uv"),
-                (_MONE * Cf, sq_u, None, "uv"),
-                (_MONE * D1f, f31u, None, "uv"),
-                (_MONE * E1f, None, f31v, "uv"),
-            ],
-            clearing=dq,
-        )
+        out += _h1_exchanges(src, prefix, "e12", "f21", s, t)
+    # e-f commutator against the h-ratio
+    out += [_ef_commutator(src, prefix, "e12", "f21", "h2", s, t) for s, t in _PAIRS]
+    # quadratic e-e / f-f with the next-root correction terms; the f21
+    # relation is the mirror of e12's, and its B, C, D1 and E1 are e12's
+    # with the free factor u or v swapped
+    dq = (qi * u - v) * (qi * u - q * v) * (u - qi * qi * v)
+    A = (u - qi * v) * (qi * u - v).inverse()
+    for x, nxt, first in (("e12", "e13", "uv"), ("f21", "f31", "vu")):
+        B, C, D1, E1 = _b1_quadratic_prefactors(swap=first == "vu")
+        for s, t in _PAIRS:
+            out.append(
+                _exchange(
+                    f"{prefix}{_product_name(x, s, x, t, first)} quadratic",
+                    src.gen(x, s),
+                    src.gen(x, t),
+                    first,
+                    A,
+                    [
+                        (_MONE * B, None, src.mul(x, x, t)),
+                        (_MONE * C, src.mul(x, x, s), None),
+                        (_MONE * D1, src.gen(nxt, s), None),
+                        (_MONE * E1, None, src.gen(nxt, t)),
+                    ],
+                    dq,
+                )
+            )
     # exchange against the long-root diagonal series
     d2 = (u - v) * (qi * u - v)
     pre3 = (qi * u - q * v) * (u - qi * v) * d2.inverse()
-    # per sign t: f21 h2, f32 h2, h2 e12 and h2 e23 at v
-    vprods = {
-        t: (
-            src.f(2, 1, t) * src.h(2, t),
-            src.f(3, 2, t) * src.h(2, t),
-            src.h(2, t) * src.e(1, 2, t),
-            src.h(2, t) * src.e(2, 3, t),
-        )
-        for t in _SIGNS
-    }
     for s, t in _PAIRS:
-        f21s, h2t = src.f(2, 1, s), src.h(2, t)
-        fh_v, f32h_v, he_v, he23_v = vprods[t]
-        bv(
-            f"h2{_sig(t)}(v) f21{_sig(s)}(u) exchange",
-            [
-                (ONE, f21s, h2t, "vu"),
-                (qmq * u * (u - v).inverse(), None, fh_v, "uv"),
-                (_MONE * pre3, f21s, h2t, "uv"),
-                (
-                    _MONE * (qi * qi - ONE) * qh * u * (qi * u - v).inverse(),
-                    None,
-                    f32h_v,
-                    "uv",
-                ),
-            ],
-            clearing=d2,
-        )
-        e12s = src.e(1, 2, s)
-        bv(
-            f"e12{_sig(s)}(u) h2{_sig(t)}(v) exchange",
-            [
-                (ONE, e12s, h2t, "uv"),
-                (qmq * v * (u - v).inverse(), None, he_v, "uv"),
-                (_MONE * pre3, e12s, h2t, "vu"),
-                (
-                    _MONE * (qi * qi - ONE) * qh * v * (qi * u - v).inverse(),
-                    None,
-                    he23_v,
-                    "uv",
-                ),
-            ],
-            clearing=d2,
-        )
+        for x, nxt, first, free in (("f21", "f32", "vu", u), ("e12", "e23", "uv", v)):
+            c = _QMQ * free * (u - v).inverse()
+            cnxt = _MONE * (qi * qi - ONE) * qh * free * (qi * u - v).inverse()
+            out.append(
+                _exchange(
+                    f"{prefix}{_product_name(x, s, 'h2', t, first)} exchange",
+                    src.gen(x, s),
+                    src.gen("h2", t),
+                    first,
+                    pre3,
+                    [
+                        (c, None, _h_side(src, "h2", x, t)),
+                        (cnxt, None, _h_side(src, "h2", nxt, t)),
+                    ],
+                    d2,
+                )
+            )
     return out
 
 
@@ -806,99 +771,72 @@ def _battery_rank2_d(src: GenSource, tag: str) -> list:
     pairs = ((1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3))
     out = _hh_commutation(src, prefix, pairs)
 
-    def bv(name, terms, clearing=ONE):
-        out.append(_bivar_zero(prefix + name, terms, clearing))
-
-    def gen(name, s):  # "e12" -> e12 of sign s
-        return (src.e if name[0] == "e" else src.f)(int(name[1]), int(name[2]), s)
+    def bv(name, terms):
+        out.append(_bivar_zero(prefix + name, terms))
 
     def zero_items(template, rows):
         # per sign, a row (x,), (x, y) or (x, y, z) states x, x + y or x + y z = 0
         for s in _SIGNS:
             for row in rows:
-                x = gen(row[0], s)
+                x = src.gen(row[0], s)
                 if len(row) == 3:
-                    x = x + gen(row[1], s) * gen(row[2], s)
+                    x = x + src.mul(row[1], row[2], s)
                 elif len(row) == 2:
-                    x = x + gen(row[1], s)
+                    x = x + src.gen(row[1], s)
                 labels = [f"{name}{_sig(s)}(u)" for name in row]
                 name = prefix + template.format(*labels)
                 out.append(_coefficient_item(name, [({}, x)]))
 
-    d1 = q * u - qi * v
     duv = u - v
+    d1 = q * u - qi * v
+    d2 = qi * u - q * v
+
+    def h_exchange(x, h, s, t, d, c, kind):
+        # x(u), an e or an f, against h(v): (d, c) is (d1, 1) for the
+        # diagonal series of x's root column and (d2, -1) for the other's
+        first, free = ("uv", v) if x[0] == "e" else ("vu", u)
+        out.append(
+            _exchange(
+                f"{prefix}{_product_name(x, s, h, t, first)} {kind}",
+                src.gen(x, s),
+                src.gen(h, t),
+                first,
+                d * duv.inverse(),
+                [(c * qmq * free * duv.inverse(), None, _h_side(src, h, x, t))],
+                duv,
+            )
+        )
+
     # the two root columns (e12/f21 against h2, e13/f31 against h3)
-    for (ei, ej), hidx in (((1, 2), 2), ((1, 3), 3)):
-        label = f"e{ei}{ej}"
-        flabel = f"f{ej}{ei}"
-        prods = _h1_products(src, ei, ej)
-        # per sign t: h_hidx e and f h_hidx at v
-        vprods = {
-            t: (
-                src.h(hidx, t) * src.e(ei, ej, t),
-                src.f(ej, ei, t) * src.h(hidx, t),
-            )
-            for t in _SIGNS
-        }
+    for e, f, h in (("e12", "f21", "h2"), ("e13", "f31", "h3")):
         for s, t in _PAIRS:
-            out += _h1_exchanges(src, prefix, ei, ej, s, t, prods)
+            out += _h1_exchanges(src, prefix, e, f, s, t)
             # exchange with the matching diagonal series
-            ecs = src.e(ei, ej, s)
-            hct = src.h(hidx, t)
-            he_v, fh_v = vprods[t]
-            bv(
-                f"{label}{_sig(s)}(u) h{hidx}{_sig(t)}(v) exchange",
-                [
-                    (ONE, ecs, hct, "uv"),
-                    (_MONE * d1 * duv.inverse(), ecs, hct, "vu"),
-                    (qmq * v * duv.inverse(), None, he_v, "uv"),
-                ],
-                clearing=duv,
-            )
-            fcs = src.f(ej, ei, s)
-            bv(
-                f"h{hidx}{_sig(t)}(v) {flabel}{_sig(s)}(u) exchange",
-                [
-                    (ONE, fcs, hct, "vu"),
-                    (_MONE * d1 * duv.inverse(), fcs, hct, "uv"),
-                    (qmq * u * duv.inverse(), None, fh_v, "uv"),
-                ],
-                clearing=duv,
-            )
-        # quadratic relations
-        dq = qi * u - q * v
-        sq = {s: src.e(ei, ej, s) * src.e(ei, ej, s) for s in _SIGNS}
-        fsq = {s: src.f(ej, ei, s) * src.f(ej, ei, s) for s in _SIGNS}
+            h_exchange(e, h, s, t, d1, ONE, "exchange")
+            h_exchange(f, h, s, t, d1, ONE, "exchange")
+        # quadratic relations: x(u) x(v) - (a / b) x(v) x(u) + (cv x(v)^2
+        # + cu x(u)^2) / b = 0
         for s, t in _PAIRS:
-            ecs, ect = src.e(ei, ej, s), src.e(ei, ej, t)
-            sq_u, sq_v = sq[s], sq[t]
-            bv(
-                f"{label}{_sig(s)}(u) {label}{_sig(t)}(v) quadratic",
-                [
-                    (ONE, ecs, ect, "uv"),
-                    (qmq * v * dq.inverse(), None, sq_v, "uv"),
-                    (qmq * u * dq.inverse(), sq_u, None, "uv"),
-                    (_MONE * d1 * dq.inverse(), ecs, ect, "vu"),
-                ],
-                clearing=dq,
-            )
-            fcs, fct = src.f(ej, ei, s), src.f(ej, ei, t)
-            fsq_u, fsq_v = fsq[s], fsq[t]
-            bv(
-                f"{flabel}{_sig(s)}(u) {flabel}{_sig(t)}(v) quadratic",
-                [
-                    (ONE, fcs, fct, "uv"),
-                    (_MONE * qmq * v * d1.inverse(), fsq_u, None, "uv"),
-                    (_MONE * qmq * u * d1.inverse(), None, fsq_v, "uv"),
-                    (_MONE * dq * d1.inverse(), fcs, fct, "vu"),
-                ],
-                clearing=d1,
-            )
+            for x, a, b, cv, cu in (
+                (e, d1, d2, qmq * v, qmq * u),
+                (f, d2, d1, _MONE * qmq * u, _MONE * qmq * v),
+            ):
+                out.append(
+                    _exchange(
+                        f"{prefix}{_product_name(x, s, x, t)} quadratic",
+                        src.gen(x, s),
+                        src.gen(x, t),
+                        "uv",
+                        a * b.inverse(),
+                        [
+                            (cv * b.inverse(), None, src.mul(x, x, t)),
+                            (cu * b.inverse(), src.mul(x, x, s), None),
+                        ],
+                        b,
+                    )
+                )
         # e-f commutator against the h-ratio
-        ratio = _h_ratio(src, hidx)
-        out += [
-            _ef_commutator(src, prefix, ei, ej, hidx, s, t, ratio) for s, t in _PAIRS
-        ]
+        out += [_ef_commutator(src, prefix, e, f, h, s, t) for s, t in _PAIRS]
     # vanishing inner entries
     zero_items("{} = 0", (("e23",), ("f32",)))
     # corner entries as products
@@ -913,10 +851,10 @@ def _battery_rank2_d(src: GenSource, tag: str) -> list:
     )
     for s, t in _PAIRS:
         for x, y in (("e12", "e13"), ("f21", "f31")):
-            xs, yt = gen(x, s), gen(y, t)
+            xs, yt = src.gen(x, s), src.gen(y, t)
             bv(
                 f"{x}{_sig(s)}(u) {y}{_sig(t)}(v) symmetric in signs",
-                [(ONE, xs, yt, "uv"), (_MONE, gen(y, s), gen(x, t), "vu")],
+                [(ONE, xs, yt, "uv"), (_MONE, src.gen(y, s), src.gen(x, t), "vu")],
             )
             bv(f"[{x}{_sig(s)}(u), {y}{_sig(t)}(v)] = 0", _commutator(xs, yt))
     # mirrored entries
@@ -924,48 +862,13 @@ def _battery_rank2_d(src: GenSource, tag: str) -> list:
         "{} + {} = 0", (("e34", "e12"), ("e24", "e13"), ("f43", "f21"), ("f42", "f31"))
     )
     # cross commutators and exchanges between the two root columns
-    d2 = qi * u - q * v
     for s, t in _PAIRS:
         for x, y in (("e12", "f31"), ("e13", "f21")):
-            xs, yt = gen(x, s), gen(y, t)
+            xs, yt = src.gen(x, s), src.gen(y, t)
             bv(f"[{x}{_sig(s)}(u), {y}{_sig(t)}(v)] = 0", _commutator(xs, yt))
-    ecross, fcross = (((1, 2), 3), ((1, 3), 2)), (((2, 1), 3), ((3, 1), 2))
-    # per sign t: h_hidx e and f h_hidx at v of the crossed columns
-    he_v = {
-        (ei, ej, t): src.h(hidx, t) * src.e(ei, ej, t)
-        for (ei, ej), hidx in ecross
-        for t in _SIGNS
-    }
-    fh_v = {
-        (fj, fi, t): src.f(fj, fi, t) * src.h(hidx, t)
-        for (fj, fi), hidx in fcross
-        for t in _SIGNS
-    }
     for s, t in _PAIRS:
-        for (ei, ej), hidx in ecross:
-            ecs = src.e(ei, ej, s)
-            hct = src.h(hidx, t)
-            bv(
-                f"e{ei}{ej}{_sig(s)}(u) h{hidx}{_sig(t)}(v) cross exchange",
-                [
-                    (ONE, ecs, hct, "uv"),
-                    (_MONE * d2 * duv.inverse(), ecs, hct, "vu"),
-                    (_MONE * qmq * v * duv.inverse(), None, he_v[ei, ej, t], "uv"),
-                ],
-                clearing=duv,
-            )
-        for (fj, fi), hidx in fcross:
-            fcs = src.f(fj, fi, s)
-            hct = src.h(hidx, t)
-            bv(
-                f"h{hidx}{_sig(t)}(v) f{fj}{fi}{_sig(s)}(u) cross exchange",
-                [
-                    (ONE, fcs, hct, "vu"),
-                    (_MONE * d2 * duv.inverse(), fcs, hct, "uv"),
-                    (_MONE * qmq * u * duv.inverse(), None, fh_v[fj, fi, t], "uv"),
-                ],
-                clearing=duv,
-            )
+        for x, h in (("e12", "h3"), ("e13", "h2"), ("f21", "h3"), ("f31", "h2")):
+            h_exchange(x, h, s, t, d2, _MONE, "cross exchange")
     return out
 
 

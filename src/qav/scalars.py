@@ -814,6 +814,9 @@ class Scalar:
         return self._n == other._n and self._d == other._d
 
     def __hash__(self):
+        # a constant equals the Fraction (or int) it holds, so it hashes as one
+        if not any(self._n) and not any(self._d):
+            return hash(Fraction(self._n.get(0, 0)) / self._d[0])
         return hash((frozenset(self._n.items()), frozenset(self._d.items())))
 
     # -- substitution and coefficient extraction --------------------------

@@ -169,6 +169,21 @@ def test_resource_bound_exits_2(capsys):
         assert "resource bound" in capsys.readouterr().err
 
 
+def test_an_over_rank_input_is_refused_before_any_table_is_built():
+    """Rank 400 exits 2 within seconds: the algebra's n x n tables are built
+    on first use, after a suite's guard, not when the algebra is made."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for suite, type_ in (("cartan", "B"), ("all", "D")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qav.cli", "check", suite, "--type", type_,
+             "--rank", "400"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == 2, suite
+        assert "resource bound" in proc.stderr, suite
+
+
 def test_a_gcd_the_heuristic_cannot_find_exits_2(fresh_builds, monkeypatch, capsys):
     """A gcd that the heuristic gcd does not find within its evaluation
     points is a resource failure (exit 2), not a failed check (exit 1)."""

@@ -2,6 +2,7 @@
 low truncation order; the full order-10 runs live in test_acceptance)."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -431,6 +432,71 @@ def test_lowrank_battery_reads_the_representation_size_from_l(b1):
     assert got == want
 
 
+def test_gen_source_reads_labels_and_forms_each_product_once(d2):
+    """A label names the series of the local indices, offset included;
+    h1^-1 is the inverse of h1, and mul returns the product it formed
+    first."""
+    lops = gaussian_generators(build_lops(d2, K))
+    src = lop.GenSource(lops, offset=1)
+    for s in (1, -1):
+        assert src.gen("e12", s) is lops.g(s).e(2, 3)
+        assert src.gen("f21", s) is lops.g(s).f(3, 2)
+        assert src.gen("h2", s) is lops.g(s).h(3)
+        assert (src.gen("h1^-1", s) - src.h(1, s).inverse()).is_zero()
+        prod = src.mul("h2", "e12", s)
+        assert (prod - src.h(2, s) * src.e(1, 2, s)).is_zero()
+        assert src.mul("h2", "e12", s) is prod
+    assert src.mul("h2", "e12", 1) is not src.mul("h2", "e12", -1)
+
+
+def test_lowrank_forms_each_product_once_per_sign(monkeypatch, b1, d2):
+    """On built L-operators, the B1 battery forms 18 series products and 2
+    inverses at order 10, and the D2 battery 44 and 4: each product of two
+    generator series once per sign."""
+    counts = {"mul": 0, "inverse": 0}
+    mul, inverse = TruncSeries.__mul__, TruncSeries.inverse
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted("mul", mul))
+    monkeypatch.setattr(TruncSeries, "inverse", counted("inverse", inverse))
+    for alg, want in ((b1, (18, 2)), (d2, (44, 4))):
+        gaussian_generators(build_lops(alg, 10))
+        counts.update(mul=0, inverse=0)
+        assert all_pass(check_lowrank(alg, 10))
+        assert (counts["mul"], counts["inverse"]) == want, alg
+
+
+def test_b1_f_prefactors_are_the_e_prefactors_with_u_and_v_swapped():
+    """The f21 quadratic's B, C, D1 and E1 are those of e12 with the free
+    factor u or v swapped; both sets equal the hand-written formulas."""
+    u, v, q, qi, qmq = lop._U, lop._V, lop._Q, lop._QI, lop._QMQ
+    one, mone = lop.ONE, lop._MONE
+    qhi = Scalar.q_pow(Fraction(-1, 2))
+
+    def hand_written(x, y):
+        return [
+            mone * qmq * y * (qi * u - q * v).inverse(),
+            mone * (u - qi * v) * (one - qi * qi) * x
+            * ((qi * u - v) * (u - qi * qi * v)).inverse(),
+            (u - v) * qhi * (qi * qi - one) * x
+            * ((qi * u - v) * (u - qi * qi * v)).inverse(),
+            (u - v) * qhi * (qi - q) * y
+            * ((qi * u - v) * (qi * u - q * v)).inverse(),
+        ]
+
+    e_pres = lop._b1_quadratic_prefactors(swap=False)
+    f_pres = lop._b1_quadratic_prefactors(swap=True)
+    assert e_pres == hand_written(u, v)
+    assert f_pres == hand_written(v, u)
+    assert all(e != f for e, f in zip(e_pres, f_pres))
+
+
 def test_bivar_zero_reads_the_identity_part(b1):
     """The e-f commutator against the h-ratio holds; with its ratio_u series
     bumped at mode 2, its only nonzero contribution is that of the
@@ -540,7 +606,7 @@ def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
         src = lop.GenSource(gaussian_generators(build_lops(alg, K)))
         h1, h2 = src.h(1, 1), src.h(2, -1)
         e12, f21 = src.e(1, 2, 1), src.f(2, 1, -1)
-        ratio = lop._h_ratio(src, 2)
+        ratio = {s: src.mul("h2", "h1^-1", s) for s in (1, -1)}
 
         def bump(x, mode, i, j):
             unit = SparseMat.unit(alg.N, i, j)

@@ -231,6 +231,22 @@ def test_reflected_operators_with_unsupported_operands_raise_type_error():
     assert 2 / Scalar.from_int(4) == Scalar.fraction(1, 2)
 
 
+def test_a_constant_hashes_as_the_number_it_equals():
+    """x == y implies hash(x) == hash(y), also across int, Fraction and
+    Scalar, so equal keys meet in a set or a dict."""
+    pairs = [
+        (ONE, 1),
+        (ZERO, 0),
+        (Scalar.from_int(-3), -3),
+        (Scalar.fraction(1, 2), Fraction(1, 2)),
+        (Scalar.fraction(-7, 3), Fraction(-7, 3)),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y), (x, y)
+        assert len({x, y}) == 1
+    assert {1: "one"}[ONE] == "one"
+
+
 # -- field axioms (property-based) -------------------------------------------
 
 
