@@ -36,13 +36,12 @@ MAX_WINDOW = 8
 
 class _Suite(NamedTuple):
     """One row of the suite table.  module names the qav module that holds
-    the check, and run(module, alg, K, W) returns the check dicts;
-    needs_lops adds the L-operator conventions to the report; skip, when
-    set, is (applies(alg), check name, reason)."""
+    the check, and run(module, alg, K, W) returns the check dicts (the
+    report of a lop row adds the L-operator conventions); skip, when set,
+    is (applies(alg), check name, reason)."""
 
     module: str
     run: Callable
-    needs_lops: bool = False
     skip: tuple | None = None
 
 
@@ -71,19 +70,15 @@ _TABLE = {
     "eiprei": _Suite(
         "lop",
         lambda lop, alg, K, W: lop.check_eiprei(alg, K),
-        needs_lops=True,
         skip=(lambda alg: alg.n < 2, "mirror identities", "needs rank at least 2"),
     ),
     "f-series": _Suite(
         "series", lambda series, alg, K, W: series.verify_fu_product(alg, K)["checks"]
     ),
-    "gauss": _Suite(
-        "lop", lambda lop, alg, K, W: lop.check_gauss(alg, K), needs_lops=True
-    ),
+    "gauss": _Suite("lop", lambda lop, alg, K, W: lop.check_gauss(alg, K)),
     "lowrank": _Suite(
         "lop",
         lambda lop, alg, K, W: lop.check_lowrank(alg, K),
-        needs_lops=True,
         skip=(
             lambda alg: (alg.type, alg.n) not in _module("lop").BATTERIES,
             "low-rank battery",
@@ -91,26 +86,19 @@ _TABLE = {
         ),
     ),
     "main-structure": _Suite(
-        "lop",
-        lambda lop, alg, K, W: lop.check_main_theorem_structure(alg, K),
-        needs_lops=True,
+        "lop", lambda lop, alg, K, W: lop.check_main_theorem_structure(alg, K)
     ),
     "psi": _Suite(
         "lop",
         _psi,
-        needs_lops=True,
         skip=(lambda alg: alg.n < 2, "reduction consistency", "needs rank at least 2"),
     ),
-    "relrbar": _Suite(
-        "lop", lambda lop, alg, K, W: lop.check_relrbar(alg, K, W), needs_lops=True
-    ),
+    "relrbar": _Suite("lop", lambda lop, alg, K, W: lop.check_relrbar(alg, K, W)),
     "unitarity": _Suite(
         "rmatrix", lambda rmatrix, alg, K, W: rmatrix.check_unitarity(alg)
     ),
     "ybe": _Suite("rmatrix", lambda rmatrix, alg, K, W: rmatrix.check_ybe(alg)),
-    "zseries": _Suite(
-        "lop", lambda lop, alg, K, W: lop.z_series(alg, K)[2], needs_lops=True
-    ),
+    "zseries": _Suite("lop", lambda lop, alg, K, W: lop.z_series(alg, K)[2]),
 }
 
 SUITES = tuple(sorted(_TABLE))
@@ -146,7 +134,7 @@ def _suite_report(suite, alg, K, W):
         "note": _HEADER_NOTE,
         "checks": checks,
     }
-    if _TABLE[suite].needs_lops:
+    if _TABLE[suite].module == "lop":
         report["conventions"] = _module("lop").choose_wiring(alg).record
     return report, elapsed_ms
 

@@ -15,9 +15,11 @@ exact arithmetic; every check reports pass/fail with a witness coefficient on
 failure.  A relation family that several checks state identically (the
 commutator, h-h commutation, the h1 exchanges and the e-f commutator of the
 low-rank batteries, the mirror differences of eiprei and main-structure) is
-written once.  So are the shapes of the batteries' items: _exchange builds
-every exchange x(u) y(v) - pre y(v) x(u) + corrections = 0 of a battery, and
-GenSource.mul forms each product of two generator series once per source.
+written once.  So is each shape of item: _exchange builds every exchange
+x(u) y(v) - pre y(v) x(u) + corrections = 0, of the batteries and of relrbar
+(b) and (c), on Gauss series or on currents; _vanishes builds every identity
+of one series; and GenSource.mul forms each product of two generator series
+once per source.
 """
 
 from __future__ import annotations
@@ -98,8 +100,9 @@ def _coefficient_item(name, instances) -> dict:
     return first_failure(name, coefficients)
 
 
-def _series_equal(name: str, a: TruncSeries, b: TruncSeries) -> dict:
-    return _coefficient_item(name, [({}, a - b)])
+def _vanishes(name: str, x: TruncSeries) -> dict:
+    """The check item that the series x vanishes."""
+    return _coefficient_item(name, [({}, x)])
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +543,19 @@ class GenSource:
     """The Gaussian generator series of either sign by local index,
     optionally offset into the trailing blocks of a larger decomposition
     (the reduction map).  The low-rank batteries read the series by label
-    (gen) and form each product of two labelled series once per source
-    (mul); the memo dies with the source."""
+    (gen) and form the inverse of h1 and each product of two labelled
+    series once per source; the memo dies with the source."""
 
     def __init__(self, lops: LOperators, offset: int = 0):
         self.lops = lops
         self.off = offset
-        self._products = {}
+        self._memo = {}
+
+    def _once(self, key, build) -> TruncSeries:
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     def h(self, i, sign) -> TruncSeries:
         return self.lops.g(sign).h(i + self.off)
@@ -561,7 +570,7 @@ class GenSource:
         """The series of a battery label: "h2", "e12" or "f21" (local
         indices, one digit each), or "h1^-1", the inverse of h1."""
         if label == "h1^-1":
-            return self.h(1, sign).inverse()
+            return self._once((label, sign), lambda: self.h(1, sign).inverse())
         if label[0] == "h":
             return self.h(int(label[1]), sign)
         return (self.e if label[0] == "e" else self.f)(
@@ -570,11 +579,7 @@ class GenSource:
 
     def mul(self, x: str, y: str, sign) -> TruncSeries:
         """The product of the labelled series x and y of one sign."""
-        key = (x, y, sign)
-        prod = self._products.get(key)
-        if prod is None:
-            prod = self._products[key] = self.gen(x, sign) * self.gen(y, sign)
-        return prod
+        return self._once((x, y, sign), lambda: self.gen(x, sign) * self.gen(y, sign))
 
 
 _SIGNS = (1, -1)
@@ -607,12 +612,24 @@ def _hh_commutation(src: GenSource, prefix: str, index_pairs) -> list:
     ]
 
 
+def _halves(x):
+    """The (sign, Gauss series) pairs whose signed sum is x: a current is
+    its pair (plus half, minus half) of _current_halves, a series itself."""
+    return tuple(zip((1, -1), x)) if isinstance(x, tuple) else ((1, x),)
+
+
 def _exchange(name, x, y, first, pre, corrections=(), clearing=ONE) -> dict:
     """The item x(u) y(v) - pre y(v) x(u) + corrections = 0, or its mirror
-    y(v) x(u) - pre x(u) y(v) + corrections = 0 when first is "vu".  Each
-    correction is a (prefactor, u part, v part) term with one part None."""
+    y(v) x(u) - pre x(u) y(v) + corrections = 0 when first is "vu".  x and y
+    are Gauss series or currents (see _halves); each correction is a
+    (prefactor, u part, v part) term with one part None."""
     second = "vu" if first == "uv" else "uv"
-    terms = [(ONE, x, y, first), (_MONE * pre, x, y, second)]
+    terms = [
+        (c if a == b else -c, xh, yh, order)
+        for c, order in ((ONE, first), (_MONE * pre, second))
+        for a, xh in _halves(x)
+        for b, yh in _halves(y)
+    ]
     return _bivar_zero(
         name, terms + [(c, U, V, "uv") for c, U, V in corrections], clearing
     )
@@ -785,7 +802,7 @@ def _battery_rank2_d(src: GenSource, tag: str) -> list:
                     x = x + src.gen(row[1], s)
                 labels = [f"{name}{_sig(s)}(u)" for name in row]
                 name = prefix + template.format(*labels)
-                out.append(_coefficient_item(name, [({}, x)]))
+                out.append(_vanishes(name, x))
 
     duv = u - v
     d1 = q * u - qi * v
@@ -919,44 +936,30 @@ def x_current(lops: LOperators, i: int, plus: bool) -> dict:
     return {m: c for m, c in table.items() if not c.is_zero()}
 
 
-def _current_terms(pref, x, y, order) -> list:
-    """The terms of pref * x(u) y(v) in the given order; x and y are tuples
-    of Gauss series with coefficients +1, -1: a current is its pair
-    (plus half, minus half) of _current_halves, a single series a 1-tuple."""
-    return [
-        (pref if a == b else -pref, xh, yh, order)
-        for a, xh in zip((1, -1), x)
-        for b, yh in zip((1, -1), y)
-    ]
-
-
 def _hx_prefactors(alg: AlgebraData, i: int, j: int):
-    """(plus_pre, minus_pre, clearing) for the diagonal-series/current
-    exchange h_i(u) X_j(v) = pre * X_j(v) h_i(u)."""
+    """(pre, clearing) for the diagonal-series/current exchange
+    h_i(u) X_j^+(v) = pre X_j^+(v) h_i(u); X_j^- exchanges with pre^-1."""
     u, v, q, qi = _U, _V, _Q, _QI
     n = alg.n
     if i <= n:
         # (epsilon_i, alpha_j)
         a = sum(x * y for x, y in zip(alg.epsilon[i - 1], alg.roots[j - 1]))
         den = Scalar.q_pow(a) * u - Scalar.q_pow(-a) * v
-        plus_pre = (u - v) * den.inverse()
-        minus_pre = den * (u - v).inverse()
-        clearing = den * (u - v)
-        return plus_pre, minus_pre, clearing
+        return (u - v) * den.inverse(), den * (u - v)
     # i == n + 1
     if alg.type == "B":
         if j <= n - 1:
-            return ONE, ONE, ONE
+            return ONE, ONE
         num = (q * u - v) * (u - v)
         den = (u - q * v) * (q * u - qi * v)
-        return num * den.inverse(), den * num.inverse(), num * den
+        return num * den.inverse(), num * den
     if j <= n - 2:
-        return ONE, ONE, ONE
+        return ONE, ONE
     if j == n:
         den = qi * u - q * v
     else:  # j == n - 1
         den = q * u - qi * v
-    return (u - v) * den.inverse(), den * (u - v).inverse(), den * (u - v)
+    return (u - v) * den.inverse(), den * (u - v)
 
 
 def _quad_shifts(alg: AlgebraData, i: int, j: int):
@@ -992,18 +995,17 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
     currents = {key: x_current(lops, *key) for key in halves}
     for i in range(1, n + 2):
         for j in range(1, n + 1):
-            plus_pre, minus_pre, clearing = _hx_prefactors(alg, i, j)
-            for plus in (True, False):
-                pre = plus_pre if plus else minus_pre
-                X = halves[(j, plus)]
+            pre, clearing = _hx_prefactors(alg, i, j)
+            for plus, p in ((True, pre), (False, pre.inverse())):
                 lbl = "+" if plus else "-"
                 for s in _SIGNS:
-                    hi = (src.h(i, s),)
                     out.append(
-                        _bivar_zero(
+                        _exchange(
                             f"(b) h{i}{_sig(s)}(u) X{j}{lbl}(v) exchange",
-                            _current_terms(ONE, hi, X, "uv")
-                            + _current_terms(_MONE * pre, hi, X, "vu"),
+                            src.h(i, s),
+                            halves[(j, plus)],
+                            "uv",
+                            p,
                             clearing=clearing,
                         )
                     )
@@ -1013,16 +1015,19 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
             bij = alg.Bmat[i - 1][j - 1]
             si, sj = _quad_shifts(alg, i, j)
             for plus in (True, False):
-                e = bij if plus else -bij
-                qe = Scalar.q_pow(e)
+                qe = Scalar.q_pow(bij if plus else -bij)
                 Xi = tuple(x.scale_arg(Scalar.q_pow(si)) for x in halves[(i, plus)])
                 Xj = tuple(x.scale_arg(Scalar.q_pow(sj)) for x in halves[(j, plus)])
                 lbl = "+" if plus else "-"
+                d = _U - qe * _V
                 out.append(
-                    _bivar_zero(
+                    _exchange(
                         f"(c) quadratic X{i}{lbl}-X{j}{lbl}",
-                        _current_terms(_U - qe * _V, Xi, Xj, "uv")
-                        + _current_terms(_MONE * (qe * _U - _V), Xi, Xj, "vu"),
+                        Xi,
+                        Xj,
+                        "uv",
+                        (qe * _U - _V) * d.inverse(),
+                        clearing=d,
                     )
                 )
     # (d) mixed-current commutator against the diagonal ratios, modewise on
@@ -1191,7 +1196,7 @@ def z_series(alg: AlgebraData, K: int = 10):
             {m: ident.scale(c) for m, c in zser.coeffs.items()},
         )
         checks.append(
-            _series_equal(f"{tag} equals the diagonal-series product", acc, target)
+            _vanishes(f"{tag} equals the diagonal-series product", acc - target)
         )
         results[sign] = zser
     if alg.type == "B" and alg.n == 1:
@@ -1199,10 +1204,9 @@ def z_series(alg: AlgebraData, K: int = 10):
             crossing_scalar(alg) * Scalar.q_pow(-2), AT_ZERO, K
         )
         checks.append(
-            _series_equal(
+            _vanishes(
                 f"{alg} z+ matches the expanded crossing scalar (normalized)",
-                results[1],
-                oracle,
+                results[1] - oracle,
             )
         )
     return results[1], results[-1], checks
@@ -1235,22 +1239,14 @@ def check_eiprei(alg: AlgebraData, K: int = 10) -> list:
     out = []
     for s in _SIGNS:
         g = lops.g(s)
+        sg = _sig(s)
         for i in range(1, alg.n):
             de, df = _mirror_differences(alg, g, i, ONE, ONE)
-            out.append(
-                _coefficient_item(
-                    f"{alg}: e[{N - i},{N + 1 - i}]{_sig(s)}(u) "
-                    f"+ e[{i},{i + 1}]{_sig(s)}(u xi q^{2 * i}) = 0",
-                    [({}, de)],
-                )
-            )
-            out.append(
-                _coefficient_item(
-                    f"{alg}: f[{N + 1 - i},{N - i}]{_sig(s)}(u) "
-                    f"+ f[{i + 1},{i}]{_sig(s)}(u xi q^{2 * i}) = 0",
-                    [({}, df)],
-                )
-            )
+            for d, mirror in (
+                (de, f"e[{N - i},{N + 1 - i}]{sg}(u) + e[{i},{i + 1}]"),
+                (df, f"f[{N + 1 - i},{N - i}]{sg}(u) + f[{i + 1},{i}]"),
+            ):
+                out.append(_vanishes(f"{alg}: {mirror}{sg}(u xi q^{2 * i}) = 0", d))
     return out
 
 
@@ -1395,51 +1391,33 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
 
     for s in _SIGNS:
         g = lops.g(s)
+        sg = _sig(s)
         # near-diagonal entries against the geometric closed forms
         for i in range(1, n + 1):
-            erow, ecol = _current_indices(alg, i)
-            out.append(
-                _series_equal(
-                    f"{alg}: e[{erow},{ecol}]{_sig(s)} matches the geometric "
-                    "closed form",
-                    g.e(erow, ecol),
-                    _geom_target(alg, i, "e", s, K),
+            a, b = _current_indices(alg, i)
+            for x, (row, col), entry in (("e", (a, b), g.e), ("f", (b, a), g.f)):
+                out.append(
+                    _vanishes(
+                        f"{alg}: {x}[{row},{col}]{sg} matches the geometric "
+                        "closed form",
+                        entry(row, col) - _geom_target(alg, i, x, s, K),
+                    )
                 )
-            )
-            out.append(
-                _series_equal(
-                    f"{alg}: f[{ecol},{erow}]{_sig(s)} matches the geometric "
-                    "closed form",
-                    g.f(ecol, erow),
-                    _geom_target(alg, i, "f", s, K),
-                )
-            )
         # type-D interior zero and paired entries
         if alg.type == "D":
-            out.append(
-                _coefficient_item(
-                    f"{alg}: E{_sig(s)} entry ({n},{n + 1}) vanishes",
-                    [({}, g.e(n, n + 1))],
-                )
-            )
-            out.append(
-                _coefficient_item(
-                    f"{alg}: F{_sig(s)} entry ({n + 1},{n}) vanishes",
-                    [({}, g.f(n + 1, n))],
-                )
-            )
-            out.append(
-                _coefficient_item(
-                    f"{alg}: E{_sig(s)} ({n},{n + 2}) pairs with ({n - 1},{n + 1})",
-                    [({}, g.e(n, n + 2) + g.e(n - 1, n + 1))],
-                )
-            )
-            out.append(
-                _coefficient_item(
-                    f"{alg}: F{_sig(s)} ({n + 2},{n}) pairs with ({n + 1},{n - 1})",
-                    [({}, g.f(n + 2, n) + g.f(n + 1, n - 1))],
-                )
-            )
+            for name, x in (
+                (f"E{sg} entry ({n},{n + 1}) vanishes", g.e(n, n + 1)),
+                (f"F{sg} entry ({n + 1},{n}) vanishes", g.f(n + 1, n)),
+                (
+                    f"E{sg} ({n},{n + 2}) pairs with ({n - 1},{n + 1})",
+                    g.e(n, n + 2) + g.e(n - 1, n + 1),
+                ),
+                (
+                    f"F{sg} ({n + 2},{n}) pairs with ({n + 1},{n - 1})",
+                    g.f(n + 2, n) + g.f(n + 1, n - 1),
+                ),
+            ):
+                out.append(_vanishes(f"{alg}: {name}", x))
         # mirrored far entries (j = N - i), with the gauge ratios
         for i in range(N - n - 1, 0, -1):
             j = N - i
@@ -1448,16 +1426,11 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
                 dv(j) * dv(i + 1) * (dv(j + 1) * dv(i)).inverse(),
                 dv(j + 1) * dv(i) * (dv(j) * dv(i + 1)).inverse(),
             )
-            out.append(
-                _coefficient_item(
-                    f"{alg}: F{_sig(s)} mirror entry ({j + 1},{j})", [({}, df)]
-                )
-            )
-            out.append(
-                _coefficient_item(
-                    f"{alg}: E{_sig(s)} mirror entry ({j},{j + 1})", [({}, de)]
-                )
-            )
+            for name, d in (
+                (f"F{sg} mirror entry ({j + 1},{j})", df),
+                (f"E{sg} mirror entry ({j},{j + 1})", de),
+            ):
+                out.append(_vanishes(f"{alg}: {name}", d))
         # diagonal factor: lower half through the reduced central series
         for m in range(1, n + 1):
             pos = (n + 1 + m) if alg.type == "B" else (n + m)
@@ -1466,13 +1439,6 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
             zred, sc = _central_series(name, g.product(n - m), alg.type, m)
             out.extend(sc)
             lhs = g.h(i0).scale_arg(xi_of(alg.type, m))
-            rhs = g.h(pos).inverse() * zred
-            out.append(
-                _series_equal(
-                    f"{alg}: h[{i0}]{_sig(s)}(u xi_red) = h[{pos}]{_sig(s)}(u)^-1 "
-                    f"z_red_{m}(u)",
-                    lhs,
-                    rhs,
-                )
-            )
+            name = f"{alg}: h[{i0}]{sg}(u xi_red) = h[{pos}]{sg}(u)^-1 z_red_{m}(u)"
+            out.append(_vanishes(name, lhs - g.h(pos).inverse() * zred))
     return out

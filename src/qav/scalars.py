@@ -909,22 +909,9 @@ def _u_split(p):
 
 
 def _eval_at_u(p, t):
-    """Evaluate the packed polynomial p at u = the Scalar t (Horner).
-    Returns a Scalar."""
-    slices = _u_split(p)
-    if not slices:
-        return ZERO
-    exps = sorted(slices, reverse=True)
-    acc = ZERO
-    prev = None
-    for e in exps:
-        if prev is not None:
-            acc = acc * t ** (prev - e)
-        acc = acc + _new(slices[e], _D1)
-        prev = e
-    if prev:
-        acc = acc * t**prev
-    return acc
+    """The packed polynomial p at u = the Scalar t: the sum of its u-free
+    slices times the powers of t, one Scalar.dot."""
+    return Scalar.dot([(_new(c, _D1), t**e) for e, c in _u_split(p).items()])
 
 
 # -- q-integers ------------------------------------------------------------

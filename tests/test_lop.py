@@ -434,8 +434,8 @@ def test_lowrank_battery_reads_the_representation_size_from_l(b1):
 
 def test_gen_source_reads_labels_and_forms_each_product_once(d2):
     """A label names the series of the local indices, offset included;
-    h1^-1 is the inverse of h1, and mul returns the product it formed
-    first."""
+    h1^-1 is the inverse of h1, formed once, and mul returns the product it
+    formed first."""
     lops = gaussian_generators(build_lops(d2, K))
     src = lop.GenSource(lops, offset=1)
     for s in (1, -1):
@@ -443,6 +443,7 @@ def test_gen_source_reads_labels_and_forms_each_product_once(d2):
         assert src.gen("f21", s) is lops.g(s).f(3, 2)
         assert src.gen("h2", s) is lops.g(s).h(3)
         assert (src.gen("h1^-1", s) - src.h(1, s).inverse()).is_zero()
+        assert src.gen("h1^-1", s) is src.gen("h1^-1", s)
         prod = src.mul("h2", "e12", s)
         assert (prod - src.h(2, s) * src.e(1, 2, s)).is_zero()
         assert src.mul("h2", "e12", s) is prod
@@ -451,8 +452,8 @@ def test_gen_source_reads_labels_and_forms_each_product_once(d2):
 
 def test_lowrank_forms_each_product_once_per_sign(monkeypatch, b1, d2):
     """On built L-operators, the B1 battery forms 18 series products and 2
-    inverses at order 10, and the D2 battery 44 and 4: each product of two
-    generator series once per sign."""
+    inverses at order 10, and the D2 battery 44 and 2: each product of two
+    generator series and the inverse of h1 once per sign."""
     counts = {"mul": 0, "inverse": 0}
     mul, inverse = TruncSeries.__mul__, TruncSeries.inverse
 
@@ -465,7 +466,7 @@ def test_lowrank_forms_each_product_once_per_sign(monkeypatch, b1, d2):
 
     monkeypatch.setattr(TruncSeries, "__mul__", counted("mul", mul))
     monkeypatch.setattr(TruncSeries, "inverse", counted("inverse", inverse))
-    for alg, want in ((b1, (18, 2)), (d2, (44, 4))):
+    for alg, want in ((b1, (18, 2)), (d2, (44, 2))):
         gaussian_generators(build_lops(alg, 10))
         counts.update(mul=0, inverse=0)
         assert all_pass(check_lowrank(alg, 10))
@@ -523,6 +524,18 @@ def test_bivar_zero_reads_the_identity_part(b1):
     bad = item(ratio + bump)
     assert bad["status"] == "fail"
     assert (bad["witness"]["u_mode"], bad["witness"]["v_mode"]) == (2, 1)
+
+
+def _current_terms(pref, x, y, order) -> list:
+    """The terms of pref * x(u) y(v) in the given order, spelled out: x and
+    y are tuples of Gauss series with coefficients +1, -1, a current its
+    pair (plus half, minus half) of _current_halves and a single series a
+    1-tuple."""
+    return [
+        (pref if a == b else -pref, xh, yh, order)
+        for a, xh in zip((1, -1), x)
+        for b, yh in zip((1, -1), y)
+    ]
 
 
 def _bivar_zero_reference(name, K, terms, clearing=lop.ONE) -> dict:
@@ -597,7 +610,9 @@ def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
     included, on relations that hold on B1 and D2 and on the same relations
     broken by a bump on the u side, on the v side, inside a "vu" term, in a
     None-part term under a clearing polynomial, and in either Gauss half of
-    an argument-shifted current."""
+    an argument-shifted current; and _exchange on two currents, cleared by
+    u - q^e v, gives the oracle's item of their four-product terms, with
+    and without a bump on both sides."""
     u, v, qmq = lop._U, lop._V, lop._QMQ
     duv = u - v
     pre = qmq * v * duv.inverse()
@@ -643,14 +658,23 @@ def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
         return x + TruncSeries(x.direction, K, {2: SparseMat.unit(d2.N, 0, 1)})
 
     Xi, Xj = halves(1, si), halves(2, sj)
-    for key, X in (
-        ("shifted", Xj),
-        ("shifted bump", (bumped(Xj[0]), Xj[1])),
-        ("shifted minus-half bump", (Xj[0], bumped(Xj[1]))),
-    ):
-        terms = lop._current_terms(u - qe * v, Xi, Xj, "uv")
-        terms += lop._current_terms(lop._MONE * (qe * u - v), Xi, X, "vu")
-        cases["D2", key] = (terms, lop.ONE)
+    bumps = {
+        "": Xj,
+        " bump": (bumped(Xj[0]), Xj[1]),
+        " minus-half bump": (Xj[0], bumped(Xj[1])),
+    }
+    for key, X in bumps.items():
+        terms = _current_terms(u - qe * v, Xi, Xj, "uv")
+        terms += _current_terms(lop._MONE * (qe * u - v), Xi, X, "vu")
+        cases["D2", "shifted" + key] = (terms, lop.ONE)
+    # the same relation as _exchange states it: pre = (q^e u - v)/(u - q^e v),
+    # cleared by u - q^e v, the bump on both sides
+    d = u - qe * v
+    pre_c = (qe * u - v) * d.inverse()
+    for key, X in bumps.items():
+        terms = _current_terms(lop.ONE, Xi, X, "uv")
+        terms += _current_terms(lop._MONE * pre_c, Xi, X, "vu")
+        cases["D2", "exchange" + key] = (terms, d)
     items = {}
     for (tag, key), (terms, clearing) in cases.items():
         name = f"{tag} {key}"
@@ -665,3 +689,74 @@ def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
         assert items[tag, "None bump"]["witness"]["u_mode"] == 2
     assert items["D2", "shifted bump"]["witness"]["v_mode"] == 2
     assert items["D2", "shifted minus-half bump"]["witness"]["v_mode"] == -2
+    for key, X in bumps.items():
+        name = f"D2 exchange{key}"
+        got = lop._exchange(name, Xi, X, "uv", pre_c, clearing=d)
+        assert got == items["D2", "exchange" + key], name
+
+
+def _hx_prefactors_by_hand(alg, i, j):
+    """(plus_pre, minus_pre, clearing) of the exchanges of h_i(u) with
+    X_j^+(v) and with X_j^-(v), each prefactor written out."""
+    u, v, q, qi, one = lop._U, lop._V, lop._Q, lop._QI, lop.ONE
+    n = alg.n
+    if i <= n:
+        a = sum(x * y for x, y in zip(alg.epsilon[i - 1], alg.roots[j - 1]))
+        den = Scalar.q_pow(a) * u - Scalar.q_pow(-a) * v
+        return (u - v) * den.inverse(), den * (u - v).inverse(), den * (u - v)
+    if alg.type == "B":
+        if j <= n - 1:
+            return one, one, one
+        num = (q * u - v) * (u - v)
+        den = (u - q * v) * (q * u - qi * v)
+        return num * den.inverse(), den * num.inverse(), num * den
+    if j <= n - 2:
+        return one, one, one
+    den = qi * u - q * v if j == n else q * u - qi * v
+    return (u - v) * den.inverse(), den * (u - v).inverse(), den * (u - v)
+
+
+@pytest.mark.parametrize("type_, rank", [("B", 1), ("D", 2)])
+def test_relrbar_exchanges_match_the_explicit_term_route(type_, rank):
+    """Every (b) and (c) item of relrbar at order 4 is _bivar_zero over the
+    four-product terms of its currents, spelled out with the prefactors
+    written out: (b) with the hand-written minus prefactor, and (c) as
+    (u - q^e v) X_i(u) X_j(v) - (q^e u - v) X_j(v) X_i(u) with no clearing
+    polynomial."""
+    alg = AlgebraData(type_, rank)
+    order = 4
+    lops = gaussian_generators(build_lops(alg, order))
+    n = alg.n
+    u, v, one, mone = lop._U, lop._V, lop.ONE, lop._MONE
+    halves = {
+        (j, plus): lop._current_halves(lops, j, plus)
+        for j in range(1, n + 1)
+        for plus in (True, False)
+    }
+    want = []
+    for i in range(1, n + 2):
+        for j in range(1, n + 1):
+            plus_pre, minus_pre, clearing = _hx_prefactors_by_hand(alg, i, j)
+            assert lop._hx_prefactors(alg, i, j) == (plus_pre, clearing)
+            for plus, pre in ((True, plus_pre), (False, minus_pre)):
+                X = halves[j, plus]
+                for s, sg in ((1, "+"), (-1, "-")):
+                    h = (lops.g(s).h(i),)
+                    terms = _current_terms(one, h, X, "uv")
+                    terms += _current_terms(mone * pre, h, X, "vu")
+                    name = f"(b) h{i}{sg}(u) X{j}{'+' if plus else '-'}(v) exchange"
+                    want.append(lop._bivar_zero(name, terms, clearing))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            si, sj = lop._quad_shifts(alg, i, j)
+            for plus, sg in ((True, "+"), (False, "-")):
+                qe = Scalar.q_pow(alg.Bmat[i - 1][j - 1] * (1 if plus else -1))
+                Xi = tuple(x.scale_arg(Scalar.q_pow(si)) for x in halves[i, plus])
+                Xj = tuple(x.scale_arg(Scalar.q_pow(sj)) for x in halves[j, plus])
+                terms = _current_terms(u - qe * v, Xi, Xj, "uv")
+                terms += _current_terms(mone * (qe * u - v), Xi, Xj, "vu")
+                want.append(lop._bivar_zero(f"(c) quadratic X{i}{sg}-X{j}{sg}", terms))
+    got = [c for c in check_relrbar(alg, order) if c["name"][:3] in ("(b)", "(c)")]
+    assert len(got) == 4 * (n + 1) * n + 2 * n * n
+    assert got == want
+    assert all_pass(got), failures(got)

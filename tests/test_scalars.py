@@ -642,6 +642,39 @@ def test_packed_kernel_matches_sympy_arithmetic(a, b):
     assert hash(a * b) == hash(b * a)
 
 
+def _sympy_subs_u(p, a, b):
+    """(p(u = a/b) * b^d, d) for d the u-degree of the PolyElement p."""
+    d = max(p.degree(_u), 0)
+    out = _R.zero
+    for (ew, ev, eu, es), c in p.items():
+        au = a**eu if eu else _R.one  # sympy refuses 0**0
+        out += c * _w**ew * _v**ev * au * b ** (d - eu) * _s**es
+    return out, d
+
+
+# t = a/b for the substitutions u -> v, u v, 1/u, q^-2 u (q = s^2) and 0
+_SUBSTITUTIONS = [
+    (Scalar.v_pow(1), _v, _R.one),
+    (Scalar.u_pow(1) * Scalar.v_pow(1), _u * _v, _R.one),
+    (Scalar.u_pow(-1), _R.one, _u),
+    (Scalar.q_pow(-2) * Scalar.u_pow(1), _u, _s**4),
+    (ZERO, _R.zero, _R.one),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_operands())
+@example(_scalar(_u**2 * _w + _s, _s - _u))
+def test_subs_u_matches_sympy_substitution(x):
+    xn, xd = _pair(x)
+    for t, a, b in _SUBSTITUTIONS:
+        (num, dn), (den, dd) = _sympy_subs_u(xn, a, b), _sympy_subs_u(xd, a, b)
+        p, q = _sympy_canonical(num * b**dd, den * b**dn)
+        got = x.subs_u(t)
+        assert _pair(got) == (p, q), t
+        assert str(got) == _sympy_str(p, q)
+
+
 @st.composite
 def high_w_numerators(draw):
     """A numerator of w-degree 3 to 6: the terms of _raw_terms, each with
