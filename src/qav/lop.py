@@ -19,7 +19,9 @@ written once.  So is each shape of item: _exchange builds every exchange
 x(u) y(v) - pre y(v) x(u) + corrections = 0, of the batteries and of relrbar
 (b) and (c), on Gauss series or on currents; _vanishes builds every identity
 of one series; and GenSource.mul forms each product of two generator series
-once per source.
+once per source.  _bivar_zero checks each bivariate item on its whole mode
+window as one sum of products of matrices of polynomials in u and v, the
+parts lifted into the window, so each entry is one fused sum.
 """
 
 from __future__ import annotations
@@ -407,12 +409,28 @@ def check_gauss(alg: AlgebraData, K: int = 10) -> list:
 
 
 def _modes(part):
-    """The (mode, coefficient) pairs of a TruncSeries part, modes signed;
-    None, the identity at mode zero, stays None."""
-    if part is None:
-        return None
+    """The (mode, coefficient) pairs of a TruncSeries part, modes signed."""
     sign = part.sign
     return [(m * sign, c) for m, c in part.coeffs.items()]
+
+
+def _lift(part, shift, lo, hi, var, M) -> SparseMat:
+    """The M x M matrix of polynomials in u (var 0) or v (var 1) that holds
+    the coefficient X_m of each mode m of part with lo <= m + shift <= hi at
+    the power m + shift - lo of its variable.  None, the identity at mode
+    zero, lifts to that power times the identity, or to zero when shift is
+    outside the window."""
+    power = (Scalar.u_pow, Scalar.v_pow)[var]
+    if part is None:
+        if lo <= shift <= hi:
+            return SparseMat.identity(M, power(shift - lo))
+        return SparseMat(M, M)
+    lifted = [
+        (power(m + shift - lo), x, None)
+        for m, x in _modes(part)
+        if lo <= m + shift <= hi
+    ]
+    return SparseMat.sum_of_products(lifted, M, M)
 
 
 def _bivar_zero(name, terms, clearing=ONE) -> dict:
@@ -432,13 +450,17 @@ def _bivar_zero(name, terms, clearing=ONE) -> dict:
     variable in the cleared prefactor.  K and the matrix size are read from
     the parts.
 
-    One pass over the terms collects, for every (alpha, beta, row, col)
-    inside the window, the scalar pairs whose products sum to that entry:
-    each monomial c u^i v^j of a cleared prefactor scales each coefficient
-    of the term's first factor once, and its entries are paired with those
-    of the second factor's coefficients.  Each entry is then one Scalar.dot;
-    no matrix product is formed, and a bi-mode that no term reaches costs
-    one dict lookup.
+    The whole window is one matrix of polynomials in u and v: each monomial
+    c u^i v^j of a cleared prefactor multiplies the window lifts (_lift) of
+    the term's parts, the u part shifted by i and the v part by j, in the
+    term's order, and one SparseMat.sum_of_products adds every such product,
+    so each entry is one Scalar.dot.  A lift keeps only the modes whose
+    shifted bi-mode is inside the window, so the coefficient of
+    u^(alpha - alo) v^(beta - blo), alo and blo the least modes of the
+    window, is the relation's coefficient at the bi-mode (alpha, beta).
+    Every exponent is at least zero, so no denominator gains u or v.  Lifts
+    are formed once per part, shift and variable.  On failure the witness is
+    the least bi-mode with a nonzero coefficient, then its least entry.
     """
     K = min(p.order for _, U, V, _ in terms for p in (U, V) if p is not None)
     expanded = []
@@ -453,85 +475,42 @@ def _bivar_zero(name, terms, clearing=ONE) -> dict:
             if part is not None and part.direction == AT_INFINITY:
                 lo[var] = max(lo[var], max(k[var] for k in keys) - part.order)
         coeffs = [(k, poly[k]) for k in keys]
-        expanded.append((coeffs, _modes(upart), _modes(vpart), order))
+        expanded.append((coeffs, (upart, vpart), order))
     (alo, blo), (ahi, bhi) = lo, hi
     if alo > ahi or blo > bhi:
         raise LopError(f"{name}: empty determined window")
     # the size of the coefficient matrices; with no coefficient at all every
     # bi-mode is the empty sum, and its size is never read
-    parts = [p for _, U, V, _ in expanded for p in (U, V) if p is not None]
-    M = next((x.nrows for p in parts for _, x in p), 0)
-    # (alpha, beta) -> row -> col -> the (x, y) pairs whose products sum to
-    # that entry of the bi-mode
-    slots = {}
-    in_a, in_b = range(alo, ahi + 1), range(blo, bhi + 1)
-    for coeffs, U, V, order in expanded:
+    parts = [p for _, ps, _ in expanded for p in ps if p is not None]
+    M = next((x.nrows for p in parts for x in p.coeffs.values()), 0)
+    # (id of the part, shift, variable) -> its lift; a TruncSeries has no
+    # hash, and terms keeps every part alive while the ids are in use
+    lifts = {}
+
+    def lift(part, shift, var):
+        key = (id(part), shift, var)
+        mat = lifts.get(key)
+        if mat is None:
+            mat = lifts[key] = _lift(part, shift, lo[var], hi[var], var, M)
+        return mat
+
+    products = []
+    for coeffs, (upart, vpart), order in expanded:
         for (i, j), c in coeffs:
-            if U is None or V is None:
-                # the identity at mode zero: each entry of the other part,
-                # paired with c, at the bi-mode its mode shifts to
-                other = U if V is None else V
-                for m, z in other:
-                    key = (i, m + j) if U is None else (m + i, j)
-                    if key[0] not in in_a or key[1] not in in_b:
-                        continue
-                    slot = slots.setdefault(key, {})
-                    for r, zrow in z.rows.items():
-                        entry = slot.setdefault(r, {})
-                        for col, x in zrow.items():
-                            entry.setdefault(col, []).append((c, x))
-                continue
-            # the first factor of each product carries the scaling by c
-            uv = order == "uv"
-            first, fwin, fi = (U, in_a, i) if uv else (V, in_b, j)
-            second, swin, si = (V, in_b, j) if uv else (U, in_a, i)
-            seconds = [(m + si, y.rows) for m, y in second if m + si in swin]
-            if not seconds:
-                continue
-            for m, x in first:
-                fm = m + fi
-                if fm not in fwin:
-                    continue
-                cx = [
-                    (r, [(k, c * e) for k, e in xrow.items()])
-                    for r, xrow in x.rows.items()
-                ]
-                for sm, yrows in seconds:
-                    slot = slots.setdefault((fm, sm) if uv else (sm, fm), {})
-                    for r, xrow in cx:
-                        entry = slot.setdefault(r, {})
-                        for k, e in xrow:
-                            yrow = yrows.get(k)
-                            if yrow:
-                                for col, y in yrow.items():
-                                    entry.setdefault(col, []).append((e, y))
-    empty = SparseMat(M, M)
-    dot = Scalar.dot
-
-    def total(alpha, beta):
-        slot = slots.get((alpha, beta))
-        if slot is None:
-            return empty
-        rows = {}
-        for r, entry in slot.items():
-            row = {}
-            for col, pairs in entry.items():
-                x = dot(pairs)
-                if not x.is_zero():
-                    row[col] = x
-            if row:
-                rows[r] = row
-        return SparseMat._nonzero(M, M, rows)
-
-    modes = [(a, b) for a in in_a for b in in_b]
-    item = first_failure(
-        name, (({"u_mode": a, "v_mode": b}, total(a, b)) for a, b in modes)
+            x, y = lift(upart, i, 0), lift(vpart, j, 1)
+            products.append((c, x, y) if order == "uv" else (c, y, x))
+    total = SparseMat.sum_of_products(products, M, M)
+    if total.is_zero():
+        points = (ahi - alo + 1) * (bhi - blo + 1)
+        return check(name, True, modes_u=[alo, ahi], modes_v=[blo, bhi], points=points)
+    (a, b, row, col), value = min(
+        ((eu + alo, ev + blo, r, col), x)
+        for r, entries in total.rows.items()
+        for col, entry in entries.items()
+        for (eu, ev), x in entry.uv_coeffs().items()
     )
-    if item["status"] == "fail":
-        return item
-    return check(
-        name, True, modes_u=[alo, ahi], modes_v=[blo, bhi], points=len(modes)
-    )
+    witness = {"u_mode": a, "v_mode": b, "row": row, "col": col, "value": str(value)}
+    return check(name, False, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,22 +988,34 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
                             clearing=clearing,
                         )
                     )
-    # (c) quadratic current relations with shifted arguments
+    # (c) quadratic current relations with shifted arguments; each current
+    # is rescaled once per shift it is read at
+    read_at = {
+        (k, plus, shift)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        for k, shift in zip((i, j), _quad_shifts(alg, i, j))
+        for plus in (True, False)
+    }
+    scaled = {
+        (k, plus, shift): tuple(
+            x.scale_arg(Scalar.q_pow(shift)) for x in halves[(k, plus)]
+        )
+        for k, plus, shift in read_at
+    }
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             bij = alg.Bmat[i - 1][j - 1]
             si, sj = _quad_shifts(alg, i, j)
             for plus in (True, False):
                 qe = Scalar.q_pow(bij if plus else -bij)
-                Xi = tuple(x.scale_arg(Scalar.q_pow(si)) for x in halves[(i, plus)])
-                Xj = tuple(x.scale_arg(Scalar.q_pow(sj)) for x in halves[(j, plus)])
                 lbl = "+" if plus else "-"
                 d = _U - qe * _V
                 out.append(
                     _exchange(
                         f"(c) quadratic X{i}{lbl}-X{j}{lbl}",
-                        Xi,
-                        Xj,
+                        scaled[(i, plus, si)],
+                        scaled[(j, plus, sj)],
                         "uv",
                         (qe * _U - _V) * d.inverse(),
                         clearing=d,

@@ -353,12 +353,15 @@ def test_bivar_zero_window_follows_the_part_directions(b1):
 def test_fused_sums_add_no_matrices(fresh_builds, monkeypatch):
     """_bivar_zero, the products of matrix series and the Serre sum form
     every entry with one fused dot, so during relrbar on B1 and D2 none of
-    them adds two SparseMats; and _bivar_zero forms no matrix product and
-    no matrix sum of products at all."""
+    them adds two SparseMats; and _bivar_zero forms no matrix product, and
+    one matrix sum of products per item and per distinct lift of a series
+    (relrbar lifts no None part), so it makes one Scalar.dot per nonzero
+    entry of each: 1044 on D2, where one per entry of every bi-mode made
+    3568."""
     inside = [0]
     in_bivar = [0]
     calls = {"_bivar_zero": 0, "serre_sum": 0, "__mul__": 0, "inverse": 0, "add": 0}
-    calls.update(matmul=0, sum_of_products=0)
+    calls.update(matmul=0, sum_of_products=0, _lift=0, dot=0)
 
     def counted(owner, name, depths=(inside,)):
         real = getattr(owner, name)
@@ -376,11 +379,12 @@ def test_fused_sums_add_no_matrices(fresh_builds, monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(lop, "_bivar_zero", (inside, in_bivar))
+    counted(lop, "_lift")
     counted(vecrep, "serre_sum")
     counted(TruncSeries, "__mul__")
     counted(TruncSeries, "inverse")
     add, mul = SparseMat.__add__, SparseMat.__mul__
-    sum_of_products = SparseMat.sum_of_products
+    sum_of_products, dot = SparseMat.sum_of_products, Scalar.dot
 
     def counted_add(a, b):
         calls["add"] += inside[0] > 0
@@ -394,21 +398,52 @@ def test_fused_sums_add_no_matrices(fresh_builds, monkeypatch):
         calls["sum_of_products"] += in_bivar[0] > 0
         return sum_of_products(terms, nrows, ncols)
 
+    def counted_dot(pairs):
+        calls["dot"] += in_bivar[0] > 0
+        return dot(pairs)
+
     monkeypatch.setattr(SparseMat, "__add__", counted_add)
     monkeypatch.setattr(SparseMat, "__mul__", counted_mul)
     monkeypatch.setattr(
         SparseMat, "sum_of_products", staticmethod(counted_sum_of_products)
     )
+    monkeypatch.setattr(Scalar, "dot", staticmethod(counted_dot))
+    shape = ("_bivar_zero", "_lift", "sum_of_products", "dot")
+    runs = []
     for args in (
         ["--type", "B", "--rank", "1", "--order", "4"],
         ["--type", "D", "--rank", "2", "--order", "4", "--window", "2"],
     ):
+        before = [calls[name] for name in shape]
         assert cli.run(["check", "relrbar", *args, "--format", "json"]) == 0
+        runs.append(tuple(calls[name] - b for name, b in zip(shape, before)))
     assert all(calls[name] for name in ("_bivar_zero", "serre_sum", "__mul__"))
     assert calls["inverse"]
     assert calls["add"] == 0
     assert calls["matmul"] == 0
-    assert calls["sum_of_products"] == 0
+    # (items, distinct lifts, sums of products, dots) on B1, then on D2
+    assert runs == [(22, 136, 158, 374), (56, 328, 384, 1044)]
+
+
+@pytest.mark.parametrize("type_, rank, calls", [("B", 1, 4), ("D", 2, 12)])
+def test_relrbar_rescales_each_current_once_per_shift(
+    type_, rank, calls, monkeypatch
+):
+    """relrbar (c) rescales each Gauss half of a current once per shift it
+    is read at: 4 rescalings on B1 and 12 on D2, not 4 per item."""
+    alg = AlgebraData(type_, rank)
+    gaussian_generators(build_lops(alg, 4))
+    scale_arg = TruncSeries.scale_arg
+    count = [0]
+
+    def counted(self, c):
+        count[0] += 1
+        return scale_arg(self, c)
+
+    monkeypatch.setattr(TruncSeries, "scale_arg", counted)
+    checks = check_relrbar(alg, 4, 2)
+    assert all_pass(checks), failures(checks)
+    assert count[0] == calls
 
 
 def test_lowrank_battery_reads_the_representation_size_from_l(b1):
@@ -608,11 +643,12 @@ def _bivar_zero_reference(name, K, terms, clearing=lop.ONE) -> dict:
 def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
     """_bivar_zero gives the item of the matrix-product oracle, witnesses
     included, on relations that hold on B1 and D2 and on the same relations
-    broken by a bump on the u side, on the v side, inside a "vu" term, in a
-    None-part term under a clearing polynomial, and in either Gauss half of
-    an argument-shifted current; and _exchange on two currents, cleared by
-    u - q^e v, gives the oracle's item of their four-product terms, with
-    and without a bump on both sides."""
+    broken by a bump on the u side, on the v side, inside a "vu" term, by
+    two bumps at other modes and entries, in a None-part term under a
+    clearing polynomial, and in either Gauss half of an argument-shifted
+    current; and _exchange on two currents, cleared by u - q^e v, gives the
+    oracle's item of their four-product terms, with and without a bump on
+    both sides."""
     u, v, qmq = lop._U, lop._V, lop._QMQ
     duv = u - v
     pre = qmq * v * duv.inverse()
@@ -641,6 +677,9 @@ def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
         cases[tag, "u bump"] = (hh(bump(h1, 2, 0, 1), h2, h1, h2), lop.ONE)
         cases[tag, "v bump"] = (hh(h1, bump(h2, 1, 0, 1), h1, h2), lop.ONE)
         cases[tag, "vu bump"] = (hh(h1, h2, bump(h1, 3, 1, 0), h2), lop.ONE)
+        # the bump at the higher mode is at the lesser entry
+        two = bump(bump(h1, 3, 0, 1), 2, 1, 0)
+        cases[tag, "two bumps"] = (hh(two, h2, h1, h2), lop.ONE)
         cases[tag, "ef"] = (ef(ratio[1]), duv)
         cases[tag, "None bump"] = (ef(bump(ratio[1], 2, 0, 0)), duv)
     # relrbar (c) on D2: the quadratic relation of the currents 1 and 2 with
@@ -687,6 +726,9 @@ def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
         assert items[tag, "v bump"]["witness"]["v_mode"] == -1
         assert items[tag, "vu bump"]["witness"]["u_mode"] == 3
         assert items[tag, "None bump"]["witness"]["u_mode"] == 2
+        # the least bi-mode first, then the least entry in it
+        witness = items[tag, "two bumps"]["witness"]
+        assert (witness["u_mode"], witness["row"], witness["col"]) == (2, 1, 0)
     assert items["D2", "shifted bump"]["witness"]["v_mode"] == 2
     assert items["D2", "shifted minus-half bump"]["witness"]["v_mode"] == -2
     for key, X in bumps.items():
