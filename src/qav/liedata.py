@@ -135,6 +135,19 @@ class AlgebraData:
         """The index involution i' = N + 1 - i (1-based)."""
         return self.N + 1 - i
 
+    def node_pair(self, i: int) -> tuple:
+        """The 1-based indices (a, b), a < b, that the node i connects:
+        wt(a) - wt(b) is the simple root alpha_i.  That is (i, i + 1),
+        except (n - 1, n + 1) at the last node of type D."""
+        if self.type == "D" and i == self.n:
+            return i - 1, i + 1
+        return i, i + 1
+
+    def is_middle(self, j: int) -> bool:
+        """Whether j is the middle index n + 1 of type B, the one index of
+        weight 0 and the only one fixed by the involution."""
+        return self.prime(j) == j
+
     def bar(self, i: int) -> Fraction:
         """The barred weight of the 1-based index i."""
         return self.bars[i - 1]

@@ -21,7 +21,11 @@ x(u) y(v) - pre y(v) x(u) + corrections = 0, of the batteries and of relrbar
 of one series; and GenSource.mul forms each product of two generator series
 once per source.  _bivar_zero checks each bivariate item on its whole mode
 window as one sum of products of matrices of polynomials in u and v, the
-parts lifted into the window, so each entry is one fused sum.
+parts lifted into the window, so each entry is one fused sum.  The current
+of node i is read at its pair (a, b) = alg.node_pair(i), e_ab and f_ba,
+the last node of type D at (n - 1, n + 1): so are its geometric closed
+form, the argument shift q^a of its quadratic relations and the diagonal
+ratio of its mixed-current relation.
 """
 
 from __future__ import annotations
@@ -888,18 +892,10 @@ def check_lowrank(alg: AlgebraData, K: int = 10) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _current_indices(alg: AlgebraData, i: int):
-    """The 1-based Gauss entry (a, b) whose e_ab and f_ba carry the current
-    of node i."""
-    if alg.type == "D" and i == alg.n:
-        return alg.n - 1, alg.n + 1
-    return i, i + 1
-
-
 def _current_halves(lops: LOperators, i: int, plus: bool):
     """The two Gauss series of the current X_i^+ (e_ab) or X_i^- (f_ba) of
     node i: (plus series, minus series), whose difference is the current."""
-    a, b = _current_indices(lops.alg, i)
+    a, b = lops.alg.node_pair(i)
     if plus:
         return lops.gp.e(a, b), lops.gm.e(a, b)
     return lops.gp.f(b, a), lops.gm.f(b, a)
@@ -942,12 +938,9 @@ def _hx_prefactors(alg: AlgebraData, i: int, j: int):
 
 
 def _quad_shifts(alg: AlgebraData, i: int, j: int):
-    n = alg.n
-    if alg.type == "B":
-        return Fraction(i), Fraction(j)
-    if i == n and j == n:
-        return Fraction(0), Fraction(0)
-    return Fraction(min(i, n - 1)), Fraction(min(j, n - 1))
+    """The argument shifts of X_i and X_j in their quadratic relation: q^a
+    for the first index a of each node's pair."""
+    return alg.node_pair(i)[0], alg.node_pair(j)[0]
 
 
 def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
@@ -1026,7 +1019,7 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
     qmq = _QMQ
     M = _rep_size(lops.lp)
     for i in range(1, n + 1):
-        a, b = _current_indices(alg, i)
+        a, b = alg.node_pair(i)
         hp = src.h(a, 1).inverse() * src.h(b, 1)
         hm = src.h(a, -1).inverse() * src.h(b, -1)
         for j in range(1, n + 1):
@@ -1170,7 +1163,7 @@ def z_series(alg: AlgebraData, K: int = 10):
         checks += [*sc, item]
         # diagonal-series product formula
         g = lops.g(sign)
-        top = n if alg.type == "B" else n - 1
+        top = alg.N - n - 1
         acc = g.one
         for i in range(1, top + 1):
             acc = acc * g.h(i).scale_arg(alg.xi * Scalar.q_pow(2 * i)).inverse()
@@ -1326,17 +1319,14 @@ def _geom_target(alg: AlgebraData, i: int, kind: str, sign: int, K: int):
     kind "e" sums raising-generator images, "f" lowering ones.  The geometric
     ratio of the mode matrices is computed entrywise and verified on a third
     mode before the closed form is expanded."""
-    n = alg.n
     qi_def = alg.qi[i - 1]
     pref = qi_def - qi_def.inverse()
     if sign < 0:
         pref = -pref
-    ash = Fraction(-i)
-    if alg.type == "B" and i == n:
+    a, b = alg.node_pair(i)
+    ash = -a
+    if alg.is_middle(b):
         pref = pref * Scalar.w()
-        ash = Fraction(-n)
-    if alg.type == "D" and i == n:
-        ash = Fraction(-(n - 1))
     kmin = {("e", 1): 0, ("e", -1): 1, ("f", 1): 1, ("f", -1): 0}[(kind, sign)]
     gen = vecrep.x_plus if kind == "e" else vecrep.x_minus
     dvals = gauge_dvals(alg)
@@ -1353,13 +1343,13 @@ def _geom_target(alg: AlgebraData, i: int, kind: str, sign: int, K: int):
         else Scalar.q_pow(-ash) * Scalar.u_pow(-1)
     )
     entries = []
-    for a, b, v0 in m0.entries():
-        v1, v2 = m1.get(a, b), m2.get(a, b)
+    for r, c, v0 in m0.entries():
+        v1, v2 = m1.get(r, c), m2.get(r, c)
         rho = v1 * v0.inverse()
         if not (v2 - rho * rho * v0).is_zero():
-            raise LopError(f"mode matrices are not geometric at entry ({a}, {b})")
+            raise LopError(f"mode matrices are not geometric at entry ({r}, {c})")
         rational = pref * v0 * arg**kmin * (ONE - rho * arg).inverse()
-        entries.append((a, b, dvals[a] * rational * dvals[b].inverse()))
+        entries.append((r, c, dvals[r] * rational * dvals[c].inverse()))
     return _matrix_series(entries, m0.nrows, direction, K)
 
 
@@ -1385,7 +1375,7 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
         sg = _sig(s)
         # near-diagonal entries against the geometric closed forms
         for i in range(1, n + 1):
-            a, b = _current_indices(alg, i)
+            a, b = alg.node_pair(i)
             for x, (row, col), entry in (("e", (a, b), g.e), ("f", (b, a), g.f)):
                 out.append(
                     _vanishes(
@@ -1424,7 +1414,7 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
                 out.append(_vanishes(f"{alg}: {name}", d))
         # diagonal factor: lower half through the reduced central series
         for m in range(1, n + 1):
-            pos = (n + 1 + m) if alg.type == "B" else (n + m)
+            pos = N - n + m
             i0 = n + 1 - m
             name = f"{alg} reduced rank {m} central series ({_sig(s)})"
             zred, sc = _central_series(name, g.product(n - m), alg.type, m)

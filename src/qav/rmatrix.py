@@ -68,11 +68,11 @@ def r_matrix(alg) -> SparseMat:
         for j in range(1, N + 1):
             ii, jj = i - 1, j - 1
             if i == j:
-                if i != alg.prime(i):
-                    entries.append(((ii) * N + ii, ii * N + ii, q))
-                elif alg.type == "B":
+                if alg.is_middle(i):
                     # the middle term e_{n+1,n+1} (x) e_{n+1,n+1}
                     entries.append((ii * N + ii, ii * N + ii, ONE))
+                else:
+                    entries.append((ii * N + ii, ii * N + ii, q))
             else:
                 if i != alg.prime(j):
                     entries.append((ii * N + jj, ii * N + jj, ONE))

@@ -5,6 +5,13 @@ defining relations (the central charge acts by 0 here, so q^(c/2) maps to 1).
 Generator indices i are 1-based (1..n); mode indices k range over the
 integers (k != 0 for the a-generators).  Matrix rows/columns are the
 standard basis vectors 1..N, stored 0-based in SparseMat.
+
+Every image of the node i is written once, in terms of the pair of basis
+indices (a, b) = alg.node_pair(i): x+_{i,k} maps e_a to e_b and e_b' to
+e_a', and k_i scales e_b and e_a' by q, e_a and e_b' by q^-1.  The types
+differ only at the last node: its pair is (n - 1, n + 1) in type D, and in
+type B its b = n + 1 is the middle index, where the x-images carry w and
+the a-images have a diagonal of their own.
 """
 
 from __future__ import annotations
@@ -46,14 +53,10 @@ def _mat(N, entries) -> SparseMat:
 def _x_entries(alg, i, k):
     """The entries of x+_{i,k}; x-_{i,k} has their transposes."""
     _check_index(alg, i)
-    n, N, p = alg.n, alg.N, alg.prime
-    if i < n:
-        return (i + 1, i, -_qp(-i * k)), (p(i), p(i + 1), _qp(-(N - 2 - i) * k))
-    if alg.type == "B":
-        w = Scalar.w()
-        return (n + 1, n, -w * _qp(-n * k)), (p(n), n + 1, w * _qp(-(n - 1) * k))
-    c = _qp(-(n - 1) * k)
-    return (n + 1, n - 1, -c), (n + 2, n, c)
+    a, b = alg.node_pair(i)
+    p = alg.prime
+    c = Scalar.w() if alg.is_middle(b) else ONE
+    return (b, a, -c * _qp(-a * k)), (p(a), p(b), c * _qp(-(alg.N - 2 - a) * k))
 
 
 # The generator images are memoised per (algebra, index, mode) with
@@ -74,46 +77,32 @@ def a_gen(alg, i, k) -> SparseMat:
     _check_index(alg, i)
     if k == 0:
         raise VecRepError("a-generator needs a nonzero mode")
-    n, N, p = alg.n, alg.N, alg.prime
-    if i < n:
-        coef = qint(k, alg.r[i - 1]) * Scalar.fraction(1, k)
-        e, f = -i * k, -(N - 2 - i) * k
-        diag = [(i + 1, _qp(e - k)), (i, -_qp(e + k))]
-        diag += [(p(i), _qp(f - k)), (p(i + 1), -_qp(f + k))]
-    elif alg.type == "B":
-        coef = qint(2 * k, alg.r[n - 1]) * Scalar.fraction(1, k)
-        e, f = -(n - 1) * k, -n * k
-        diag = (n, -_qp(e)), (n + 1, _qp(f) - _qp(e)), (p(n), _qp(f))
+    a, b = alg.node_pair(i)
+    N, p = alg.N, alg.prime
+    if alg.is_middle(b):
+        coef = qint(2 * k, alg.r[i - 1]) * Scalar.fraction(1, k)
+        e, f = -(a - 1) * k, -a * k
+        diag = (a, -_qp(e)), (b, _qp(f) - _qp(e)), (p(a), _qp(f))
     else:
-        coef = qint(k, alg.r[n - 1]) * Scalar.fraction(1, k) * _qp(-(n - 1) * k)
-        diag = (n + 1, _qp(-k)), (n + 2, _qp(-k)), (n - 1, -_qp(k)), (n, -_qp(k))
+        coef = qint(k, alg.r[i - 1]) * Scalar.fraction(1, k)
+        e, f = -a * k, -(N - 2 - a) * k
+        diag = [(b, _qp(e - k)), (a, -_qp(e + k))]
+        diag += [(p(a), _qp(f - k)), (p(b), -_qp(f + k))]
     return _mat(N, ((j, j, x) for j, x in diag)).scale(coef)
 
 
 @cache
 def k_cartan(alg, i, inv=False) -> SparseMat:
+    """q^(+-1) on b and a', q^(-+1) on a and b', for the pair (a, b) of the
+    node i; at the middle index the two exponents cancel."""
     _check_index(alg, i)
-    n, N = alg.n, alg.N
     e = -1 if inv else 1
-    if i < n:
-        up = {i + 1, alg.prime(i)}
-        down = {i, alg.prime(i + 1)}
-    elif alg.type == "B":
-        up = {alg.prime(n)}
-        down = {n}
-    else:
-        up = {n + 1, n + 2}
-        down = {n - 1, n}
-    rows = {}
-    for j in range(1, N + 1):
-        if j in up:
-            val = _qp(e)
-        elif j in down:
-            val = _qp(-e)
-        else:
-            val = ONE
-        rows[j - 1] = {j - 1: val}
-    return SparseMat(N, N, rows)
+    a, b = alg.node_pair(i)
+    p, N = alg.prime, alg.N
+    exps = [0] * (N + 1)
+    for j, x in ((b, e), (p(a), e), (a, -e), (p(b), -e)):
+        exps[j] += x
+    return _mat(N, ((j, j, _qp(exps[j])) for j in range(1, N + 1)))
 
 
 def psi_phi_modes(alg, i, maxmode):
@@ -333,7 +322,7 @@ def check_drinfeld_window(alg, window=3) -> list:
     run("Serre relations", serre())
 
     def w_structure():
-        w_deg = 1 if alg.type == "B" else 0
+        w_deg = int(alg.is_middle(alg.node_pair(n)[1]))
         for m in modes:
             for label, xf in (("x+", x_plus), ("x-", x_minus)):
                 x = xf(alg, n, m)

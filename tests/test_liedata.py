@@ -107,6 +107,30 @@ def test_prime_involution_and_bars():
 
 
 @pytest.mark.parametrize(
+    "type_, n", [("B", n) for n in range(1, 9)] + [("D", n) for n in range(2, 9)]
+)
+def test_node_pair_spans_the_simple_root(type_, n):
+    """wt(a) - wt(b) = alpha_i for the pair (a, b) of every node, with
+    wt(j) = e_j for j <= n, -e_j' for j' <= n and 0 at the middle index;
+    b is the middle index exactly at the last node of type B."""
+    alg = AlgebraData(type_, n)
+    zero = (Fraction(0),) * n
+
+    def wt(j):
+        if j <= n:
+            return alg.epsilon[j - 1]
+        if alg.prime(j) <= n:
+            return tuple(-x for x in alg.epsilon[alg.prime(j) - 1])
+        return zero
+
+    for i in range(1, n + 1):
+        a, b = alg.node_pair(i)
+        assert a < b
+        assert tuple(x - y for x, y in zip(wt(a), wt(b))) == alg.roots[i - 1]
+        assert alg.is_middle(b) == (type_ == "B" and i == n)
+
+
+@pytest.mark.parametrize(
     "type_,rank",
     [("B", 1), ("B", 2), ("B", 3), ("B", 4), ("D", 2), ("D", 3), ("D", 4)],
 )

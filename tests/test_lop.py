@@ -425,12 +425,12 @@ def test_fused_sums_add_no_matrices(fresh_builds, monkeypatch):
     assert runs == [(22, 136, 158, 374), (56, 328, 384, 1044)]
 
 
-@pytest.mark.parametrize("type_, rank, calls", [("B", 1, 4), ("D", 2, 12)])
+@pytest.mark.parametrize("type_, rank, calls", [("B", 1, 4), ("D", 2, 8)])
 def test_relrbar_rescales_each_current_once_per_shift(
     type_, rank, calls, monkeypatch
 ):
     """relrbar (c) rescales each Gauss half of a current once per shift it
-    is read at: 4 rescalings on B1 and 12 on D2, not 4 per item."""
+    is read at: 4 rescalings on B1 and 8 on D2, not 4 per item."""
     alg = AlgebraData(type_, rank)
     gaussian_generators(build_lops(alg, 4))
     scale_arg = TruncSeries.scale_arg

@@ -22,7 +22,9 @@ from qav.vecrep import (
 from conftest import all_pass
 
 
-@pytest.mark.parametrize("type_,rank", [("B", 2), ("D", 3)])
+@pytest.mark.parametrize(
+    "type_,rank", [("B", 1), ("B", 2), ("B", 4), ("D", 2), ("D", 3), ("D", 5)]
+)
 def test_k_cartan_inverse_pairs(type_, rank):
     alg = AlgebraData(type_, rank)
     for i in range(1, alg.n + 1):
@@ -31,7 +33,9 @@ def test_k_cartan_inverse_pairs(type_, rank):
         )
 
 
-@pytest.mark.parametrize("type_,rank", [("B", 2), ("D", 3)])
+@pytest.mark.parametrize(
+    "type_,rank", [("B", 1), ("B", 2), ("B", 4), ("D", 2), ("D", 3), ("D", 5)]
+)
 def test_cartan_conjugation_weights(type_, rank):
     """k_i x+-_{j,m} k_i^-1 = q_i^(+-A_ij) x+-_{j,m}: an independent spot
     recomputation of the weight grading."""
