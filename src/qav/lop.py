@@ -25,7 +25,12 @@ parts lifted into the window, so each entry is one fused sum.  The current
 of node i is read at its pair (a, b) = alg.node_pair(i), e_ab and f_ba,
 the last node of type D at (n - 1, n + 1): so are its geometric closed
 form, the argument shift q^a of its quadratic relations and the diagonal
-ratio of its mixed-current relation.
+ratio of its mixed-current relation.  The type-specific relations are keyed
+by the same index facts, never by the type letter: the middle index
+(alg.is_middle) keys the gauge, the exchanges of h_{n+1} and the last factor
+of the central series' h-product, and the last node's pair keys the Cartan
+chain of _lemma_k_diagonal and main-structure's interior-zero items.  Only
+the B1 crossing-scalar oracle of z_series is chosen by (type, rank).
 """
 
 from __future__ import annotations
@@ -70,8 +75,9 @@ class LopError(ArithmeticError):
 def gauge_dvals(alg: AlgebraData):
     """Diagonal change of basis aligning the built L-operators with the
     closed-form generator images (1-based entries returned as a 0-based
-    list)."""
-    if alg.type == "B":
+    list): q^(-1/2) on the indices past the middle index, when there is one,
+    and 1 elsewhere."""
+    if alg.is_middle(alg.n + 1):
         return [ONE] * (alg.n + 1) + [Scalar.q_pow(Fraction(-1, 2))] * alg.n
     return [ONE] * alg.N
 
@@ -151,32 +157,22 @@ def _series_matrix(mat: SparseMat, N: int, direction, K: int):
 
 
 def _lemma_k_diagonal(alg: AlgebraData):
-    """The expected diagonal constant terms of the plus operator: a list of
-    N diagonal matrices built from the Cartan generator images."""
-    N, n = alg.N, alg.n
-    ident = SparseMat.identity(N)
-    lam = [None] * (N + 1)  # 1-based
-    if alg.type == "B":
-        for i in range(1, n + 1):
-            acc = ident
-            for b in range(i, n + 1):
-                acc = acc * vecrep.k_cartan(alg, b)
-            lam[i] = acc
-        lam[n + 1] = ident
+    """The expected diagonal constant terms of the plus operator: the N
+    diagonal matrices lam_j = q^-(wt(j), wt), built from the Cartan images
+    by the chain lam_i = k_i lam_{i+1}, i = n-1..1.  lam_n, the image of
+    epsilon_n, is k_n when the last node's pair ends at the middle index and
+    sqrt(k_{n-1}^-1 k_n) otherwise; the middle index gets the identity and
+    each later index the inverse of its mirror's lam."""
+    n = alg.n
+    if alg.is_middle(alg.node_pair(n)[1]):
+        lam = [vecrep.k_cartan(alg, n)]
     else:
-        root = _diag_sqrt(vecrep.k_cartan(alg, n - 1) * vecrep.k_cartan(alg, n))
-        for i in range(1, n):
-            acc = ident
-            for b in range(i, n - 1):
-                acc = acc * vecrep.k_cartan(alg, b)
-            lam[i] = acc * root
-        lam[n] = _diag_sqrt(
-            vecrep.k_cartan(alg, n - 1, inv=True) * vecrep.k_cartan(alg, n)
-        )
-    for pos in range(N // 2 + 1, N + 1):
-        if lam[pos] is None:
-            lam[pos] = lam[N + 1 - pos].inverse()
-    return lam[1:]
+        square = vecrep.k_cartan(alg, n - 1, inv=True) * vecrep.k_cartan(alg, n)
+        lam = [_diag_sqrt(square)]
+    for i in range(n - 1, 0, -1):
+        lam.insert(0, vecrep.k_cartan(alg, i) * lam[0])
+    middle = [SparseMat.identity(alg.N)] if alg.is_middle(n + 1) else []
+    return lam + middle + [x.inverse() for x in reversed(lam)]
 
 
 def _check_triangular(lp, lm) -> bool:
@@ -922,7 +918,7 @@ def _hx_prefactors(alg: AlgebraData, i: int, j: int):
         den = Scalar.q_pow(a) * u - Scalar.q_pow(-a) * v
         return (u - v) * den.inverse(), den * (u - v)
     # i == n + 1
-    if alg.type == "B":
+    if alg.is_middle(i):
         if j <= n - 1:
             return ONE, ONE
         num = (q * u - v) * (u - v)
@@ -1169,7 +1165,7 @@ def z_series(alg: AlgebraData, K: int = 10):
             acc = acc * g.h(i).scale_arg(alg.xi * Scalar.q_pow(2 * i)).inverse()
         for i in range(1, top + 1):
             acc = acc * g.h(i).scale_arg(alg.xi * Scalar.q_pow(2 * i - 2))
-        if alg.type == "B":
+        if alg.is_middle(n + 1):
             acc = acc * g.h(n + 1) * g.h(n + 1).scale_arg(_Q)
         else:
             acc = acc * g.h(n) * g.h(n + 1)
@@ -1384,8 +1380,8 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
                         entry(row, col) - _geom_target(alg, i, x, s, K),
                     )
                 )
-        # type-D interior zero and paired entries
-        if alg.type == "D":
+        # interior zero and paired entries where the last node skips index n
+        if alg.node_pair(n)[0] != n:
             for name, x in (
                 (f"E{sg} entry ({n},{n + 1}) vanishes", g.e(n, n + 1)),
                 (f"F{sg} entry ({n + 1},{n}) vanishes", g.f(n + 1, n)),

@@ -50,3 +50,14 @@ def failures(checks):
 
 def frac(p, q=1):
     return Fraction(p, q)
+
+
+def weight(alg, j):
+    """The weight of the 1-based basis index j in orthonormal coordinates:
+    e_j for j <= n, -e_j' for j' <= n and 0 at the middle index."""
+    n = alg.n
+    if j <= n:
+        return alg.epsilon[j - 1]
+    if alg.prime(j) <= n:
+        return tuple(-x for x in alg.epsilon[alg.prime(j) - 1])
+    return (Fraction(0),) * n

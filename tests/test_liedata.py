@@ -1,6 +1,9 @@
 """Root data, barred weights, and the q-deformed Gram matrix."""
 
+import ast
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,7 @@ from qav.liedata import (
 )
 from qav.scalars import Scalar, qint
 
-from conftest import all_pass
+from conftest import all_pass, weight
 
 
 def test_constructor_rejects_bad_input():
@@ -114,20 +117,71 @@ def test_node_pair_spans_the_simple_root(type_, n):
     wt(j) = e_j for j <= n, -e_j' for j' <= n and 0 at the middle index;
     b is the middle index exactly at the last node of type B."""
     alg = AlgebraData(type_, n)
-    zero = (Fraction(0),) * n
-
-    def wt(j):
-        if j <= n:
-            return alg.epsilon[j - 1]
-        if alg.prime(j) <= n:
-            return tuple(-x for x in alg.epsilon[alg.prime(j) - 1])
-        return zero
-
     for i in range(1, n + 1):
         a, b = alg.node_pair(i)
         assert a < b
-        assert tuple(x - y for x, y in zip(wt(a), wt(b))) == alg.roots[i - 1]
+        wa, wb = weight(alg, a), weight(alg, b)
+        assert tuple(x - y for x, y in zip(wa, wb)) == alg.roots[i - 1]
         assert alg.is_middle(b) == (type_ == "B" and i == n)
+
+
+# The one comparison of the type letter outside liedata: z_series compares
+# z+ with the expanded crossing scalar on B1 only, until the central series
+# has its closed form at every rank (ROADMAP item 4).
+TYPE_TESTS_OUTSIDE_LIEDATA = {("lop.py", "z_series"): 1}
+
+
+def _is_letter(node):
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_letter, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def _is_type(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "type") or (
+        isinstance(node, ast.Name) and node.id == "type_"
+    )
+
+
+def _type_tests(source: str) -> list:
+    """The enclosing function of each comparison of `.type` or `type_` with
+    a string constant (or a tuple of them) in the source."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(_is_type, operands)) and any(map(_is_letter, operands)):
+                found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_type_tests_finds_comparisons_not_lookups():
+    source = """
+def f(alg, type_):
+    if alg.type == "B" and type_ != "D" or "B" == alg.type:
+        pass
+    return alg.type in ("B", "D"), TABLE[alg.type], TABLE.get((alg.type, 1))
+"""
+    assert _type_tests(source) == ["f"] * 4
+
+
+def test_only_liedata_tests_the_type_letter():
+    """The choice of type is made in liedata: every other module reads the
+    index facts of AlgebraData (node_pair, is_middle, ...) or looks the type
+    up in a table, but compares no type letter."""
+    counts = Counter()
+    for path in sorted(Path(liedata.__file__).parent.glob("*.py")):
+        if path.name != "liedata.py":
+            for func in _type_tests(path.read_text()):
+                counts[path.name, func] += 1
+    assert dict(counts) == TYPE_TESTS_OUTSIDE_LIEDATA
 
 
 @pytest.mark.parametrize(

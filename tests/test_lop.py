@@ -25,7 +25,7 @@ from qav.scalars import Scalar
 from qav.series import AT_INFINITY, AT_ZERO, TruncSeries, f_series
 from qav.tensor import SparseMat
 
-from conftest import all_pass, failures
+from conftest import all_pass, failures, weight
 
 K = 6
 
@@ -92,6 +92,28 @@ def test_check_all_decides_the_wiring_once(fresh_builds, monkeypatch, capsys):
     assert len(calls["exchange_difference"]) == 1
     assert [a[3] for a in calls["_series_matrix"] if a[3] > 0] == [10, 10]
     assert len(calls["_lemma_k_diagonal"]) == 1
+
+
+@pytest.mark.parametrize(
+    "type_, n", [("B", n) for n in range(1, 7)] + [("D", n) for n in range(2, 7)]
+)
+def test_lemma_k_diagonal_is_q_to_the_weight_pairing(type_, n):
+    """The diagonal constants that the wiring expects, built from the Cartan
+    images, equal diag_j q^-(wt(i), wt(j)) at every index i, a formula that
+    reads no Cartan image."""
+    alg = AlgebraData(type_, n)
+    N = alg.N
+    lam = lop._lemma_k_diagonal(alg)
+    assert len(lam) == N
+    for i in range(1, N + 1):
+        pairing = [
+            sum(x * y for x, y in zip(weight(alg, i), weight(alg, j)))
+            for j in range(1, N + 1)
+        ]
+        expected = SparseMat.from_entries(
+            N, N, [(j, j, Scalar.q_pow(-p)) for j, p in enumerate(pairing)]
+        )
+        assert lam[i - 1] == expected, i
 
 
 def test_build_lops_triangular_constant_terms(d2):
