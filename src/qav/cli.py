@@ -16,7 +16,6 @@ from importlib import import_module
 from typing import Callable, NamedTuple
 
 from .liedata import AlgebraData
-from .report import skipped
 from .series import ResourceBoundError
 
 _HEADER_NOTE = (
@@ -36,13 +35,12 @@ MAX_WINDOW = 8
 
 class _Suite(NamedTuple):
     """One row of the suite table.  module names the qav module that holds
-    the check, and run(module, alg, K, W) returns the check dicts (the
-    report of a lop row adds the L-operator conventions); skip, when set,
-    is (applies(alg), check name, reason)."""
+    the check, and run(module, alg, K, W) returns the check dicts, a
+    skipped item among them when the suite does not apply to the algebra
+    (the report of a lop row adds the L-operator conventions)."""
 
     module: str
     run: Callable
-    skip: tuple | None = None
 
 
 def _module(name):
@@ -51,10 +49,6 @@ def _module(name):
     compiling lop is a measurable share of a short run, while compiling it
     after the first suite has run raises the peak memory of `check all`."""
     return import_module(f".{name}", __package__)
-
-
-def _psi(lop, alg, K, W):
-    return [c for m in range(1, alg.n) for c in lop.check_psi_consistency(alg, m, K)]
 
 
 # Module functions are looked up when a suite runs, not when the table is
@@ -67,32 +61,16 @@ _TABLE = {
     "drinfeld-rep": _Suite(
         "vecrep", lambda vecrep, alg, K, W: vecrep.check_drinfeld_window(alg, window=W)
     ),
-    "eiprei": _Suite(
-        "lop",
-        lambda lop, alg, K, W: lop.check_eiprei(alg, K),
-        skip=(lambda alg: alg.n < 2, "mirror identities", "needs rank at least 2"),
-    ),
+    "eiprei": _Suite("lop", lambda lop, alg, K, W: lop.check_eiprei(alg, K)),
     "f-series": _Suite(
         "series", lambda series, alg, K, W: series.verify_fu_product(alg, K)["checks"]
     ),
     "gauss": _Suite("lop", lambda lop, alg, K, W: lop.check_gauss(alg, K)),
-    "lowrank": _Suite(
-        "lop",
-        lambda lop, alg, K, W: lop.check_lowrank(alg, K),
-        skip=(
-            lambda alg: (alg.type, alg.n) not in _module("lop").BATTERIES,
-            "low-rank battery",
-            "defined for type B rank 1 and type D rank 2 only",
-        ),
-    ),
+    "lowrank": _Suite("lop", lambda lop, alg, K, W: lop.check_lowrank(alg, K)),
     "main-structure": _Suite(
         "lop", lambda lop, alg, K, W: lop.check_main_theorem_structure(alg, K)
     ),
-    "psi": _Suite(
-        "lop",
-        _psi,
-        skip=(lambda alg: alg.n < 2, "reduction consistency", "needs rank at least 2"),
-    ),
+    "psi": _Suite("lop", lambda lop, alg, K, W: lop.check_psi(alg, K)),
     "relrbar": _Suite("lop", lambda lop, alg, K, W: lop.check_relrbar(alg, K, W)),
     "unitarity": _Suite(
         "rmatrix", lambda rmatrix, alg, K, W: rmatrix.check_unitarity(alg)
@@ -108,10 +86,6 @@ def _run_suite(suite, alg, K, W):
     entry = _TABLE.get(suite)
     if entry is None:
         raise ValueError(f"unknown suite: {suite}")
-    if entry.skip is not None:
-        applies, name, reason = entry.skip
-        if applies(alg):
-            return [skipped(f"{name}, {alg}", reason)]
     return entry.run(_module(entry.module), alg, K, W)
 
 

@@ -232,6 +232,20 @@ def btilde_q(alg: AlgebraData):
     return inv
 
 
+def _dynkin_cartan(type_: str, n: int) -> list:
+    """The Cartan matrix read off the Dynkin diagram, with no root: 2 on the
+    diagonal and -1 along the chain 1 - ... - (n-1); for B the double bond
+    a_{n-1,n} = -1, a_{n,n-1} = -2, for D node n joined to n-2, not n-1."""
+    A = [[2 * int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n - 2):  # 0-based from here on
+        A[i][i + 1] = A[i + 1][i] = -1
+    if type_ == "B" and n >= 2:
+        A[n - 2][n - 1], A[n - 1][n - 2] = -1, -2
+    if type_ == "D" and n >= 3:
+        A[n - 3][n - 1] = A[n - 1][n - 3] = -1
+    return A
+
+
 def check_cartan(alg: AlgebraData) -> list:
     """Structural checks on the stored Lie data; returns check dicts."""
     if alg.n > MAX_CARTAN_RANK:
@@ -242,11 +256,7 @@ def check_cartan(alg: AlgebraData) -> list:
     checks = []
     n = alg.n
 
-    ok = all(
-        alg.A[i][j] == 2 * _dot(alg.roots[i], alg.roots[j]) / _dot(alg.roots[i], alg.roots[i])
-        for i in range(n)
-        for j in range(n)
-    )
+    ok = alg.A == _dynkin_cartan(alg.type, n)
     checks.append(check("Cartan matrix reproduced from root coordinates", ok))
 
     ok = all(alg.bar(i) + alg.bar(alg.prime(i)) == 0 for i in range(1, alg.N + 1))

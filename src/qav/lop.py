@@ -49,7 +49,7 @@ from .quasidet import (
     mat_mul,
     schur_complement,
 )
-from .report import check, first_failure
+from .report import check, first_failure, skipped
 from .rmatrix import build_catalog, crossing_scalar
 from .scalars import ONE, Scalar, qbinom
 from .series import AT_INFINITY, AT_ZERO, TruncSeries, expand_scalar
@@ -295,7 +295,9 @@ def choose_wiring(alg: AlgebraData) -> Wiring:
 
 def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
     """Both operator matrices at order K with their Gauss factors, memoised
-    per algebra and order with functools.cache (in _lops).
+    per algebra and order with functools.cache (in _lops), once the factors
+    pass the reassembly and the quasideterminant cross path; raises LopError
+    otherwise, so every suite but `gauss` refuses failing factors.
 
     L+(u) and L-(u) are q^-1 and q times the two expansions of one rational
     matrix, a reading of Rbar, so the wiring is decided once per algebra by
@@ -305,13 +307,17 @@ def build_lops(alg: AlgebraData, K: int = 10) -> LOperators:
     reading: exchange(P X P) = -P13 sigma(exchange(X)) P13, with P13 the
     swap of legs 1 and 3 and sigma the swap of u and v, so both readings
     share one exchange verdict, and it is the YBE verdict."""
-    if K < 1:
-        raise LopError("truncation order must be at least 1")
-    return _lops(alg, K)
+    lops = _lops(alg, K)
+    for item in lops.checks:
+        if item["status"] == "fail":
+            raise LopError(f"Gauss factors fail {item['name']!r} at {item['witness']}")
+    return lops
 
 
 @cache
 def _lops(alg: AlgebraData, K: int) -> LOperators:
+    if K < 1:
+        raise LopError("truncation order must be at least 1")
     w = choose_wiring(alg)
     plus = w.record["plus_expansion"]
     minus = AT_INFINITY if plus == AT_ZERO else AT_ZERO
@@ -374,21 +380,13 @@ def _decompose(alg, wiring: Wiring, lp, lm) -> LOperators:
     return LOperators(alg, wiring, gp, gm, checks)
 
 
-def gaussian_generators(lops: LOperators) -> LOperators:
-    """lops, once its Gauss factors pass the reassembly and the
-    quasideterminant cross path; raises LopError otherwise."""
-    for item in lops.checks:
-        if item["status"] == "fail":
-            raise LopError(f"Gauss factors fail {item['name']!r} at {item['witness']}")
-    return lops
-
-
 def check_gauss(alg: AlgebraData, K: int = 10) -> list:
-    """The two items formed with the memoised factors (so failing factors
-    fail here, where every other suite refuses them), the reassembly
-    F*H*E = L for both signs and the quasideterminant cross path, and a
-    probe: perturbing one coefficient of F must break the reassembly."""
-    lops = build_lops(alg, K)
+    """The two items formed with the memoised factors, the reassembly
+    F*H*E = L for both signs and the quasideterminant cross path, read from
+    _lops past the gate of build_lops (so failing factors fail here, with
+    their witnesses, where every other suite refuses them), and a probe:
+    perturbing one coefficient of F must break the reassembly."""
+    lops = _lops(alg, K)
     g = lops.gp
     N, M = len(g.L), _rep_size(g.L)
     F2 = [row[:] for row in g.F]
@@ -870,17 +868,20 @@ def _battery_rank2_d(src: GenSource, tag: str) -> list:
 
 # (type, rank) -> the hand-written relation battery of that algebra
 BATTERIES = {("B", 1): _battery_rank1_b, ("D", 2): _battery_rank2_d}
+# the least order of a battery run, by lowrank or on psi's reduced rank
+BATTERY_MIN_ORDER = 4
 
 
 def check_lowrank(alg: AlgebraData, K: int = 10) -> list:
     """The complete low-rank relation batteries (rank-one type B on o_3 and
-    rank-two type D on o_4)."""
+    rank-two type D on o_4); one skipped item on every other algebra."""
     battery = BATTERIES.get((alg.type, alg.n))
     if battery is None:
-        raise LopError("the low-rank battery is defined for B rank 1 and D rank 2")
-    if K < 4:
-        raise LopError("low-rank battery needs K >= 4")
-    return battery(GenSource(gaussian_generators(build_lops(alg, K))), str(alg))
+        reason = "defined for type B rank 1 and type D rank 2 only"
+        return [skipped(f"low-rank battery, {alg}", reason)]
+    if K < BATTERY_MIN_ORDER:
+        raise LopError(f"low-rank battery needs K >= {BATTERY_MIN_ORDER}")
+    return battery(GenSource(build_lops(alg, K)), str(alg))
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +948,7 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
     mixed-current delta relation modewise, and the Serre relations modewise."""
     if not (K >= W >= 2):
         raise LopError("need K >= W >= 2")
-    lops = gaussian_generators(build_lops(alg, K))
+    lops = build_lops(alg, K)
     n = alg.n
     src = GenSource(lops)
     # (a) diagonal-series commutation, all pairs, all sign combinations
@@ -1148,7 +1149,7 @@ def z_series(alg: AlgebraData, K: int = 10):
     with the diagonal-series product formula."""
     if K < 2:
         raise LopError("need K >= 2")
-    lops = gaussian_generators(build_lops(alg, K))
+    lops = build_lops(alg, K)
     n = alg.n
     checks = []
     results = {}
@@ -1211,10 +1212,11 @@ def _mirror_differences(alg: AlgebraData, g: GaussFactors, i: int, r_e, r_f):
 
 def check_eiprei(alg: AlgebraData, K: int = 10) -> list:
     """The mirror identities relating the primed off-diagonal generator
-    series to the argument-shifted unprimed ones, for 1 <= i <= n-1."""
+    series to the argument-shifted unprimed ones, for 1 <= i <= n-1; one
+    skipped item at rank 1."""
     if alg.n < 2:
-        raise LopError("mirror identities need rank at least 2")
-    lops = gaussian_generators(build_lops(alg, K))
+        return [skipped(f"mirror identities, {alg}", "needs rank at least 2")]
+    lops = build_lops(alg, K)
     N = alg.N
     out = []
     for s in _SIGNS:
@@ -1235,15 +1237,24 @@ def check_eiprei(alg: AlgebraData, K: int = 10) -> list:
 # ---------------------------------------------------------------------------
 
 
+def check_psi(alg: AlgebraData, K: int = 10) -> list:
+    """The reduction consistency of every m = 1..n-1; one skipped item at
+    rank 1."""
+    if alg.n < 2:
+        return [skipped(f"reduction consistency, {alg}", "needs rank at least 2")]
+    return [c for m in range(1, alg.n) for c in check_psi_consistency(alg, m, K)]
+
+
 def check_psi_consistency(alg: AlgebraData, m: int, K: int = 10) -> list:
     """The reduction images psi_m(l_ij), read from L as one Schur complement
     of its leading m x m block, versus the central-block products of the
     Gauss factors; the commutation of the eliminated corner with the images;
     and - when the reduced rank admits one - the low-rank battery run
-    through the reduced generators."""
+    through the reduced generators, one skipped item below the battery's
+    least order."""
     if not (1 <= m <= alg.n - 1):
         raise LopError("need 1 <= m <= n - 1")
-    lops = gaussian_generators(build_lops(alg, K))
+    lops = build_lops(alg, K)
     N = alg.N
     out = []
     block = range(m + 1, N - m + 1)  # the central block, 1-based
@@ -1298,8 +1309,12 @@ def check_psi_consistency(alg: AlgebraData, m: int, K: int = 10) -> list:
         )
     # cross-check against the low-rank battery through the reduced generators
     battery = BATTERIES.get((alg.type, alg.n - m))
-    if battery is not None:
-        out.extend(battery(GenSource(lops, offset=m), f"{alg} reduced m={m}"))
+    tag = f"{alg} reduced m={m}"
+    if battery is not None and K < BATTERY_MIN_ORDER:
+        reason = f"needs order at least {BATTERY_MIN_ORDER}"
+        out.append(skipped(f"low-rank battery, {tag}", reason))
+    elif battery is not None:
+        out.extend(battery(GenSource(lops, offset=m), tag))
     return out
 
 
@@ -1358,7 +1373,7 @@ def check_main_theorem_structure(alg: AlgebraData, K: int = 10) -> list:
     fixed by the reduced central series."""
     if K < 4:
         raise LopError("need K >= 4")
-    lops = gaussian_generators(build_lops(alg, K))
+    lops = build_lops(alg, K)
     N, n = alg.N, alg.n
     dvals = gauge_dvals(alg)
     out = []

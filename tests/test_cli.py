@@ -88,21 +88,41 @@ def test_json_is_byte_identical_across_hash_seeds():
 
 
 def test_skip_statuses(capsys):
-    rc = cli.run(
-        ["check", "lowrank", "--type", "B", "--rank", "2", "--order", "4",
-         "--format", "json"]
-    )
-    payload = json.loads(capsys.readouterr().out)
-    assert rc == 0
-    (report,) = payload["reports"]
-    assert [c["status"] for c in report["checks"]] == ["skipped"]
-    assert "reason" in report["checks"][0]
+    # lowrank skips before it reads the order, so at order 2, below the
+    # batteries' least order, it still exits 0
+    for order in ("4", "2"):
+        rc = cli.run(
+            ["check", "lowrank", "--type", "B", "--rank", "2", "--order", order,
+             "--format", "json"]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        (report,) = payload["reports"]
+        assert [c["status"] for c in report["checks"]] == ["skipped"]
+        assert "reason" in report["checks"][0]
 
     rc = cli.run(["check", "psi", "--type", "B", "--rank", "1", "--order", "4",
                   "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert payload["reports"][0]["checks"][0]["status"] == "skipped"
+
+
+def test_psi_skips_its_reduced_battery_below_the_battery_order(capsys):
+    """psi on B2 at order 1 keeps its image and corner items and reports the
+    reduced battery, which lowrank refuses below order 4, as one skipped
+    item: exit 0."""
+    rc = cli.run(["check", "psi", "--type", "B", "--rank", "2", "--order", "1",
+                  "--format", "json"])
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert rc == 0
+    checks = report["checks"]
+    assert [c["status"] for c in checks] == ["pass"] * 6 + ["skipped"]
+    assert checks[-1] == {
+        "name": "low-rank battery, B2 reduced m=1",
+        "status": "skipped",
+        "reason": f"needs order at least {lop.BATTERY_MIN_ORDER}",
+    }
 
 
 def test_usage_errors_exit_2(capsys):
@@ -311,7 +331,7 @@ def test_lop_suites_report_conventions(capsys):
 
 
 @pytest.mark.parametrize(
-    "suite, type_, rank", [("eiprei", "B", 1), ("lowrank", "D", 3)]
+    "suite, type_, rank", [("eiprei", "B", 1), ("lowrank", "D", 3), ("psi", "B", 1)]
 )
 def test_skipped_suite_reports_conventions_without_building_lops(
     monkeypatch, capsys, suite, type_, rank

@@ -62,7 +62,7 @@ def _lowrank_failures_with_h1_bumped(capsys, type_, rank):
     and its failing items by name with their witnesses, which `qav check
     lowrank` (exit 1) reports too.  Callers request fresh_builds."""
     alg, K = AlgebraData(type_, rank), 10
-    gs = lop.gaussian_generators(lop.build_lops(alg, K))
+    gs = lop.build_lops(alg, K)
     gs.gp.H[0] = gs.gp.H[0] + TruncSeries(
         AT_ZERO, K, {2: SparseMat.unit(alg.N, 0, 0)}
     )
@@ -148,10 +148,6 @@ def _assert_fails(tmp_path, capsys, args, expected):
     assert [line for line in text if line.startswith("  fail")] == lines
 
 
-def _gauss(alg, K):
-    return lop.gaussian_generators(lop.build_lops(alg, K))
-
-
 def _bump(ts, K, mode, mat):
     return ts + TruncSeries(AT_ZERO, K, {mode: mat})
 
@@ -160,7 +156,7 @@ def test_relrbar_fails_on_a_bumped_current_mode(fresh_builds, tmp_path, capsys):
     """e12+ on B1 gets e_21 added at mode 1: the exchange, quadratic and
     mixed relations of X1+ fail."""
     alg, K = AlgebraData("B", 1), 6
-    gs = _gauss(alg, K)
+    gs = lop.build_lops(alg, K)
     gs.gp.E[0][1] = _bump(gs.gp.E[0][1], K, 1, SparseMat.unit(alg.N, 1, 0))
 
     def wit(u, v, row, col, value):
@@ -199,7 +195,7 @@ def test_relrbar_fails_on_a_bumped_minus_half_of_a_current(
     read at infinity: the exchange, quadratic and mixed relations of X1+
     fail below mode zero or where a prefactor carries the bump up."""
     alg, K = AlgebraData("B", 1), 6
-    gs = _gauss(alg, K)
+    gs = lop.build_lops(alg, K)
     bump = TruncSeries(AT_INFINITY, K, {1: SparseMat.unit(alg.N, 1, 0)})
     gs.gm.E[0][1] = gs.gm.E[0][1] + bump
 
@@ -263,7 +259,7 @@ def test_psi_fails_only_the_image_match_on_a_bumped_gauss_entry(
     fresh_builds, tmp_path, capsys
 ):
     alg, K = AlgebraData("D", 2), 4
-    gs = _gauss(alg, K)
+    gs = lop.build_lops(alg, K)
     gs.gp.E[1][2] = _bump(gs.gp.E[1][2], K, 1, SparseMat.unit(alg.N, 0, 0))
     _assert_fails(
         tmp_path, capsys,
@@ -286,7 +282,6 @@ def test_psi_fails_only_the_corner_commutation_on_a_bumped_corner(
     the u-slot fail."""
     alg, K = AlgebraData("D", 2), 4
     lops = lop.build_lops(alg, K)
-    lop.gaussian_generators(lops)
     lp = [row[:] for row in lops.lp]
     lp[0][0] = _bump(lp[0][0], K, 1, SparseMat.unit(alg.N, 0, 1))
     lops.lp = lp
@@ -313,7 +308,7 @@ def test_psi_reduced_battery_fails_on_a_bumped_reduced_entry(
     is e12+ of the reduced D2 battery, so besides the image match the
     battery items that carry e12+ fail."""
     alg, K = AlgebraData("D", 3), 4
-    gs = _gauss(alg, K)
+    gs = lop.build_lops(alg, K)
     gs.gp.E[1][2] = _bump(gs.gp.E[1][2], K, 1, SparseMat.unit(alg.N, 0, 0))
 
     def wit(u, v, value):
@@ -372,7 +367,6 @@ def test_zseries_fails_on_a_bumped_lop_mode(fresh_builds, tmp_path, capsys):
     diagonal-series product and the crossing scalar."""
     alg, K = AlgebraData("B", 1), 4
     lops = lop.build_lops(alg, K)
-    lop.gaussian_generators(lops)
     lops.lp[0][1] = _bump(lops.lp[0][1], K, 2, SparseMat.unit(alg.N, 0, 0))
     _assert_fails(
         tmp_path, capsys,
@@ -403,7 +397,7 @@ def test_zseries_fails_on_a_bumped_lop_mode(fresh_builds, tmp_path, capsys):
 
 def test_main_structure_fails_on_a_bumped_gauss_entry(fresh_builds, tmp_path, capsys):
     alg, K = AlgebraData("B", 1), 4
-    gs = _gauss(alg, K)
+    gs = lop.build_lops(alg, K)
     gs.gp.E[0][1] = _bump(gs.gp.E[0][1], K, 1, SparseMat.unit(alg.N, 1, 0))
     _assert_fails(
         tmp_path, capsys,
@@ -432,7 +426,7 @@ def test_main_structure_fails_on_a_bumped_gauss_entry(fresh_builds, tmp_path, ca
 
 def test_eiprei_fails_on_a_bumped_gauss_entry(fresh_builds, tmp_path, capsys):
     alg, K = AlgebraData("D", 2), 4
-    gs = _gauss(alg, K)
+    gs = lop.build_lops(alg, K)
     gs.gp.E[0][1] = _bump(gs.gp.E[0][1], K, 1, SparseMat.unit(alg.N, 1, 0))
     _assert_fails(
         tmp_path, capsys,
@@ -450,7 +444,7 @@ def test_mirror_suites_fail_on_a_bumped_f_entry(fresh_builds, tmp_path, capsys):
     """f21+ on D2 gets e_12 added at mode 1: the F half of the mirror
     differences that eiprei and main-structure share fails in both."""
     alg, K = AlgebraData("D", 2), 4
-    gs = _gauss(alg, K)
+    gs = lop.build_lops(alg, K)
     gs.gp.F[1][0] = _bump(gs.gp.F[1][0], K, 1, SparseMat.unit(alg.N, 0, 1))
     witness = {"exponent": 1, "row": 0, "col": 1, "value": "1"}
     _assert_fails(
@@ -622,6 +616,21 @@ def test_cartan_fails_on_a_wrong_closed_form(monkeypatch, tmp_path, capsys):
             )
         ],
     )
+
+
+def test_cartan_fails_on_a_doubled_root():
+    """D3's roots with alpha_1 doubled, before A is formed from them: A no
+    longer matches the Cartan matrix of the Dynkin diagram, and B(q) no
+    longer inverts to its closed form; every other item still passes."""
+    alg = AlgebraData("D", 3)
+    roots = list(alg.roots)
+    roots[0] = tuple(2 * x for x in roots[0])
+    alg.roots = roots  # overrides the cached property before A reads it
+    failed = [c["name"] for c in liedata.check_cartan(alg) if c["status"] == "fail"]
+    assert failed == [
+        "Cartan matrix reproduced from root coordinates",
+        "B~(q) matches closed form and is symmetric",
+    ]
 
 
 def test_drinfeld_rep_serre_fails_on_a_wrong_q_binomial(monkeypatch, tmp_path, capsys):

@@ -15,9 +15,9 @@ from qav.lop import (
     check_gauss,
     check_lowrank,
     check_main_theorem_structure,
+    check_psi,
     check_psi_consistency,
     check_relrbar,
-    gaussian_generators,
     z_series,
 )
 from qav.report import check, first_failure
@@ -148,9 +148,10 @@ def test_check_gauss(b1):
     assert any("perturbation" in c["name"] for c in checks)
 
 
-def test_gaussian_generators_accessors(d2):
+def test_build_lops_hands_out_the_memoised_factors(d2):
     lops = build_lops(d2, K)
-    assert gaussian_generators(lops) is lops
+    assert lops is lop._lops(d2, K)
+    assert all_pass(lops.checks), failures(lops.checks)
     src = lop.GenSource(lops)
     # h-series have invertible constant terms (diagonal matrices)
     for i in range(1, d2.N + 1):
@@ -161,9 +162,10 @@ def test_gaussian_generators_accessors(d2):
             h0.inverse()  # must not raise
 
 
-def test_gaussian_generators_decomposes_the_given_operators(b1):
+def test_decompose_factors_the_given_operators(b1):
     """Operators that differ from the built ones get their own factors, not
-    the memoised factors of the genuine operators."""
+    the memoised factors of the genuine operators, and their own items,
+    which those factors pass."""
     good = build_lops(b1, 4)
     N = b1.N
     lp = [row[:] for row in good.lp]
@@ -173,7 +175,7 @@ def test_gaussian_generators_decomposes_the_given_operators(b1):
     bad = lop._decompose(b1, good.wiring, lp, good.lm)
     assert bad.gp is not good.gp
     assert bad.lp is lp and good.lp is not lp
-    assert gaussian_generators(bad) is bad and gaussian_generators(good) is good
+    assert all_pass(bad.checks), failures(bad.checks)
     prod = bad.gp.product()
     assert (prod[N - 1][0] - lp[N - 1][0]).is_zero()
     assert not (prod[N - 1][0] - good.lp[N - 1][0]).is_zero()
@@ -182,7 +184,7 @@ def test_gaussian_generators_decomposes_the_given_operators(b1):
 def test_cross_path_inverts_each_leading_block_once(monkeypatch, d2):
     """On D2 (N = 4) the cross path of L+ inverts the leading 1x1, 2x2 and
     3x3 blocks of L, once each; the bordered-minor path inverted 9 minors."""
-    gs = gaussian_generators(build_lops(d2, K))
+    gs = build_lops(d2, K)
     sizes = []
     ring_inverse = quasidet.ring_inverse
 
@@ -195,10 +197,11 @@ def test_cross_path_inverts_each_leading_block_once(monkeypatch, d2):
     assert sizes == [1, 2, 3]
 
 
-def test_gaussian_generators_raises_when_the_cross_path_fails(fresh_builds, monkeypatch, capsys):
+def test_build_lops_raises_when_the_cross_path_fails(fresh_builds, monkeypatch, capsys):
     """A cross path that reads a wrong inverse of a leading block disagrees
-    with the elimination: `gauss` reports that item alone as failing (exit
-    1), and every other L-operator suite refuses the factors (exit 2)."""
+    with the elimination: build_lops refuses the factors while check_gauss
+    reports that item alone as failing, so `gauss` exits 1 and every other
+    L-operator suite exits 2."""
     ring_inverse = quasidet.ring_inverse
 
     def wrong(A, one):
@@ -207,10 +210,14 @@ def test_gaussian_generators_raises_when_the_cross_path_fails(fresh_builds, monk
         return inv
 
     monkeypatch.setattr(quasidet, "ring_inverse", wrong)
+    b1 = AlgebraData("B", 1)
+    name = "quasideterminant cross-path agrees with block elimination, B1"
+    with pytest.raises(LopError, match=f"^Gauss factors fail {name!r} at "):
+        build_lops(b1, 4)
+    assert [c["name"] for c in failures(check_gauss(b1, 4))] == [name]
     args = ["--type", "B", "--rank", "1", "--order", "4", "--format", "json"]
     assert cli.run(["check", "gauss", *args]) == 1
     (report,) = json.loads(capsys.readouterr().out)["reports"]
-    name = "quasideterminant cross-path agrees with block elimination, B1"
     assert [c["name"] for c in report["checks"] if c["status"] == "fail"] == [name]
     assert cli.run(["check", "zseries", *args]) == 2
     err = capsys.readouterr().err
@@ -246,7 +253,7 @@ def test_psi_inverts_each_leading_block_once(monkeypatch, d3):
     """On D3 (N = 6) the reduction images of each sign are one Schur
     complement: one inverse of the leading m x m block of L per sign, where
     an entrywise quasideterminant inverted it once per image."""
-    gaussian_generators(build_lops(d3, K))
+    build_lops(d3, K)
     ring_inverse = quasidet.ring_inverse
     for m in (1, 2):
         sizes = []
@@ -265,7 +272,7 @@ def test_psi_fails_when_the_images_read_a_wrong_inverse(monkeypatch, capsys, d2)
     """After the build, images read through a wrong inverse of the leading
     block of L disagree with the central blocks of the Gauss factors: both
     image items fail with a row/col witness, and `qav check` exits 1."""
-    gaussian_generators(build_lops(d2, K))
+    build_lops(d2, K)
     ring_inverse = quasidet.ring_inverse
 
     def wrong(A, one):
@@ -299,8 +306,28 @@ def test_lowrank_d2(d2):
 
 
 def test_lowrank_rejects_other_algebras():
-    with pytest.raises(LopError):
-        check_lowrank(AlgebraData("B", 2), K)
+    """lowrank reports one skipped item on an algebra with no battery, before
+    it reads the order or builds anything."""
+    assert check_lowrank(AlgebraData("B", 2), 2) == [
+        {
+            "name": "low-rank battery, B2",
+            "status": "skipped",
+            "reason": "defined for type B rank 1 and type D rank 2 only",
+        }
+    ]
+
+
+@pytest.mark.parametrize(
+    "suite, name",
+    [(check_eiprei, "mirror identities, B1"), (check_psi, "reduction consistency, B1")],
+    ids=["eiprei", "psi"],
+)
+def test_rank_one_suites_report_their_skip(suite, name):
+    """eiprei and psi report one skipped item at rank 1, the item the CLI
+    prints."""
+    assert suite(AlgebraData("B", 1), K) == [
+        {"name": name, "status": "skipped", "reason": "needs rank at least 2"}
+    ]
 
 
 def test_relrbar_smoke(b1, d2):
@@ -351,7 +378,7 @@ def test_bivar_zero_window_follows_the_part_directions(b1):
     parts; a part at infinity floors its variable's modes at minus its
     order plus the largest exponent of that variable in the cleared
     prefactor, and a part at zero, whose order is at least K, caps none."""
-    lops = gaussian_generators(build_lops(b1, 4))
+    lops = build_lops(b1, 4)
     hp, hm = lops.gp.h(1), lops.gm.h(1)
     u, v = lop._U, lop._V
 
@@ -454,7 +481,7 @@ def test_relrbar_rescales_each_current_once_per_shift(
     """relrbar (c) rescales each Gauss half of a current once per shift it
     is read at: 4 rescalings on B1 and 8 on D2, not 4 per item."""
     alg = AlgebraData(type_, rank)
-    gaussian_generators(build_lops(alg, 4))
+    build_lops(alg, 4)
     scale_arg = TruncSeries.scale_arg
     count = [0]
 
@@ -483,8 +510,9 @@ def test_lowrank_battery_reads_the_representation_size_from_l(b1):
         return [[entry(x) for x in row] for row in L]
 
     lops2 = lop._decompose(b1, lops.wiring, tensored(lops.lp), tensored(lops.lm))
-    got = lop._battery_rank1_b(lop.GenSource(gaussian_generators(lops2)), "B1")
-    want = lop._battery_rank1_b(lop.GenSource(gaussian_generators(lops)), "B1")
+    assert all_pass(lops2.checks), failures(lops2.checks)
+    got = lop._battery_rank1_b(lop.GenSource(lops2), "B1")
+    want = lop._battery_rank1_b(lop.GenSource(lops), "B1")
     assert len(want) == 40 and all_pass(want), failures(want)
     assert got == want
 
@@ -493,7 +521,7 @@ def test_gen_source_reads_labels_and_forms_each_product_once(d2):
     """A label names the series of the local indices, offset included;
     h1^-1 is the inverse of h1, formed once, and mul returns the product it
     formed first."""
-    lops = gaussian_generators(build_lops(d2, K))
+    lops = build_lops(d2, K)
     src = lop.GenSource(lops, offset=1)
     for s in (1, -1):
         assert src.gen("e12", s) is lops.g(s).e(2, 3)
@@ -524,7 +552,7 @@ def test_lowrank_forms_each_product_once_per_sign(monkeypatch, b1, d2):
     monkeypatch.setattr(TruncSeries, "__mul__", counted("mul", mul))
     monkeypatch.setattr(TruncSeries, "inverse", counted("inverse", inverse))
     for alg, want in ((b1, (18, 2)), (d2, (44, 2))):
-        gaussian_generators(build_lops(alg, 10))
+        build_lops(alg, 10)
         counts.update(mul=0, inverse=0)
         assert all_pass(check_lowrank(alg, 10))
         assert (counts["mul"], counts["inverse"]) == want, alg
@@ -560,7 +588,7 @@ def test_bivar_zero_reads_the_identity_part(b1):
     bumped at mode 2, its only nonzero contribution is that of the
     (prefactor, ratio_u, None) term, whose None part is the identity at v
     mode 0, and the relation fails at u mode 2."""
-    src = lop.GenSource(gaussian_generators(build_lops(b1, 4)))
+    src = lop.GenSource(build_lops(b1, 4))
     u, v, qmq = lop._U, lop._V, lop._QMQ
     e12, f21 = src.e(1, 2, 1), src.f(2, 1, 1)
     ratio = src.h(2, 1) * src.h(1, 1).inverse()
@@ -676,7 +704,7 @@ def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
     pre = qmq * v * duv.inverse()
     cases = {}
     for alg in (b1, d2):
-        src = lop.GenSource(gaussian_generators(build_lops(alg, K)))
+        src = lop.GenSource(build_lops(alg, K))
         h1, h2 = src.h(1, 1), src.h(2, -1)
         e12, f21 = src.e(1, 2, 1), src.f(2, 1, -1)
         ratio = {s: src.mul("h2", "h1^-1", s) for s in (1, -1)}
@@ -707,7 +735,7 @@ def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
     # relrbar (c) on D2: the quadratic relation of the currents 1 and 2 with
     # shifted arguments, each current its two Gauss halves, and the same
     # with a bumped mode of the plus or the minus half
-    gs = gaussian_generators(build_lops(d2, K))
+    gs = build_lops(d2, K)
     si, sj = lop._quad_shifts(d2, 1, 2)
     qe = Scalar.q_pow(d2.Bmat[0][1])
 
@@ -789,7 +817,7 @@ def test_relrbar_exchanges_match_the_explicit_term_route(type_, rank):
     polynomial."""
     alg = AlgebraData(type_, rank)
     order = 4
-    lops = gaussian_generators(build_lops(alg, order))
+    lops = build_lops(alg, order)
     n = alg.n
     u, v, one, mone = lop._U, lop._V, lop.ONE, lop._MONE
     halves = {
