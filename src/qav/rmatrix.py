@@ -182,7 +182,10 @@ class RCatalog:
     def ybe_difference(self) -> SparseMat:
         """exchange_difference(rbar_poly, N), formed on first use: the
         matrix `ybe` reports and the L-operator wiring's RLL check reads.
-        Suites that read neither never form this N^3 x N^3 product."""
+        It is streamed row by row, each entry one Scalar.dot over the same
+        pairs as the two whole chains, with only one row of each chain
+        alive; what is held is the difference, empty when YBE holds.
+        Suites that read neither never form it."""
         return exchange_difference(self.rbar_poly, self.alg.N)
 
     def rpoly(self) -> SparseMat:
@@ -226,14 +229,26 @@ def exchange_difference(m: SparseMat, N: int) -> SparseMat:
     """M12(u) M13(uv) M23(v) - M23(v) M13(uv) M12(u) for an N^2 x N^2 matrix
     m = M(u) with polynomial entries: the Yang-Baxter equation for M = Rbar,
     and the RLL relation of L = M (in u/v and v, an invertible change of
-    variables).  The last products of the two chains are one fused sum, with
-    the right-hand chain negated, so the two sides cancel inside each entry's
-    accumulator."""
+    variables).
+
+    The triple products are streamed one row at a time: row i of each chain
+    is the 1 x N^3 product of row i of its first leg with M13, and row i of
+    the difference is one fused sum of those two rows times the last legs,
+    the right-hand chain negated, so the two sides cancel inside each
+    entry's accumulator.  Every entry is the same Scalar.dot over the same
+    pairs as the difference of the two whole chains, but only one row of
+    each chain is alive at a time: no N^3 x N^3 chain product is held."""
     u, v = Scalar.u_pow(1), Scalar.v_pow(1)
     a12 = embed_leg(m, (1, 2), N)
     a13 = embed_leg(_mat_subs_u(m, u * v), (1, 3), N)
     a23 = embed_leg(_mat_subs_u(m, v), (2, 3), N)
-    return SparseMat.dot([(a12 * a13, a23), (-(a23 * a13), a12)])
+    rows = {}
+    for i in range(N**3):
+        left, right = a12.row(i) * a13, a23.row(i) * a13
+        row = SparseMat.dot([(left, a23), (-right, a12)]).rows
+        if row:
+            rows[i] = row[0]
+    return SparseMat._nonzero(N**3, N**3, rows)
 
 
 def check_ybe(alg) -> list:
@@ -242,7 +257,10 @@ def check_ybe(alg) -> list:
     The check is run for Rbar; it extends to R(u) = g(u) Rbar(u) because
     the scalar prefactors g(x) g(xy) g(y) cancel between the two sides.
     Both sides are scaled by the same denominator-clearing polynomials, so
-    the comparison is between matrices with polynomial entries.
+    the comparison is between matrices with polynomial entries.  The
+    difference of the two sides is streamed row by row: each entry is one
+    Scalar.dot over the same pairs as the two whole chains, and only one
+    row of each chain is alive at a time.
 
     The difference is the catalog's `ybe_difference`, the same object the
     L-operator wiring reads as its RLL check.  Either reading of Rbar gets

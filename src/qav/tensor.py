@@ -83,6 +83,12 @@ class SparseMat:
             for j in sorted(row):
                 yield i, j, row[j]
 
+    def row(self, i) -> "SparseMat":
+        """Row i as a 1 x ncols matrix that shares the row's dict: a view,
+        not a copy, so it must not be written to."""
+        r = self.rows.get(i)
+        return SparseMat._nonzero(1, self.ncols, {0: r} if r else {})
+
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
 
