@@ -26,9 +26,9 @@ _HEADER_NOTE = (
 # The largest --order and --window any suite accepts, refused before anything
 # is built.  Measured as single processes on a shared 2-core host on D3
 # (N = 6, the largest algebra the default QAV_MAX_N admits), L-operator build
-# included: relrbar takes 0.9 s at the defaults, 1.8 s at order 16, 1.0 s at
-# order 8 and window 8, and 2.0 s at order 16 and window 8; f-series takes
-# 0.8 s at order 16.
+# included: relrbar takes 1.1 s at the defaults, 1.9 s at order 16, 1.1 s at
+# order 8 and window 8, and 2.2 s at order 16 and window 8; f-series takes
+# 0.8 s at order 16 (medians; the README states the same numbers).
 MAX_ORDER = 16
 MAX_WINDOW = 8
 

@@ -141,18 +141,9 @@ def _series_matrix(mat: SparseMat, N: int, direction, K: int):
     """Repackage an NM x NM matrix of rational scalars, the auxiliary slot
     first, into an N x N matrix of truncated series with M x M matrix
     coefficients."""
-    M = mat.nrows // N
-
-    def block(i, j):
-        for a in range(M):
-            for b in range(M):
-                x = mat.get(i * M + a, j * M + b)
-                if not x.is_zero():
-                    yield a, b, x
-
     return [
-        [_matrix_series(block(i, j), M, direction, K) for j in range(N)]
-        for i in range(N)
+        [_matrix_series(b.entries(), b.nrows, direction, K) for b in line]
+        for line in mat.blocks(N)
     ]
 
 

@@ -39,9 +39,10 @@ def _dims(A):
 
 
 def ring_inverse(A, one):
-    """Dense inverse over a noncommutative ring; the one eliminator of the
-    package (SparseMat.inverse and the inverse Gram matrices of liedata go
-    through it).
+    """Dense inverse over a noncommutative ring (SparseMat.inverse, the
+    inverse Gram matrices of liedata and schur_complement go through it).
+    gauss_decompose is a second Crout elimination, without pivoting, kept
+    apart so that the cross path reads only L and this inverse.
 
     Entries may be None, read as zero.  Crout elimination factors the
     row-permuted matrix as F U, with F lower triangular and U upper

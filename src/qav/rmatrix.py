@@ -33,65 +33,49 @@ def guard_cubic(alg):
 
 
 def p_matrix(alg) -> SparseMat:
-    N = alg.N
-    return SparseMat.from_entries(
-        N * N,
-        N * N,
-        (
-            (i * N + j, j * N + i, ONE)
-            for i in range(N)
-            for j in range(N)
-        ),
-    )
+    """P = sum_ij e_ij (x) e_ji, the swap of the two tensor factors."""
+    idx = range(1, alg.N + 1)
+    terms = ((i, j, j, i, ONE) for i in idx for j in idx)
+    return SparseMat.from_terms(alg.N, alg.N, terms)
 
 
 def q_matrix(alg) -> SparseMat:
-    N = alg.N
-    entries = []
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            # q^(bar i - bar j) e_{i'j'} (x) e_{ij}
-            r = (alg.prime(i) - 1) * N + (i - 1)
-            c = (alg.prime(j) - 1) * N + (j - 1)
-            entries.append((r, c, alg.q_bar_diff(i, j)))
-    return SparseMat.from_entries(N * N, N * N, entries)
+    """Q = sum_ij q^(bar i - bar j) e_i'j' (x) e_ij."""
+    idx, pr = range(1, alg.N + 1), alg.prime
+    terms = ((pr(i), pr(j), i, j, alg.q_bar_diff(i, j)) for i in idx for j in idx)
+    return SparseMat.from_terms(alg.N, alg.N, terms)
 
 
 def r_matrix(alg) -> SparseMat:
-    """The constant R-matrix of the braid-limit form."""
-    N = alg.N
+    """The constant R-matrix of the braid-limit form: the diagonal terms
+    x e_ii (x) e_jj, x = q at j = i (1 at the middle index), q^-1 at j = i'
+    and 1 elsewhere, plus (q - q^-1) e_ij (x) e_ji for i < j and
+    -(q - q^-1) q^(bar i - bar j) e_i'j' (x) e_ij for i > j."""
     q = Scalar.q_pow(1)
     qinv = Scalar.q_pow(-1)
     qdiff = q - qinv
-    entries = []
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            ii, jj = i - 1, j - 1
-            if i == j:
-                if alg.is_middle(i):
-                    # the middle term e_{n+1,n+1} (x) e_{n+1,n+1}
-                    entries.append((ii * N + ii, ii * N + ii, ONE))
-                else:
-                    entries.append((ii * N + ii, ii * N + ii, q))
-            else:
-                if i != alg.prime(j):
-                    entries.append((ii * N + jj, ii * N + jj, ONE))
-            if i == alg.prime(j) and i != j:
-                # q^{-1} e_ii (x) e_{i'i'}
-                entries.append((ii * N + jj, ii * N + jj, qinv))
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            if i < j:
-                entries.append(((i - 1) * N + (j - 1), (j - 1) * N + (i - 1), qdiff))
-            elif i > j:
-                r = (alg.prime(i) - 1) * N + (i - 1)
-                c = (alg.prime(j) - 1) * N + (j - 1)
-                entries.append((r, c, -qdiff * alg.q_bar_diff(i, j)))
-    return SparseMat.from_entries(N * N, N * N, entries)
+    idx = range(1, alg.N + 1)
+
+    def diagonal(i, j):
+        if i == j:
+            return ONE if alg.is_middle(i) else q
+        return qinv if i == alg.prime(j) else ONE
+
+    terms = [(i, i, j, j, diagonal(i, j)) for i in idx for j in idx]
+    terms += [
+        (i, j, j, i, qdiff)
+        if i < j
+        else (alg.prime(i), alg.prime(j), i, j, -qdiff * alg.q_bar_diff(i, j))
+        for i in idx
+        for j in idx
+        if i != j
+    ]
+    return SparseMat.from_terms(alg.N, alg.N, terms)
 
 
-def rbar_from_pqr(alg) -> SparseMat:
-    """Rbar(u) assembled from P, Q, R with exact rational-in-u entries."""
+def rbar_from_pqr(alg, R, P, Q) -> SparseMat:
+    """Rbar(u) assembled from the matrices R, P, Q of alg with exact
+    rational-in-u coefficients, as one fused sum."""
     u = Scalar.u_pow(1)
     q = Scalar.q_pow(1)
     qinv = Scalar.q_pow(-1)
@@ -99,49 +83,35 @@ def rbar_from_pqr(alg) -> SparseMat:
     c_r = (u - 1) / den
     c_p = (q - qinv) / den
     c_q = -((q - qinv) * (u - 1) * alg.xi) / (den * (u - alg.xi))
-    out = r_matrix(alg).scale(c_r) + p_matrix(alg).scale(c_p) + q_matrix(alg).scale(c_q)
-    return out
+    n = alg.N**2
+    terms = [(c_r, R, None), (c_p, P, None), (c_q, Q, None)]
+    return SparseMat.sum_of_products(terms, n, n)
 
 
 def rbar_entry_table(alg) -> SparseMat:
     """Rbar(u) built from the explicit entrywise case table."""
-    N = alg.N
     u = Scalar.u_pow(1)
     q = Scalar.q_pow(1)
     qinv = Scalar.q_pow(-1)
     qdiff = q - qinv
     xi = alg.xi
     den1 = q * u - qinv
-    entries = []
-    for i in range(1, N + 1):
-        if i != alg.prime(i):
-            entries.append(((i - 1) * N + (i - 1), (i - 1) * N + (i - 1), ONE))
+    idx = range(1, alg.N + 1)
+    generic = [(i, j) for i in idx for j in idx if i != j and i != alg.prime(j)]
+    terms = [(i, i, i, i, ONE) for i in idx if i != alg.prime(i)]
     c_diag = (u - 1) / den1
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            if i != j and i != alg.prime(j):
-                entries.append(
-                    ((i - 1) * N + (j - 1), (i - 1) * N + (j - 1), c_diag)
-                )
+    terms += [(i, i, j, j, c_diag) for i, j in generic]
     c_lower = qdiff / den1
     c_upper = qdiff * u / den1
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            if i == j or i == alg.prime(j):
-                continue
-            c = c_lower if i > j else c_upper
-            entries.append(((i - 1) * N + (j - 1), (j - 1) * N + (i - 1), c))
+    terms += [(i, j, j, i, c_lower if i > j else c_upper) for i, j in generic]
     den2 = (u - Scalar.q_pow(-2)) * (u - xi)
     q2i = Scalar.q_pow(-2)
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
+    for i in idx:
+        for j in idx:
             a = _a_entry(alg, i, j, u, q2i, xi)
-            if a.is_zero():
-                continue
-            r = (alg.prime(i) - 1) * N + (i - 1)
-            c = (alg.prime(j) - 1) * N + (j - 1)
-            entries.append((r, c, a / den2))
-    return SparseMat.from_entries(N * N, N * N, entries)
+            if not a.is_zero():
+                terms.append((alg.prime(i), alg.prime(j), i, j, a / den2))
+    return SparseMat.from_terms(alg.N, alg.N, terms)
 
 
 def _a_entry(alg, i, j, u, q2i, xi):
@@ -157,14 +127,16 @@ def _a_entry(alg, i, j, u, q2i, xi):
 
 
 class RCatalog:
-    """All R-matrix data for one algebra, cross-checked at build time."""
+    """All R-matrix data for one algebra: R, P and Q, each formed once,
+    and Rbar assembled from them, cross-checked at build time against the
+    entry table."""
 
     def __init__(self, alg):
         self.alg = alg
         self.P = p_matrix(alg)
         self.Q = q_matrix(alg)
         self.R = r_matrix(alg)
-        self.rbar = rbar_from_pqr(alg)
+        self.rbar = rbar_from_pqr(alg, self.R, self.P, self.Q)
         table = rbar_entry_table(alg)
         diff = self.rbar - table
         if not diff.is_zero():
@@ -198,7 +170,9 @@ class RCatalog:
         c_r = Scalar.q_pow(-1) * (u - 1) * (u - xi)
         c_p = -(q2i1 * (u - xi))
         c_q = q2i1 * (u - 1) * xi
-        return self.R.scale(c_r) + self.P.scale(c_p) + self.Q.scale(c_q)
+        n = alg.N**2
+        terms = [(c_r, self.R, None), (c_p, self.P, None), (c_q, self.Q, None)]
+        return SparseMat.sum_of_products(terms, n, n)
 
 
 def _mat_subs_u(m: SparseMat, t: Scalar) -> SparseMat:

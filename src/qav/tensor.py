@@ -4,8 +4,11 @@ t, the matrix D).  Every matrix product and sum of products goes through
 SparseMat.sum_of_products, which forms each entry with one Scalar.dot.
 
 Index convention, fixed once for the whole package: the basis of
-C^N (x) C^N is ordered with the FIRST tensor factor most significant, so a
-pair (i, a) of 1-based indices maps to row (i-1)*N + (a-1) (0-based).
+C^N (x) C^M is ordered with the FIRST tensor factor most significant, as
+SparseMat.kron packs it, so a pair (i, a) of 1-based indices maps to row
+(i-1)*M + (a-1) (0-based).  SparseMat.from_terms writes an operator from its
+terms x e_ij (x) e_kl and SparseMat.blocks reads one back as its blocks;
+nothing outside this module packs a basis pair.
 """
 
 from __future__ import annotations
@@ -59,6 +62,17 @@ class SparseMat:
         return SparseMat(nrows, ncols, rows)
 
     @staticmethod
+    def from_terms(N, M, terms) -> "SparseMat":
+        """The NM x NM operator on C^N (x) C^M that is the sum of
+        x e_ij (x) e_kl over the terms (i, j, k, l, x), 1-based, packed as
+        kron packs it and summed on collision."""
+        return SparseMat.from_entries(
+            N * M,
+            N * M,
+            (((i - 1) * M + k - 1, (j - 1) * M + l - 1, x) for i, j, k, l, x in terms),
+        )
+
+    @staticmethod
     def identity(n, one=ONE) -> "SparseMat":
         return SparseMat(n, n, {i: {i: one} for i in range(n)})
 
@@ -88,6 +102,22 @@ class SparseMat:
         not a copy, so it must not be written to."""
         r = self.rows.get(i)
         return SparseMat._nonzero(1, self.ncols, {0: r} if r else {})
+
+    def blocks(self, N) -> list:
+        """The N x N grid of M x M blocks of an NM x NM operator on
+        C^N (x) C^M, block (i, j) (0-based) the coefficient of e_ij (x) .:
+        the inverse of kron's packing, so block (i, j) of A.kron(B) is
+        A_ij B."""
+        M, rem = divmod(self.nrows, N)
+        if rem or self.ncols != self.nrows:
+            raise MatrixError(f"no {N}x{N} blocks in {self.nrows}x{self.ncols}")
+        grid = [[{} for _ in range(N)] for _ in range(N)]
+        for r, row in self.rows.items():
+            i, a = divmod(r, M)
+            for c, x in row.items():
+                j, b = divmod(c, M)
+                grid[i][j].setdefault(a, {})[b] = x
+        return [[SparseMat._nonzero(M, M, rows) for rows in line] for line in grid]
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())

@@ -52,6 +52,18 @@ def frac(p, q=1):
     return Fraction(p, q)
 
 
+def det(rows):
+    """Cofactor-expansion determinant of integers or Fractions, exact."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = Fraction(0)
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        acc += (-1) ** j * rows[0][j] * det(minor)
+    return acc
+
+
 def weight(alg, j):
     """The weight of the 1-based basis index j in orthonormal coordinates:
     e_j for j <= n, -e_j' for j' <= n and 0 at the middle index."""

@@ -59,7 +59,7 @@ def test_criterion_03_rbar_dual_construction():
     of the a_ij(u) case analysis exercised."""
     branches = set()
     for alg in _algs():
-        assert rmatrix.rbar_from_pqr(alg) == rmatrix.rbar_entry_table(alg)
+        assert rmatrix.build_catalog(alg).rbar == rmatrix.rbar_entry_table(alg)
         for i in range(1, alg.N + 1):
             for j in range(1, alg.N + 1):
                 if i == j:

@@ -1,6 +1,7 @@
 """Root data, barred weights, and the q-deformed Gram matrix."""
 
 import ast
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -182,6 +183,32 @@ def test_only_liedata_tests_the_type_letter():
             for func in _type_tests(path.read_text()):
                 counts[path.name, func] += 1
     assert dict(counts) == TYPE_TESTS_OUTSIDE_LIEDATA
+
+
+# A hand-packed basis pair: (i - 1) * N + (k - 1), i * M + a, and the like.
+_PACKS_A_PAIR = re.compile(r"\* ?[NM] ?\+|\) ?\* ?N ?\+")
+
+
+def test_only_tensor_packs_basis_pairs():
+    """The basis convention of C^N (x) C^M is stated in tensor alone:
+    SparseMat.from_terms writes an operator from its terms x e_ij (x) e_kl
+    and SparseMat.blocks reads its blocks, so no other module packs a pair
+    of indices by hand."""
+    packs = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(liedata.__file__).parent.glob("*.py"))
+        if path.name != "tensor.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if _PACKS_A_PAIR.search(line)
+    ]
+    assert packs == []
+
+
+def test_the_packing_pattern_finds_hand_packed_pairs():
+    for line in ("r = (alg.prime(i) - 1) * N + (i - 1)", "x = m.get(i * M + a, j)"):
+        assert _PACKS_A_PAIR.search(line)
+    for line in ("n = alg.N * alg.N", "M = mat.nrows // N", "n = N**2 + 1"):
+        assert not _PACKS_A_PAIR.search(line)
 
 
 @pytest.mark.parametrize(

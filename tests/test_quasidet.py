@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qav.quasidet import (
     GaussFactors,
     QuasidetError,
+    SingularPivotError,
     _cross_check,
     gauss_decompose,
     mat_mul,
@@ -22,17 +23,7 @@ from qav.quasidet import (
 )
 from qav.scalars import Scalar, ONE, ZERO
 
-
-def det(rows):
-    """Cofactor-expansion determinant over Fractions."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = Fraction(0)
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        acc += (-1) ** j * rows[0][j] * det(minor)
-    return acc
+from conftest import det
 
 
 def to_scalars(rows):
@@ -49,16 +40,15 @@ _mat3 = st.lists(
 @settings(max_examples=50, deadline=None)
 @given(_mat3, st.integers(0, 2), st.integers(0, 2))
 def test_quasideterminant_matches_determinant_ratio(rows, i, j):
+    """Over Q the pivot search finds a pivot whenever the minor is
+    nonsingular, so |A|_ij exists exactly when det(A^ij) != 0."""
     minor = [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
-    if det(minor) == 0:
-        return  # quasideterminant undefined; nothing to compare
     A = to_scalars(rows)
-    try:
-        qd = quasideterminant(A, i, j, ONE)
-    except QuasidetError:
-        # a non-invertible pivot inside the minor inverse; the generic
-        # formula still holds whenever the computation goes through
+    if det(minor) == 0:
+        with pytest.raises(SingularPivotError):
+            quasideterminant(A, i, j, ONE)
         return
+    qd = quasideterminant(A, i, j, ONE)
     want = Fraction((-1) ** (i + j)) * det(rows) / det(minor)
     assert (qd - Scalar.fraction(want.numerator, want.denominator)).is_zero()
 
@@ -66,18 +56,44 @@ def test_quasideterminant_matches_determinant_ratio(rows, i, j):
 @settings(max_examples=40, deadline=None)
 @given(_mat3)
 def test_ring_inverse_roundtrip(rows):
-    if det(rows) == 0:
-        return
+    """Over Q, ring_inverse inverts every nonsingular matrix and raises
+    SingularPivotError on every singular one."""
     A = to_scalars(rows)
-    try:
-        inv = ring_inverse(A, ONE)
-    except QuasidetError:
-        return  # pivot ordering failed; acceptable for the dense eliminator
-    prod = mat_mul(A, inv)
-    for i in range(3):
-        for j in range(3):
-            want = ONE if i == j else ZERO
-            assert (prod[i][j] - want).is_zero()
+    if det(rows) == 0:
+        with pytest.raises(SingularPivotError):
+            ring_inverse(A, ONE)
+        return
+    _assert_inverse(A, ring_inverse(A, ONE))
+
+
+def _assert_inverse(A, inv):
+    n = len(A)
+    for prod in (mat_mul(A, inv), mat_mul(inv, A)):
+        for i in range(n):
+            for j in range(n):
+                want = ONE if i == j else ZERO
+                assert (prod[i][j] - want).is_zero()
+
+
+_ZERO_LEAD = [[0, 2, 1], [1, 1, 0], [3, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "rows", [[[0, 1], [1, 0]], _ZERO_LEAD], ids=["swap", "zero-lead-3x3"]
+)
+def test_ring_inverse_exchanges_rows_at_a_zero_pivot(rows):
+    """A zero leading entry sends the pivot search to a later row."""
+    A = to_scalars([[Fraction(x) for x in r] for r in rows])
+    _assert_inverse(A, ring_inverse(A, ONE))
+
+
+def test_quasideterminant_exchanges_rows_in_its_minor():
+    """|A|_33 of _ZERO_LEAD inverts the minor [[0, 2], [1, 1]], whose
+    leading zero needs a row exchange."""
+    rows = [[Fraction(x) for x in r] for r in _ZERO_LEAD]
+    want = det(rows) / det([r[:2] for r in rows[:2]])
+    qd = quasideterminant(to_scalars(rows), 2, 2, ONE)
+    assert qd == Scalar.fraction(want.numerator, want.denominator)
 
 
 def _generic4():

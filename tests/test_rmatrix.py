@@ -2,10 +2,11 @@
 
 import copy
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from qav import rmatrix
+from qav import cli, rmatrix
 from qav.liedata import AlgebraData
 from qav.rmatrix import (
     ResourceBoundError,
@@ -20,7 +21,6 @@ from qav.rmatrix import (
     p_matrix,
     q_matrix,
     rbar_entry_table,
-    rbar_from_pqr,
 )
 from qav.scalars import Scalar, ONE
 from qav.series import AT_ZERO, expand_scalar
@@ -61,7 +61,63 @@ def test_q_matrix_is_weighted_rank_one(b1):
 @pytest.mark.parametrize("type_,rank", [("B", 1), ("D", 2)])
 def test_rbar_two_constructions_agree(type_, rank):
     alg = AlgebraData(type_, rank)
-    assert rbar_from_pqr(alg) == rbar_entry_table(alg)
+    assert build_catalog(alg).rbar == rbar_entry_table(alg)
+
+
+def test_catalog_forms_r_p_and_q_once(fresh_builds, monkeypatch):
+    """A catalog build and every suite that reads it form R, P and Q once:
+    Rbar and A(u) are each one fused sum of the catalog's three matrices."""
+    calls = Counter()
+    for name in ("r_matrix", "p_matrix", "q_matrix"):
+
+        def counted(alg, name=name, real=getattr(rmatrix, name)):
+            calls[name] += 1
+            return real(alg)
+
+        monkeypatch.setattr(rmatrix, name, counted)
+    alg = AlgebraData("D", 2)
+    assert all_pass(check_ybe(alg) + check_unitarity(alg) + check_crossing(alg, 4))
+    assert calls == {"r_matrix": 1, "p_matrix": 1, "q_matrix": 1}
+
+
+def _bump_r(monkeypatch):
+    """R gets 1 added at row (1, 2), col (2, 1) of C^3 (x) C^3: on B1, Rbar
+    moves there, at 0-based (1, 3), by its coefficient of R."""
+    r_matrix = rmatrix.r_matrix
+
+    def bumped(alg):
+        return r_matrix(alg) + SparseMat.unit(alg.N**2, 1, 3)
+
+    monkeypatch.setattr(rmatrix, "r_matrix", bumped)
+    return "(1,3)"
+
+
+def _bump_a(monkeypatch):
+    """a_12(u) of the entry table gets u added: on B1 its term
+    e_32 (x) e_12 sits at row (3, 1), col (2, 2), 0-based (6, 4)."""
+    a_entry = rmatrix._a_entry
+
+    def bumped(alg, i, j, *args):
+        a = a_entry(alg, i, j, *args)
+        return a + Scalar.u_pow(1) if (i, j) == (1, 2) else a
+
+    monkeypatch.setattr(rmatrix, "_a_entry", bumped)
+    return "(6,4)"
+
+
+@pytest.mark.parametrize("bump", [_bump_r, _bump_a], ids=["r_matrix", "a_entry"])
+def test_catalog_refuses_disagreeing_constructions(
+    fresh_builds, monkeypatch, capsys, bump
+):
+    """One changed term in either construction of Rbar makes the catalog's
+    cross-check raise at that entry, and every suite that reads the catalog
+    exits 2 with it: the builders share the packing, not a formula."""
+    message = f"Rbar assembly disagrees with the entry table at {bump(monkeypatch)}:"
+    with pytest.raises(ArithmeticError) as exc:
+        build_catalog(AlgebraData("B", 1))
+    assert message in str(exc.value)
+    assert cli.run(["check", "ybe", "--type", "B", "--rank", "1"]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("type_,rank", [("B", 1), ("D", 2)])
@@ -75,7 +131,7 @@ def test_ybe_unitarity_crossing_smoke(type_, rank):
 def test_rbar_at_u_zero_is_triangular_with_invertible_diagonal(b1):
     """The u -> 0 limit must exist entrywise (it seeds the L-operators)."""
     N = b1.N
-    for i, j, x in rbar_from_pqr(b1).entries():
+    for i, j, x in build_catalog(b1).rbar.entries():
         c0 = expand_scalar(x, AT_ZERO, 0).coefficient(0)
         assert c0 is not None  # no pole at u = 0
 

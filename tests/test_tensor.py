@@ -16,6 +16,8 @@ from qav.tensor import (
     transpose_t1,
 )
 
+from conftest import det
+
 # -- dense reference implementation ------------------------------------------
 
 
@@ -80,13 +82,22 @@ def test_kron_mixed_product_rule(a, b, c, d):
     assert (a.kron(b)) * (c.kron(d)) == (a * c).kron(b * d)
 
 
+_int3 = st.lists(
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3, max_size=3
+)
+
+
 @settings(max_examples=50, deadline=None)
-@given(small_mats(n=3))
-def test_inverse_roundtrip(m):
-    try:
-        inv = m.inverse()
-    except SingularPivotError:
+@given(_int3)
+def test_inverse_roundtrip(rows):
+    """Over Q, a matrix is inverted exactly when its determinant is nonzero,
+    and SingularPivotError is raised otherwise."""
+    m = from_dense([[Scalar.from_int(x) for x in r] for r in rows])
+    if det(rows) == 0:
+        with pytest.raises(SingularPivotError):
+            m.inverse()
         return
+    inv = m.inverse()
     assert m * inv == SparseMat.identity(3)
     assert inv * m == SparseMat.identity(3)
 
@@ -104,6 +115,64 @@ def test_from_entries_sums_collisions():
     assert m.get(1, 0) == -ONE
     assert m.get(0, 0).is_zero()
     assert m.nnz() == 2
+
+
+@st.composite
+def tensor_terms(draw):
+    """Leg sizes N and M and terms (i, j, k, l, x), 1-based, with repeats."""
+    N, M = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    term = st.tuples(
+        st.integers(1, N),
+        st.integers(1, N),
+        st.integers(1, M),
+        st.integers(1, M),
+        st.integers(-2, 2).map(Scalar.from_int),
+    )
+    terms = draw(st.lists(term, max_size=6))
+    if terms:
+        terms += draw(st.lists(st.sampled_from(terms), max_size=3))
+    return N, M, terms
+
+
+@settings(max_examples=50, deadline=None)
+@given(tensor_terms())
+def test_from_terms_is_the_sum_of_unit_krons(case):
+    """Each term (i, j, k, l, x) is x e_ij (x) e_kl as kron packs it, and
+    colliding terms are summed."""
+    N, M, terms = case
+    want = SparseMat.zeros(N * M, N * M)
+    for i, j, k, l, x in terms:
+        unit = SparseMat.unit(N, i - 1, j - 1).kron(SparseMat.unit(M, k - 1, l - 1))
+        want += unit.scale(x)
+    got = SparseMat.from_terms(N, M, terms)
+    assert (got.nrows, got.ncols) == (N * M, N * M)
+    assert list(got.entries()) == list(want.entries())
+
+
+def test_from_terms_sums_a_repeated_term():
+    two = Scalar.from_int(2)
+    m = SparseMat.from_terms(2, 3, [(2, 1, 3, 2, ONE), (2, 1, 3, 2, ONE)])
+    assert list(m.entries()) == [(5, 1, two)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_mats(n=2), small_mats())
+def test_blocks_undo_kron(a, b):
+    """Block (i, j) of A.kron(B) is A_ij B."""
+    grid = a.kron(b).blocks(2)
+    assert [len(line) for line in grid] == [2, 2]
+    for i in range(2):
+        for j in range(2):
+            block = grid[i][j]
+            assert (block.nrows, block.ncols) == (b.nrows, b.ncols)
+            assert list(block.entries()) == list(b.scale(a.get(i, j)).entries())
+
+
+def test_blocks_reject_a_size_the_legs_do_not_divide():
+    with pytest.raises(MatrixError):
+        SparseMat.identity(6).blocks(4)
+    with pytest.raises(MatrixError):
+        SparseMat.zeros(4, 6).blocks(2)
 
 
 def test_shape_errors():
