@@ -53,7 +53,7 @@ from .report import check, first_failure, skipped
 from .rmatrix import build_catalog, crossing_scalar
 from .scalars import ONE, Scalar, qbinom
 from .series import AT_INFINITY, AT_ZERO, TruncSeries, expand_scalar
-from .tensor import SparseMat
+from .tensor import SparseMat, crossed
 
 _Q = Scalar.q_pow(1)
 _QI = Scalar.q_pow(-1)
@@ -889,10 +889,11 @@ def _current_halves(lops: LOperators, i: int, plus: bool):
     return lops.gp.f(b, a), lops.gm.f(b, a)
 
 
-def x_current(lops: LOperators, i: int, plus: bool) -> dict:
-    """The mode table of the two-tailed current: mode -> nonzero matrix
-    coefficient of the plus series minus the minus series."""
-    tp, tm = _current_halves(lops, i, plus)
+def x_current(halves) -> dict:
+    """The mode table of the two-tailed current of its pair of Gauss series
+    (_current_halves): mode -> nonzero matrix coefficient of the plus series
+    minus the minus series."""
+    tp, tm = halves
     table = dict(_modes(tp))
     for m, d in _modes(tm):
         table[m] = -d if m not in table else table[m] - d
@@ -925,12 +926,6 @@ def _hx_prefactors(alg: AlgebraData, i: int, j: int):
     return (u - v) * den.inverse(), den * (u - v)
 
 
-def _quad_shifts(alg: AlgebraData, i: int, j: int):
-    """The argument shifts of X_i and X_j in their quadratic relation: q^a
-    for the first index a of each node's pair."""
-    return alg.node_pair(i)[0], alg.node_pair(j)[0]
-
-
 def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
     """All relation families of the Drinfeld-style presentation, verified on
     the evaluated Gaussian generators: diagonal-series commutation, the
@@ -952,7 +947,7 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
         for j in range(1, n + 1)
         for plus in (True, False)
     }
-    currents = {key: x_current(lops, *key) for key in halves}
+    currents = {key: x_current(pair) for key, pair in halves.items()}
     for i in range(1, n + 2):
         for j in range(1, n + 1):
             pre, clearing = _hx_prefactors(alg, i, j)
@@ -970,24 +965,15 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
                         )
                     )
     # (c) quadratic current relations with shifted arguments; each current
-    # is rescaled once per shift it is read at
-    read_at = {
-        (k, plus, shift)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        for k, shift in zip((i, j), _quad_shifts(alg, i, j))
-        for plus in (True, False)
-    }
+    # is read at its one shift, q^a for the first index a of its node's
+    # pair, and rescaled once
     scaled = {
-        (k, plus, shift): tuple(
-            x.scale_arg(Scalar.q_pow(shift)) for x in halves[(k, plus)]
-        )
-        for k, plus, shift in read_at
+        (k, plus): tuple(x.scale_arg(Scalar.q_pow(alg.node_pair(k)[0])) for x in pair)
+        for (k, plus), pair in halves.items()
     }
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             bij = alg.Bmat[i - 1][j - 1]
-            si, sj = _quad_shifts(alg, i, j)
             for plus in (True, False):
                 qe = Scalar.q_pow(bij if plus else -bij)
                 lbl = "+" if plus else "-"
@@ -995,8 +981,8 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
                 out.append(
                     _exchange(
                         f"(c) quadratic X{i}{lbl}-X{j}{lbl}",
-                        scaled[(i, plus, si)],
-                        scaled[(j, plus, sj)],
+                        scaled[(i, plus)],
+                        scaled[(j, plus)],
                         "uv",
                         (qe * _U - _V) * d.inverse(),
                         clearing=d,
@@ -1079,21 +1065,20 @@ def check_relrbar(alg: AlgebraData, K: int = 10, W: int = 3) -> list:
 
 
 def _central_series(name, L, type_: str, rank: int):
-    """L(u) D L(u xi)^t D^-1 for a square matrix L of series of the algebra
-    of this type and rank, with the weighted antidiagonal transpose,
-    D = diag(q^bar) and bar and xi of that rank.  Returns its diagonal
-    series and the items that it is a scalar multiple of the identity in
-    the auxiliary slot."""
+    """L(u) D^-1 L(u xi)^t D for a square matrix L of series of the algebra
+    of this type and rank, D = diag(q^bar) with bar and xi of that rank:
+    the right factor is tensor.crossed of L(u xi) with the negated bars, as
+    L's auxiliary slot is Rbar's second leg.  Returns its diagonal series
+    and the items that it is a scalar multiple of the identity in the
+    auxiliary slot."""
     bars, xi = bars_of(type_, rank), xi_of(type_, rank)
-    Nr = len(L)
-    right = []
-    for i in range(Nr):
-        row = []
-        for j in range(Nr):
-            entry = L[Nr - 1 - j][Nr - 1 - i].scale_arg(xi)
-            row.append(entry.scale(Scalar.q_pow(bars[j] - bars[i])))
-        right.append(row)
+    right = crossed(L, [-w for w in bars])
+    # the powers of q commute with u -> u xi; taking each row to u xi in
+    # place holds one grid of series, not two
+    for row in right:
+        row[:] = [x.scale_arg(xi) for x in row]
     prod = mat_mul(L, right)
+    Nr = len(L)
     witness = next(
         (
             {"row": i, "col": j}
@@ -1136,8 +1121,8 @@ def _scalar_series(name, diag):
 
 def z_series(alg: AlgebraData, K: int = 10):
     """The central series of both operator matrices: computes
-    L(u) D L(u xi)^t D^-1, asserts scalar-ness in both slots, and compares
-    with the diagonal-series product formula."""
+    L(u) D^-1 L(u xi)^t D (_central_series), asserts scalar-ness in both
+    slots, and compares with the diagonal-series product formula."""
     if K < 2:
         raise LopError("need K >= 2")
     lops = build_lops(alg, K)

@@ -185,18 +185,21 @@ class GaussFactors:
         self.one = one
         self.n = len(L)
 
-    # 1-based accessors mirroring the generator-series labels
+    # 1-based accessors mirroring the generator-series labels; an index
+    # outside 1..n raises rather than wrap around to another generator
     def h(self, i):
+        if not 1 <= i <= self.n:
+            raise QuasidetError(f"h(i) requires 1 <= i <= {self.n}")
         return self.H[i - 1]
 
     def e(self, i, j):
-        if not i < j:
-            raise QuasidetError("e(i, j) requires i < j")
+        if not 1 <= i < j <= self.n:
+            raise QuasidetError(f"e(i, j) requires 1 <= i < j <= {self.n}")
         return self.E[i - 1][j - 1]
 
     def f(self, j, i):
-        if not i < j:
-            raise QuasidetError("f(j, i) requires i < j")
+        if not 1 <= i < j <= self.n:
+            raise QuasidetError(f"f(j, i) requires 1 <= i < j <= {self.n}")
         return self.F[j - 1][i - 1]
 
     def product(self, m=0):

@@ -11,13 +11,7 @@ from functools import cache, cached_property
 from .report import check, first_failure
 from .scalars import Scalar, ONE, ZERO
 from .series import ResourceBoundError, TruncSeries, AT_ZERO, expand_scalar, f_series
-from .tensor import (
-    SparseMat,
-    embed_leg,
-    transpose_t1,
-    dmat,
-    dmat_inverse,
-)
+from .tensor import SparseMat, crossed, embed_leg
 
 
 def max_n() -> int:
@@ -277,20 +271,27 @@ def crossing_scalar(alg) -> Scalar:
 
 def check_crossing(alg, order=10) -> list:
     """Both crossing identities: the exact rational one for Rbar and the
-    truncated-series one for R(u), whose scalar is xi^2 q^-2."""
+    truncated-series one for R(u), whose scalar is xi^2 q^-2.  Each crosses
+    the matrix at u xi on its first leg, D1 X(u xi)^t1 D1^-1 with
+    D = diag(q^bar): tensor.crossed with the barred weights."""
     cat = build_catalog(alg)
     N = alg.N
-    d1 = dmat(alg).kron(SparseMat.identity(N))
-    d1i = dmat_inverse(alg).kron(SparseMat.identity(N))
+    uxi = Scalar.u_pow(1) * alg.xi
+
+    def crossed_at_uxi(m):
+        return SparseMat.from_blocks(crossed(_mat_subs_u(m, uxi).blocks(N), alg.bars))
 
     out = []
 
-    uxi = Scalar.u_pow(1) * alg.xi
-    head = cat.rbar_poly * d1 * transpose_t1(_mat_subs_u(cat.rbar_poly, uxi), alg)
     scale = cat.denpoly * cat.denpoly.subs_u(uxi) * crossing_scalar(alg)
-    # head * d1i minus scale times the identity, as one fused sum
+    # the product minus scale times the identity, as one fused sum
     diff = SparseMat.sum_of_products(
-        [(None, head, d1i), (-scale, SparseMat.identity(N * N), None)], N * N, N * N
+        [
+            (None, cat.rbar_poly, crossed_at_uxi(cat.rbar_poly)),
+            (-scale, SparseMat.identity(N * N), None),
+        ],
+        N * N,
+        N * N,
     )
     out.append(
         first_failure(f"crossing symmetry for Rbar (exact), {alg}", [({}, diff)])
@@ -299,7 +300,7 @@ def check_crossing(alg, order=10) -> list:
     # series crossing for R(u) = f(u) A(u): the matrix part of the product
     # is exact rational, so only the f-factors need series arithmetic
     rp = cat.rpoly()
-    prod = rp * d1 * transpose_t1(_mat_subs_u(rp, uxi), alg) * d1i
+    prod = rp * crossed_at_uxi(rp)
     scal = alg.xi**2 * Scalar.q_pow(-2)
     # the product must be m times the identity, m its first entry
     _, _, m = prod.first_nonzero()

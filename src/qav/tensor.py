@@ -1,14 +1,16 @@
 """Sparse exact linear algebra over Scalars, plus the tensor-leg bookkeeping
-used by the R-matrix checks (Kronecker embedding, the weighted transposition
-t, the matrix D).  Every matrix product and sum of products goes through
+used by the R-matrix checks (Kronecker embedding, the transposition t and
+the crossing map).  Every matrix product and sum of products goes through
 SparseMat.sum_of_products, which forms each entry with one Scalar.dot.
 
 Index convention, fixed once for the whole package: the basis of
 C^N (x) C^M is ordered with the FIRST tensor factor most significant, as
 SparseMat.kron packs it, so a pair (i, a) of 1-based indices maps to row
 (i-1)*M + (a-1) (0-based).  SparseMat.from_terms writes an operator from its
-terms x e_ij (x) e_kl and SparseMat.blocks reads one back as its blocks;
-nothing outside this module packs a basis pair.
+terms x e_ij (x) e_kl, SparseMat.blocks reads one back as its blocks and
+SparseMat.from_blocks writes it from them; nothing outside this module packs
+a basis pair.  Nor does anything outside it flip an index i -> i' = N+1-i:
+transpose_t and crossed do.
 """
 
 from __future__ import annotations
@@ -118,6 +120,20 @@ class SparseMat:
                 j, b = divmod(c, M)
                 grid[i][j].setdefault(a, {})[b] = x
         return [[SparseMat._nonzero(M, M, rows) for rows in line] for line in grid]
+
+    @staticmethod
+    def from_blocks(grid) -> "SparseMat":
+        """The NM x NM operator on C^N (x) C^M whose block (i, j) is
+        grid[i][j], an N x N grid of M x M matrices: the inverse of blocks."""
+        N, M = len(grid), grid[0][0].nrows
+        rows = {}
+        for i, line in enumerate(grid):
+            for j, block in enumerate(line):
+                for a, row in block.rows.items():
+                    out = rows.setdefault(i * M + a, {})
+                    for b, x in row.items():
+                        out[j * M + b] = x
+        return SparseMat._nonzero(N * M, N * M, rows)
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
@@ -304,7 +320,7 @@ def embed_leg(op: SparseMat, legs, N: int) -> SparseMat:
 
 
 def transpose_t(m: SparseMat, alg) -> SparseMat:
-    """The weighted transposition e_ij -> e_j'i' on an N x N matrix."""
+    """The transposition t: e_ij -> e_j'i' on an N x N matrix, no weight."""
     N = alg.N
     if m.nrows != N or m.ncols != N:
         raise MatrixError("transpose_t expects an N x N matrix")
@@ -316,35 +332,20 @@ def transpose_t(m: SparseMat, alg) -> SparseMat:
     return SparseMat._nonzero(N, N, rows)
 
 
-def transpose_t1(m: SparseMat, alg) -> SparseMat:
-    """Partial transposition t applied to the first tensor factor of an
-    operator on C^N (x) C^N."""
-    N = alg.N
-    if m.nrows != N * N or m.ncols != N * N:
-        raise MatrixError("transpose_t1 expects an N^2 x N^2 operator")
-    rows = {}
-    for rc, row in m.rows.items():
-        i, a = divmod(rc, N)
-        for cc, x in row.items():
-            j, b = divmod(cc, N)
-            r = (N - 1 - j) * N + a
-            s = (N - 1 - i) * N + b
-            rows.setdefault(r, {})[s] = x
-    return SparseMat._nonzero(N * N, N * N, rows)
+def crossed(grid, weights) -> list:
+    """The crossing map X -> D X^t D^-1, D = diag(q^w) for the weights w,
+    on an N x N grid of matrices or series (anything with .scale): entry
+    (i, j), 0-based, is q^(w_i - w_j) times entry (j', i'), i' = N-1-i.
 
-
-def dmat(alg) -> SparseMat:
-    """The diagonal matrix D = diag(q^bar(1), ..., q^bar(N))."""
-    return SparseMat(
-        alg.N,
-        alg.N,
-        {i: {i: Scalar.q_pow(alg.bar(i + 1))} for i in range(alg.N)},
-    )
-
-
-def dmat_inverse(alg) -> SparseMat:
-    return SparseMat(
-        alg.N,
-        alg.N,
-        {i: {i: Scalar.q_pow(-alg.bar(i + 1))} for i in range(alg.N)},
-    )
+    On the block grid of an operator on C^N (x) C^M it acts on the first
+    leg.  Rbar's crossing conjugates its first leg by D, w the barred
+    weights; P Rbar P, whose first leg is Rbar's second, crosses with the
+    negated bars, and so does L(u), whose auxiliary slot is that leg."""
+    N = len(grid)
+    return [
+        [
+            grid[N - 1 - j][N - 1 - i].scale(Scalar.q_pow(weights[i] - weights[j]))
+            for j in range(N)
+        ]
+        for i in range(N)
+    ]

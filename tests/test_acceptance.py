@@ -147,7 +147,7 @@ def test_criterion_07_lowrank_batteries():
 
 
 def test_criterion_08_central_series():
-    """L D L(u xi)^t D^-1 is scalar times identity to order 10 and matches
+    """L(u) D^-1 L(u xi)^t D is scalar times identity to order 10 and matches
     the diagonal-series product; the B1 scalar equals the expanded exact
     crossing scalar."""
     for alg in _algs():

@@ -12,7 +12,7 @@ from qav import cli, liedata, lop, rmatrix, vecrep
 from qav.liedata import AlgebraData
 from qav.scalars import Scalar, ZERO
 from qav.series import AT_INFINITY, AT_ZERO, TruncSeries
-from qav.tensor import SparseMat
+from qav.tensor import SparseMat, crossed
 
 # An off-diagonal entry of Rbar on B1 (N = 3) in the first row block:
 # row (1, 2), col (2, 1) of C^3 (x) C^3, 0-based.
@@ -393,6 +393,24 @@ def test_zseries_fails_on_a_bumped_lop_mode(fresh_builds, tmp_path, capsys):
             ),
         ],
     )
+
+
+def test_crossing_and_zseries_fail_with_the_weights_negated(monkeypatch):
+    """Rbar crosses with the barred weights and L, on Rbar's second leg,
+    with their negatives: either map given the other's weights fails the
+    exact crossing item and the central series' off-diagonal item."""
+
+    def negated(grid, weights):
+        return crossed(grid, [-w for w in weights])
+
+    monkeypatch.setattr(rmatrix, "crossed", negated)
+    monkeypatch.setattr(lop, "crossed", negated)
+    alg = AlgebraData("B", 1)
+    crossing = {c["name"]: c["status"] for c in rmatrix.check_crossing(alg, order=4)}
+    assert crossing["crossing symmetry for Rbar (exact), B1"] == "fail"
+    zseries = {c["name"]: c["status"] for c in lop.z_series(alg, 4)[2]}
+    assert zseries["B1 z+: off-diagonal entries vanish"] == "fail"
+    assert zseries["B1 z-: off-diagonal entries vanish"] == "fail"
 
 
 def test_main_structure_fails_on_a_bumped_gauss_entry(fresh_builds, tmp_path, capsys):

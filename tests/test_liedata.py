@@ -204,6 +204,30 @@ def test_only_tensor_packs_basis_pairs():
     assert packs == []
 
 
+_FLIPS_AN_INDEX = re.compile(r"[NM]r? ?- ?1 ?- ?[a-z]")
+
+
+def test_only_tensor_flips_indices():
+    """The index involution i -> i' of t is applied in tensor alone, by
+    transpose_t and the crossing map crossed, so no other module flips an
+    index of a matrix or a grid by hand."""
+    flips = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(liedata.__file__).parent.glob("*.py"))
+        if path.name != "tensor.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if _FLIPS_AN_INDEX.search(line)
+    ]
+    assert flips == []
+
+
+def test_the_flipping_pattern_finds_hand_flipped_indices():
+    for line in ("x = L[Nr - 1 - j][Nr - 1 - i]", "rows[N-1-j] = r"):
+        assert _FLIPS_AN_INDEX.search(line)
+    for line in ("for i in range(N - 1)", "j = N - i", "top = alg.N - n - 1"):
+        assert not _FLIPS_AN_INDEX.search(line)
+
+
 def test_the_packing_pattern_finds_hand_packed_pairs():
     for line in ("r = (alg.prime(i) - 1) * N + (i - 1)", "x = m.get(i * M + a, j)"):
         assert _PACKS_A_PAIR.search(line)

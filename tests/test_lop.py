@@ -478,8 +478,9 @@ def test_fused_sums_add_no_matrices(fresh_builds, monkeypatch):
 def test_relrbar_rescales_each_current_once_per_shift(
     type_, rank, calls, monkeypatch
 ):
-    """relrbar (c) rescales each Gauss half of a current once per shift it
-    is read at: 4 rescalings on B1 and 8 on D2, not 4 per item."""
+    """relrbar (c) reads each current at its one shift, q^a for the first
+    index a of its node's pair, and rescales each Gauss half once: 4
+    rescalings on B1 and 8 on D2, not 4 per item."""
     alg = AlgebraData(type_, rank)
     build_lops(alg, 4)
     scale_arg = TruncSeries.scale_arg
@@ -736,7 +737,7 @@ def test_bivar_zero_matches_the_matrix_product_route(b1, d2):
     # shifted arguments, each current its two Gauss halves, and the same
     # with a bumped mode of the plus or the minus half
     gs = build_lops(d2, K)
-    si, sj = lop._quad_shifts(d2, 1, 2)
+    si, sj = d2.node_pair(1)[0], d2.node_pair(2)[0]
     qe = Scalar.q_pow(d2.Bmat[0][1])
 
     def halves(i, shift):
@@ -840,7 +841,7 @@ def test_relrbar_exchanges_match_the_explicit_term_route(type_, rank):
                     want.append(lop._bivar_zero(name, terms, clearing))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            si, sj = lop._quad_shifts(alg, i, j)
+            si, sj = alg.node_pair(i)[0], alg.node_pair(j)[0]
             for plus, sg in ((True, "+"), (False, "-")):
                 qe = Scalar.q_pow(alg.Bmat[i - 1][j - 1] * (1 if plus else -1))
                 Xi = tuple(x.scale_arg(Scalar.q_pow(si)) for x in halves[i, plus])

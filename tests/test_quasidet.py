@@ -157,6 +157,18 @@ def test_gauss_accessors_are_one_based():
         g.f(1, 3)
 
 
+@pytest.mark.parametrize(
+    "accessor,args",
+    [("h", (0,)), ("h", (5,)), ("e", (0, 1)), ("e", (4, 5)), ("f", (1, 0)), ("f", (5, 4))],
+)
+def test_gauss_accessors_refuse_an_index_outside_one_to_n(accessor, args):
+    """An index 0 would wrap to the last generator (h(0) is H[-1]) and n + 1
+    would raise a bare IndexError; both raise QuasidetError."""
+    g = gauss_decompose(_generic4(), ONE)
+    with pytest.raises(QuasidetError):
+        getattr(g, accessor)(*args)
+
+
 def test_gauss_diagonal_is_quasideterminant_of_leading_block():
     """h_i equals the (i,i) quasideterminant of the i-th leading block; in the
     commutative case that is det(L_i)/det(L_{i-1})."""

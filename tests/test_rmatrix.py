@@ -24,7 +24,7 @@ from qav.rmatrix import (
 )
 from qav.scalars import Scalar, ONE
 from qav.series import AT_ZERO, expand_scalar
-from qav.tensor import SparseMat, embed_leg
+from qav.tensor import SparseMat, crossed, embed_leg
 
 from conftest import all_pass
 
@@ -128,12 +128,58 @@ def test_ybe_unitarity_crossing_smoke(type_, rank):
     assert all_pass(check_crossing(alg, order=6))
 
 
-def test_rbar_at_u_zero_is_triangular_with_invertible_diagonal(b1):
-    """The u -> 0 limit must exist entrywise (it seeds the L-operators)."""
-    N = b1.N
-    for i, j, x in build_catalog(b1).rbar.entries():
-        c0 = expand_scalar(x, AT_ZERO, 0).coefficient(0)
-        assert c0 is not None  # no pole at u = 0
+def _at_u_zero(m):
+    """The order-0 coefficients of the entries of m, expanded at u = 0."""
+    return SparseMat.from_entries(
+        m.nrows,
+        m.ncols,
+        ((i, j, expand_scalar(x, AT_ZERO, 0).coefficient(0)) for i, j, x in m.entries()),
+    )
+
+
+def _triangular_at_u_zero(rbar, P):
+    """Rbar at u = 0 is lower triangular with no zero on its diagonal, and
+    P Rbar P at u = 0 is upper triangular."""
+    c0 = _at_u_zero(rbar)
+    return (
+        all(i >= j for i, j, _ in c0.entries())
+        and all(not c0.get(i, i).is_zero() for i in range(c0.nrows))
+        and all(i <= j for i, j, _ in (P * c0 * P).entries())
+    )
+
+
+def test_rbar_at_u_zero_is_triangular_with_invertible_diagonal():
+    """The u -> 0 limit of Rbar exists entrywise (it seeds the L-operators)
+    and is triangular, and a 1 added above its diagonal is caught."""
+    for type_, rank in (("B", 1), ("D", 2), ("B", 2), ("D", 3)):
+        cat = build_catalog(AlgebraData(type_, rank))
+        assert _triangular_at_u_zero(cat.rbar, cat.P), (type_, rank)
+        above = cat.rbar + SparseMat.unit(cat.rbar.nrows, 0, 1)
+        assert not _triangular_at_u_zero(above, cat.P), (type_, rank)
+
+
+@pytest.mark.parametrize("type_,rank", [("B", 1), ("D", 2), ("B", 2), ("D", 3)])
+def test_swapped_rbar_crosses_with_the_negated_bars(type_, rank):
+    """Rbar crosses on its first leg with the barred weights; P Rbar P,
+    whose first leg is Rbar's second (the auxiliary slot of L), crosses
+    with their negatives to the same scalar: denpoly(u) denpoly(u xi) times
+    the crossing scalar.  Each fails with the other's weights."""
+    alg = AlgebraData(type_, rank)
+    cat = build_catalog(alg)
+    N, uxi = alg.N, Scalar.u_pow(1) * alg.xi
+    scale = cat.denpoly * cat.denpoly.subs_u(uxi) * crossing_scalar(alg)
+    want = SparseMat.identity(N * N, scale)
+    swapped = cat.P * cat.rbar_poly * cat.P
+    bars, negated = alg.bars, [-w for w in alg.bars]
+
+    def crossing(m, weights):
+        right = SparseMat.from_blocks(crossed(_mat_subs_u(m, uxi).blocks(N), weights))
+        return m * right
+
+    assert crossing(cat.rbar_poly, bars) == want
+    assert crossing(swapped, negated) == want
+    assert crossing(cat.rbar_poly, negated) != want
+    assert crossing(swapped, bars) != want
 
 
 def test_crossing_scalar_frozen(b1):

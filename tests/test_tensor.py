@@ -1,4 +1,5 @@
-"""Sparse exact matrices, Kronecker embedding, and the weighted transposition."""
+"""Sparse exact matrices, Kronecker embedding, the transposition t and the
+crossing map."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +10,9 @@ from qav.quasidet import SingularPivotError
 from qav.tensor import (
     MatrixError,
     SparseMat,
-    dmat,
-    dmat_inverse,
+    crossed,
     embed_leg,
     transpose_t,
-    transpose_t1,
 )
 
 from conftest import det
@@ -168,6 +167,26 @@ def test_blocks_undo_kron(a, b):
             assert list(block.entries()) == list(b.scale(a.get(i, j)).entries())
 
 
+@st.composite
+def block_grids(draw):
+    """Leg sizes N and M (1 to 3 each) and an NM x NM matrix."""
+    N, M = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return N, draw(small_mats(n=N * M))
+
+
+@settings(max_examples=50, deadline=None)
+@given(block_grids())
+def test_from_blocks_and_blocks_undo_each_other(case):
+    N, m = case
+    grid = m.blocks(N)
+    back = SparseMat.from_blocks(grid)
+    assert (back.nrows, back.ncols) == (m.nrows, m.ncols)
+    assert back.rows == m.rows
+    assert [[b.rows for b in line] for line in back.blocks(N)] == [
+        [b.rows for b in line] for line in grid
+    ]
+
+
 def test_blocks_reject_a_size_the_legs_do_not_divide():
     with pytest.raises(MatrixError):
         SparseMat.identity(6).blocks(4)
@@ -229,7 +248,7 @@ def test_embed_leg_rejects_bad_legs():
         embed_leg(op, (0, 2), 2)
 
 
-# -- weighted transposition and the matrix D -----------------------------------
+# -- the transposition t and the crossing map ----------------------------------
 
 
 @pytest.mark.parametrize("type_,rank", [("B", 1), ("D", 2)])
@@ -257,20 +276,24 @@ def test_transpose_t_moves_units_to_primed_slots():
         assert dst.nnz() == 1
 
 
-def test_transpose_t1_acts_on_first_factor_only():
-    alg = AlgebraData("D", 2)
+@pytest.mark.parametrize("type_,rank", [("B", 1), ("B", 2), ("D", 2), ("D", 3)])
+def test_crossed_conjugates_t_by_d_on_the_first_factor(type_, rank):
+    """On the block grid of A (x) B, crossed with weights w is
+    (D t(A) D^-1) (x) B, D = diag(q^w) built here, for the barred weights
+    and for weights with no symmetry."""
+    alg = AlgebraData(type_, rank)
     N = alg.N
     a = SparseMat.from_entries(
         N, N, [(i, j, Scalar.from_int(i + 2 * j + 1)) for i in range(N) for j in range(N)]
     )
-    b = SparseMat.identity(N, Scalar.s_pow(1))
-    assert transpose_t1(a.kron(b), alg) == transpose_t(a, alg).kron(b)
-
-
-@pytest.mark.parametrize("type_,rank", [("B", 1), ("B", 2), ("D", 2), ("D", 3)])
-def test_dmat_inverse_pairs(type_, rank):
-    alg = AlgebraData(type_, rank)
-    assert dmat(alg) * dmat_inverse(alg) == SparseMat.identity(alg.N)
+    b = from_dense([[ONE, Scalar.s_pow(1)], [Scalar.w(), ZERO]])
+    for w in (alg.bars, [i * i for i in range(N)]):
+        d = SparseMat.from_entries(N, N, [(i, i, Scalar.q_pow(w[i])) for i in range(N)])
+        d_inv = SparseMat.from_entries(
+            N, N, [(i, i, Scalar.q_pow(-w[i])) for i in range(N)]
+        )
+        want = (d * transpose_t(a, alg) * d_inv).kron(b)
+        assert SparseMat.from_blocks(crossed(a.kron(b).blocks(N), w)) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -285,7 +308,7 @@ def test_permuting_maps_skip_the_zero_filter_safely(m, c):
         m.transpose(),
         m.scale(c),
         transpose_t(m, alg),
-        transpose_t1(square, alg),
+        SparseMat.from_blocks(crossed(square.blocks(3), alg.bars)),
         embed_leg(square, (3, 1), 3),
     ]
     for r in results:
