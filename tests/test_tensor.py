@@ -276,6 +276,19 @@ def test_transpose_t_moves_units_to_primed_slots():
         assert dst.nnz() == 1
 
 
+def test_transpose_t1_acts_on_first_factor_only():
+    """With all weights 0, D = 1 and crossed is the partial t-transpose on
+    the first factor: t(A) (x) B on the block grid of A (x) B."""
+    alg = AlgebraData("D", 2)
+    N = alg.N
+    a = SparseMat.from_entries(
+        N, N, [(i, j, Scalar.from_int(i + 2 * j + 1)) for i in range(N) for j in range(N)]
+    )
+    b = SparseMat.identity(N, Scalar.s_pow(1))
+    got = SparseMat.from_blocks(crossed(a.kron(b).blocks(N), [0] * N))
+    assert got == transpose_t(a, alg).kron(b)
+
+
 @pytest.mark.parametrize("type_,rank", [("B", 1), ("B", 2), ("D", 2), ("D", 3)])
 def test_crossed_conjugates_t_by_d_on_the_first_factor(type_, rank):
     """On the block grid of A (x) B, crossed with weights w is
